@@ -66,6 +66,14 @@ def main(argv=None) -> int:
                            help="shortcut: train ebaret with one ablation")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (pl.PipelineError, pl.ConfigError, FileNotFoundError) as e:
+        print(f"bagbid: error: {e}", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
     exp = _load_config(args)
 
     if args.command == "write-config":

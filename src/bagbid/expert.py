@@ -1,22 +1,25 @@
-"""Hindsight-optimal expert bidding via dual multipliers.
+"""Hindsight-optimal expert bidding over constant bid scales.
 
 With full knowledge of a day's opportunity stream (and all other bidders
 fixed), the value-maximizing bid under budget and return-on-spend caps
-takes the form
+takes the dual form (He et al., KDD 2021)
 
     bid_j = (1 + alpha_c * C) / (alpha_b + alpha_c) * value_j
 
 where ``alpha_b`` prices the budget constraint and ``alpha_c`` the RoS
-constraint.  This module solves for the multiplier pair against a recorded
-stream (grid over ``alpha_c``, bisection on ``alpha_b`` targeting full
-budget use), replays the resulting constant bid scale, and emits expert
-trajectories.  ``brute_force_optimal`` enumerates small instances exactly
-and serves as the independent optimality oracle.
+constraint.  Whatever the pair, it only sets one constant scale ``s`` on
+every value, so the solver searches the scale directly.  Without budget
+pressure opportunity j is won exactly when ``s * value_j > comp_bid_j``,
+i.e. when ``s`` exceeds its ratio ``comp_bid_j / value_j``; every scale
+therefore wins a prefix of the opportunities sorted by ratio, and the
+prefixes are the only outcomes to compare.  ``solve_multipliers`` scans
+them once, replays the chosen scale, and ``generate_expert_trajectory``
+rolls the market at it.  ``brute_force_optimal`` enumerates small
+instances exactly and serves as the independent optimality oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +28,7 @@ from bagbid import _kernels
 from bagbid.market import MarketConfig, OpportunityStream, constant_policy, run_episode
 from bagbid.trajectory import CampaignConstraints, Trajectory
 
-ALPHA_B_MIN = 1e-4
-ALPHA_B_MAX = 1e3
 ROS_SLACK = 1e-6
-DEFAULT_ALPHA_C_GRID = tuple(float(x) for x in np.arange(0.0, 4.0 + 1e-9, 0.25))
 
 
 class InvalidMultipliersError(ValueError):
@@ -62,14 +62,9 @@ class ReplaySummary:
 
 @dataclass(frozen=True)
 class MultiplierSolution:
-    multipliers: DualMultipliers
+    scale: float
     feasible: bool
     summary: ReplaySummary
-    ros_bound: float
-
-    @property
-    def scale(self) -> float:
-        return bid_scale(self.multipliers, self.ros_bound)
 
 
 def bid_scale(multipliers: DualMultipliers, ros_bound: float) -> float:
@@ -108,105 +103,60 @@ def replay(stream: OpportunityStream, multipliers: DualMultipliers,
     return _replay_scale(stream, scale, constraints.budget)
 
 
-def _feasible_unforfeited(stream, scale, constraints) -> tuple[bool, ReplaySummary]:
-    """Would bidding at ``scale`` fit both constraints without forfeits?
-
-    Uses an unbounded-budget replay, whose spend is exactly monotone in the
-    scale (won sets nest), which is what makes bisection sound.
-    """
-    summary = _replay_scale(stream, scale, math.inf)
-    ok = (
-        summary.total_spend <= constraints.budget
-        and summary.ros <= constraints.ros_bound + ROS_SLACK
-    )
-    return ok, summary
-
-
 def solve_multipliers(stream: OpportunityStream, constraints: CampaignConstraints,
-                      alpha_c_grid=DEFAULT_ALPHA_C_GRID, bisect_iters: int = 70,
                       a_max: float | None = None) -> MultiplierSolution:
-    """Search the multiplier pair maximizing replay value on a stream.
+    """Best constant bid scale on a stream, exact over all scales.
 
-    Outer grid over ``alpha_c``; for each, bisection on ``alpha_b`` finds
-    the most aggressive bid scale whose full (unforfeited) spend still fits
-    the budget and whose RoS stays within bound.  The scale is capped at
-    the market's action ceiling so the solution is realizable as a
-    constant-action episode.  If no grid point is feasible the most
-    conservative corner is returned with ``feasible=False``.
+    Sorting opportunities by ``comp_bid / value`` makes the won set of any
+    scale a prefix of that order that never splits a group of equal ratios,
+    so those prefixes are the only candidates (one vectorised pass).  Among
+    prefixes whose full spend fits the budget, whose RoS is within bound
+    and whose scale interval starts below ``a_max`` (so the solution is
+    realizable as a constant-action episode), the highest-value one is bid
+    at the midpoint of its interval, capped at ``a_max``.  A budgeted
+    replay confirms it wins that prefix with no forfeits; should float
+    rounding disagree, the next-best prefix is tried.  Scales that forfeit
+    are never chosen: their won set depends on arrival order, not price.
+    A zero-spend prefix is always a candidate, so ``feasible`` is False
+    only if even that fails to replay cleanly.
     """
     if stream.size == 0:
         raise ValueError("opportunity stream is empty")
     if a_max is None:
         a_max = stream.config.a_max
-    c = constraints.ros_bound
-
-    best: MultiplierSolution | None = None
-    for alpha_c in alpha_c_grid:
-        # Keep the implied scale within [0, a_max].
-        lo = max(ALPHA_B_MIN, (1.0 + alpha_c * c) / a_max - alpha_c)
-        hi = ALPHA_B_MAX
-        if lo >= hi:
-            continue
-
-        def scale_at(alpha_b):
-            return (1.0 + alpha_c * c) / (alpha_b + alpha_c)
-
-        ok_lo, _ = _feasible_unforfeited(stream, scale_at(lo), constraints)
-        if ok_lo:
-            alpha_b = lo
-        else:
-            ok_hi, _ = _feasible_unforfeited(stream, scale_at(hi), constraints)
-            if not ok_hi:
-                continue
-            a, b = lo, hi  # infeasible at a, feasible at b
-            for _ in range(bisect_iters):
-                mid = 0.5 * (a + b)
-                ok_mid, _ = _feasible_unforfeited(stream, scale_at(mid), constraints)
-                if ok_mid:
-                    b = mid
-                else:
-                    a = mid
-            alpha_b = b
-
-        summary = _replay_scale(stream, scale_at(alpha_b), constraints.budget)
-        if best is None or summary.total_value > best.summary.total_value:
-            best = MultiplierSolution(
-                multipliers=DualMultipliers(alpha_b=alpha_b, alpha_c=float(alpha_c)),
-                feasible=True,
-                summary=summary,
-                ros_bound=c,
-            )
-
-    if best is None:
-        multipliers = DualMultipliers(alpha_b=ALPHA_B_MAX, alpha_c=float(max(alpha_c_grid)))
-        return MultiplierSolution(
-            multipliers=multipliers,
-            feasible=False,
-            summary=replay(stream, multipliers, constraints),
-            ros_bound=c,
-        )
-    return best
+    bound = constraints.ros_bound + ROS_SLACK
+    ratios = stream.comp_bids / stream.values  # values are positive
+    order = np.argsort(ratios, kind="stable")
+    spend = np.cumsum(np.concatenate(([0.0], stream.comp_bids[order])))
+    value = np.cumsum(np.concatenate(([0.0], stream.eff_values[order])))
+    # Prefix k is won by scales in (edges[k], edges[k+1]]; it is reachable
+    # only if that interval is non-empty, i.e. not inside a tie group.
+    edges = np.concatenate(([0.0], ratios[order], [np.inf]))
+    k = np.flatnonzero(edges[1:] > edges[:-1])
+    ros = np.divide(spend[k], value[k], out=np.zeros(k.size), where=value[k] > 0)
+    k = k[(spend[k] <= constraints.budget) & (ros <= bound) & (edges[k] < a_max)]
+    for i in k[np.argsort(-value[k], kind="stable")]:
+        scale = float(min(0.5 * (edges[i] + edges[i + 1]), a_max))
+        summary = _replay_scale(stream, scale, constraints.budget)
+        if summary.forfeits == 0 and summary.ros <= bound:
+            return MultiplierSolution(scale=scale, feasible=True, summary=summary)
+    return MultiplierSolution(scale=scale, feasible=False, summary=summary)
 
 
 def generate_expert_trajectory(config: MarketConfig, constraints: CampaignConstraints,
                                campaign_id="c0") -> Trajectory:
     """Hindsight expert episode for one (config, seed) campaign-day.
 
-    Solves the multipliers against the day's stream and rolls the market
-    at the resulting constant bid scale, so the episode reproduces the
-    replay's won set exactly.
+    Solves the bid scale against the day's stream and rolls the market at
+    exactly that scale, so the episode reproduces the replay's won set.
     """
     stream = OpportunityStream(config)
     solution = solve_multipliers(stream, constraints, a_max=config.a_max)
-    scale = bid_scale(solution.multipliers, constraints.ros_bound)
-    scale = min(scale, config.a_max)
     trajectory = run_episode(
-        constant_policy(scale), config, constraints,
+        constant_policy(solution.scale), config, constraints,
         campaign_id=campaign_id, source="expert",
         meta={
-            "alpha_b": float(solution.multipliers.alpha_b),
-            "alpha_c": float(solution.multipliers.alpha_c),
-            "expert_scale": float(scale),
+            "expert_scale": solution.scale,
             "feasible": bool(solution.feasible),
             "replay_value": float(solution.summary.total_value),
             "replay_spend": float(solution.summary.total_spend),

@@ -312,7 +312,7 @@ def gen_offline_data(exp: ExperimentConfig) -> list:
             if kind == "noisy_expert":
                 stream = OpportunityStream(cfg)
                 sol = solve_multipliers(stream, camp.constraints, a_max=cfg.a_max)
-                expert_scale = min(sol.scale, cfg.a_max)
+                expert_scale = sol.scale
             policy = _behavior_policy(kind, rng, expert_scale, exp.behavior, cfg.a_max)
             traj = run_episode(
                 policy, cfg, camp.constraints,
@@ -784,7 +784,8 @@ def ensure_datasets(exp: ExperimentConfig):
 def ensure_prepped(exp: ExperimentConfig, plain_ce: bool):
     if not os.path.exists(exp.disc_path(plain_ce)):
         cmd_train_disc(exp, plain_ce=plain_ce)
-    if not os.path.exists(exp.prepped_path("offline", plain_ce)):
+    if not all(os.path.exists(exp.prepped_path(which, plain_ce))
+               for which in ("offline", "expert")):
         cmd_prep(exp, plain_ce=plain_ce)
 
 

@@ -27,7 +27,7 @@ to the market's action range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -281,23 +281,10 @@ class TrajectoryTransformer:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path, extra_meta: dict | None = None):
-        cfg = self.config
         meta = {
             "kind": "trajectory-transformer",
-            "config": {
-                "d_model": cfg.d_model, "n_layers": cfg.n_layers,
-                "n_heads": cfg.n_heads, "context_steps": cfg.context_steps,
-                "bag_len": cfg.bag_len, "k_levels": cfg.k_levels,
-                "lr": cfg.lr, "batch_size": cfg.batch_size,
-                "train_steps": cfg.train_steps, "seed": cfg.seed,
-                "rtg_scale": cfg.rtg_scale, "a_max": cfg.a_max,
-            },
-            "arch": {
-                "use_rtg_tokens": self.arch.use_rtg_tokens,
-                "use_rtg_head": self.arch.use_rtg_head,
-                "use_bag_embedding": self.arch.use_bag_embedding,
-                "use_level_embedding": self.arch.use_level_embedding,
-            },
+            "config": asdict(self.config),
+            "arch": asdict(self.arch),
         }
         if extra_meta:
             meta.update(extra_meta)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from bagbid import _kernels
 from bagbid.expert import (
-    ALPHA_B_MAX,
-    ALPHA_B_MIN,
+    ROS_SLACK,
     DualMultipliers,
     InvalidMultipliersError,
     TooManyOpportunitiesError,
-    bid_scale,
     brute_force_optimal,
     expert_bid,
     generate_expert_trajectory,
@@ -100,28 +99,83 @@ class TestSolveMultipliers:
         assert sol.summary.wins == 50
         assert sol.summary.total_spend < constraints.budget
 
-    def test_bisection_matches_grid_scan(self, rng):
-        """Exhaustive alpha_b grid at resolution 1e-4 (fixed alpha_c grid)
-        cannot beat the bisection result by more than a grid-cell."""
-        values = rng.uniform(0.1, 0.9, 10)
-        comps = rng.lognormal(-1.0, 0.8, 10)
-        stream = FakeStream(values, comps)
-        constraints = CampaignConstraints(budget=1.0, ros_bound=3.0)
-        sol = solve_multipliers(stream, constraints)
+    def test_beats_every_constant_scale(self):
+        """Exhaustive oracle: replay one scale inside every interval between
+        consecutive sorted ratios, plus a_max.  The solver must match the
+        best of those that replay cleanly and stay below the subset optimum.
+        Effective values carry per-opportunity CVR multipliers, so RoS is
+        not monotone in the scale."""
+        for seed in range(60):
+            r = np.random.Generator(np.random.PCG64(900 + seed))
+            n = 12
+            values = r.uniform(0.05, 0.95, n)
+            comps = r.lognormal(-1.2, 0.9, n)
+            eff = np.minimum(values * r.uniform(0.3, 1.7, n), 1.0)
+            a_max = float(r.uniform(0.5, 6.0))
+            stream = FakeStream(values, comps, eff=eff, a_max=a_max)
+            constraints = CampaignConstraints(
+                budget=float(r.uniform(0.1, 0.8) * comps.sum()),
+                ros_bound=float(r.uniform(0.5, 3.0)) if seed % 3 else 1e9,
+            )
+            sol = solve_multipliers(stream, constraints)
+            assert sol.feasible and sol.scale <= a_max
 
-        best_grid = 0.0
-        for alpha_c in (0.0, 1.0, 2.0, 4.0):
-            for alpha_b in np.arange(ALPHA_B_MIN, 20.0, 1e-4):
-                m = DualMultipliers(alpha_b=float(alpha_b), alpha_c=alpha_c)
-                s = replay(stream, m, constraints)
-                if (
-                    s.total_spend <= constraints.budget
-                    and s.ros <= constraints.ros_bound + 1e-6
-                    and s.forfeits == 0
-                    and bid_scale(m, constraints.ros_bound) <= 10.0
-                ):
-                    best_grid = max(best_grid, s.total_value)
-        assert sol.summary.total_value >= best_grid - 1e-9
+            ratios = np.sort(comps / values)
+            scales = np.concatenate(
+                ([ratios[0] / 2], (ratios[1:] + ratios[:-1]) / 2, [a_max])
+            )
+            best = 0.0
+            for scale in scales[scales <= a_max]:
+                spend, value, _, forfeits = _kernels.replay_scan(
+                    scale, values, comps, eff, constraints.budget
+                )
+                ros = spend / value if value > 0 else 0.0
+                if forfeits == 0 and ros <= constraints.ros_bound + ROS_SLACK:
+                    best = max(best, value)
+            rstar = brute_force_optimal(eff, comps, constraints)
+            assert sol.summary.total_value >= best - 1e-12
+            assert sol.summary.total_value <= rstar + 1e-9
+
+    def test_tied_ratios_are_won_together(self):
+        # opportunities 0 and 1 share ratio 0.4; no scale wins only one
+        stream = FakeStream([0.5, 0.25, 0.4], [0.2, 0.1, 0.3])
+        sol = solve_multipliers(stream, CampaignConstraints(budget=0.25, ros_bound=50.0))
+        assert sol.feasible and sol.summary.wins == 0
+        sol = solve_multipliers(stream, CampaignConstraints(budget=0.35, ros_bound=50.0))
+        assert sol.summary.wins == 2
+        assert sol.summary.total_value == pytest.approx(0.75)
+
+    def test_zero_competitor_bid_won_for_free(self):
+        stream = FakeStream([0.5, 0.5], [0.0, 0.4])
+        sol = solve_multipliers(stream, CampaignConstraints(budget=0.1, ros_bound=5.0))
+        assert sol.feasible and sol.summary.wins == 1
+        assert sol.summary.total_spend == 0.0
+        assert sol.summary.total_value == pytest.approx(0.5)
+
+    def test_binding_a_max(self):
+        # ratios 0.2 and 4.0: the second win needs a scale above 4
+        stream = FakeStream([0.5, 0.5], [0.1, 2.0], a_max=10.0)
+        constraints = CampaignConstraints(budget=10.0, ros_bound=50.0)
+        assert solve_multipliers(stream, constraints).summary.wins == 2
+        sol = solve_multipliers(stream, constraints, a_max=3.0)
+        assert sol.summary.wins == 1 and sol.scale <= 3.0
+        # the midpoint of (0.2, 4.0) lies above a_max, so the scale is capped
+        sol = solve_multipliers(stream, constraints, a_max=1.0)
+        assert sol.summary.wins == 1 and sol.scale == 1.0
+
+    def test_ros_not_monotone_in_scale(self):
+        """Effective values not proportional to values: the prefixes by
+        ratio have RoS 1.0, 2.86, 0.54, 2.35, so the feasible scales are
+        not an interval and the best one sits past an infeasible gap."""
+        stream = FakeStream([1.0, 1.0, 1.0, 1.0], [0.1, 0.2, 0.3, 2.0],
+                            eff=[0.1, 0.005, 1.0, 0.0])
+        constraints = CampaignConstraints(budget=10.0, ros_bound=1.5)
+        sol = solve_multipliers(stream, constraints)
+        assert sol.feasible and sol.summary.wins == 3
+        assert sol.summary.total_value == pytest.approx(1.105)
+        assert sol.summary.total_value == pytest.approx(
+            brute_force_optimal(stream.eff_values, stream.comp_bids, constraints)
+        )
 
     def test_spend_monotone_in_alpha_b_without_budget(self, rng):
         """With no budget pressure the won set shrinks as alpha_b grows."""
@@ -153,16 +207,14 @@ class TestSolveMultipliers:
                 spends.append(s.total_spend)
             assert all(a >= b - max_payment for a, b in zip(spends, spends[1:]))
 
-    def test_infeasible_grid_returns_conservative_flag(self):
-        # competitor bids below any achievable bid, RoS bound microscopic:
-        # any win violates RoS, but the solver can at least bid ~0
+    def test_no_affordable_win_bids_nothing(self):
+        # any win breaks the budget and the RoS bound: the best plan is to
+        # win nothing, which is feasible
         stream = FakeStream([0.5], [1e-9], eff=[1e-6])
         constraints = CampaignConstraints(budget=1e-12, ros_bound=1e-9)
         sol = solve_multipliers(stream, constraints)
-        if not sol.feasible:
-            assert sol.multipliers.alpha_b == ALPHA_B_MAX
-        else:
-            assert sol.summary.total_spend <= constraints.budget
+        assert sol.feasible
+        assert sol.summary.wins == 0 and sol.summary.total_spend == 0.0
 
 
 class TestExpertTrajectory:
@@ -178,6 +230,7 @@ class TestExpertTrajectory:
             cfg = small_config.with_seed(seed)
             traj = generate_expert_trajectory(cfg, constraints)
             assert traj.meta["feasible"]
+            assert abs(traj.total_value - traj.meta["replay_value"]) <= 1e-9
             assert traj.total_spend <= constraints.budget + 1e-9
             if traj.total_value > 0:
                 assert traj.total_spend / traj.total_value <= constraints.ros_bound + 1e-6

@@ -193,6 +193,17 @@ class TestTrainEval:
         assert os.path.exists(ckpt)
         assert report.grand_mean() >= 0.0
 
+    def test_ensure_prepped_regenerates_missing_expert_file(self, ready):
+        exp = ready
+        pl.ensure_prepped(exp, plain_ce=False)
+        path = exp.prepped_path("expert", False)
+        with open(path, "rb") as f:
+            first = f.read()
+        os.remove(path)
+        pl.ensure_prepped(exp, plain_ce=False)
+        with open(path, "rb") as f:
+            assert f.read() == first
+
     def test_eq8_precondition_guard(self, ready, monkeypatch):
         exp = ready
         pl.ensure_prepped(exp, plain_ce=False)
@@ -254,3 +265,17 @@ class TestConfigRoundtrip:
         exp = pl.default_config()
         assert len(exp.campaigns) == 8
         assert abs(sum(exp.behavior.mix) - 1.0) < 1e-12
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--method", "ebaret"],
+        ["report"],
+    ])
+    def test_missing_artifacts_fail_without_traceback(self, argv, tmp_path, capsys):
+        from bagbid.cli import main
+
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bagbid: error: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1

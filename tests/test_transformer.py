@@ -229,6 +229,15 @@ class TestTraining:
         assert np.array_equal(rp1, rp2) and np.array_equal(ap1, ap2)
         assert loaded.loaded_meta["method"] == "test"
 
+    def test_save_load_keeps_full_config(self, tiny_cfg, tmp_path):
+        cfg = tf.ModelConfig(**{**tiny_cfg.__dict__, "lr_warmup_frac": 0.2,
+                                "lr_final_frac": 0.1, "adam_beta2": 0.95})
+        arch = tf.Arch(use_rtg_tokens=False, use_level_embedding=False)
+        path = tmp_path / "m.json"
+        tf.TrajectoryTransformer(cfg, arch).save(path)
+        loaded = tf.TrajectoryTransformer.load(path)
+        assert loaded.config == cfg and loaded.arch == arch
+
 
 class TestInference:
     def _rollout(self, model, cfg_market, constraints, manual=None):
