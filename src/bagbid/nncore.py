@@ -5,6 +5,15 @@ self-attention, embedding lookup, a bias-corrected Adam step, and a
 central-difference gradient checker.  No graphs, no broadcasting magic
 beyond a leading batch dimension; each op caches what its backward needs
 and training is bitwise deterministic for a fixed seed.
+
+The ops are written to make few passes over memory.  Affine ops run one
+2-D GEMM over the flattened leading dims.  Causal attention projects q, k
+and v with one GEMM over ``wq|wk|wv`` concatenated at call time (the
+parameters keep their names, so checkpoints are unchanged) and is
+block-causal: queries go in blocks of ``ATTN_BLOCK`` rows, each block
+scores only the keys at or before its last row, and only its diagonal
+square is masked, so the fully masked upper blocks cost nothing in
+either direction.
 """
 
 from __future__ import annotations
@@ -148,43 +157,59 @@ def adam_step(params: ParameterSet, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def affine_forward(x, w, b):
+    """``x @ w + b`` over the last axis as one 2-D GEMM on the flattened
+    leading dims (numpy would otherwise loop a batched matmul over them)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"inner dims disagree: {x.shape} @ {w.shape}")
-    return x @ w + b, (x, w)
+    x2 = x.reshape(-1, x.shape[-1])
+    y = x2 @ w
+    y += b
+    return y.reshape(*x.shape[:-1], w.shape[1]), (x2, w, x.shape)
 
 
 def affine_backward(dy, cache):
-    x, w = cache
-    dx = dy @ w.T
-    dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    return dx, dw, db
+    x2, w, x_shape = cache
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    dx = (dy2 @ w.T).reshape(x_shape)
+    return dx, x2.T @ dy2, dy2.sum(axis=0)
 
 
 def layer_norm_forward(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return gamma * xhat + beta, (xhat, inv_std, gamma)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    inv_std = 1.0 / np.sqrt(var)
+    xhat *= inv_std
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, inv_std, gamma)
 
 
 def layer_norm_backward(dy, cache):
     xhat, inv_std, gamma = cache
-    dgamma = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dbeta = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    d = xhat.shape[-1]
+    t = dy * xhat
+    dgamma = t.reshape(-1, d).sum(axis=0)
+    dbeta = dy.reshape(-1, d).sum(axis=0)
+    # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
     dxhat = dy * gamma
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dgamma, dbeta
+    t *= gamma
+    np.multiply(xhat, t.mean(axis=-1, keepdims=True), out=t)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= t
+    dxhat *= inv_std
+    return dxhat, dgamma, dbeta
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _MASK_CACHE: dict[int, np.ndarray] = {}
+
+# Query rows per attention block.  Smaller blocks skip more masked scores
+# but pay numpy call overhead per block; of 12-144 rows, 24 gave the
+# fastest forward plus backward at the default model (batch 8, 144 tokens,
+# 4 heads of 16) on a 2-vCPU x86 VM with OpenBLAS.
+ATTN_BLOCK = 24
 
 
 def _future_mask(length: int) -> np.ndarray:
@@ -196,22 +221,40 @@ def _future_mask(length: int) -> np.ndarray:
 
 
 def gelu_forward(x):
-    xsq = x * x
-    u = _GELU_C * (x + 0.044715 * (xsq * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, xsq, t)
+    """tanh-approximate GELU, ``x * h`` with ``h = (1 + tanh(u)) / 2`` and
+    ``u = c (x + 0.044715 x^3)``; caches ``h`` for the backward."""
+    h = x * x
+    h *= _GELU_C * 0.044715
+    h += _GELU_C
+    h *= x
+    np.tanh(h, out=h)
+    h += 1.0
+    h *= 0.5
+    return x * h, (x, h)
 
 
 def gelu_backward(dy, cache):
-    x, xsq, t = cache
-    du = _GELU_C * (1.0 + 3.0 * 0.044715 * xsq)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    # d(x h)/dx = h + x h'(x), and with 1 - tanh^2 = 4 h (1 - h):
+    # x h' = x h (1 - h) * 2c (1 + 3 * 0.044715 x^2)
+    x, h = cache
+    g = 1.0 - h
+    g *= h
+    g *= x
+    du = x * x
+    du *= 2.0 * _GELU_C * 3.0 * 0.044715
+    du += 2.0 * _GELU_C
+    g *= du
+    g += h
+    g *= dy
+    return g
 
 
 def softmax(x, axis=-1):
     z = x - x.max(axis=axis, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    s = z.sum(axis=axis, keepdims=True)
+    np.reciprocal(s, out=s)
+    z *= s
     return z
 
 
@@ -219,8 +262,10 @@ def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     """Multi-head self-attention with a strict causal mask.
 
     ``x`` is (L, d) or (batch, L, d); output matches.  Position i attends
-    to positions <= i only; masked scores are -inf so future tokens carry
-    exactly zero weight.
+    to positions <= i only.  One GEMM projects q, k and v together, and
+    the queries go in blocks of ``ATTN_BLOCK`` rows: block ``[lo, hi)``
+    scores keys ``[0, hi)`` only and sets the future part of its diagonal
+    square to -inf, so future tokens carry exactly zero weight.
     """
     squeezed = x.ndim == 2
     if squeezed:
@@ -230,53 +275,61 @@ def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
         raise ShapeError(f"model dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
 
-    q, cq = affine_forward(x, wq, bq)
-    k, ck = affine_forward(x, wk, bk)
-    v, cv = affine_forward(x, wv, bv)
-
-    def split(m):
-        return m.reshape(b, length, n_heads, dh).transpose(0, 2, 1, 3)
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = qh @ kh.transpose(0, 1, 3, 2)
-    scores /= math.sqrt(dh)
-    scores[..., _future_mask(length)] = -np.inf
-    probs = softmax(scores, axis=-1)
-    ctx = probs @ vh
-    merged = ctx.transpose(0, 2, 1, 3).reshape(b, length, d)
-    y, co = affine_forward(merged, wo, bo)
-    cache = (cq, ck, cv, co, qh, kh, vh, probs, n_heads, squeezed)
+    qkv, c_qkv = affine_forward(
+        x, np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv])
+    )
+    # (3, b, heads, L, dh) views of the (b, L, 3, heads, dh) projection
+    q, k, v = qkv.reshape(b, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q *= 1.0 / math.sqrt(dh)
+    merged = np.empty((b, length, n_heads, dh))
+    probs = []
+    for lo in range(0, length, ATTN_BLOCK):
+        hi = min(lo + ATTN_BLOCK, length)
+        scores = q[:, :, lo:hi] @ k[:, :, :hi].transpose(0, 1, 3, 2)
+        np.copyto(scores[..., lo:], -np.inf, where=_future_mask(hi - lo))
+        p = softmax(scores, axis=-1)
+        merged[:, lo:hi] = (p @ v[:, :, :hi]).transpose(0, 2, 1, 3)
+        probs.append(p)
+    y, co = affine_forward(merged.reshape(b, length, d), wo, bo)
+    cache = (c_qkv, co, q, k, v, probs, squeezed)
     return (y[0] if squeezed else y), cache
 
 
 def causal_attention_backward(dy, cache):
-    cq, ck, cv, co, qh, kh, vh, probs, n_heads, squeezed = cache
+    """Gradients (dx, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo).
+
+    Works block by block like the forward and overwrites the cached
+    probabilities, so a cache serves one backward only.
+    """
+    c_qkv, co, q, k, v, probs, squeezed = cache
     if squeezed:
         dy = dy[None]
-    b, length, d = dy.shape
-    dh = d // n_heads
+    b, n_heads, length, dh = q.shape
+    d = n_heads * dh
 
     dmerged, dwo, dbo = affine_backward(dy, co)
     dctx = dmerged.reshape(b, length, n_heads, dh).transpose(0, 2, 1, 3)
-
-    dprobs = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = probs.transpose(0, 1, 3, 2) @ dctx
-    # softmax backward; masked entries have prob 0 so they contribute nothing
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dscores /= math.sqrt(dh)
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh
-
-    def merge(m):
-        return m.transpose(0, 2, 1, 3).reshape(b, length, d)
-
-    dq_, dwq, dbq = affine_backward(merge(dqh), cq)
-    dk_, dwk, dbk = affine_backward(merge(dkh), ck)
-    dv_, dwv, dbv = affine_backward(merge(dvh), cv)
-    dx = dq_ + dk_ + dv_
+    dqkv = np.zeros((b, length, 3, n_heads, dh))
+    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+    for lo, p in zip(range(0, length, ATTN_BLOCK), probs):
+        hi = lo + p.shape[-2]
+        dc = dctx[:, :, lo:hi]
+        dv[:, :, :hi] += p.transpose(0, 1, 3, 2) @ dc
+        # softmax backward, in place: ds = p * dp - p * rowsum(p * dp);
+        # masked entries have p = 0 and contribute nothing
+        ds = dc @ v[:, :, :hi].transpose(0, 1, 3, 2)
+        ds *= p
+        p *= ds.sum(axis=-1, keepdims=True)
+        ds -= p
+        dq[:, :, lo:hi] = ds @ k[:, :, :hi]
+        dk[:, :, :hi] += ds.transpose(0, 1, 3, 2) @ q[:, :, lo:hi]
+    # q was scaled by 1/sqrt(dh) after its projection
+    dq *= 1.0 / math.sqrt(dh)
+    dx, dw, db = affine_backward(dqkv.reshape(b, length, 3 * d), c_qkv)
     if squeezed:
         dx = dx[0]
-    return dx, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo
+    return (dx, dw[:, :d], db[:d], dw[:, d:2 * d], db[d:2 * d],
+            dw[:, 2 * d:], db[2 * d:], dwo, dbo)
 
 
 def embedding_forward(table, idx):
@@ -287,10 +340,10 @@ def embedding_forward(table, idx):
 
 
 def embedding_backward(dy, cache):
+    # one (rows, N) one-hot GEMM: np.add.at's unbuffered scatter is far slower
     shape, idx = cache
-    dtable = np.zeros(shape, dtype=np.float64)
-    np.add.at(dtable, idx, dy)
-    return dtable
+    one_hot = np.equal.outer(np.arange(shape[0]), idx.reshape(-1)).astype(np.float64)
+    return one_hot @ dy.reshape(-1, shape[1])
 
 
 # ---------------------------------------------------------------------------

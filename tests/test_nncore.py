@@ -80,6 +80,47 @@ class TestGelu:
         assert nc.grad_check(loss, [x], [dx]) < 1e-5
 
 
+def naive_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """Reference: full L x L scores, separate q/k/v matmuls, masked softmax.
+
+    Returns the output and a backward closure giving
+    (dx, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo).
+    """
+    b, length, d = x.shape
+    dh = d // n_heads
+
+    def heads(m):
+        return m.reshape(b, length, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(m):
+        return m.transpose(0, 2, 1, 3).reshape(b, length, d)
+
+    q, k, v = heads(x @ wq + bq), heads(x @ wk + bk), heads(x @ wv + bv)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    scores[..., np.triu(np.ones((length, length), dtype=bool), 1)] = -np.inf
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    merged = merge(p @ v)
+    y = merged @ wo + bo
+
+    def backward(dy):
+        rows = b * length
+        dwo = merged.reshape(rows, d).T @ dy.reshape(rows, d)
+        dctx = heads(dy @ wo.T)
+        dp = dctx @ v.transpose(0, 1, 3, 2)
+        dscores = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+        dq, dk, dv = merge(dscores @ k), merge(dscores.transpose(0, 1, 3, 2) @ q), \
+            merge(p.transpose(0, 1, 3, 2) @ dctx)
+        x2 = x.reshape(rows, d)
+        dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+        grads = [dx]
+        for dm in (dq, dk, dv):
+            grads += [x2.T @ dm.reshape(rows, d), dm.sum(axis=(0, 1))]
+        return grads + [dwo, dy.sum(axis=(0, 1))]
+
+    return y, backward
+
+
 class TestCausalAttention:
     def _setup(self, gen, length=6, dim=16, heads=4):
         ps = nc.ParameterSet()
@@ -106,6 +147,43 @@ class TestCausalAttention:
 
     def test_grad_check(self, gen):
         ps, attn, x = self._setup(gen)
+        dy = gen.normal(size=x.shape)
+
+        def loss():
+            vals = [p.value for p in attn.params]
+            y, _ = nc.causal_attention_forward(x, *vals, attn.n_heads)
+            return float((y * dy).sum())
+
+        attn.forward(x)
+        ps.zero_grad()
+        dx = attn.backward(dy)
+        tensors = [x] + [p.value for p in attn.params]
+        grads = [dx] + [p.grad for p in attn.params]
+        assert nc.grad_check(loss, tensors, grads) < 1e-4
+
+    @pytest.mark.parametrize("length", [1, nc.ATTN_BLOCK - 1, nc.ATTN_BLOCK,
+                                        2 * nc.ATTN_BLOCK + 3])
+    def test_matches_naive_reference(self, gen, length):
+        dim, heads = 16, 2  # 1/sqrt(8) is inexact, so folding it into q rounds
+        x = gen.normal(size=(3, length, dim))
+        params = []
+        for _ in range(4):
+            params += [gen.normal(0.0, 0.3, (dim, dim)), gen.normal(0.0, 0.3, dim)]
+        dy = gen.normal(size=x.shape)
+        y, cache = nc.causal_attention_forward(x, *params, heads)
+        grads = nc.causal_attention_backward(dy, cache)
+        y_ref, backward = naive_attention(x, *params, heads)
+        assert np.abs(y - y_ref).max() <= 1e-10 * max(1.0, np.abs(y_ref).max())
+        ref_grads = backward(dy)
+        assert len(grads) == len(ref_grads) == 9
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+    def test_grad_check_batched_blocks(self, gen):
+        ps = nc.ParameterSet()
+        attn = nc.CausalSelfAttention(ps, "a", 8, 2, gen, w_std=0.3)
+        x = gen.normal(size=(2, nc.ATTN_BLOCK + 2, 8))
         dy = gen.normal(size=x.shape)
 
         def loss():

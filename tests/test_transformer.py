@@ -207,6 +207,25 @@ class TestTraining:
         m2.save(p2)
         assert p1.read_text() == p2.read_text()
 
+    def test_loss_curve_pinned(self, tiny_cfg):
+        """Losses of a fixed tiny run, recorded before the attention kernel
+        was blocked and its q/k/v projections fused: kernel rewrites may
+        change rounding only."""
+        gen = np.random.Generator(np.random.PCG64(2024))
+        s, r, a, lv = random_steps(gen, 4, 8)
+        cfg = tf.ModelConfig(**{**tiny_cfg.__dict__, "train_steps": 40, "batch_size": 4})
+        rows = []
+        tf.train_model(tf.TrainingBatch(s, a, r, lv), cfg, log_rows=rows)
+        recorded = {
+            0: (13.050036503533857, 61.66575423826227),
+            20: (11.995833924451262, 49.482622212341155),
+            39: (7.85448362538933, 56.212419803213955),
+        }
+        for step, (rtg_loss, action_loss) in recorded.items():
+            assert rows[step][0] == step
+            assert rows[step][1] == pytest.approx(rtg_loss, rel=1e-9)
+            assert rows[step][2] == pytest.approx(action_loss, rel=1e-9)
+
     def test_loss_decreases(self, tiny_cfg, rng):
         s, r, a, lv = random_steps(rng, 4, 8)
         data = tf.TrainingBatch(s, a, r, lv)
@@ -239,7 +258,55 @@ class TestTraining:
         assert loaded.config == cfg and loaded.arch == arch
 
 
+def _live_episode(policy) -> tf._LiveEpisode:
+    return [c.cell_contents for c in policy.__closure__
+            if isinstance(c.cell_contents, tf._LiveEpisode)][0]
+
+
 class TestInference:
+    @pytest.mark.parametrize("arch", [tf.ARCH_FULL, tf.ARCH_DT, tf.ARCH_BC],
+                             ids=["full", "dt", "bc"])
+    def test_cached_inference_matches_batch_forward(self, arch, small_config,
+                                                    constraints):
+        """At every step, the KV-cached policy's return prediction and
+        action equal the batch forward over the tokens it has fed."""
+        from bagbid.market import run_episode
+
+        steps = small_config.steps_per_episode
+        cfg = tf.ModelConfig(d_model=16, n_layers=2, n_heads=2, context_steps=steps,
+                             bag_len=8, k_levels=3, seed=0, rtg_scale=10.0)
+        model = tf.TrajectoryTransformer(cfg, arch)
+        gen = np.random.Generator(np.random.PCG64(3))
+        for _, p in model.params.items():
+            p.value += gen.normal(0.0, 0.2, p.value.shape)
+        # keep most predictions inside the clamps so the comparison bites
+        model.act_head.b.value[...] = 3.0
+        if arch.use_rtg_head:
+            model.rtg_head.b.value[...] = 2.0
+        manual = 20.0 if arch is tf.ARCH_DT else None
+        policy = tf.make_inference_policy(model, manual_target=manual)
+        ep = _live_episode(policy)
+        unclamped = 0
+
+        def checked_policy(states, actions, rewards):
+            action = policy(states, actions, rewards)
+            t = len(actions)
+            rtg_pred, act_pred = model.forward(
+                ep.states[:, :t + 1], ep.rtgs[:, :t + 1], ep.actions[:, :t + 1],
+                ep.levels[:, :t + 1],
+            )
+            if arch.use_rtg_head:
+                assert ep.rtgs[0, t] == pytest.approx(max(rtg_pred[0, t], 0.0), abs=1e-9)
+            expected = min(max(act_pred[0, t], 0.0), cfg.a_max)
+            assert action == pytest.approx(expected, abs=1e-9)
+            nonlocal unclamped
+            unclamped += int(0.0 < expected < cfg.a_max)
+            return action
+
+        traj = run_episode(checked_policy, small_config, constraints)
+        assert traj.num_steps == steps
+        assert unclamped >= steps // 2
+
     def _rollout(self, model, cfg_market, constraints, manual=None):
         from bagbid.market import run_episode
 
@@ -266,8 +333,7 @@ class TestInference:
 
         run_episode(policy, small_config, constraints)
         # the policy's episode buffer pinned every visited step to level k-1
-        ep = policy.__closure__
-        levels = [c.cell_contents for c in ep if isinstance(c.cell_contents, tf._LiveEpisode)][0].levels
+        levels = _live_episode(policy).levels
         assert (levels == 2).all() or set(np.unique(levels)) <= {0, 2}
 
     def test_rtg_clamped_nonnegative(self, small_config, constraints):
@@ -281,8 +347,7 @@ class TestInference:
         from bagbid.market import run_episode
 
         run_episode(policy, small_config, constraints)
-        ep = [c.cell_contents for c in policy.__closure__
-              if isinstance(c.cell_contents, tf._LiveEpisode)][0]
+        ep = _live_episode(policy)
         assert (ep.rtgs >= 0).all()
 
     def test_dt_requires_manual_target(self, tiny_cfg):
@@ -299,8 +364,7 @@ class TestInference:
         from bagbid.market import run_episode
 
         traj = run_episode(policy, small_config, constraints)
-        ep = [c.cell_contents for c in policy.__closure__
-              if isinstance(c.cell_contents, tf._LiveEpisode)][0]
+        ep = _live_episode(policy)
         assert ep.rtgs[0, 0] == pytest.approx(2.0)  # 20 / rtg_scale
         # decrement matches realized rewards
         expected = max(2.0 - traj.rewards[0] / 10.0, 0.0)
