@@ -1,16 +1,20 @@
-"""Pure-Python fallback for the auction-scan kernels.
+"""The auction-scan kernels.
 
-Mirrors ``_scan.pyx`` operation for operation: both run plain IEEE double
-arithmetic in the same order, so results are bit-identical across
-backends.  This path is roughly two orders of magnitude slower and exists
-so the package works without a C toolchain.
+Both scan opportunities in stream order with plain IEEE double arithmetic:
+a bid ``scale * value`` wins when it strictly exceeds the competitor bid,
+the winner pays the competitor bid, and a win whose payment exceeds the
+remaining budget is forfeited.
 """
 
 import numpy as np
 
 
 def replay_scan(scale, values, comp_bids, eff_values, budget):
-    """See ``_scan.replay_scan``."""
+    """Replay a constant bid scale over a whole stream under ``budget``.
+
+    Returns (spend, value, wins, forfeits); value sums ``eff_values`` of
+    the wins.
+    """
     v = np.ascontiguousarray(values, dtype=np.float64).tolist()
     c = np.ascontiguousarray(comp_bids, dtype=np.float64).tolist()
     ev = np.ascontiguousarray(eff_values, dtype=np.float64).tolist()
@@ -35,7 +39,12 @@ def replay_scan(scale, values, comp_bids, eff_values, budget):
 
 
 def step_scan(action, values, comp_bids, eff_values, conv_draws, remaining):
-    """See ``_scan.step_scan``."""
+    """One market step at bid scale ``action`` with ``remaining`` budget.
+
+    Returns (wins, spend, conversions, value, remaining after the step); a
+    win converts when its draw in ``conv_draws`` is below its effective
+    value.
+    """
     v = np.ascontiguousarray(values, dtype=np.float64).tolist()
     c = np.ascontiguousarray(comp_bids, dtype=np.float64).tolist()
     ev = np.ascontiguousarray(eff_values, dtype=np.float64).tolist()

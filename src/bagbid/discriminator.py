@@ -124,9 +124,6 @@ class DiscriminatorModel:
     def score_batch(self, x) -> np.ndarray:
         return self.forward(x)
 
-    def sigma_batch(self, x) -> np.ndarray:
-        return sigmoid(self.forward(x))
-
     def save(self, path):
         self.params.save(
             path,

@@ -156,13 +156,6 @@ class OpportunityStream:
         n = self.config.opportunities_per_step
         return slice(t * n, (t + 1) * n)
 
-    def opportunity(self, j: int) -> Opportunity:
-        return Opportunity(
-            value=float(self.values[j]),
-            competitor_bid=float(self.comp_bids[j]),
-            step_index=int(self.step_index[j]),
-        )
-
 
 def run_auction(bid, opp: Opportunity, rng_draw, cvr_profile) -> AuctionOutcome:
     """Resolve one truthful second-price auction.

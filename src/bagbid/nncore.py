@@ -13,7 +13,9 @@ parameters keep their names, so checkpoints are unchanged) and is
 block-causal: queries go in blocks of ``ATTN_BLOCK`` rows, each block
 scores only the keys at or before its last row, and only its diagonal
 square is masked, so the fully masked upper blocks cost nothing in
-either direction.
+either direction.  The same attention forward takes an optional per-layer
+key/value cache, so KV-cached inference runs the training kernels on the
+tokens it has not fed yet.
 """
 
 from __future__ import annotations
@@ -176,8 +178,10 @@ def affine_backward(dy, cache):
 
 
 def layer_norm_forward(x, gamma, beta, eps=1e-5):
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    # add.reduce / d is what .mean computes, without its per-call overhead
+    d = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
     var += eps
     inv_std = 1.0 / np.sqrt(var)
     xhat *= inv_std
@@ -250,15 +254,18 @@ def gelu_backward(dy, cache):
 
 
 def softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
+    # ufunc reductions: the same sums as .max/.sum with less call overhead,
+    # which dominates at the one- and two-token shapes of cached inference
+    z = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(z, out=z)
-    s = z.sum(axis=axis, keepdims=True)
+    s = np.add.reduce(z, axis=axis, keepdims=True)
     np.reciprocal(s, out=s)
     z *= s
     return z
 
 
-def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, kv=None,
+                             start=0):
     """Multi-head self-attention with a strict causal mask.
 
     ``x`` is (L, d) or (batch, L, d); output matches.  Position i attends
@@ -266,6 +273,13 @@ def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     the queries go in blocks of ``ATTN_BLOCK`` rows: block ``[lo, hi)``
     scores keys ``[0, hi)`` only and sets the future part of its diagonal
     square to -inf, so future tokens carry exactly zero weight.
+
+    ``kv = (k_buf, v_buf)``, both (batch, heads, max_L, dh), is a key/value
+    cache: ``x`` holds positions ``[start, start + L)`` of a longer
+    sequence whose earlier keys and values are already in the buffers.
+    The new ones are written at ``[start, start + L)`` and the queries
+    also attend to everything before ``start``.  The cached call returns
+    no backward cache (None).
     """
     squeezed = x.ndim == 2
     if squeezed:
@@ -281,17 +295,22 @@ def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     # (3, b, heads, L, dh) views of the (b, L, 3, heads, dh) projection
     q, k, v = qkv.reshape(b, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q *= 1.0 / math.sqrt(dh)
+    if kv is not None:
+        k_buf, v_buf = kv
+        k_buf[:, :, start:start + length] = k
+        v_buf[:, :, start:start + length] = v
+        k, v = k_buf, v_buf
     merged = np.empty((b, length, n_heads, dh))
     probs = []
     for lo in range(0, length, ATTN_BLOCK):
         hi = min(lo + ATTN_BLOCK, length)
-        scores = q[:, :, lo:hi] @ k[:, :, :hi].transpose(0, 1, 3, 2)
-        np.copyto(scores[..., lo:], -np.inf, where=_future_mask(hi - lo))
+        scores = q[:, :, lo:hi] @ k[:, :, :start + hi].transpose(0, 1, 3, 2)
+        np.copyto(scores[..., start + lo:], -np.inf, where=_future_mask(hi - lo))
         p = softmax(scores, axis=-1)
-        merged[:, lo:hi] = (p @ v[:, :, :hi]).transpose(0, 2, 1, 3)
+        merged[:, lo:hi] = (p @ v[:, :, :start + hi]).transpose(0, 2, 1, 3)
         probs.append(p)
     y, co = affine_forward(merged.reshape(b, length, d), wo, bo)
-    cache = (c_qkv, co, q, k, v, probs, squeezed)
+    cache = None if kv is not None else (c_qkv, co, q, k, v, probs, squeezed)
     return (y[0] if squeezed else y), cache
 
 
@@ -403,9 +422,9 @@ class CausalSelfAttention:
             self.params.append(ps.add(f"{name}.w{stem}", rng.normal(0.0, w_std, (dim, dim))))
             self.params.append(ps.add(f"{name}.b{stem}", np.zeros(dim)))
 
-    def forward(self, x):
+    def forward(self, x, kv=None, start=0):
         vals = [p.value for p in self.params]
-        y, self._cache = causal_attention_forward(x, *vals, self.n_heads)
+        y, self._cache = causal_attention_forward(x, *vals, self.n_heads, kv, start)
         return y
 
     def backward(self, dy):

@@ -33,20 +33,6 @@ class CampaignConstraints:
             raise ValueError(f"ros_bound must be positive, got {self.ros_bound}")
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One timestep of a trajectory, with bag bookkeeping attached."""
-
-    state: np.ndarray
-    action: float
-    reward_raw: float
-    reward_redistributed: float | None
-    rtg: float | None
-    bag_index: int
-    pos_in_bag: int
-    expert_level: int | None
-
-
 _ARRAY_FIELDS = (
     "states",
     "actions",
@@ -107,26 +93,6 @@ class Trajectory:
     @property
     def total_value(self) -> float:
         return float(self.values.sum())
-
-    def transition(self, t: int, bag_len: int = 8) -> Transition:
-        if not 0 <= t < self.num_steps:
-            raise IndexError(f"step {t} out of range [0, {self.num_steps})")
-        return Transition(
-            state=self.states[t],
-            action=float(self.actions[t]),
-            reward_raw=float(self.rewards[t]),
-            reward_redistributed=(
-                None
-                if self.rewards_redistributed is None
-                else float(self.rewards_redistributed[t])
-            ),
-            rtg=None if self.rtg is None else float(self.rtg[t]),
-            bag_index=t // bag_len,
-            pos_in_bag=t % bag_len,
-            expert_level=(
-                None if self.expert_levels is None else int(self.expert_levels[t])
-            ),
-        )
 
     def to_json_dict(self) -> dict:
         out = {

@@ -21,7 +21,10 @@ drops only the level embedding.
 Inference is expert-anchored: the incoming step's level token is pinned to
 the top level, the return head's own prediction (clamped non-negative) is
 substituted for the unknown R_t token, and the emitted action is clamped
-to the market's action range.
+to the market's action range.  Inference has no forward of its own: it
+embeds the steps it has not fed yet with ``_step_embeddings`` and runs
+those tokens through ``_body`` with a per-layer key/value cache, i.e.
+through the same layers and kernels as training.
 """
 
 from __future__ import annotations
@@ -163,17 +166,18 @@ class TrajectoryTransformer:
 
     # -- token assembly ----------------------------------------------------
 
-    def _step_embeddings(self, states, rtgs, actions, levels):
+    def _step_embeddings(self, states, rtgs, actions, levels, first_step=0):
         """Per-modality token embeddings for full steps.
 
         states (B,T,8), rtgs (B,T) scaled, actions (B,T), levels (B,T)
-        ints.  Returns (B, tokens_per_step*T, d) interleaved in token
-        order.
+        ints, holding steps ``first_step .. first_step+T-1``.  Returns
+        (B, tokens_per_step*T, d) interleaved in token order.
         """
         b, t_steps, _ = states.shape
-        if t_steps > self.config.context_steps:
+        if first_step + t_steps > self.config.context_steps:
             raise ContextOverflowError(
-                f"{t_steps} steps exceed context of {self.config.context_steps}"
+                f"{first_step + t_steps} steps exceed context of "
+                f"{self.config.context_steps}"
             )
         e_s = self.state_proj.forward(states)
         e_a = self.act_proj.forward(actions[..., None])
@@ -183,12 +187,12 @@ class TrajectoryTransformer:
             parts.append(e_r)
         parts.append(e_a)
 
-        steps = np.arange(t_steps)
-        self._time_idx = np.broadcast_to(steps, (b, t_steps))
+        steps = np.arange(first_step, first_step + t_steps)
+        self._time_idx = np.tile(steps, (b, 1))
         time = self.time_emb.forward(self._time_idx)
         shared = time
         if self.arch.use_bag_embedding:
-            self._bag_idx = np.broadcast_to(steps % self.config.bag_len, (b, t_steps))
+            self._bag_idx = np.tile(steps % self.config.bag_len, (b, 1))
             shared = shared + self.bag_emb.forward(self._bag_idx)
         if self.arch.use_level_embedding:
             self._level_idx = levels.astype(np.int64)
@@ -197,10 +201,9 @@ class TrajectoryTransformer:
         k = self.arch.tokens_per_step
         d = self.config.d_model
         tokens = np.empty((b, k * t_steps, d))
-        self._mod_idx = np.empty((b, k * t_steps), dtype=np.int64)
         for m, e in enumerate(parts):
             tokens[:, m::k, :] = e + shared
-            self._mod_idx[:, m::k] = m
+        self._mod_idx = np.tile(np.arange(k), (b, t_steps))
         tokens += self.modality_emb.forward(self._mod_idx)
         self._n_steps = t_steps
         return tokens
@@ -226,10 +229,13 @@ class TrajectoryTransformer:
 
     # -- transformer body --------------------------------------------------
 
-    def _body(self, tokens):
+    def _body(self, tokens, kv=None, start=0):
+        """Final hidden states of ``tokens``.  With ``kv``, one key/value
+        cache per block, the tokens sit at positions ``start ..`` after the
+        cached ones (see ``nncore.causal_attention_forward``)."""
         h = tokens
-        for blk in self.blocks:
-            a = blk["attn"].forward(blk["ln1"].forward(h))
+        for blk, layer_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
+            a = blk["attn"].forward(blk["ln1"].forward(h), layer_kv, start)
             h = h + a
             m = blk["fc2"].forward(blk["gelu"].forward(blk["fc1"].forward(blk["ln2"].forward(h))))
             h = h + m
@@ -389,24 +395,22 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
 
 
 class _LiveEpisode:
-    """Per-episode inference state: a per-layer key/value cache plus the
-    token values fed so far (recorded for introspection and tests).
+    """Per-episode inference state: a per-layer key/value cache, the
+    number of tokens fed so far, and the step values (states, returns,
+    actions, levels) that ``_advance`` embeds the unfed tokens from.
 
-    The cache makes each new token O(context) instead of re-running the
-    whole prefix; outputs match the batch forward up to float reduction
+    The cache lets the training forward take only the new tokens, so each
+    one costs O(context) instead of re-running the whole prefix; outputs
+    match the batch forward over the same buffers up to float reduction
     order.
     """
 
     def __init__(self, model: TrajectoryTransformer):
         cfg = model.config
-        self.max_tokens = cfg.context_steps * model.arch.tokens_per_step
         heads = cfg.n_heads
-        dh = cfg.d_model // heads
-        self.kv = [
-            (np.zeros((1, heads, self.max_tokens, dh)),
-             np.zeros((1, heads, self.max_tokens, dh)))
-            for _ in model.blocks
-        ]
+        shape = (1, heads, cfg.context_steps * model.arch.tokens_per_step,
+                 cfg.d_model // heads)
+        self.kv = [(np.zeros(shape), np.zeros(shape)) for _ in model.blocks]
         self.n_tokens = 0
         t = cfg.context_steps
         self.states = np.zeros((1, t, STATE_DIM))
@@ -415,71 +419,22 @@ class _LiveEpisode:
         self.levels = np.zeros((1, t), dtype=np.int64)
 
 
-def _embed_step_tokens(model: TrajectoryTransformer, kind: int, content: np.ndarray,
-                       t: int, level: int) -> np.ndarray:
-    """Embedding of one token: content projection plus the shared step
-    embeddings (modality / timestep / bag position / expert level)."""
-    p = model.params
-    proj = ("embed.state", "embed.rtg", "embed.action")[kind] if model.arch.use_rtg_tokens \
-        else ("embed.state", "embed.action")[kind]
-    e = content @ p[f"{proj}.w"].value + p[f"{proj}.b"].value
-    e = e + p["embed.modality.table"].value[kind]
-    e = e + p["embed.time.table"].value[t]
-    if model.arch.use_bag_embedding:
-        e = e + p["embed.bag.table"].value[t % model.config.bag_len]
-    if model.arch.use_level_embedding:
-        e = e + p["embed.level.table"].value[level]
-    return e.reshape(1, 1, -1)
-
-
-def _advance(model: TrajectoryTransformer, ep: _LiveEpisode, new_tokens) -> np.ndarray:
-    """Append tokens to the live episode and return their final hidden
-    states (after ln_f)."""
-    m = new_tokens.shape[1]
-    n = ep.n_tokens
-    if n + m > ep.max_tokens:
-        raise ContextOverflowError("inference exceeded the model context")
-    p = model.params
-    cfg = model.config
-    heads = cfg.n_heads
-    dh = cfg.d_model // heads
-    h = new_tokens
-    for li, blk in enumerate(model.blocks):
-        name = f"block{li}"
-        x, _ = nc.layer_norm_forward(
-            h, p[f"{name}.ln1.gamma"].value, p[f"{name}.ln1.beta"].value
-        )
-        k_cache, v_cache = ep.kv[li]
-
-        def heads_of(mat):
-            return mat.reshape(1, m, heads, dh).transpose(0, 2, 1, 3)
-
-        q = heads_of(x @ p[f"{name}.attn.wq"].value + p[f"{name}.attn.bq"].value)
-        k_cache[:, :, n:n + m] = heads_of(
-            x @ p[f"{name}.attn.wk"].value + p[f"{name}.attn.bk"].value
-        )
-        v_cache[:, :, n:n + m] = heads_of(
-            x @ p[f"{name}.attn.wv"].value + p[f"{name}.attn.bv"].value
-        )
-        scores = q @ k_cache[:, :, :n + m].transpose(0, 1, 3, 2) / math.sqrt(dh)
-        for i in range(m - 1):
-            scores[:, :, i, n + i + 1:] = -np.inf
-        probs = nc.softmax(scores, axis=-1)
-        ctx = (probs @ v_cache[:, :, :n + m]).transpose(0, 2, 1, 3).reshape(1, m, -1)
-        h = h + ctx @ p[f"{name}.attn.wo"].value + p[f"{name}.attn.bo"].value
-
-        x2, _ = nc.layer_norm_forward(
-            h, p[f"{name}.ln2.gamma"].value, p[f"{name}.ln2.beta"].value
-        )
-        u = x2 @ p[f"{name}.mlp.fc1.w"].value + p[f"{name}.mlp.fc1.b"].value
-        u, _ = nc.gelu_forward(u)
-        h = h + u @ p[f"{name}.mlp.fc2.w"].value + p[f"{name}.mlp.fc2.b"].value
-
-    ep.n_tokens = n + m
-    out, _ = nc.layer_norm_forward(
-        h, p["ln_f.gamma"].value, p["ln_f.beta"].value
+def _advance(model: TrajectoryTransformer, ep: _LiveEpisode, t: int, last: int) -> np.ndarray:
+    """Feed the live episode's unfed tokens up to token ``last`` of step
+    ``t`` (0 = s_t, 1 = R_t) through the training forward and its KV
+    cache; returns the final hidden state of that token, (1, d)."""
+    k = model.arch.tokens_per_step
+    first = ep.n_tokens // k
+    end = k * t + last + 1
+    steps = slice(first, t + 1)
+    tokens = model._step_embeddings(
+        ep.states[:, steps], ep.rtgs[:, steps], ep.actions[:, steps],
+        ep.levels[:, steps], first_step=first,
     )
-    return out
+    h = model._body(tokens[:, ep.n_tokens - k * first:end - k * first], ep.kv,
+                    ep.n_tokens)
+    ep.n_tokens = end
+    return h[:, -1]
 
 
 def make_inference_policy(model: TrajectoryTransformer, manual_target: float | None = None):
@@ -491,8 +446,8 @@ def make_inference_policy(model: TrajectoryTransformer, manual_target: float | N
     becomes the R_t token, and the action head's output is clamped to the
     market range.  Return-token models without the head follow the classic
     conditioning protocol: the return token starts at ``manual_target``
-    (scaled) and decrements by realized rewards.  Behavior cloning ignores
-    returns entirely.
+    (scaled) and decrements by realized rewards, so a_{t-1}, s_t and R_t
+    are fed in one pass.  Behavior cloning ignores returns entirely.
     """
     config = model.config
     arch = model.arch
@@ -508,38 +463,19 @@ def make_inference_policy(model: TrajectoryTransformer, manual_target: float | N
             raise ContextOverflowError(f"episode longer than {config.context_steps}")
         ep.states[0, t] = states[-1]
         ep.levels[0, t] = top_level
-
-        # previous step's action token enters the sequence first
-        new = []
         if t > 0:
             ep.actions[0, t - 1] = actions[-1]
-            act_kind = 2 if arch.use_rtg_tokens else 1
-            new.append(_embed_step_tokens(
-                model, act_kind, np.array([[actions[-1]]]), t - 1,
-                int(ep.levels[0, t - 1]),
-            ))
-        new.append(_embed_step_tokens(
-            model, 0, ep.states[:, t], t, top_level
-        ))
-        h = _advance(model, ep, np.concatenate(new, axis=1))
 
         if arch.use_rtg_tokens:
             if arch.use_rtg_head:
-                rtg_hat = (
-                    h[:, -1:, :] @ model.rtg_head.w.value + model.rtg_head.b.value
-                ).item()
-                ep.rtgs[0, t] = max(rtg_hat, 0.0)
+                rtg = model.rtg_head.forward(_advance(model, ep, t, 0)).item()
+            elif t == 0:
+                rtg = float(manual_target) / config.rtg_scale
             else:
-                if t == 0:
-                    ep.rtgs[0, 0] = max(float(manual_target) / config.rtg_scale, 0.0)
-                else:
-                    ep.rtgs[0, t] = max(
-                        ep.rtgs[0, t - 1] - rewards[-1] / config.rtg_scale, 0.0
-                    )
-            h = _advance(model, ep, _embed_step_tokens(
-                model, 1, ep.rtgs[:, t:t + 1], t, top_level
-            ))
-        action = (h[:, -1:, :] @ model.act_head.w.value + model.act_head.b.value).item()
+                rtg = ep.rtgs[0, t - 1] - rewards[-1] / config.rtg_scale
+            ep.rtgs[0, t] = max(rtg, 0.0)
+        h = _advance(model, ep, t, 1 if arch.use_rtg_tokens else 0)
+        action = model.act_head.forward(h).item()
         return min(max(action, 0.0), config.a_max)
 
     return policy

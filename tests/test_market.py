@@ -228,9 +228,3 @@ class TestSerialization:
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.spends, t2.spends)
         assert t2.constraints == constraints
-
-    def test_transition_view(self, small_config, constraints):
-        traj = run_episode(constant_policy(1.0), small_config, constraints)
-        tr = traj.transition(9, bag_len=8)
-        assert tr.bag_index == 1 and tr.pos_in_bag == 1
-        assert tr.action == traj.actions[9]

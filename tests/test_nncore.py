@@ -198,6 +198,27 @@ class TestCausalAttention:
         grads = [dx] + [p.grad for p in attn.params]
         assert nc.grad_check(loss, tensors, grads) < 1e-4
 
+    @pytest.mark.parametrize("chunk", [1, 2, nc.ATTN_BLOCK, 33])
+    def test_kv_cache_chunks_match_one_shot(self, gen, chunk):
+        """Feeding a sequence chunk by chunk through the key/value cache
+        gives the one-shot outputs; chunks of 24 and 33 rows start at
+        nonzero positions and span block edges."""
+        batch, length, dim, heads = 2, 60, 16, 2
+        x = gen.normal(size=(batch, length, dim))
+        params = []
+        for _ in range(4):
+            params += [gen.normal(0.0, 0.3, (dim, dim)), gen.normal(0.0, 0.3, dim)]
+        y_ref, _ = nc.causal_attention_forward(x, *params, heads)
+        kv = tuple(np.zeros((batch, heads, length, dim // heads)) for _ in range(2))
+        outs = []
+        for start in range(0, length, chunk):
+            y, cache = nc.causal_attention_forward(x[:, start:start + chunk], *params,
+                                                   heads, kv, start)
+            assert cache is None
+            outs.append(y)
+        y = np.concatenate(outs, axis=1)
+        assert np.abs(y - y_ref).max() <= 1e-12 * max(1.0, np.abs(y_ref).max())
+
     def test_head_divisibility(self, gen):
         ps = nc.ParameterSet()
         attn = nc.CausalSelfAttention(ps, "a", 10, 4, gen)
