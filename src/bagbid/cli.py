@@ -12,6 +12,7 @@ import json
 import sys
 
 from bagbid import pipeline as pl
+from bagbid.nncore import CheckpointError
 
 
 def _load_config(args) -> pl.ExperimentConfig:
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (pl.PipelineError, pl.ConfigError, FileNotFoundError) as e:
+    except (pl.PipelineError, pl.ConfigError, CheckpointError, FileNotFoundError) as e:
         print(f"bagbid: error: {e}", file=sys.stderr)
         return 1
 

@@ -39,31 +39,6 @@ class MarketInputError(ValueError):
     """Invalid input to a market operation."""
 
 
-@dataclass(frozen=True)
-class Opportunity:
-    """A single impression: predicted conversion probability and the
-    highest competing bid it will face."""
-
-    value: float
-    competitor_bid: float
-    step_index: int
-
-    def __post_init__(self):
-        if not 0.0 < self.value < 1.0:
-            raise MarketInputError(f"value must be in (0,1), got {self.value}")
-        if self.competitor_bid < 0:
-            raise MarketInputError("competitor_bid must be >= 0")
-        if self.step_index < 0:
-            raise MarketInputError("step_index must be >= 0")
-
-
-@dataclass(frozen=True)
-class AuctionOutcome:
-    won: bool
-    payment: float
-    converted: bool
-
-
 def sinusoid_cvr_profile(steps=48, amplitude=0.4, noise=0.05, phase=0.0, seed=0):
     """Intraday conversion-rate multiplier: sinusoid plus noise in (0, 2]."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -125,7 +100,9 @@ class OpportunityStream:
     predicted values, competitor bids, per-opportunity conversion uniforms,
     and effective values (value times the step's CVR multiplier, clamped to
     1), which serve both as conversion probabilities and as the expected
-    value accounted to a win.
+    value accounted to a win; plus the mean predicted value of each step,
+    a state feature (the row mean sums in the same order as the mean of
+    the step's slice, so it is the same float).
     """
 
     def __init__(self, config: MarketConfig):
@@ -147,6 +124,7 @@ class OpportunityStream:
         self.eff_values = np.minimum(
             self.values * config.cvr_profile[self.step_index], 1.0
         )
+        self.step_mean_values = self.values.reshape(t_steps, n).mean(axis=1)
 
     @property
     def size(self) -> int:
@@ -155,22 +133,6 @@ class OpportunityStream:
     def step_slice(self, t: int) -> slice:
         n = self.config.opportunities_per_step
         return slice(t * n, (t + 1) * n)
-
-
-def run_auction(bid, opp: Opportunity, rng_draw, cvr_profile) -> AuctionOutcome:
-    """Resolve one truthful second-price auction.
-
-    The agent wins on a strictly greater bid (ties lose), pays the
-    competitor bid, and converts when ``rng_draw`` falls below the
-    effective conversion probability of the opportunity's step.
-    """
-    if not math.isfinite(bid) or bid < 0:
-        raise MarketInputError(f"bid must be finite and non-negative, got {bid}")
-    won = bid > opp.competitor_bid
-    if not won:
-        return AuctionOutcome(won=False, payment=0.0, converted=False)
-    prob = min(opp.value * float(cvr_profile[opp.step_index]), 1.0)
-    return AuctionOutcome(won=True, payment=opp.competitor_bid, converted=rng_draw < prob)
 
 
 class MarketEnv:
@@ -259,7 +221,7 @@ class MarketEnv:
         self.total_spend += spend
         self.total_value += value
         self.last_spend = spend
-        self.last_mean_value = float(self.stream.values[sl].mean())
+        self.last_mean_value = float(self.stream.step_mean_values[self.t])
         self.t += 1
         return self.observe(), int(conversions), spend
 
@@ -280,25 +242,57 @@ class MarketEnv:
         )
 
 
+def run_episodes(policy, configs, constraints, campaign_ids, source="policy",
+                 meta=None) -> list[Trajectory]:
+    """Roll one episode per (config, constraints, campaign id) in lockstep.
+
+    Every step calls ``policy(states, actions, rewards)`` once for all n
+    episodes: ``states`` (n, t+1, STATE_DIM) holds observations up to and
+    including the current step, ``actions`` and ``rewards`` (n, t) hold
+    the completed steps; it returns n bid scales.  Each episode is then
+    stepped on its own ``MarketEnv``, so its scan stays sequential and
+    its outcome does not depend on the others.  The episodes must share
+    one episode length.
+    """
+    envs = [MarketEnv(c, k) for c, k in zip(configs, constraints, strict=True)]
+    if len(campaign_ids) != len(envs):
+        raise MarketInputError(f"{len(campaign_ids)} campaign ids for {len(envs)} episodes")
+    lengths = {env.config.steps_per_episode for env in envs}
+    if len(lengths) != 1:
+        raise MarketInputError(f"lockstep episodes need one episode length, got {lengths}")
+    (t_steps,) = lengths
+    n = len(envs)
+    states = np.empty((n, t_steps + 1, STATE_DIM))
+    actions = np.empty((n, t_steps))
+    rewards = np.empty((n, t_steps))
+    for i, env in enumerate(envs):
+        states[i, 0] = env.observe()
+    for t in range(t_steps):
+        bids = policy(states[:, :t + 1], actions[:, :t], rewards[:, :t])
+        if len(bids) != n:
+            raise MarketInputError(f"policy returned {len(bids)} actions for {n} episodes")
+        for i, (env, bid) in enumerate(zip(envs, bids)):
+            bid = float(bid)
+            actions[i, t] = bid
+            states[i, t + 1], rewards[i, t], _ = env.step(bid)
+    return [env.trajectory(campaign_id=cid, source=source, meta=dict(meta or {}))
+            for env, cid in zip(envs, campaign_ids)]
+
+
 def run_episode(policy, config: MarketConfig, constraints: CampaignConstraints,
                 campaign_id="c0", source="policy", meta=None) -> Trajectory:
-    """Roll one full episode under ``policy``.
+    """Roll one full episode under a single-episode ``policy``.
 
-    The policy is called as ``policy(states, actions, rewards)`` where
-    ``states`` holds observations up to and including the current step and
-    the other lists hold completed steps only; it returns the bid scale.
+    The policy is called as ``policy(states, actions, rewards)`` with one
+    episode's rows of the ``run_episodes`` buffers and returns one bid
+    scale.
     """
-    env = MarketEnv(config, constraints)
-    states = [env.observe()]
-    actions: list[float] = []
-    rewards: list[float] = []
-    while not env.done:
-        action = float(policy(states, actions, rewards))
-        next_state, reward, _ = env.step(action)
-        actions.append(action)
-        rewards.append(float(reward))
-        states.append(next_state)
-    return env.trajectory(campaign_id=campaign_id, source=source, meta=meta)
+    def batched(states, actions, rewards):
+        return (policy(states[0], actions[0], rewards[0]),)
+
+    (trajectory,) = run_episodes(batched, [config], [constraints], [campaign_id],
+                                 source=source, meta=meta)
+    return trajectory
 
 
 def constant_policy(scale: float):

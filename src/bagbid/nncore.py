@@ -16,10 +16,21 @@ square is masked, so the fully masked upper blocks cost nothing in
 either direction.  The same attention forward takes an optional per-layer
 key/value cache, so KV-cached inference runs the training kernels on the
 tokens it has not fed yet.
+
+Checkpoints (version 2) are one JSON object: ``format``, ``version``,
+``meta`` and, per parameter name, its ``shape`` and its ``data`` as base64
+of the little-endian float64 bytes in C order.  The bytes round-trip every
+value bitwise (signed zeros, subnormals and infinities included), saving
+the same parameters twice writes the same file, and loading costs a
+base64 decode instead of parsing a float list.  ``load_payload`` raises
+``CheckpointError`` for a file of another format or version (version 1
+stored float lists and is no longer read) and for data that does not fill
+its shape.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
@@ -28,7 +39,12 @@ import numpy as np
 from bagbid.trajectory import atomic_write_text
 
 CHECKPOINT_FORMAT = "bagbid-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_CHECKPOINT_DTYPE = np.dtype("<f8")
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file this version cannot read."""
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -104,7 +120,12 @@ class ParameterSet:
             "version": CHECKPOINT_VERSION,
             "meta": meta or {},
             "params": {
-                name: {"shape": list(p.value.shape), "data": p.value.ravel().tolist()}
+                name: {
+                    "shape": list(p.value.shape),
+                    "data": base64.b64encode(
+                        p.value.astype(_CHECKPOINT_DTYPE, copy=False).tobytes()
+                    ).decode("ascii"),
+                }
                 for name, p in self._params.items()
             },
         }
@@ -115,14 +136,29 @@ class ParameterSet:
         """Read a checkpoint file into ({name: array}, meta)."""
         with open(path) as f:
             payload = json.load(f)
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        state = {
-            name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-            for name, rec in payload["params"].items()
-        }
+        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+        version = payload.get("version")
+        if version == 1:
+            raise CheckpointError(
+                f"{path} is a version 1 checkpoint, which this version no longer "
+                f"reads; retrain with `bagbid train`"
+            )
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+        state = {}
+        for name, rec in payload["params"].items():
+            shape = tuple(rec["shape"])
+            try:
+                raw = base64.b64decode(rec["data"], validate=True)
+            except ValueError as e:  # binascii.Error or non-ASCII text
+                raise CheckpointError(f"{path}: {name}: bad data ({e})") from None
+            if len(raw) != _CHECKPOINT_DTYPE.itemsize * math.prod(shape):
+                raise CheckpointError(
+                    f"{path}: {name}: {len(raw)} bytes do not fill shape {shape}"
+                )
+            state[name] = np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).astype(
+                np.float64).reshape(shape)
         return state, payload.get("meta", {})
 
 

@@ -36,8 +36,14 @@ from bagbid.discriminator import (
     sigmoid,
     train_discriminator,
 )
-from bagbid.expert import generate_expert_trajectory, solve_multipliers
-from bagbid.market import MarketConfig, OpportunityStream, run_episode, sinusoid_cvr_profile
+from bagbid.expert import ROS_SLACK, generate_expert_trajectory, solve_multipliers
+from bagbid.market import (
+    MarketConfig,
+    OpportunityStream,
+    run_episode,
+    run_episodes,
+    sinusoid_cvr_profile,
+)
 from bagbid.trajectory import (
     CampaignConstraints,
     Trajectory,
@@ -585,6 +591,9 @@ class EvalRow:
     conversions_realized: float
     spend: float
     ratio: float  # achieved / hindsight-optimal expected conversions
+    budget_use: float  # spend / budget
+    ros: float  # spend / expected conversions, 0 without conversions
+    ros_violated: bool  # ros above the campaign's bound (+ ROS_SLACK)
 
 
 @dataclass
@@ -636,32 +645,45 @@ def _hindsight_value(exp: ExperimentConfig, ci: int, seed: int, cache: dict) -> 
 
 
 def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None) -> EvalReport:
+    """Roll a trained method over every (campaign, period, seed) test day
+    in one lockstep batch and score each day against its r*."""
     spec = METHODS[normalize_method(method)]
     model = TrajectoryTransformer.load(exp.ckpt_path(spec.name))
     manual_target = model.loaded_meta.get("manual_target")
     cache = rstar_cache if rstar_cache is not None else {}
+    days = [
+        (ci, camp, period, test_seed(exp, ci, period, k))
+        for ci, camp in enumerate(exp.campaigns)
+        for period in range(exp.test_periods)
+        for k in range(exp.test_seeds_per_period)
+    ]
+    trajs = run_episodes(
+        make_inference_policy(model, manual_target=manual_target),
+        [market_config_for(exp, ci, seed) for ci, _, _, seed in days],
+        [camp.constraints for _, camp, _, _ in days],
+        [camp.campaign_id for _, camp, _, _ in days],
+        source=spec.name,
+    )
     rows = []
-    for ci, camp in enumerate(exp.campaigns):
-        for period in range(exp.test_periods):
-            for k in range(exp.test_seeds_per_period):
-                seed = test_seed(exp, ci, period, k)
-                cfg = market_config_for(exp, ci, seed)
-                policy = make_inference_policy(model, manual_target=manual_target)
-                traj = run_episode(policy, cfg, camp.constraints,
-                                   campaign_id=camp.campaign_id, source=spec.name)
-                rstar = _hindsight_value(exp, ci, seed, cache)
-                rows.append(
-                    EvalRow(
-                        method=spec.name,
-                        period=period,
-                        seed=seed,
-                        campaign_id=camp.campaign_id,
-                        conversions_expected=traj.total_value,
-                        conversions_realized=traj.total_reward,
-                        spend=traj.total_spend,
-                        ratio=traj.total_value / rstar if rstar > 0 else 0.0,
-                    )
-                )
+    for (ci, camp, period, seed), traj in zip(days, trajs):
+        rstar = _hindsight_value(exp, ci, seed, cache)
+        value, spend = traj.total_value, traj.total_spend
+        ros = spend / value if value > 0 else 0.0
+        rows.append(
+            EvalRow(
+                method=spec.name,
+                period=period,
+                seed=seed,
+                campaign_id=camp.campaign_id,
+                conversions_expected=value,
+                conversions_realized=traj.total_reward,
+                spend=spend,
+                ratio=value / rstar if rstar > 0 else 0.0,
+                budget_use=spend / camp.budget,
+                ros=ros,
+                ros_violated=ros > camp.ros_bound + ROS_SLACK,
+            )
+        )
     report = EvalReport(method=spec.name, rows=rows)
     _append_metrics(exp, report)
     return report
@@ -686,11 +708,15 @@ def _append_metrics(exp: ExperimentConfig, report: EvalReport):
             "conversions_realized": f"{r.conversions_realized:.0f}",
             "spend": f"{r.spend:.6f}",
             "ratio": f"{r.ratio:.6f}",
+            "budget_use": f"{r.budget_use:.6f}",
+            "ros": f"{r.ros:.6f}",
+            "ros_violated": int(r.ros_violated),
         }
         for r in report.rows
     ]
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    # rows kept from a file written before a column existed leave it empty
+    w = csv.DictWriter(buf, fieldnames=list(rows[-1].keys()))
     w.writeheader()
     w.writerows(rows)
     atomic_write_text(by_campaign_path, buf.getvalue())

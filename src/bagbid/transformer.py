@@ -25,6 +25,15 @@ to the market's action range.  Inference has no forward of its own: it
 embeds the steps it has not fed yet with ``_step_embeddings`` and runs
 those tokens through ``_body`` with a per-layer key/value cache, i.e.
 through the same layers and kernels as training.
+
+Inference rolls a batch of episodes in lockstep (``market.run_episodes``):
+the cache and the step buffers have a leading axis of n episodes, every
+market step costs one batched forward for all of them, and the return
+feedback, the manual return decrement and the action clamp are
+vectorised over the batch.  Evaluation puts all of a method's
+campaign-days in one batch.  Each episode's tokens attend only to its
+own row, so an episode's actions equal those of the same episode rolled
+alone up to float reduction order.
 """
 
 from __future__ import annotations
@@ -395,9 +404,11 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
 
 
 class _LiveEpisode:
-    """Per-episode inference state: a per-layer key/value cache, the
-    number of tokens fed so far, and the step values (states, returns,
-    actions, levels) that ``_advance`` embeds the unfed tokens from.
+    """Inference state of n episodes rolled in lockstep: a per-layer
+    key/value cache, the number of tokens fed so far (the same for every
+    episode), and the step values (states, returns, actions, levels) that
+    ``_advance`` embeds the unfed tokens from, each with a leading axis of
+    n episodes.
 
     The cache lets the training forward take only the new tokens, so each
     one costs O(context) instead of re-running the whole prefix; outputs
@@ -405,24 +416,24 @@ class _LiveEpisode:
     order.
     """
 
-    def __init__(self, model: TrajectoryTransformer):
+    def __init__(self, model: TrajectoryTransformer, n: int):
         cfg = model.config
         heads = cfg.n_heads
-        shape = (1, heads, cfg.context_steps * model.arch.tokens_per_step,
+        shape = (n, heads, cfg.context_steps * model.arch.tokens_per_step,
                  cfg.d_model // heads)
         self.kv = [(np.zeros(shape), np.zeros(shape)) for _ in model.blocks]
         self.n_tokens = 0
         t = cfg.context_steps
-        self.states = np.zeros((1, t, STATE_DIM))
-        self.rtgs = np.zeros((1, t))
-        self.actions = np.zeros((1, t))
-        self.levels = np.zeros((1, t), dtype=np.int64)
+        self.states = np.zeros((n, t, STATE_DIM))
+        self.rtgs = np.zeros((n, t))
+        self.actions = np.zeros((n, t))
+        self.levels = np.zeros((n, t), dtype=np.int64)
 
 
 def _advance(model: TrajectoryTransformer, ep: _LiveEpisode, t: int, last: int) -> np.ndarray:
-    """Feed the live episode's unfed tokens up to token ``last`` of step
+    """Feed the live episodes' unfed tokens up to token ``last`` of step
     ``t`` (0 = s_t, 1 = R_t) through the training forward and its KV
-    cache; returns the final hidden state of that token, (1, d)."""
+    cache; returns the final hidden state of that token, (n, d)."""
     k = model.arch.tokens_per_step
     first = ep.n_tokens // k
     end = k * t + last + 1
@@ -438,44 +449,50 @@ def _advance(model: TrajectoryTransformer, ep: _LiveEpisode, t: int, last: int) 
 
 
 def make_inference_policy(model: TrajectoryTransformer, manual_target: float | None = None):
-    """Market policy closure around a trained model.
+    """Lockstep market policy (see ``market.run_episodes``) around a
+    trained model.
 
-    Full model: at each step the incoming transition's expert level is
-    pinned to the top level, the return head predicts R_t from the s_t
-    token (clamped non-negative, in return-scale units), that prediction
-    becomes the R_t token, and the action head's output is clamped to the
-    market range.  Return-token models without the head follow the classic
-    conditioning protocol: the return token starts at ``manual_target``
-    (scaled) and decrements by realized rewards, so a_{t-1}, s_t and R_t
-    are fed in one pass.  Behavior cloning ignores returns entirely.
+    Each call advances every episode of the batch by one step through one
+    batched KV-cached forward; a call at step 0 starts a fresh batch sized
+    by its input.  Full model: at each step the incoming transition's
+    expert level is pinned to the top level, the return head predicts R_t
+    from the s_t token (clamped non-negative, in return-scale units), that
+    prediction becomes the R_t token, and the action head's output is
+    clamped to the market range.  Return-token models without the head
+    follow the classic conditioning protocol: the return token starts at
+    ``manual_target`` (scaled) and decrements by realized rewards, so
+    a_{t-1}, s_t and R_t are fed in one pass.  Behavior cloning ignores
+    returns entirely.
     """
     config = model.config
     arch = model.arch
     if arch.use_rtg_tokens and not arch.use_rtg_head and manual_target is None:
         raise ConfigError("return-conditioned model without a return head "
                           "needs a manual return target")
-    ep = _LiveEpisode(model)
+    ep = None
     top_level = config.k_levels - 1
 
     def policy(states, actions, rewards):
-        t = len(actions)
+        nonlocal ep
+        n, t = actions.shape
         if t >= config.context_steps:
             raise ContextOverflowError(f"episode longer than {config.context_steps}")
-        ep.states[0, t] = states[-1]
-        ep.levels[0, t] = top_level
+        if t == 0:
+            ep = _LiveEpisode(model, n)
+        ep.states[:, t] = states[:, -1]
+        ep.levels[:, t] = top_level
         if t > 0:
-            ep.actions[0, t - 1] = actions[-1]
+            ep.actions[:, t - 1] = actions[:, -1]
 
         if arch.use_rtg_tokens:
             if arch.use_rtg_head:
-                rtg = model.rtg_head.forward(_advance(model, ep, t, 0)).item()
+                rtg = model.rtg_head.forward(_advance(model, ep, t, 0))[:, 0]
             elif t == 0:
                 rtg = float(manual_target) / config.rtg_scale
             else:
-                rtg = ep.rtgs[0, t - 1] - rewards[-1] / config.rtg_scale
-            ep.rtgs[0, t] = max(rtg, 0.0)
+                rtg = ep.rtgs[:, t - 1] - rewards[:, -1] / config.rtg_scale
+            ep.rtgs[:, t] = np.maximum(rtg, 0.0)
         h = _advance(model, ep, t, 1 if arch.use_rtg_tokens else 0)
-        action = model.act_head.forward(h).item()
-        return min(max(action, 0.0), config.a_max)
+        return np.clip(model.act_head.forward(h)[:, 0], 0.0, config.a_max)
 
     return policy

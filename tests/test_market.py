@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,14 +9,54 @@ from bagbid.market import (
     MarketConfig,
     MarketEnv,
     MarketInputError,
-    Opportunity,
     OpportunityStream,
     constant_policy,
-    run_auction,
     run_episode,
+    run_episodes,
     sinusoid_cvr_profile,
 )
 from bagbid.trajectory import CampaignConstraints, Trajectory
+
+
+@dataclass(frozen=True)
+class Opportunity:
+    """A single impression: predicted conversion probability and the
+    highest competing bid it will face."""
+
+    value: float
+    competitor_bid: float
+    step_index: int
+
+    def __post_init__(self):
+        if not 0.0 < self.value < 1.0:
+            raise MarketInputError(f"value must be in (0,1), got {self.value}")
+        if self.competitor_bid < 0:
+            raise MarketInputError("competitor_bid must be >= 0")
+        if self.step_index < 0:
+            raise MarketInputError("step_index must be >= 0")
+
+
+@dataclass(frozen=True)
+class AuctionOutcome:
+    won: bool
+    payment: float
+    converted: bool
+
+
+def run_auction(bid, opp: Opportunity, rng_draw, cvr_profile) -> AuctionOutcome:
+    """Scalar oracle of one truthful second-price auction.
+
+    The agent wins on a strictly greater bid (ties lose), pays the
+    competitor bid, and converts when ``rng_draw`` falls below the
+    effective conversion probability of the opportunity's step.
+    """
+    if not math.isfinite(bid) or bid < 0:
+        raise MarketInputError(f"bid must be finite and non-negative, got {bid}")
+    won = bid > opp.competitor_bid
+    if not won:
+        return AuctionOutcome(won=False, payment=0.0, converted=False)
+    prob = min(opp.value * float(cvr_profile[opp.step_index]), 1.0)
+    return AuctionOutcome(won=True, payment=opp.competitor_bid, converted=rng_draw < prob)
 
 
 def flat_profile(steps):
@@ -93,6 +135,15 @@ class TestStep:
                 remaining -= c
         assert spend0 == expected
 
+    def test_mean_value_feature_is_step_slice_mean(self, small_config, constraints):
+        """The precomputed per-step mean equals the mean of the step's
+        slice bitwise, so the state feature did not change."""
+        env = MarketEnv(small_config, constraints)
+        stream = OpportunityStream(small_config)
+        for t in range(small_config.steps_per_episode):
+            state, _, _ = env.step(1.0)
+            assert state[5] == stream.values[stream.step_slice(t)].mean()
+
     def test_action_clamped_with_warning(self, small_config, constraints, caplog):
         env = MarketEnv(small_config, constraints)
         with caplog.at_level("WARNING"):
@@ -144,6 +195,26 @@ class TestRunEpisode:
         run_episode(policy, small_config, constraints)
         assert seen[0] == (1, 0, 0)
         assert seen[-1] == (small_config.steps_per_episode, len(seen) - 1, len(seen) - 1)
+
+
+class TestRunEpisodes:
+    def test_mismatched_inputs_rejected_before_stepping(self, small_config, constraints):
+        calls = []
+
+        def policy(states, actions, rewards):
+            calls.append(1)
+            return np.zeros(len(states))
+
+        short = MarketConfig(steps_per_episode=12, opportunities_per_step=20,
+                             cvr_profile=np.ones(12), seed=1)
+        for configs, ids in [([small_config, small_config], ["c0"]),
+                             ([small_config, short], ["c0", "c1"])]:
+            with pytest.raises(MarketInputError):
+                run_episodes(policy, configs, [constraints] * 2, ids)
+        with pytest.raises(MarketInputError):
+            run_episodes(lambda s, a, r: np.zeros(1), [small_config] * 2,
+                         [constraints] * 2, ["c0", "c1"])
+        assert not calls
 
 
 class TestInvariants:

@@ -330,3 +330,59 @@ class TestCheckpoint:
         state, _ = nc.ParameterSet.load_payload(path)
         with pytest.raises(nc.ShapeError):
             other.load_state_dict(state)
+
+    def test_roundtrip_special_values_bitwise(self, tmp_path):
+        ps = nc.ParameterSet()
+        ps.add("scalar", -0.0)
+        ps.add("vec", [5e-324, -1e308, 1e308, 0.0, -0.0])
+        ps.add("mat", [[2.5e-310, -7.0], [1.0 / 3.0, -5e-324]])
+        path = tmp_path / "c.json"
+        ps.save(path)
+        state, _ = nc.ParameterSet.load_payload(path)
+        for name, p in ps.items():
+            assert state[name].dtype == np.float64
+            assert state[name].shape == p.value.shape
+            assert state[name].tobytes() == p.value.tobytes()  # keeps the sign of zero
+        assert np.signbit(state["scalar"]) and state["vec"][0] > 0.0
+
+    def test_same_parameters_same_bytes(self, gen, tmp_path):
+        ps = nc.ParameterSet()
+        ps.add("a.w", gen.normal(size=(3, 4)))
+        ps.add("a.b", gen.normal(size=4))
+        first, second, again = (tmp_path / n for n in ("1.json", "2.json", "3.json"))
+        ps.save(first, meta={"note": "x"})
+        ps.save(second, meta={"note": "x"})
+        assert first.read_bytes() == second.read_bytes()
+        reloaded = nc.ParameterSet()
+        reloaded.add("a.w", np.zeros((3, 4)))
+        reloaded.add("a.b", np.zeros(4))
+        state, meta = nc.ParameterSet.load_payload(first)
+        reloaded.load_state_dict(state)
+        reloaded.save(again, meta=meta)
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("cut", [1, 4], ids=["bad-padding", "short"])
+    def test_truncated_data_rejected(self, gen, tmp_path, cut):
+        ps = nc.ParameterSet()
+        ps.add("w", gen.normal(size=(3, 4)))
+        path = tmp_path / "c.json"
+        ps.save(path)
+        payload = json.loads(path.read_text())
+        payload["params"]["w"]["data"] = payload["params"]["w"]["data"][:-cut]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(nc.CheckpointError, match="w"):
+            nc.ParameterSet.load_payload(path)
+
+    @pytest.mark.parametrize("header,message", [
+        ({"format": "other"}, "not a bagbid-checkpoint"),
+        ({"version": 1}, "retrain with `bagbid train`"),
+        ({"version": 3}, "unsupported checkpoint version 3"),
+    ], ids=["format", "v1", "v3"])
+    def test_other_format_or_version_rejected(self, tmp_path, header, message):
+        ps = nc.ParameterSet()
+        ps.add("w", np.ones(2))
+        path = tmp_path / "c.json"
+        ps.save(path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **header}))
+        with pytest.raises(nc.CheckpointError, match=message):
+            nc.ParameterSet.load_payload(path)

@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from bagbid import nncore as nc
 from bagbid import pipeline as pl
 from bagbid import rewards as rw
+from bagbid.expert import ROS_SLACK
+from bagbid.market import run_episodes
 from bagbid.trajectory import load_jsonl
 
 
@@ -180,12 +183,70 @@ class TestTrainEval:
         seeds_in_metrics = {int(r["seed"]) for r in rows}
         assert seeds_in_metrics <= set(pl.test_seeds(exp))
 
+        campaigns = {c.campaign_id: c for c in exp.campaigns}
+        for row in report.rows:
+            camp = campaigns[row.campaign_id]
+            assert row.budget_use == row.spend / camp.budget
+            assert 0.0 <= row.budget_use <= 1.0 + 1e-9
+            value = row.conversions_expected
+            assert row.ros == (row.spend / value if value > 0 else 0.0)
+            assert row.ros_violated == (row.ros > camp.ros_bound + ROS_SLACK)
+        with open(exp.metrics_by_campaign_path) as f:
+            by_campaign = list(csv.DictReader(f))
+        assert len(by_campaign) == n_expected
+        for r, row in zip(by_campaign, report.rows):
+            assert (r["campaign"], int(r["seed"])) == (row.campaign_id, row.seed)
+            assert float(r["budget_use"]) == pytest.approx(row.budget_use, abs=1e-6)
+            assert float(r["ros"]) == pytest.approx(row.ros, abs=1e-6)
+            assert int(r["ros_violated"]) == row.ros_violated
+        assert not any(row.ros_violated for row in report.rows)
+
+        # the same days against a RoS bound no spending day can meet
+        exp.campaigns = [pl.CampaignSpec(c.campaign_id, c.budget, ros_bound=1e-3)
+                         for c in exp.campaigns]
+        strict = pl.cmd_eval(exp, "bc")
+        assert [r.ros for r in strict.rows] == [r.ros for r in report.rows]
+        assert all(r.ros_violated == (r.spend > 0) for r in strict.rows)
+        assert any(r.ros_violated for r in strict.rows)
+
     def test_eval_determinism(self, ready):
         exp = ready
         pl.cmd_train(exp, "bc")
         r1 = pl.cmd_eval(exp, "bc")
         r2 = pl.cmd_eval(exp, "bc")
         assert [vars(a) for a in r1.rows] == [vars(b) for b in r2.rows]
+
+    @pytest.mark.parametrize("method", ["ebaret", "dt", "bc"])
+    def test_lockstep_eval_matches_single_episodes(self, ready, method, monkeypatch):
+        """Eval rolls all of a method's test days in one lockstep batch;
+        each day's actions and row equal those of the day rolled alone."""
+        exp = ready
+        if method == "ebaret":
+            pl.ensure_prepped(exp, plain_ce=False)
+        pl.cmd_train(exp, method)
+        rollouts = []
+
+        def recorded(run):
+            def wrapped(*args, **kwargs):
+                rollouts.append(run(*args, **kwargs))
+                return rollouts[-1]
+            return wrapped
+
+        def one_at_a_time(policy, configs, constraints, campaign_ids, **kwargs):
+            return [run_episodes(policy, [cfg], [c], [cid], **kwargs)[0]
+                    for cfg, c, cid in zip(configs, constraints, campaign_ids)]
+
+        monkeypatch.setattr(pl, "run_episodes", recorded(run_episodes))
+        lockstep = pl.cmd_eval(exp, method)
+        monkeypatch.setattr(pl, "run_episodes", recorded(one_at_a_time))
+        alone = pl.cmd_eval(exp, method)
+
+        batch, singles = rollouts
+        assert len(batch) == len(singles) == 8
+        for a, b in zip(batch, singles):
+            assert (a.campaign_id, a.seed) == (b.campaign_id, b.seed)
+            assert np.abs(a.actions - b.actions).max() <= 1e-9
+        assert [vars(r) for r in lockstep.rows] == [vars(r) for r in alone.rows]
 
     def test_run_pipeline_end_to_end(self, tiny_experiment):
         exp = tiny_experiment
@@ -278,4 +339,17 @@ class TestCli:
         assert main(argv + ["--output-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bagbid: error: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_v1_checkpoint_fails_without_traceback(self, tmp_path, capsys):
+        from bagbid.cli import main
+
+        path = pl.default_config(output_dir=str(tmp_path)).ckpt_path("bc")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as f:
+            json.dump({"format": nc.CHECKPOINT_FORMAT, "version": 1, "meta": {},
+                       "params": {"head.action.b": {"shape": [1], "data": [0.5]}}}, f)
+        assert main(["eval", "--method", "bc", "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bagbid: error: ") and "retrain with `bagbid train`" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1

@@ -263,14 +263,24 @@ def _live_episode(policy) -> tf._LiveEpisode:
             if isinstance(c.cell_contents, tf._LiveEpisode)][0]
 
 
+def _roll(policy, market_config, constraints):
+    """One episode through the lockstep policy (a batch of one)."""
+    from bagbid.market import run_episodes
+
+    (traj,) = run_episodes(policy, [market_config], [constraints], ["c0"])
+    return traj
+
+
 class TestInference:
     @pytest.mark.parametrize("arch", [tf.ARCH_FULL, tf.ARCH_DT, tf.ARCH_BC],
                              ids=["full", "dt", "bc"])
     def test_cached_inference_matches_batch_forward(self, arch, small_config,
                                                     constraints):
-        """At every step, the KV-cached policy's return prediction and
-        action equal the batch forward over the tokens it has fed."""
-        from bagbid.market import run_episode
+        """At every step, the KV-cached policy's return predictions and
+        actions for a lockstep batch of two episodes equal the batch
+        forward over the tokens it has fed."""
+        from bagbid.market import run_episodes
+        from bagbid.trajectory import CampaignConstraints
 
         steps = small_config.steps_per_episode
         cfg = tf.ModelConfig(d_model=16, n_layers=2, n_heads=2, context_steps=steps,
@@ -285,40 +295,38 @@ class TestInference:
             model.rtg_head.b.value[...] = 2.0
         manual = 20.0 if arch is tf.ARCH_DT else None
         policy = tf.make_inference_policy(model, manual_target=manual)
-        ep = _live_episode(policy)
         unclamped = 0
 
         def checked_policy(states, actions, rewards):
             action = policy(states, actions, rewards)
-            t = len(actions)
+            ep = _live_episode(policy)
+            t = actions.shape[1]
             rtg_pred, act_pred = model.forward(
                 ep.states[:, :t + 1], ep.rtgs[:, :t + 1], ep.actions[:, :t + 1],
                 ep.levels[:, :t + 1],
             )
             if arch.use_rtg_head:
-                assert ep.rtgs[0, t] == pytest.approx(max(rtg_pred[0, t], 0.0), abs=1e-9)
-            expected = min(max(act_pred[0, t], 0.0), cfg.a_max)
+                assert ep.rtgs[:, t] == pytest.approx(np.maximum(rtg_pred[:, t], 0.0),
+                                                      abs=1e-9)
+            expected = np.clip(act_pred[:, t], 0.0, cfg.a_max)
             assert action == pytest.approx(expected, abs=1e-9)
             nonlocal unclamped
-            unclamped += int(0.0 < expected < cfg.a_max)
+            unclamped += int(((0.0 < expected) & (expected < cfg.a_max)).sum())
             return action
 
-        traj = run_episode(checked_policy, small_config, constraints)
-        assert traj.num_steps == steps
-        assert unclamped >= steps // 2
-
-    def _rollout(self, model, cfg_market, constraints, manual=None):
-        from bagbid.market import run_episode
-
-        policy = tf.make_inference_policy(model, manual_target=manual)
-        return run_episode(policy, cfg_market, constraints)
+        trajs = run_episodes(
+            checked_policy, [small_config, small_config.with_seed(43)],
+            [constraints, CampaignConstraints(budget=3.0, ros_bound=6.0)], ["c0", "c1"],
+        )
+        assert [t.num_steps for t in trajs] == [steps, steps]
+        assert unclamped >= len(trajs) * steps // 2
 
     def test_full_episode_within_budget(self, small_config, constraints):
         cfg = tf.ModelConfig(d_model=16, n_layers=1, n_heads=2,
                              context_steps=small_config.steps_per_episode,
                              bag_len=8, seed=0)
         model = tf.TrajectoryTransformer(cfg)
-        traj = self._rollout(model, small_config, constraints)
+        traj = _roll(tf.make_inference_policy(model), small_config, constraints)
         assert traj.num_steps == small_config.steps_per_episode
         assert traj.total_spend <= constraints.budget + 1e-9
         assert (traj.actions >= 0).all() and (traj.actions <= small_config.a_max).all()
@@ -329,9 +337,7 @@ class TestInference:
                              bag_len=8, k_levels=3, seed=0)
         model = tf.TrajectoryTransformer(cfg)
         policy = tf.make_inference_policy(model)
-        from bagbid.market import run_episode
-
-        run_episode(policy, small_config, constraints)
+        _roll(policy, small_config, constraints)
         # context equals the episode length, so every step was visited and
         # pinned to level k-1
         levels = _live_episode(policy).levels
@@ -345,9 +351,7 @@ class TestInference:
         # force the rtg head to predict very negative values
         model.params["head.rtg.b"].value[...] = -100.0
         policy = tf.make_inference_policy(model)
-        from bagbid.market import run_episode
-
-        run_episode(policy, small_config, constraints)
+        _roll(policy, small_config, constraints)
         ep = _live_episode(policy)
         assert (ep.rtgs >= 0).all()
 
@@ -362,9 +366,7 @@ class TestInference:
                              bag_len=8, seed=0, rtg_scale=10.0)
         model = tf.TrajectoryTransformer(cfg, tf.ARCH_DT)
         policy = tf.make_inference_policy(model, manual_target=20.0)
-        from bagbid.market import run_episode
-
-        traj = run_episode(policy, small_config, constraints)
+        traj = _roll(policy, small_config, constraints)
         ep = _live_episode(policy)
         assert ep.rtgs[0, 0] == pytest.approx(2.0)  # 20 / rtg_scale
         # decrement matches realized rewards
