@@ -86,12 +86,16 @@ class DiscriminatorModel:
     """
 
     def __init__(self, hidden: int = 64, class_prior: float = 0.01, seed: int = 0):
+        self._build(hidden, class_prior, np.random.Generator(np.random.PCG64(seed)))
+
+    def _build(self, hidden: int, class_prior: float, rng):
+        """Lay out the layers; ``rng`` draws the initial weights, or None
+        leaves them for a checkpoint to fill (``load``)."""
         if not 0.0 < class_prior < 1.0:
             raise ValueError("class_prior must be in (0,1)")
         self.class_prior = class_prior
         self.hidden = hidden
         self.params = nc.ParameterSet()
-        rng = np.random.Generator(np.random.PCG64(seed))
         self.fc1 = nc.Affine(self.params, "fc1", DISC_INPUT_DIM, hidden, rng, w_std=0.3)
         self.act1 = _Tanh()
         self.fc2 = nc.Affine(self.params, "fc2", hidden, hidden, rng, w_std=0.15)
@@ -136,9 +140,10 @@ class DiscriminatorModel:
 
     @classmethod
     def load(cls, path) -> "DiscriminatorModel":
-        state, meta = nc.ParameterSet.load_payload(path)
-        model = cls(hidden=int(meta["hidden"]), class_prior=float(meta["class_prior"]))
-        model.params.load_state_dict(state)
+        records, meta = nc.read_checkpoint(path)
+        model = cls.__new__(cls)
+        model._build(int(meta["hidden"]), float(meta["class_prior"]), rng=None)
+        model.params.load_records(records, path)
         return model
 
 

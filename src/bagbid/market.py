@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class MarketConfig:
                 f"steps_per_episode={self.steps_per_episode} is not divisible "
                 f"by bag length {bag_len}"
             )
-
-    def with_seed(self, seed: int) -> "MarketConfig":
-        return replace(self, seed=int(seed))
 
 
 class OpportunityStream:

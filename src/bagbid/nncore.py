@@ -6,26 +6,40 @@ central-difference gradient checker.  No graphs, no broadcasting magic
 beyond a leading batch dimension; each op caches what its backward needs
 and training is bitwise deterministic for a fixed seed.
 
+A ``ParameterSet`` keeps every parameter in one arena: one flat float64
+buffer of values and one of gradients, allocated at their final size on
+first use, with each ``Parameter.value`` and ``.grad`` a view into them.
+So ``zero_grad`` and the finiteness check are one call each, and
+``adam_step`` is a few whole-buffer ufuncs into preallocated scratch that
+give bitwise the per-parameter update.  Parameters are only updated in
+place; binding another array to one raises.  The Adam moments are
+allocated at the first step, so a loaded model does not carry them.
+
 The ops are written to make few passes over memory.  Affine ops run one
-2-D GEMM over the flattened leading dims.  Causal attention projects q, k
-and v with one GEMM over ``wq|wk|wv`` concatenated at call time (the
-parameters keep their names, so checkpoints are unchanged) and is
-block-causal: queries go in blocks of ``ATTN_BLOCK`` rows, each block
-scores only the keys at or before its last row, and only its diagonal
-square is masked, so the fully masked upper blocks cost nothing in
-either direction.  The same attention forward takes an optional per-layer
-key/value cache, so KV-cached inference runs the training kernels on the
-tokens it has not fed yet.
+2-D GEMM over the flattened leading dims.  Causal attention keeps
+``wq|wk|wv`` as one contiguous (d, 3d) arena block and ``bq|bk|bv`` as
+one (3d,) block, with the named parameters as column views (so the
+checkpoint names are unchanged): one GEMM projects q, k and v with no
+copy, and the backward adds their weight gradient into the fused block in
+one op.  Attention is block-causal: queries go in blocks of
+``ATTN_BLOCK`` rows, each block scores only the keys at or before its
+last row, and only its diagonal square is masked, so the fully masked
+upper blocks cost nothing in either direction.  The same attention
+forward takes an optional per-layer key/value cache, so KV-cached
+inference runs the training kernels on the tokens it has not fed yet.
 
 Checkpoints (version 2) are one JSON object: ``format``, ``version``,
 ``meta`` and, per parameter name, its ``shape`` and its ``data`` as base64
 of the little-endian float64 bytes in C order.  The bytes round-trip every
 value bitwise (signed zeros, subnormals and infinities included), saving
 the same parameters twice writes the same file, and loading costs a
-base64 decode instead of parsing a float list.  ``load_payload`` raises
-``CheckpointError`` for a file of another format or version (version 1
-stored float lists and is no longer read) and for data that does not fill
-its shape.
+base64 decode instead of parsing a float list.  ``read_checkpoint``
+raises ``CheckpointError`` for a file of another format or version
+(version 1 stored float lists and is no longer read).  A model loads by
+laying out its arena without drawing an init and decoding each parameter
+straight into its slice (``ParameterSet.load_records``), which raises
+``CheckpointError`` for data that do not fill their shape and for the
+first missing, unexpected or mis-shaped parameter.
 """
 
 from __future__ import annotations
@@ -56,28 +70,118 @@ class ShapeError(ValueError):
 
 
 class Parameter:
-    __slots__ = ("value", "grad")
+    """A value and its gradient, both views into the arena of the
+    ``ParameterSet`` that made it.  A parameter is only ever updated in
+    place: ``p.value[...] = x`` and ``p.grad += g`` work, while binding
+    another array to ``value`` or ``grad`` raises ``AttributeError``."""
 
-    def __init__(self, value):
-        self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+    __slots__ = ("_owner", "_value", "_grad")
+
+    def __init__(self, owner: "ParameterSet"):
+        self._owner = owner
+        self._value = self._grad = None
+
+    @property
+    def value(self) -> np.ndarray:
+        if self._value is None:
+            self._owner._allocate()
+        return self._value
+
+    @value.setter
+    def value(self, new):
+        # ``p.value += x`` assigns the updated view back to itself
+        if new is not self.value:
+            raise AttributeError("parameters are only updated in place")
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._owner._allocate()
+        return self._grad
+
+    @grad.setter
+    def grad(self, new):
+        if new is not self.grad:
+            raise AttributeError("parameters are only updated in place")
 
 
 class ParameterSet:
-    """Named parameters with paired gradient and Adam moment buffers."""
+    """Named parameters in one arena.
+
+    Every value lives in one flat float64 buffer (``values``) and every
+    gradient in a second one of the same layout (``grads``);
+    ``Parameter.value`` and ``.grad`` are views into them.  A block
+    (``add_block``) is one contiguous region whose parts ``add_view``
+    names, so a fused weight such as ``wq|wk|wv`` is one (d, 3d) array
+    while each of its parameters keeps its name.
+
+    Parameters are declared first, each with its initial value or zeros;
+    the arena is allocated at its final size when a value, a gradient or
+    a buffer is first used, and no parameter can be added after that.
+    The two Adam moments are allocated at the first ``adam_step``, so a
+    model that is only loaded and run does not carry them.
+    """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
-        self._adam_m: dict[str, np.ndarray] = {}
-        self._adam_v: dict[str, np.ndarray] = {}
+        # (offset, block shape, index, initial value or None) of every
+        # view, named or not, until the arena is allocated
+        self._layout: dict[Parameter, tuple] | None = {}
+        self._size = 0
+        self._values = self._grads = None
+        self.adam_m = self.adam_v = None
+        self._adam_scratch = None
         self.adam_t = 0
 
-    def add(self, name: str, value) -> Parameter:
+    def add_block(self, shape) -> Parameter:
+        """An unnamed zeroed region of ``shape``; ``add_view`` names its
+        parts."""
+        self._check_open()
+        shape = tuple(shape)
+        offset = self._size
+        self._size += math.prod(shape)
+        p = Parameter(self)
+        self._layout[p] = (offset, shape, ..., None)
+        return p
+
+    def add_view(self, name: str, block: Parameter, index=..., value=None) -> Parameter:
+        """Name the part ``index`` of ``block``, starting at ``value`` (or
+        zeros)."""
+        self._check_new(name)
+        offset, shape, _, _ = self._layout[block]
+        p = self._params[name] = Parameter(self)
+        self._layout[p] = (offset, shape, index, value)
+        return p
+
+    def add(self, name: str, value=None, *, shape=None) -> Parameter:
+        """Name a new region holding a copy of ``value``, or zeros of
+        ``shape``."""
+        self._check_new(name)
+        if value is not None:
+            value = np.array(value, dtype=np.float64)
+            shape = value.shape
+        return self.add_view(name, self.add_block(shape), value=value)
+
+    def _check_open(self):
+        if self._layout is None:
+            raise ValueError("parameters cannot be added once the arena is in use")
+
+    def _check_new(self, name: str):
+        self._check_open()
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(value)
-        self._params[name] = p
-        return p
+
+    def _allocate(self):
+        self._values = np.zeros(self._size)
+        self._grads = np.zeros(self._size)
+        for p, (offset, shape, index, value) in self._layout.items():
+            end = offset + math.prod(shape)
+            p._value = self._values[offset:end].reshape(shape)[index]
+            p._grad = self._grads[offset:end].reshape(shape)[index]
+            if value is not None:
+                p._value[...] = value
+            p._owner = None
+        self._layout = None
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -91,28 +195,44 @@ class ParameterSet:
     def items(self):
         return self._params.items()
 
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._allocate()
+        return self._values
+
+    @property
+    def grads(self) -> np.ndarray:
+        if self._grads is None:
+            self._allocate()
+        return self._grads
+
     def zero_grad(self):
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.grads.fill(0.0)
 
     @property
     def size(self) -> int:
-        return sum(p.value.size for p in self._params.values())
+        return self._size
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(p.value).all() for p in self._params.values())
+        return bool(np.isfinite(self.values).all())
 
-    def state_dict(self):
-        return {name: p.value.copy() for name, p in self._params.items()}
-
-    def load_state_dict(self, state):
+    def load_records(self, records: dict, path):
+        """Decode the parameter records of a checkpoint (``read_checkpoint``)
+        straight into the arena.  Raises ``CheckpointError`` naming the
+        first missing, unexpected or mis-shaped parameter."""
         for name, p in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.value.shape:
-                raise ShapeError(
-                    f"{name}: checkpoint shape {arr.shape} != {p.value.shape}"
-                )
-            p.value[...] = arr
+            if name not in records:
+                raise CheckpointError(f"{path}: missing parameter {name!r}")
+            shape = tuple(records[name]["shape"])
+            if shape != p.value.shape:
+                raise CheckpointError(
+                    f"{path}: {name}: checkpoint shape {shape} != {p.value.shape}")
+        for name in records:
+            if name not in self._params:
+                raise CheckpointError(f"{path}: unexpected parameter {name!r}")
+        for name, rec in records.items():
+            self._params[name].value[...] = _decode(rec, name, path)
 
     def save(self, path, meta: dict | None = None):
         payload = {
@@ -131,62 +251,76 @@ class ParameterSet:
         }
         atomic_write_text(path, json.dumps(payload, separators=(",", ":")))
 
-    @staticmethod
-    def load_payload(path) -> tuple[dict, dict]:
-        """Read a checkpoint file into ({name: array}, meta)."""
-        with open(path) as f:
-            payload = json.load(f)
-        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-        version = payload.get("version")
-        if version == 1:
-            raise CheckpointError(
-                f"{path} is a version 1 checkpoint, which this version no longer "
-                f"reads; retrain with `bagbid train`"
-            )
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-        state = {}
-        for name, rec in payload["params"].items():
-            shape = tuple(rec["shape"])
-            try:
-                raw = base64.b64decode(rec["data"], validate=True)
-            except ValueError as e:  # binascii.Error or non-ASCII text
-                raise CheckpointError(f"{path}: {name}: bad data ({e})") from None
-            if len(raw) != _CHECKPOINT_DTYPE.itemsize * math.prod(shape):
-                raise CheckpointError(
-                    f"{path}: {name}: {len(raw)} bytes do not fill shape {shape}"
-                )
-            state[name] = np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).astype(
-                np.float64).reshape(shape)
-        return state, payload.get("meta", {})
+
+def read_checkpoint(path) -> tuple[dict, dict]:
+    """Parse a checkpoint file into its parameter records ({name: {"shape",
+    "data"}}) and meta.  The data stay encoded until
+    ``ParameterSet.load_records`` decodes them into a model's arena."""
+    with open(path) as f:
+        payload = json.load(f)
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    version = payload.get("version")
+    if version == 1:
+        raise CheckpointError(
+            f"{path} is a version 1 checkpoint, which this version no longer "
+            f"reads; retrain with `bagbid train`"
+        )
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    return payload["params"], payload.get("meta", {})
+
+
+def _decode(rec: dict, name: str, path) -> np.ndarray:
+    """A record's data as a read-only little-endian float64 array of its
+    shape, over the decoded bytes."""
+    shape = tuple(rec["shape"])
+    try:
+        raw = base64.b64decode(rec["data"], validate=True)
+    except ValueError as e:  # binascii.Error or non-ASCII text
+        raise CheckpointError(f"{path}: {name}: bad data ({e})") from None
+    if len(raw) != _CHECKPOINT_DTYPE.itemsize * math.prod(shape):
+        raise CheckpointError(f"{path}: {name}: {len(raw)} bytes do not fill shape {shape}")
+    return np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).reshape(shape)
 
 
 def adam_step(params: ParameterSet, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update over every parameter.
+    """One bias-corrected Adam update over the whole arena.
 
     Rejects the whole step (raises, no state mutated) when any gradient is
-    non-finite.
+    non-finite.  Each line below is one elementwise op written into
+    preallocated scratch, in the order of the per-parameter formula
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+    ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is
+    bitwise that of updating each parameter on its own.
     """
-    for name, p in params.items():
-        if not np.isfinite(p.grad).all():
-            raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
+    g = params.grads
+    if not np.isfinite(g).all():
+        name = next(n for n, p in params.items() if not np.isfinite(p.grad).all())
+        raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
+    if params.adam_m is None:
+        params.adam_m, params.adam_v = np.zeros(g.size), np.zeros(g.size)
+        params._adam_scratch = np.empty(g.size), np.empty(g.size)
+    m, v = params.adam_m, params.adam_v
+    s, u = params._adam_scratch
     params.adam_t += 1
     t = params.adam_t
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in params.items():
-        m = params._adam_m.get(name)
-        if m is None:
-            m = params._adam_m[name] = np.zeros_like(p.value)
-        v = params._adam_v.get(name)
-        if v is None:
-            v = params._adam_v[name] = np.zeros_like(p.value)
-        m *= beta1
-        m += (1.0 - beta1) * p.grad
-        v *= beta2
-        v += (1.0 - beta2) * np.square(p.grad)
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=s)
+    m += s
+    v *= beta2
+    np.square(g, out=s)
+    s *= 1.0 - beta2
+    v += s
+    np.divide(m, bc1, out=s)
+    s *= lr
+    np.divide(v, bc2, out=u)
+    np.sqrt(u, out=u)
+    u += eps
+    s /= u
+    np.subtract(params.values, s, out=params.values)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +434,16 @@ def softmax(x, axis=-1):
     return z
 
 
-def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, kv=None,
-                             start=0):
+def causal_attention_forward(x, wqkv, bqkv, wo, bo, n_heads, kv=None, start=0):
     """Multi-head self-attention with a strict causal mask.
 
-    ``x`` is (L, d) or (batch, L, d); output matches.  Position i attends
-    to positions <= i only.  One GEMM projects q, k and v together, and
-    the queries go in blocks of ``ATTN_BLOCK`` rows: block ``[lo, hi)``
-    scores keys ``[0, hi)`` only and sets the future part of its diagonal
-    square to -inf, so future tokens carry exactly zero weight.
+    ``x`` is (L, d) or (batch, L, d); output matches.  ``wqkv`` (d, 3d)
+    and ``bqkv`` (3d,) hold the q, k and v projections side by side, so
+    one GEMM projects all three.  Position i attends to positions <= i
+    only.  The queries go in blocks of ``ATTN_BLOCK`` rows: block
+    ``[lo, hi)`` scores keys ``[0, hi)`` only and sets the future part of
+    its diagonal square to -inf, so future tokens carry exactly zero
+    weight.
 
     ``kv = (k_buf, v_buf)``, both (batch, heads, max_L, dh), is a key/value
     cache: ``x`` holds positions ``[start, start + L)`` of a longer
@@ -325,9 +460,7 @@ def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, kv=None
         raise ShapeError(f"model dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
 
-    qkv, c_qkv = affine_forward(
-        x, np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv])
-    )
+    qkv, c_qkv = affine_forward(x, wqkv, bqkv)
     # (3, b, heads, L, dh) views of the (b, L, 3, heads, dh) projection
     q, k, v = qkv.reshape(b, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q *= 1.0 / math.sqrt(dh)
@@ -351,7 +484,7 @@ def causal_attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, kv=None
 
 
 def causal_attention_backward(dy, cache):
-    """Gradients (dx, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo).
+    """Gradients (dx, dwqkv, dbqkv, dwo, dbo).
 
     Works block by block like the forward and overwrites the cached
     probabilities, so a cache serves one backward only.
@@ -380,24 +513,32 @@ def causal_attention_backward(dy, cache):
         dk[:, :, :hi] += ds.transpose(0, 1, 3, 2) @ q[:, :, lo:hi]
     # q was scaled by 1/sqrt(dh) after its projection
     dq *= 1.0 / math.sqrt(dh)
-    dx, dw, db = affine_backward(dqkv.reshape(b, length, 3 * d), c_qkv)
+    dx, dwqkv, dbqkv = affine_backward(dqkv.reshape(b, length, 3 * d), c_qkv)
     if squeezed:
         dx = dx[0]
-    return (dx, dw[:, :d], db[:d], dw[:, d:2 * d], db[d:2 * d],
-            dw[:, 2 * d:], db[2 * d:], dwo, dbo)
+    return dx, dwqkv, dbqkv, dwo, dbo
 
 
 def embedding_forward(table, idx):
     idx = np.asarray(idx)
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= table.shape[0]:
+    if (np.minimum.reduce(idx, axis=None, initial=0) < 0
+            or np.maximum.reduce(idx, axis=None, initial=-1) >= table.shape[0]):
         raise ShapeError("embedding index out of range")
     return table[idx], (table.shape, idx)
 
 
 def embedding_backward(dy, cache):
+    """Table gradient.  The cached indices match the trailing dims of
+    ``dy.shape[:-1]``: a lookup shared by every row of a batch is made
+    once, and its gradient repeats the indices over the rows, so the
+    one-hot GEMM is the one for the indices tiled over the batch."""
     # one (rows, N) one-hot GEMM: np.add.at's unbuffered scatter is far slower
     shape, idx = cache
-    one_hot = np.equal.outer(np.arange(shape[0]), idx.reshape(-1)).astype(np.float64)
+    rows = dy.shape[:-1]
+    if rows[len(rows) - idx.ndim:] != idx.shape:
+        raise ShapeError(f"embedding indices {idx.shape} do not match gradient {dy.shape}")
+    flat = idx.reshape(1, -1).repeat(math.prod(rows[:len(rows) - idx.ndim]), axis=0)
+    one_hot = np.equal.outer(np.arange(shape[0]), flat.reshape(-1)).astype(np.float64)
     return one_hot @ dy.reshape(-1, shape[1])
 
 
@@ -406,12 +547,18 @@ def embedding_backward(dy, cache):
 # ---------------------------------------------------------------------------
 
 
+def _normal(rng, std, shape):
+    """A random initial value, or None (zeros) for a layer built without an
+    ``rng`` because a checkpoint fills it."""
+    return None if rng is None else rng.normal(0.0, std, shape)
+
+
 class Affine:
     def __init__(self, ps: ParameterSet, name, n_in, n_out, rng, w_std=0.02,
                  zero_init=False):
-        w = np.zeros((n_in, n_out)) if zero_init else rng.normal(0.0, w_std, (n_in, n_out))
-        self.w = ps.add(f"{name}.w", w)
-        self.b = ps.add(f"{name}.b", np.zeros(n_out))
+        w = None if zero_init else _normal(rng, w_std, (n_in, n_out))
+        self.w = ps.add(f"{name}.w", w, shape=(n_in, n_out))
+        self.b = ps.add(f"{name}.b", shape=(n_out,))
 
     def forward(self, x):
         y, self._cache = affine_forward(x, self.w.value, self.b.value)
@@ -427,7 +574,7 @@ class Affine:
 class LayerNorm:
     def __init__(self, ps: ParameterSet, name, dim, eps=1e-5):
         self.gamma = ps.add(f"{name}.gamma", np.ones(dim))
-        self.beta = ps.add(f"{name}.beta", np.zeros(dim))
+        self.beta = ps.add(f"{name}.beta", shape=(dim,))
         self.eps = eps
 
     def forward(self, x):
@@ -451,29 +598,42 @@ class Gelu:
 
 
 class CausalSelfAttention:
+    """Self-attention whose ``wq|wk|wv`` and ``bq|bk|bv`` are one (d, 3d)
+    and one (3d,) arena block; the named parameters ``{name}.w{q,k,v}``
+    and ``{name}.b{q,k,v}`` are column views into them."""
+
     def __init__(self, ps: ParameterSet, name, dim, n_heads, rng, w_std=0.02):
         self.n_heads = n_heads
-        self.params = []
-        for stem in ("q", "k", "v", "o"):
-            self.params.append(ps.add(f"{name}.w{stem}", rng.normal(0.0, w_std, (dim, dim))))
-            self.params.append(ps.add(f"{name}.b{stem}", np.zeros(dim)))
+        self.wqkv = ps.add_block((dim, 3 * dim))
+        self.bqkv = ps.add_block((3 * dim,))
+        for i, stem in enumerate("qkv"):
+            cols = slice(i * dim, (i + 1) * dim)
+            ps.add_view(f"{name}.w{stem}", self.wqkv, (slice(None), cols),
+                        _normal(rng, w_std, (dim, dim)))
+            ps.add_view(f"{name}.b{stem}", self.bqkv, cols)
+        self.wo = ps.add(f"{name}.wo", _normal(rng, w_std, (dim, dim)), shape=(dim, dim))
+        self.bo = ps.add(f"{name}.bo", shape=(dim,))
 
     def forward(self, x, kv=None, start=0):
-        vals = [p.value for p in self.params]
-        y, self._cache = causal_attention_forward(x, *vals, self.n_heads, kv, start)
+        y, self._cache = causal_attention_forward(
+            x, self.wqkv.value, self.bqkv.value, self.wo.value, self.bo.value,
+            self.n_heads, kv, start,
+        )
         return y
 
     def backward(self, dy):
-        grads = causal_attention_backward(dy, self._cache)
-        dx = grads[0]
-        for p, g in zip(self.params, grads[1:]):
-            p.grad += g
+        dx, dwqkv, dbqkv, dwo, dbo = causal_attention_backward(dy, self._cache)
+        self.wqkv.grad += dwqkv
+        self.bqkv.grad += dbqkv
+        self.wo.grad += dwo
+        self.bo.grad += dbo
         return dx
 
 
 class Embedding:
     def __init__(self, ps: ParameterSet, name, n_rows, dim, rng, w_std=0.02):
-        self.table = ps.add(f"{name}.table", rng.normal(0.0, w_std, (n_rows, dim)))
+        self.table = ps.add(f"{name}.table", _normal(rng, w_std, (n_rows, dim)),
+                            shape=(n_rows, dim))
 
     def forward(self, idx):
         y, self._cache = embedding_forward(self.table.value, idx)

@@ -464,6 +464,8 @@ class MethodSpec:
     seed_offset: int
 
 
+# ebaret-noe and dt have the same MethodSpec apart from the name and the seed
+# offset (4 against 5): the gap between them measures seed noise.
 METHODS = {
     "ebaret": MethodSpec("ebaret", ARCH_FULL, AblationFlags(), True, False, True, 0),
     "ebaret-nopu": MethodSpec(

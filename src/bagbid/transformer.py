@@ -134,11 +134,16 @@ ARCH_BC = Arch(
 class TrajectoryTransformer:
     def __init__(self, config: ModelConfig, arch: Arch = ARCH_FULL,
                  seed: int | None = None):
+        rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
+        self._build(config, arch, rng)
+
+    def _build(self, config: ModelConfig, arch: Arch, rng):
+        """Lay out the layers; ``rng`` draws the initial weights, or None
+        leaves them for a checkpoint to fill (``load``)."""
         self.config = config
         self.arch = arch
         self.params = nc.ParameterSet()
         ps = self.params
-        rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
         d = config.d_model
 
         # continuous inputs get a larger projection scale than token tables
@@ -196,33 +201,29 @@ class TrajectoryTransformer:
             parts.append(e_r)
         parts.append(e_a)
 
+        # the step tables are looked up once per step and broadcast over
+        # the batch; their backward broadcasts the indices the same way
         steps = np.arange(first_step, first_step + t_steps)
-        self._time_idx = np.tile(steps, (b, 1))
-        time = self.time_emb.forward(self._time_idx)
-        shared = time
+        shared = self.time_emb.forward(steps)
         if self.arch.use_bag_embedding:
-            self._bag_idx = np.tile(steps % self.config.bag_len, (b, 1))
-            shared = shared + self.bag_emb.forward(self._bag_idx)
+            shared = shared + self.bag_emb.forward(steps % self.config.bag_len)
         if self.arch.use_level_embedding:
-            self._level_idx = levels.astype(np.int64)
-            shared = shared + self.level_emb.forward(self._level_idx)
+            shared = shared + self.level_emb.forward(levels.astype(np.int64))
 
         k = self.arch.tokens_per_step
         d = self.config.d_model
-        tokens = np.empty((b, k * t_steps, d))
+        tokens = np.empty((b, t_steps, k, d))
         for m, e in enumerate(parts):
-            tokens[:, m::k, :] = e + shared
-        self._mod_idx = np.tile(np.arange(k), (b, t_steps))
-        tokens += self.modality_emb.forward(self._mod_idx)
+            tokens[:, :, m] = e + shared
+        tokens += self.modality_emb.forward(np.arange(k))
         self._n_steps = t_steps
-        return tokens
+        return tokens.reshape(b, k * t_steps, d)
 
     def _step_embeddings_backward(self, d_tokens):
         k = self.arch.tokens_per_step
-        self.modality_emb.backward(d_tokens)
-        d_shared = d_tokens.reshape(
-            d_tokens.shape[0], self._n_steps, k, -1
-        ).sum(axis=2)
+        d_steps = d_tokens.reshape(d_tokens.shape[0], self._n_steps, k, -1)
+        self.modality_emb.backward(d_steps)
+        d_shared = d_steps.sum(axis=2)
         self.time_emb.backward(d_shared)
         if self.arch.use_bag_embedding:
             self.bag_emb.backward(d_shared)
@@ -307,9 +308,10 @@ class TrajectoryTransformer:
 
     @classmethod
     def load(cls, path) -> "TrajectoryTransformer":
-        state, meta = nc.ParameterSet.load_payload(path)
-        model = cls(ModelConfig(**meta["config"]), Arch(**meta["arch"]))
-        model.params.load_state_dict(state)
+        records, meta = nc.read_checkpoint(path)
+        model = cls.__new__(cls)
+        model._build(ModelConfig(**meta["config"]), Arch(**meta["arch"]), rng=None)
+        model.params.load_records(records, path)
         model.loaded_meta = meta
         return model
 

@@ -52,3 +52,47 @@ def tiny_experiment(tmp_path):
         ),
         disc=DiscConfig(steps=80, batch_size=64, seed=0),
     )
+
+
+def _assert_in_arena(ps):
+    """Every named value and gradient is a view into the set's arena, and
+    the named views cover it exactly."""
+    total = 0
+    for name, p in ps.items():
+        assert np.shares_memory(p.value, ps.values), name
+        assert np.shares_memory(p.grad, ps.grads), name
+        total += p.value.size
+    assert total == ps.values.size == ps.grads.size
+
+
+def _adam_matches_reference(ps, fill_grads, steps=5, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Run ``steps`` whole-arena Adam steps beside a per-parameter Adam
+    written out from the formula, with the gradients ``fill_grads()``
+    leaves, and require bitwise equal values after every step."""
+    from bagbid import nncore as nc
+
+    ref = {name: (p.value.copy(), np.zeros(p.value.shape), np.zeros(p.value.shape))
+           for name, p in ps.items()}
+    for t in range(1, steps + 1):
+        lr = 1e-3 * t
+        fill_grads()
+        for name, p in ps.items():
+            w, m, v = ref[name]
+            m *= beta1
+            m += (1.0 - beta1) * p.grad
+            v *= beta2
+            v += (1.0 - beta2) * np.square(p.grad)
+            w -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+        nc.adam_step(ps, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        for name, p in ps.items():
+            assert p.value.tobytes() == ref[name][0].tobytes(), (t, name)
+
+
+@pytest.fixture
+def assert_in_arena():
+    return _assert_in_arena
+
+
+@pytest.fixture
+def adam_matches_reference():
+    return _adam_matches_reference

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -233,6 +234,57 @@ class TestAssignLevels:
             dsc.assign_levels([], 2, [])
 
 
+class TestArena:
+    def _grads(self, model, rng):
+        xe, xo = toy_sets(rng, n=64)
+
+        def fill():
+            model.params.zero_grad()
+            logits = model.forward(np.concatenate([xe, xo]))
+            _, d_e, d_o = dsc.nnpu_loss_from_logits(logits[:64], logits[64:], 0.2)
+            model.backward(np.concatenate([d_e, d_o]))
+
+        return fill
+
+    def test_views_stay_in_arena(self, rng, tmp_path, assert_in_arena):
+        model = dsc.DiscriminatorModel(seed=1)
+        assert_in_arena(model.params)
+        self._grads(model, rng)()
+        nc.adam_step(model.params, lr=1e-3)
+        assert_in_arena(model.params)
+        model.params.zero_grad()
+        assert_in_arena(model.params)
+        model.save(tmp_path / "d.json")
+        assert_in_arena(dsc.DiscriminatorModel.load(tmp_path / "d.json").params)
+
+    def test_adam_matches_per_parameter_reference(self, rng, adam_matches_reference):
+        model = dsc.DiscriminatorModel(seed=1)
+        # the zero-initialised last layer gets gradients from the first step
+        adam_matches_reference(model.params, self._grads(model, rng))
+
+    def test_load_draws_nothing_and_resaves_same_bytes(self, rng, tmp_path, monkeypatch):
+        xe, xo = toy_sets(rng, n=64)
+        model, _ = dsc.train_discriminator(xe, xo, dsc.DiscConfig(steps=5, seed=2))
+        first, second = tmp_path / "1.json", tmp_path / "2.json"
+        model.save(first)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load drew from the RNG")
+
+        monkeypatch.setattr(np.random, "PCG64", no_rng)
+        dsc.DiscriminatorModel.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_checkpoint_layout_pinned(self, tmp_path):
+        path = tmp_path / "d.json"
+        dsc.DiscriminatorModel().save(path)
+        params = json.loads(path.read_text())["params"]
+        assert [(name, tuple(rec["shape"])) for name, rec in params.items()] == [
+            ("fc1.w", (9, 64)), ("fc1.b", (64,)), ("fc2.w", (64, 64)), ("fc2.b", (64,)),
+            ("fc3.w", (64, 1)), ("fc3.b", (1,)),
+        ]
+
+
 class TestPersistence:
     def test_save_load_identical_scores(self, rng, tmp_path):
         xe, xo = toy_sets(rng, n=64)
@@ -243,3 +295,13 @@ class TestPersistence:
         x = rng.normal(size=(10, 9))
         assert np.array_equal(model.forward(x), loaded.forward(x))
         assert loaded.class_prior == model.class_prior
+
+    @pytest.mark.parametrize("prior", [0.0, 1.5])
+    def test_load_rejects_bad_class_prior(self, tmp_path, prior):
+        path = tmp_path / "disc.json"
+        dsc.DiscriminatorModel(hidden=4).save(path)
+        payload = json.loads(path.read_text())
+        payload["meta"]["class_prior"] = prior
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="class_prior"):
+            dsc.DiscriminatorModel.load(path)

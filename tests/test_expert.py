@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,17 +8,106 @@ import pytest
 from bagbid import _kernels
 from bagbid.expert import (
     ROS_SLACK,
-    DualMultipliers,
-    InvalidMultipliersError,
-    TooManyOpportunitiesError,
-    brute_force_optimal,
-    expert_bid,
+    ReplaySummary,
+    _replay_scale,
     generate_expert_trajectory,
-    replay,
     solve_multipliers,
 )
 from bagbid.market import MarketConfig, OpportunityStream, run_episode, constant_policy
 from bagbid.trajectory import CampaignConstraints
+
+# The dual-multiplier form of the expert bid and an exhaustive optimum,
+# which the tests use as independent references for the scale solver.
+
+
+class InvalidMultipliersError(ValueError):
+    """Multiplier pair outside the valid domain."""
+
+
+class TooManyOpportunitiesError(ValueError):
+    """Instance too large for exhaustive enumeration."""
+
+
+@dataclass(frozen=True)
+class DualMultipliers:
+    alpha_b: float
+    alpha_c: float
+
+    def __post_init__(self):
+        if self.alpha_b < 0 or self.alpha_c < 0:
+            raise InvalidMultipliersError("multipliers must be non-negative")
+        if self.alpha_b + self.alpha_c <= 0:
+            raise InvalidMultipliersError("alpha_b + alpha_c must be positive")
+
+
+def bid_scale(multipliers: DualMultipliers, ros_bound: float) -> float:
+    """The constant factor applied to every opportunity value."""
+    denom = multipliers.alpha_b + multipliers.alpha_c
+    if denom <= 0:
+        raise InvalidMultipliersError("alpha_b + alpha_c must be positive")
+    return (1.0 + multipliers.alpha_c * ros_bound) / denom
+
+
+def expert_bid(value: float, multipliers: DualMultipliers, ros_bound: float) -> float:
+    """Hindsight-optimal bid for a single opportunity."""
+    return bid_scale(multipliers, ros_bound) * value
+
+
+def replay(stream: OpportunityStream, multipliers: DualMultipliers,
+           constraints: CampaignConstraints) -> ReplaySummary:
+    """Replay the expert bid formula against a recorded stream.
+
+    Budget is enforced by per-auction forfeiture; value is accounted as
+    expected value, so the same multipliers always reproduce the same
+    summary.
+    """
+    scale = bid_scale(multipliers, constraints.ros_bound)
+    return _replay_scale(stream, scale, constraints.budget)
+
+
+def brute_force_optimal(eff_values, costs, constraints: CampaignConstraints,
+                        max_opportunities: int = 20) -> float:
+    """Exact optimum over all win-subsets of a small instance.
+
+    Maximizes total effective value subject to total cost <= budget and
+    cost <= ros_bound * value, with payments equal to competitor bids.
+    Exponential enumeration; refuses instances beyond
+    ``max_opportunities``.
+    """
+    eff_values = np.asarray(eff_values, dtype=np.float64)
+    costs = np.asarray(costs, dtype=np.float64)
+    n = eff_values.shape[0]
+    if costs.shape[0] != n:
+        raise ValueError("eff_values and costs must have equal length")
+    if n > max_opportunities:
+        raise TooManyOpportunitiesError(
+            f"{n} opportunities exceed the enumeration limit {max_opportunities}"
+        )
+    if n == 0:
+        return 0.0
+
+    best = 0.0
+    chunk_bits = min(n, 16)
+    lows = np.arange(2 ** chunk_bits, dtype=np.uint32)
+    low_mat = ((lows[:, None] >> np.arange(chunk_bits)) & 1).astype(np.float64)
+    low_val = low_mat @ eff_values[:chunk_bits]
+    low_cost = low_mat @ costs[:chunk_bits]
+    for high in range(2 ** (n - chunk_bits)):
+        hv = hc = 0.0
+        for i in range(n - chunk_bits):
+            if (high >> i) & 1:
+                hv += eff_values[chunk_bits + i]
+                hc += costs[chunk_bits + i]
+        val = low_val + hv
+        cost = low_cost + hc
+        feasible = (cost <= constraints.budget + 1e-12) & (
+            cost <= constraints.ros_bound * val + 1e-9
+        )
+        if feasible.any():
+            best = max(best, float(val[feasible].max()))
+    return best
+
+
 
 
 class FakeStream:
@@ -227,7 +318,7 @@ class TestExpertTrajectory:
     def test_feasibility_audit(self, small_config):
         constraints = CampaignConstraints(budget=2.5, ros_bound=4.0)
         for seed in range(20):
-            cfg = small_config.with_seed(seed)
+            cfg = dataclasses.replace(small_config, seed=seed)
             traj = generate_expert_trajectory(cfg, constraints)
             assert traj.meta["feasible"]
             assert abs(traj.total_value - traj.meta["replay_value"]) <= 1e-9

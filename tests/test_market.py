@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -221,7 +222,7 @@ class TestInvariants:
     def test_budget_safety_random_policies(self, small_config, rng):
         constraints = CampaignConstraints(budget=1.5, ros_bound=6.0)
         for seed in range(10):
-            cfg = small_config.with_seed(seed)
+            cfg = dataclasses.replace(small_config, seed=seed)
 
             def policy(states, actions, rewards):
                 return float(rng.uniform(0, cfg.a_max))

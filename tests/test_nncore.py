@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bagbid import nncore as nc
+from bagbid import transformer as tf
 
 
 @pytest.fixture
@@ -121,6 +122,33 @@ def naive_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     return y, backward
 
 
+def fused(params):
+    """(wqkv, bqkv, wo, bo) from separate (wq, bq, wk, bk, wv, bv, wo, bo)."""
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    return np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv]), wo, bo
+
+
+def split(grads):
+    """(dx, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo) from the fused backward's
+    (dx, dwqkv, dbqkv, dwo, dbo)."""
+    dx, dw, db, dwo, dbo = grads
+    out = [dx]
+    for dw_part, db_part in zip(np.split(dw, 3, axis=1), np.split(db, 3)):
+        out += [dw_part, db_part]
+    return out + [dwo, dbo]
+
+
+def layer_forward(attn, x):
+    """The functional forward on the layer's fused arena blocks."""
+    return nc.causal_attention_forward(x, attn.wqkv.value, attn.bqkv.value,
+                                       attn.wo.value, attn.bo.value, attn.n_heads)
+
+
+def attn_views(ps, name):
+    """The named parameters of attention layer ``name``, in checkpoint order."""
+    return [ps[f"{name}.{k}"] for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+
+
 class TestCausalAttention:
     def _setup(self, gen, length=6, dim=16, heads=4):
         ps = nc.ParameterSet()
@@ -150,15 +178,15 @@ class TestCausalAttention:
         dy = gen.normal(size=x.shape)
 
         def loss():
-            vals = [p.value for p in attn.params]
-            y, _ = nc.causal_attention_forward(x, *vals, attn.n_heads)
+            y, _ = layer_forward(attn, x)
             return float((y * dy).sum())
 
         attn.forward(x)
         ps.zero_grad()
         dx = attn.backward(dy)
-        tensors = [x] + [p.value for p in attn.params]
-        grads = [dx] + [p.grad for p in attn.params]
+        views = attn_views(ps, "a")
+        tensors = [x] + [p.value for p in views]
+        grads = [dx] + [p.grad for p in views]
         assert nc.grad_check(loss, tensors, grads) < 1e-4
 
     @pytest.mark.parametrize("length", [1, nc.ATTN_BLOCK - 1, nc.ATTN_BLOCK,
@@ -170,8 +198,8 @@ class TestCausalAttention:
         for _ in range(4):
             params += [gen.normal(0.0, 0.3, (dim, dim)), gen.normal(0.0, 0.3, dim)]
         dy = gen.normal(size=x.shape)
-        y, cache = nc.causal_attention_forward(x, *params, heads)
-        grads = nc.causal_attention_backward(dy, cache)
+        y, cache = nc.causal_attention_forward(x, *fused(params), heads)
+        grads = split(nc.causal_attention_backward(dy, cache))
         y_ref, backward = naive_attention(x, *params, heads)
         assert np.abs(y - y_ref).max() <= 1e-10 * max(1.0, np.abs(y_ref).max())
         ref_grads = backward(dy)
@@ -187,15 +215,15 @@ class TestCausalAttention:
         dy = gen.normal(size=x.shape)
 
         def loss():
-            vals = [p.value for p in attn.params]
-            y, _ = nc.causal_attention_forward(x, *vals, attn.n_heads)
+            y, _ = layer_forward(attn, x)
             return float((y * dy).sum())
 
         attn.forward(x)
         ps.zero_grad()
         dx = attn.backward(dy)
-        tensors = [x] + [p.value for p in attn.params]
-        grads = [dx] + [p.grad for p in attn.params]
+        views = attn_views(ps, "a")
+        tensors = [x] + [p.value for p in views]
+        grads = [dx] + [p.grad for p in views]
         assert nc.grad_check(loss, tensors, grads) < 1e-4
 
     @pytest.mark.parametrize("chunk", [1, 2, nc.ATTN_BLOCK, 33])
@@ -208,12 +236,12 @@ class TestCausalAttention:
         params = []
         for _ in range(4):
             params += [gen.normal(0.0, 0.3, (dim, dim)), gen.normal(0.0, 0.3, dim)]
-        y_ref, _ = nc.causal_attention_forward(x, *params, heads)
+        y_ref, _ = nc.causal_attention_forward(x, *fused(params), heads)
         kv = tuple(np.zeros((batch, heads, length, dim // heads)) for _ in range(2))
         outs = []
         for start in range(0, length, chunk):
-            y, cache = nc.causal_attention_forward(x[:, start:start + chunk], *params,
-                                                   heads, kv, start)
+            y, cache = nc.causal_attention_forward(x[:, start:start + chunk],
+                                                   *fused(params), heads, kv, start)
             assert cache is None
             outs.append(y)
         y = np.concatenate(outs, axis=1)
@@ -296,6 +324,31 @@ class TestEmbedding:
         with pytest.raises(nc.ShapeError):
             nc.embedding_forward(gen.normal(size=(4, 2)), np.array([4]))
 
+    def test_shared_indices_backward_matches_tiled(self, gen):
+        """A lookup shared by the rows of a batch gets the same gradient,
+        bitwise, as the same indices tiled over the rows."""
+        table = gen.normal(size=(5, 3))
+        idx = np.array([[0, 2, 4], [1, 1, 3]])
+        dy = gen.normal(size=(4, 2, 3, 3))
+        y, cache = nc.embedding_forward(table, idx)
+        tiled_y, tiled = nc.embedding_forward(table, np.tile(idx, (4, 1, 1)))
+        assert np.array_equal(np.broadcast_to(y, tiled_y.shape), tiled_y)
+        assert (nc.embedding_backward(dy, cache).tobytes()
+                == nc.embedding_backward(dy, tiled).tobytes())
+        with pytest.raises(nc.ShapeError, match="do not match"):
+            nc.embedding_backward(dy[:, :, :2], cache)
+
+
+def reload(ps, path):
+    """A new set laid out like ``ps`` with checkpoint ``path`` loaded into
+    it, and the checkpoint's meta."""
+    records, meta = nc.read_checkpoint(path)
+    other = nc.ParameterSet()
+    for name, p in ps.items():
+        other.add(name, shape=p.value.shape)
+    other.load_records(records, path)
+    return other, meta
+
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, gen, tmp_path):
@@ -305,10 +358,10 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         ps.save(path, meta={"note": "test"})
 
-        state, meta = nc.ParameterSet.load_payload(path)
+        loaded, meta = reload(ps, path)
         assert meta["note"] == "test"
-        assert np.array_equal(state["a.w"], ps["a.w"].value)
-        assert np.array_equal(state["a.b"], ps["a.b"].value)
+        assert np.array_equal(loaded["a.w"].value, ps["a.w"].value)
+        assert np.array_equal(loaded["a.b"].value, ps["a.b"].value)
 
     def test_versioned_header(self, gen, tmp_path):
         ps = nc.ParameterSet()
@@ -327,9 +380,9 @@ class TestCheckpoint:
         ps.save(path)
         other = nc.ParameterSet()
         other.add("w", np.ones(3))
-        state, _ = nc.ParameterSet.load_payload(path)
-        with pytest.raises(nc.ShapeError):
-            other.load_state_dict(state)
+        records, _ = nc.read_checkpoint(path)
+        with pytest.raises(nc.CheckpointError, match=r"w: checkpoint shape \(2,\) != \(3,\)"):
+            other.load_records(records, path)
 
     def test_roundtrip_special_values_bitwise(self, tmp_path):
         ps = nc.ParameterSet()
@@ -338,12 +391,13 @@ class TestCheckpoint:
         ps.add("mat", [[2.5e-310, -7.0], [1.0 / 3.0, -5e-324]])
         path = tmp_path / "c.json"
         ps.save(path)
-        state, _ = nc.ParameterSet.load_payload(path)
+        loaded, _ = reload(ps, path)
         for name, p in ps.items():
-            assert state[name].dtype == np.float64
-            assert state[name].shape == p.value.shape
-            assert state[name].tobytes() == p.value.tobytes()  # keeps the sign of zero
-        assert np.signbit(state["scalar"]) and state["vec"][0] > 0.0
+            q = loaded[name].value
+            assert q.dtype == np.float64
+            assert q.shape == p.value.shape
+            assert q.tobytes() == p.value.tobytes()  # keeps the sign of zero
+        assert np.signbit(loaded["scalar"].value) and loaded["vec"].value[0] > 0.0
 
     def test_same_parameters_same_bytes(self, gen, tmp_path):
         ps = nc.ParameterSet()
@@ -353,11 +407,7 @@ class TestCheckpoint:
         ps.save(first, meta={"note": "x"})
         ps.save(second, meta={"note": "x"})
         assert first.read_bytes() == second.read_bytes()
-        reloaded = nc.ParameterSet()
-        reloaded.add("a.w", np.zeros((3, 4)))
-        reloaded.add("a.b", np.zeros(4))
-        state, meta = nc.ParameterSet.load_payload(first)
-        reloaded.load_state_dict(state)
+        reloaded, meta = reload(ps, first)
         reloaded.save(again, meta=meta)
         assert again.read_bytes() == first.read_bytes()
 
@@ -371,7 +421,28 @@ class TestCheckpoint:
         payload["params"]["w"]["data"] = payload["params"]["w"]["data"][:-cut]
         path.write_text(json.dumps(payload))
         with pytest.raises(nc.CheckpointError, match="w"):
-            nc.ParameterSet.load_payload(path)
+            reload(ps, path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda params: params.pop("a.b"), "missing parameter 'a.b'"),
+        (lambda params: params.update(extra=params["a.b"]), "unexpected parameter 'extra'"),
+        (lambda params: params["a.w"].update(shape=[4, 3]), r"a.w: checkpoint shape \(4, 3\)"),
+    ], ids=["missing", "unexpected", "misshaped"])
+    def test_mismatched_parameters_rejected(self, gen, tmp_path, edit, message):
+        ps = nc.ParameterSet()
+        ps.add("a.w", gen.normal(size=(3, 4)))
+        ps.add("a.b", gen.normal(size=4))
+        path = tmp_path / "c.json"
+        ps.save(path)
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        records, _ = nc.read_checkpoint(path)
+        other = nc.ParameterSet()
+        other.add("a.w", shape=(3, 4))
+        other.add("a.b", shape=(4,))
+        with pytest.raises(nc.CheckpointError, match=message):
+            other.load_records(records, path)
 
     @pytest.mark.parametrize("header,message", [
         ({"format": "other"}, "not a bagbid-checkpoint"),
@@ -385,4 +456,146 @@ class TestCheckpoint:
         ps.save(path)
         path.write_text(json.dumps({**json.loads(path.read_text()), **header}))
         with pytest.raises(nc.CheckpointError, match=message):
-            nc.ParameterSet.load_payload(path)
+            nc.read_checkpoint(path)
+
+
+def default_model_grads(model, seed=0):
+    """A closure that fills ``model``'s gradients from one training
+    forward and backward on a random default-size batch."""
+    r = np.random.Generator(np.random.PCG64(seed))
+    t = model.config.context_steps
+    states, rtgs = r.normal(0.5, 0.3, (2, t, 8)), r.uniform(0.0, 1.0, (2, t))
+    actions, levels = r.uniform(0.0, 5.0, (2, t)), r.integers(0, 2, (2, t))
+
+    def fill():
+        model.params.zero_grad()
+        rtg_pred, act_pred = model.forward(states, rtgs, actions, levels)
+        model.backward(*tf.loss_grads(rtg_pred, act_pred, rtgs, actions))
+
+    return fill
+
+
+ARCHS = {"full": tf.ARCH_FULL, "dt": tf.ARCH_DT, "bc": tf.ARCH_BC}
+
+
+def _block_layout(i):
+    b = f"block{i}"
+    return [
+        (f"{b}.ln1.gamma", (64,)), (f"{b}.ln1.beta", (64,)),
+        (f"{b}.attn.wq", (64, 64)), (f"{b}.attn.bq", (64,)),
+        (f"{b}.attn.wk", (64, 64)), (f"{b}.attn.bk", (64,)),
+        (f"{b}.attn.wv", (64, 64)), (f"{b}.attn.bv", (64,)),
+        (f"{b}.attn.wo", (64, 64)), (f"{b}.attn.bo", (64,)),
+        (f"{b}.ln2.gamma", (64,)), (f"{b}.ln2.beta", (64,)),
+        (f"{b}.mlp.fc1.w", (64, 256)), (f"{b}.mlp.fc1.b", (256,)),
+        (f"{b}.mlp.fc2.w", (256, 64)), (f"{b}.mlp.fc2.b", (64,)),
+    ]
+
+
+_BODY = _block_layout(0) + _block_layout(1) + [("ln_f.gamma", (64,)), ("ln_f.beta", (64,))]
+_STATE_ACTION = [("embed.state.w", (8, 64)), ("embed.state.b", (64,)),
+                 ("embed.action.w", (1, 64)), ("embed.action.b", (64,))]
+_ACTION_HEAD = [("head.action.w", (64, 1)), ("head.action.b", (1,))]
+
+# (name, shape) in file order of default-config checkpoints
+CHECKPOINT_LAYOUTS = {
+    "full": _STATE_ACTION + [
+        ("embed.rtg.w", (1, 64)), ("embed.rtg.b", (64,)),
+        ("embed.modality.table", (3, 64)), ("embed.time.table", (48, 64)),
+        ("embed.bag.table", (8, 64)), ("embed.level.table", (2, 64)),
+    ] + _BODY + [("head.rtg.w", (64, 1)), ("head.rtg.b", (1,))] + _ACTION_HEAD,
+    "dt": _STATE_ACTION + [
+        ("embed.rtg.w", (1, 64)), ("embed.rtg.b", (64,)),
+        ("embed.modality.table", (3, 64)), ("embed.time.table", (48, 64)),
+    ] + _BODY + _ACTION_HEAD,
+    "bc": _STATE_ACTION + [
+        ("embed.modality.table", (2, 64)), ("embed.time.table", (48, 64)),
+    ] + _BODY + _ACTION_HEAD,
+}
+
+
+class TestArena:
+    def test_views_stay_in_arena(self, tmp_path, assert_in_arena):
+        model = tf.TrajectoryTransformer(tf.ModelConfig())
+        ps = model.params
+        assert_in_arena(ps)
+        fill = default_model_grads(model)
+        fill()
+        assert_in_arena(ps)
+        nc.adam_step(ps, lr=1e-3)
+        assert_in_arena(ps)
+        ps.zero_grad()
+        assert_in_arena(ps)
+        assert not ps.grads.any()
+        model.save(tmp_path / "c.json")
+        loaded = tf.TrajectoryTransformer.load(tmp_path / "c.json")
+        assert_in_arena(loaded.params)
+        assert loaded.params.values.tobytes() == ps.values.tobytes()
+        assert loaded.params.adam_m is None and loaded.params.adam_v is None
+
+    def test_fused_qkv_views(self):
+        model = tf.TrajectoryTransformer(tf.ModelConfig())
+        attn = model.blocks[1]["attn"]
+        d = model.config.d_model
+        assert attn.wqkv.value.shape == (d, 3 * d) and attn.wqkv.value.flags.c_contiguous
+        for i, stem in enumerate("qkv"):
+            for kind, block in (("w", attn.wqkv), ("b", attn.bqkv)):
+                p = model.params[f"block1.attn.{kind}{stem}"]
+                part = block.value[..., i * d:(i + 1) * d]
+                assert np.shares_memory(p.value, part) and np.array_equal(p.value, part)
+                assert np.shares_memory(p.grad, block.grad[..., i * d:(i + 1) * d])
+
+    def test_only_updated_in_place(self):
+        ps = nc.ParameterSet()
+        p = ps.add("w", np.ones(3))
+        view = p.value
+        p.value += 1.0
+        p.grad -= 2.0
+        assert p.value is view and np.array_equal(ps.values, [2.0, 2.0, 2.0])
+        assert np.array_equal(ps.grads, [-2.0, -2.0, -2.0])
+        with pytest.raises(AttributeError, match="in place"):
+            p.value = np.zeros(3)
+        with pytest.raises(AttributeError, match="in place"):
+            p.grad = np.zeros(3)
+        with pytest.raises(ValueError, match="in use"):
+            ps.add("late", np.ones(1))
+
+    def test_adam_matches_per_parameter_reference(self, adam_matches_reference):
+        model = tf.TrajectoryTransformer(tf.ModelConfig())
+        adam_matches_reference(model.params, default_model_grads(model), beta2=0.99)
+
+    def test_nonfinite_gradient_leaves_state_untouched(self):
+        model = tf.TrajectoryTransformer(tf.ModelConfig())
+        ps = model.params
+        fill = default_model_grads(model)
+        for _ in range(2):
+            fill()
+            nc.adam_step(ps, lr=1e-3)
+        fill()
+        ps["block1.attn.wk"].grad[3, 5] = np.inf
+        before = [a.copy() for a in (ps.values, ps.adam_m, ps.adam_v)]
+        with pytest.raises(nc.NonFiniteGradientError, match="block1.attn.wk"):
+            nc.adam_step(ps, lr=1e-3)
+        assert ps.adam_t == 2
+        for old, new in zip(before, (ps.values, ps.adam_m, ps.adam_v)):
+            assert old.tobytes() == new.tobytes()
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_load_draws_nothing_and_resaves_same_bytes(self, arch, tmp_path, monkeypatch):
+        first, second = tmp_path / "1.json", tmp_path / "2.json"
+        tf.TrajectoryTransformer(tf.ModelConfig(seed=3), ARCHS[arch]).save(first)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load drew from the RNG")
+
+        monkeypatch.setattr(np.random, "PCG64", no_rng)
+        tf.TrajectoryTransformer.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_checkpoint_layout_pinned(self, arch, tmp_path):
+        path = tmp_path / "c.json"
+        tf.TrajectoryTransformer(tf.ModelConfig(), ARCHS[arch]).save(path)
+        params = json.loads(path.read_text())["params"]
+        assert [(name, tuple(rec["shape"])) for name, rec in params.items()] == \
+            CHECKPOINT_LAYOUTS[arch]

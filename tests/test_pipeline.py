@@ -353,3 +353,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("bagbid: error: ") and "retrain with `bagbid train`" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_mismatched_checkpoint_fails_without_traceback(self, tmp_path, capsys):
+        from bagbid.cli import main
+        from bagbid.transformer import ARCH_BC, ModelConfig, TrajectoryTransformer
+
+        path = pl.default_config(output_dir=str(tmp_path)).ckpt_path("bc")
+        os.makedirs(os.path.dirname(path))
+        TrajectoryTransformer(ModelConfig(), ARCH_BC).save(path)
+        with open(path) as f:
+            payload = json.load(f)
+        del payload["params"]["head.action.b"]
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        assert main(["eval", "--method", "bc", "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bagbid: error: ")
+        assert "missing parameter 'head.action.b'" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
