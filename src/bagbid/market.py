@@ -66,7 +66,7 @@ class MarketConfig:
         self.cvr_profile = np.asarray(self.cvr_profile, dtype=np.float64)
         self.validate()
 
-    def validate(self, bag_len: int | None = None):
+    def validate(self):
         if self.steps_per_episode <= 0 or self.opportunities_per_step <= 0:
             raise MarketInputError("episode and step sizes must be positive")
         a, b = self.value_distribution_params
@@ -83,11 +83,6 @@ class MarketConfig:
             raise MarketInputError("cvr_profile values must lie in (0, 2]")
         if self.a_max <= 0:
             raise MarketInputError("a_max must be positive")
-        if bag_len is not None and self.steps_per_episode % bag_len != 0:
-            raise MarketInputError(
-                f"steps_per_episode={self.steps_per_episode} is not divisible "
-                f"by bag length {bag_len}"
-            )
 
 
 class OpportunityStream:
@@ -246,7 +241,8 @@ def run_episodes(policy, configs, constraints, campaign_ids, source="policy",
     Every step calls ``policy(states, actions, rewards)`` once for all n
     episodes: ``states`` (n, t+1, STATE_DIM) holds observations up to and
     including the current step, ``actions`` and ``rewards`` (n, t) hold
-    the completed steps; it returns n bid scales.  Each episode is then
+    the completed steps, actions as applied after clamping to
+    ``[0, a_max]``; it returns n bid scales.  Each episode is then
     stepped on its own ``MarketEnv``, so its scan stays sequential and
     its outcome does not depend on the others.  The episodes must share
     one episode length.
@@ -269,9 +265,8 @@ def run_episodes(policy, configs, constraints, campaign_ids, source="policy",
         if len(bids) != n:
             raise MarketInputError(f"policy returned {len(bids)} actions for {n} episodes")
         for i, (env, bid) in enumerate(zip(envs, bids)):
-            bid = float(bid)
-            actions[i, t] = bid
-            states[i, t + 1], rewards[i, t], _ = env.step(bid)
+            states[i, t + 1], rewards[i, t], _ = env.step(float(bid))
+            actions[i, t] = env.actions[-1]  # the bid as clamped and applied
     return [env.trajectory(campaign_id=cid, source=source, meta=dict(meta or {}))
             for env, cid in zip(envs, campaign_ids)]
 

@@ -12,8 +12,11 @@ Stages, each a pure function of the experiment config and seed:
   report       cross-method tables, suboptimality-ratio histogram
 
 Outputs are JSONL datasets, JSON checkpoints, and CSV metrics under the
-config's output directory.  All file writes are atomic; train and test
-seed ranges are disjoint by construction and recorded in the manifest.
+config's output directory.  Each method's eval writes only its own
+``reports/metrics_<method>.csv``, one row per campaign-day, which
+``report`` reads back, so evals of different methods never share a file.
+All file writes are atomic; train and test seed ranges are disjoint by
+construction and recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -56,7 +59,6 @@ from bagbid.transformer import (
     ARCH_DT,
     ARCH_FULL,
     ARCH_NO_LEVEL,
-    AblationFlags,
     Arch,
     ConfigError,
     ModelConfig,
@@ -169,13 +171,8 @@ class ExperimentConfig:
     def train_log_path(self, method: str):
         return self.path("logs", f"train_{method}.csv")
 
-    @property
-    def metrics_path(self):
-        return self.path("reports", "metrics.csv")
-
-    @property
-    def metrics_by_campaign_path(self):
-        return self.path("reports", "metrics_by_campaign.csv")
+    def metrics_path(self, method: str):
+        return self.path("reports", f"metrics_{method}.csv")
 
     # -- serialization --------------------------------------------------------
 
@@ -457,7 +454,6 @@ def cmd_prep(exp: ExperimentConfig, plain_ce: bool = False):
 class MethodSpec:
     name: str
     arch: Arch
-    flags: AblationFlags
     use_expert_data: bool
     disc_plain_ce: bool | None  # None: no discriminator involved
     redistributed_labels: bool
@@ -467,28 +463,13 @@ class MethodSpec:
 # ebaret-noe and dt have the same MethodSpec apart from the name and the seed
 # offset (4 against 5): the gap between them measures seed noise.
 METHODS = {
-    "ebaret": MethodSpec("ebaret", ARCH_FULL, AblationFlags(), True, False, True, 0),
-    "ebaret-nopu": MethodSpec(
-        "ebaret-nopu", ARCH_FULL, AblationFlags(no_pu=True), True, True, True, 1
-    ),
-    "ebaret-noea": MethodSpec(
-        "ebaret-noea", ARCH_NO_LEVEL, AblationFlags(no_expert_token=True), True,
-        False, True, 2
-    ),
-    "ebaret-nobr": MethodSpec(
-        "ebaret-nobr", ARCH_FULL, AblationFlags(no_bag_reward=True), True, False,
-        False, 3
-    ),
-    "ebaret-noe": MethodSpec(
-        "ebaret-noe", ARCH_DT, AblationFlags(no_expert=True), False, None, False, 4
-    ),
-    "dt": MethodSpec("dt", ARCH_DT, AblationFlags(no_expert=True), False, None, False, 5),
-    "bc": MethodSpec("bc", ARCH_BC, AblationFlags(no_expert=True), False, None, False, 6),
-}
-
-_METHOD_ALIASES = {
-    "ebaret¬e": "ebaret-noe",
-    "ebaret¬_e": "ebaret-noe",
+    "ebaret": MethodSpec("ebaret", ARCH_FULL, True, False, True, 0),
+    "ebaret-nopu": MethodSpec("ebaret-nopu", ARCH_FULL, True, True, True, 1),
+    "ebaret-noea": MethodSpec("ebaret-noea", ARCH_NO_LEVEL, True, False, True, 2),
+    "ebaret-nobr": MethodSpec("ebaret-nobr", ARCH_FULL, True, False, False, 3),
+    "ebaret-noe": MethodSpec("ebaret-noe", ARCH_DT, False, None, False, 4),
+    "dt": MethodSpec("dt", ARCH_DT, False, None, False, 5),
+    "bc": MethodSpec("bc", ARCH_BC, False, None, False, 6),
 }
 
 
@@ -598,20 +579,25 @@ class EvalRow:
     ros_violated: bool  # ros above the campaign's bound (+ ROS_SLACK)
 
 
+# keyed by the EvalRow annotations, which are strings under postponed evaluation
+_PARSE_FIELD = {"str": str, "int": int, "float": float,
+                "bool": {"True": True, "False": False}.__getitem__}
+
+
 @dataclass
 class EvalReport:
+    """One method's eval record: a row per campaign-day, and every
+    aggregate ``eval`` and ``report`` print."""
+
     method: str
     rows: list
 
     def per_period(self):
-        """period -> mean over seeds of campaign-summed expected conversions."""
-        by_period: dict[int, dict[int, float]] = {}
+        """period -> mean expected conversions over the period's campaign-days."""
+        by_period: dict[int, list] = {}
         for r in self.rows:
-            by_period.setdefault(r.period, {}).setdefault(r.seed, 0.0)
-            by_period[r.period][r.seed] += r.conversions_expected
-        return {
-            p: float(np.mean(list(seeds.values()))) for p, seeds in sorted(by_period.items())
-        }
+            by_period.setdefault(r.period, []).append(r.conversions_expected)
+        return {p: float(np.mean(v)) for p, v in sorted(by_period.items())}
 
     def grand_mean(self) -> float:
         return float(np.mean(list(self.per_period().values())))
@@ -633,7 +619,38 @@ class EvalReport:
             "stderr": float(np.std(values, ddof=1) / math.sqrt(len(values)))
             if len(values) > 1
             else 0.0,
+            "mean_ratio": float(np.mean([r.ratio for r in self.rows])),
+            "mean_budget_use": float(np.mean([r.budget_use for r in self.rows])),
+            "ros_violation_rate": float(np.mean([r.ros_violated for r in self.rows])),
         }
+
+    def save(self, path):
+        """CSV with the ``EvalRow`` fields as columns in declaration order;
+        floats are written as their round-trip repr, so ``load`` gives
+        equal rows."""
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow([f.name for f in fields(EvalRow)])
+        w.writerows(astuple(r) for r in self.rows)
+        atomic_write_text(path, buf.getvalue())
+
+    @classmethod
+    def load(cls, path, method: str) -> "EvalReport":
+        cols = fields(EvalRow)
+        try:
+            with open(path, newline="") as f:
+                reader = csv.reader(f)
+                header = next(reader, [])
+                if header != [c.name for c in cols]:
+                    raise ValueError(f"unexpected header {header}")
+                rows = [EvalRow(*(_PARSE_FIELD[c.type](v)
+                                  for c, v in zip(cols, rec, strict=True)))
+                        for rec in reader]
+            if {r.method for r in rows} != {method}:
+                raise ValueError(f"rows are not all of method {method!r}")
+        except (ValueError, KeyError, csv.Error) as e:
+            raise PipelineError(f"{path} is not a metrics file: {e}") from None
+        return cls(method, rows)
 
 
 def _hindsight_value(exp: ExperimentConfig, ci: int, seed: int, cache: dict) -> float:
@@ -687,55 +704,8 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
             )
         )
     report = EvalReport(method=spec.name, rows=rows)
-    _append_metrics(exp, report)
+    report.save(exp.metrics_path(spec.name))
     return report
-
-
-def _append_metrics(exp: ExperimentConfig, report: EvalReport):
-    """Merge this method's rows into the shared metrics CSVs."""
-    agg_path = exp.metrics_path
-    by_campaign_path = exp.metrics_by_campaign_path
-
-    existing = []
-    if os.path.exists(by_campaign_path):
-        with open(by_campaign_path) as f:
-            existing = [r for r in csv.DictReader(f) if r["method"] != report.method]
-    rows = existing + [
-        {
-            "method": r.method,
-            "period": r.period,
-            "seed": r.seed,
-            "campaign": r.campaign_id,
-            "conversions": f"{r.conversions_expected:.6f}",
-            "conversions_realized": f"{r.conversions_realized:.0f}",
-            "spend": f"{r.spend:.6f}",
-            "ratio": f"{r.ratio:.6f}",
-            "budget_use": f"{r.budget_use:.6f}",
-            "ros": f"{r.ros:.6f}",
-            "ros_violated": int(r.ros_violated),
-        }
-        for r in report.rows
-    ]
-    buf = io.StringIO()
-    # rows kept from a file written before a column existed leave it empty
-    w = csv.DictWriter(buf, fieldnames=list(rows[-1].keys()))
-    w.writeheader()
-    w.writerows(rows)
-    atomic_write_text(by_campaign_path, buf.getvalue())
-
-    # aggregated across campaigns: period,seed,method,conversions,spend
-    agg: dict[tuple, list] = {}
-    for r in rows:
-        key = (int(r["period"]), int(r["seed"]), r["method"])
-        agg.setdefault(key, [0.0, 0.0])
-        agg[key][0] += float(r["conversions"])
-        agg[key][1] += float(r["spend"])
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["period", "seed", "method", "conversions", "spend"])
-    for (period, seed, m), (conv, spend) in sorted(agg.items()):
-        w.writerow([period, seed, m, f"{conv:.6f}", f"{spend:.6f}"])
-    atomic_write_text(agg_path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -777,22 +747,12 @@ def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
 
 
 def cmd_report(exp: ExperimentConfig) -> dict:
-    """Cross-method summary from the accumulated metrics CSV."""
-    if not os.path.exists(exp.metrics_path):
+    """Cross-method summary: ``EvalReport.summary()`` of every method
+    with a metrics file."""
+    out = {m: EvalReport.load(exp.metrics_path(m), m).summary()
+           for m in METHODS if os.path.exists(exp.metrics_path(m))}
+    if not out:
         raise PipelineError("no metrics yet; run eval first")
-    per = {}
-    with open(exp.metrics_path) as f:
-        for r in csv.DictReader(f):
-            per.setdefault(r["method"], {}).setdefault(int(r["period"]), []).append(
-                float(r["conversions"])
-            )
-    out = {}
-    for method, periods in per.items():
-        means = {p: float(np.mean(v)) for p, v in sorted(periods.items())}
-        out[method] = {
-            "grand_mean": float(np.mean(list(means.values()))),
-            "per_period_mean": means,
-        }
     atomic_write_text(exp.path("reports", "report.json"), json.dumps(out, indent=2))
     return out
 

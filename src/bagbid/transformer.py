@@ -92,23 +92,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class AblationFlags:
-    """Training-time ablations of the full model."""
-
-    no_expert: bool = False  # drop expert data, tokens, and discriminator
-    no_pu: bool = False  # discriminator trained with plain cross-entropy
-    no_expert_token: bool = False  # no level embedding at train or inference
-    no_bag_reward: bool = False  # raw-reward return labels
-
-    def __post_init__(self):
-        if self.no_expert and (self.no_pu or self.no_expert_token):
-            raise ConfigError(
-                "no_expert already removes the discriminator and expert token; "
-                "combining it with no_pu or no_expert_token is contradictory"
-            )
-
-
-@dataclass(frozen=True)
 class Arch:
     """Structural switches derived from the method being trained."""
 

@@ -217,6 +217,20 @@ class TestRunEpisodes:
                          [constraints] * 2, ["c0", "c1"])
         assert not calls
 
+    def test_policy_sees_clamped_actions(self, small_config, constraints):
+        """The action history handed to the policy is the one the
+        trajectory records: bids as clamped to [0, a_max]."""
+        cfg = dataclasses.replace(small_config, a_max=2.0)
+        seen = []
+
+        def policy(states, actions, rewards):
+            seen.append(actions.copy())
+            return np.full(len(states), 5.0)
+
+        (traj,) = run_episodes(policy, [cfg], [constraints], ["c0"])
+        assert np.array_equal(traj.actions, np.full(cfg.steps_per_episode, 2.0))
+        assert np.array_equal(seen[-1][0], traj.actions[:-1])
+
 
 class TestInvariants:
     def test_budget_safety_random_policies(self, small_config, rng):
@@ -274,12 +288,6 @@ class TestConfigValidation:
     def test_profile_range(self):
         with pytest.raises(MarketInputError):
             MarketConfig(steps_per_episode=4, cvr_profile=np.array([1.0, 2.5, 1.0, 1.0]))
-
-    def test_bag_divisibility(self):
-        cfg = MarketConfig(steps_per_episode=48)
-        cfg.validate(bag_len=8)
-        with pytest.raises(MarketInputError):
-            cfg.validate(bag_len=7)
 
     def test_sinusoid_profile_in_range(self):
         for seed in range(5):

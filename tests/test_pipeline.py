@@ -1,4 +1,6 @@
+import builtins
 import csv
+import dataclasses
 import json
 import os
 
@@ -175,13 +177,12 @@ class TestTrainEval:
         summary = report.summary()
         assert set(summary["per_period_mean"]) == set(range(exp.test_periods))
 
-        with open(exp.metrics_path) as f:
-            rows = list(csv.DictReader(f))
-        assert rows and set(rows[0].keys()) == {
-            "period", "seed", "method", "conversions", "spend"
-        }
-        seeds_in_metrics = {int(r["seed"]) for r in rows}
-        assert seeds_in_metrics <= set(pl.test_seeds(exp))
+        with open(exp.metrics_path("bc"), newline="") as f:
+            header, *records = csv.reader(f)
+        assert header == [f.name for f in dataclasses.fields(pl.EvalRow)]
+        assert len(records) == n_expected
+        assert pl.EvalReport.load(exp.metrics_path("bc"), "bc").rows == report.rows
+        assert {r.seed for r in report.rows} == set(pl.test_seeds(exp))
 
         campaigns = {c.campaign_id: c for c in exp.campaigns}
         for row in report.rows:
@@ -191,14 +192,6 @@ class TestTrainEval:
             value = row.conversions_expected
             assert row.ros == (row.spend / value if value > 0 else 0.0)
             assert row.ros_violated == (row.ros > camp.ros_bound + ROS_SLACK)
-        with open(exp.metrics_by_campaign_path) as f:
-            by_campaign = list(csv.DictReader(f))
-        assert len(by_campaign) == n_expected
-        for r, row in zip(by_campaign, report.rows):
-            assert (r["campaign"], int(r["seed"])) == (row.campaign_id, row.seed)
-            assert float(r["budget_use"]) == pytest.approx(row.budget_use, abs=1e-6)
-            assert float(r["ros"]) == pytest.approx(row.ros, abs=1e-6)
-            assert int(r["ros_violated"]) == row.ros_violated
         assert not any(row.ros_violated for row in report.rows)
 
         # the same days against a RoS bound no spending day can meet
@@ -208,6 +201,39 @@ class TestTrainEval:
         assert [r.ros for r in strict.rows] == [r.ros for r in report.rows]
         assert all(r.ros_violated == (r.spend > 0) for r in strict.rows)
         assert any(r.ros_violated for r in strict.rows)
+
+    def test_eval_touches_only_its_own_files(self, ready, monkeypatch):
+        """An eval reads its checkpoint and writes its own metrics file and
+        nothing else, so concurrent evals of other methods keep their rows."""
+        exp = ready
+        pl.cmd_train(exp, "bc")
+        touched = []
+
+        def recording(fn, arg):
+            def wrapped(*args, **kwargs):
+                touched.append(os.path.abspath(args[arg]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(builtins, "open", recording(builtins.open, 0))
+        monkeypatch.setattr(os, "replace", recording(os.replace, 1))
+        monkeypatch.setattr(pl, "atomic_write_text", recording(pl.atomic_write_text, 0))
+        pl.cmd_eval(exp, "bc")
+        own = {os.path.abspath(exp.ckpt_path("bc")), os.path.abspath(exp.metrics_path("bc"))}
+        assert os.path.abspath(exp.metrics_path("bc")) in touched
+        assert set(touched) <= own
+
+    def test_report_equals_eval_summaries(self, ready):
+        exp = ready
+        summaries = {}
+        for method in ("bc", "dt"):
+            pl.cmd_train(exp, method)
+            summaries[method] = pl.cmd_eval(exp, method).summary()
+        assert pl.cmd_report(exp) == summaries
+        bc = summaries["bc"]
+        assert 0.0 <= bc["mean_ratio"] <= 1.0 + 1e-9
+        assert 0.0 <= bc["mean_budget_use"] <= 1.0 + 1e-9
+        assert bc["ros_violation_rate"] == 0.0
 
     def test_eval_determinism(self, ready):
         exp = ready
@@ -328,6 +354,13 @@ class TestConfigRoundtrip:
         assert abs(sum(exp.behavior.mix) - 1.0) < 1e-12
 
 
+class TestConfigValidation:
+    def test_bag_divisibility(self):
+        pl.ExperimentConfig(market=pl.MarketSettings(steps_per_episode=48))
+        with pytest.raises(pl.ConfigError):
+            pl.ExperimentConfig(market=pl.MarketSettings(steps_per_episode=44))
+
+
 class TestCli:
     @pytest.mark.parametrize("argv", [
         ["eval", "--method", "ebaret"],
@@ -339,6 +372,26 @@ class TestCli:
         assert main(argv + ["--output-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bagbid: error: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "garbled\n",
+        "method,period\nbc,0\n",
+        ",".join(f.name for f in dataclasses.fields(pl.EvalRow)) + "\n",
+        ",".join(f.name for f in dataclasses.fields(pl.EvalRow))
+        + "\nbc,0,7,c0,1.5,1.0,2.0,0.5,0.25,1.3,maybe\n",
+    ], ids=["empty", "garbled", "short-header", "no-rows", "bad-bool"])
+    def test_garbled_metrics_fail_without_traceback(self, text, tmp_path, capsys):
+        from bagbid.cli import main
+
+        path = pl.default_config(output_dir=str(tmp_path)).metrics_path("bc")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as f:
+            f.write(text)
+        assert main(["report", "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bagbid: error: ") and "metrics_bc.csv" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_v1_checkpoint_fails_without_traceback(self, tmp_path, capsys):

@@ -32,13 +32,6 @@ class TestConfigValidation:
         with pytest.raises(tf.ConfigError):
             tf.ModelConfig(d_model=30, n_heads=4)
 
-    def test_flag_conflicts(self):
-        with pytest.raises(tf.ConfigError):
-            tf.AblationFlags(no_expert=True, no_pu=True)
-        with pytest.raises(tf.ConfigError):
-            tf.AblationFlags(no_expert=True, no_expert_token=True)
-        tf.AblationFlags(no_expert=True)  # alone is fine
-
 
 class TestTokenization:
     def test_token_index_arithmetic(self, tiny_cfg, rng):
