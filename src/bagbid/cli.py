@@ -3,6 +3,13 @@
 All subcommands take ``--config`` (JSON file; built-in desk-scale defaults
 otherwise), ``--output-dir``, and ``--seed``; every source of randomness
 derives from the config seed.
+
+``train`` generates missing datasets and trains a missing discriminator
+first; the expert levels and return-to-go labels of a method with a
+discriminator are computed as it trains, so there is no separate prep
+step.  The ablations are methods: ``--method ebaret-noE`` (or
+``ebaret¬E``).  A config or artifact problem exits with status 1 and one
+``bagbid: error:`` line.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ def main(argv=None) -> int:
     for name, desc in [
         ("gen-data", "generate the mixed-quality offline dataset"),
         ("gen-expert", "generate hindsight expert trajectories"),
-        ("prep", "score, level-assign, and redistribute rewards"),
         ("eval", "evaluate a trained method on test periods"),
         ("report", "cross-method summary and ratio histogram"),
         ("train-disc", "train the expert-transition discriminator"),
@@ -56,15 +62,9 @@ def main(argv=None) -> int:
         if name == "train-disc":
             p.add_argument("--plain-ce", action="store_true",
                            help="treat all offline data as negatives (no-PU ablation)")
-        if name == "prep":
-            p.add_argument("--plain-ce", action="store_true",
-                           help="use the plain-CE discriminator's scores")
         if name in ("train", "eval"):
             p.add_argument("--method", required=True,
                            help=f"one of {sorted(pl.METHODS)}")
-        if name == "train":
-            p.add_argument("--ablate", choices=["E", "PU", "EA", "BR"],
-                           help="shortcut: train ebaret with one ablation")
 
     args = parser.parse_args(argv)
     try:
@@ -93,20 +93,11 @@ def _run(args) -> int:
         pl.cmd_train_disc(exp, plain_ce=args.plain_ce)
         print(f"saved discriminator to {exp.disc_path(args.plain_ce)}")
         return 0
-    if args.command == "prep":
-        offline, expert = pl.cmd_prep(exp, plain_ce=args.plain_ce)
-        print(f"prepped {len(offline)} offline + {len(expert)} expert trajectories")
-        return 0
     if args.command == "train":
-        method = args.method
-        if args.ablate:
-            method = f"ebaret-no{args.ablate.lower()}"
-        pl.ensure_datasets(exp)
-        spec = pl.METHODS[pl.normalize_method(method)]
-        if spec.disc_plain_ce is not None:
-            pl.ensure_prepped(exp, spec.disc_plain_ce)
+        method = pl.normalize_method(args.method)
+        pl.ensure_training_inputs(exp, pl.METHODS[method])
         pl.cmd_train(exp, method)
-        print(f"saved checkpoint to {exp.ckpt_path(pl.normalize_method(method))}")
+        print(f"saved checkpoint to {exp.ckpt_path(method)}")
         return 0
     if args.command == "eval":
         report = pl.cmd_eval(exp, args.method)

@@ -62,7 +62,6 @@ class DiscConfig:
     steps: int = 1500
     batch_size: int = 256
     seed: int = 0
-    plain_ce: bool = False  # no-PU ablation: offline data treated as negative
 
     def __post_init__(self):
         if not 0.0 < self.class_prior < 1.0:
@@ -204,8 +203,10 @@ def _check_matrix(name, x):
     return x
 
 
-def train_discriminator(expert_set, offline_set, config: DiscConfig):
-    """Train d(s, a) on expert positives vs unlabeled offline transitions.
+def train_discriminator(expert_set, offline_set, config: DiscConfig, plain_ce: bool = False):
+    """Train d(s, a) on expert positives vs unlabeled offline transitions,
+    or, with ``plain_ce`` (the no-PU ablation), vs offline transitions
+    taken as negatives.
 
     Returns (model, loss_curve).  Deterministic for a fixed config seed.
     """
@@ -224,7 +225,7 @@ def train_discriminator(expert_set, offline_set, config: DiscConfig):
         model.params.zero_grad()
         logits = model.forward(np.concatenate([eb, ob], axis=0))
         e_logits, o_logits = logits[: len(eb)], logits[len(eb):]
-        if config.plain_ce:
+        if plain_ce:
             loss, d_e, d_o = plain_ce_loss_from_logits(e_logits, o_logits)
         else:
             loss, d_e, d_o = nnpu_loss_from_logits(e_logits, o_logits, config.class_prior)

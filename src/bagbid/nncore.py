@@ -186,9 +186,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self):
         return list(self._params)
 
@@ -213,9 +210,6 @@ class ParameterSet:
     @property
     def size(self) -> int:
         return self._size
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
 
     def load_records(self, records: dict, path):
         """Decode the parameter records of a checkpoint (``read_checkpoint``)

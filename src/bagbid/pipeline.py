@@ -5,14 +5,18 @@ Stages, each a pure function of the experiment config and seed:
   gen-data     mixed-quality behavior episodes per campaign (offline set)
   gen-expert   hindsight expert episodes on the matched seeds
   train-disc   expert-vs-unlabeled discriminator (PU or plain CE)
-  prep         score transitions, assign expert levels, redistribute
-               rewards, recompute return-to-go labels
-  train        fit one method (bc / dt / ebaret and its ablations)
+  train        fit one method (bc / dt / ebaret and its ablations); for
+               a method with a discriminator, prep first scores every
+               transition, assigns expert levels and rebuilds return-to-go
+               from bag-redistributed rewards, in memory
   eval         roll trained policies over held-out test periods
   report       cross-method tables, suboptimality-ratio histogram
 
 Outputs are JSONL datasets, JSON checkpoints, and CSV metrics under the
-config's output directory.  Each method's eval writes only its own
+config's output directory.  Prep labels are a function of the datasets,
+the discriminator checkpoint, ``k_levels``, ``bag_len`` and ``beta``, and
+no file stores them, so a training always sees labels for the config and
+discriminator it runs with.  Each method's eval writes only its own
 ``reports/metrics_<method>.csv``, one row per campaign-day, which
 ``report`` reads back, so evals of different methods never share a file.
 All file writes are atomic; train and test seed ranges are disjoint by
@@ -138,6 +142,16 @@ class ExperimentConfig:
             self.campaigns = default_campaigns()
         if self.market.steps_per_episode % self.model.bag_len != 0:
             raise ConfigError("steps_per_episode must be divisible by bag_len")
+        if self.model.context_steps < self.market.steps_per_episode:
+            raise ConfigError(
+                f"model.context_steps={self.model.context_steps} is shorter than "
+                f"market.steps_per_episode={self.market.steps_per_episode}"
+            )
+        if self.model.a_max != self.market.a_max:
+            raise ConfigError(
+                f"model.a_max={self.model.a_max} differs from "
+                f"market.a_max={self.market.a_max}"
+            )
         if self.train_episodes_per_campaign >= TEST_SEED_BASE:
             raise ConfigError("too many training episodes for the seed layout")
 
@@ -160,10 +174,6 @@ class ExperimentConfig:
 
     def disc_path(self, plain_ce: bool):
         return self.path("models", "disc_ce.json" if plain_ce else "disc_nnpu.json")
-
-    def prepped_path(self, which: str, plain_ce: bool):
-        suffix = "_ce" if plain_ce else ""
-        return self.path("data", f"prepped_{which}{suffix}.jsonl")
 
     def ckpt_path(self, method: str):
         return self.path("models", f"ckpt_{method}.json")
@@ -197,8 +207,13 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
+        """Read a config file; a file that does not parse, or that has an
+        unknown key or a rejected value, raises ``ConfigError`` naming it."""
         with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+            try:
+                return cls.from_json_dict(json.load(f))
+            except (ValueError, TypeError, AttributeError) as e:
+                raise ConfigError(f"{path}: {e}") from None
 
     def save(self, path):
         atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2, default=list))
@@ -380,7 +395,7 @@ def cmd_gen_expert(exp: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# discriminator training and dataset prep
+# discriminator training and prep labels
 # ---------------------------------------------------------------------------
 
 
@@ -393,9 +408,8 @@ def transitions_matrix(trajs) -> np.ndarray:
 def cmd_train_disc(exp: ExperimentConfig, plain_ce: bool = False) -> DiscriminatorModel:
     offline = load_jsonl(exp.offline_path)
     expert = load_jsonl(exp.expert_path)
-    cfg = DiscConfig(**{**asdict(exp.disc), "plain_ce": plain_ce})
     model, curve = train_discriminator(
-        transitions_matrix(expert), transitions_matrix(offline), cfg
+        transitions_matrix(expert), transitions_matrix(offline), exp.disc, plain_ce=plain_ce
     )
     model.save(exp.disc_path(plain_ce))
     buf = io.StringIO()
@@ -407,42 +421,34 @@ def cmd_train_disc(exp: ExperimentConfig, plain_ce: bool = False) -> Discriminat
     return model
 
 
-def prep_trajectories(offline, expert, disc: DiscriminatorModel, k_levels: int,
-                      bag_len: int, beta: float):
-    """Score, level-assign, redistribute, and relabel both datasets in place.
+def prep_labels(trajs, disc: DiscriminatorModel, k_levels: int, bag_len: int,
+                beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Expert levels and return-to-go labels, two (N, T) arrays in
+    trajectory order.
 
-    Levels pool every offline transition for the quantile split; expert
-    transitions are pinned to the top level.
+    Levels pool every non-expert transition for the quantile split; expert
+    transitions are pinned to the top level.  Return-to-go is rebuilt from
+    the rewards redistributed within each bag by discriminator score.
     """
-    all_trajs = offline + expert
     sig = [sigmoid(disc.score_batch(np.concatenate([t.states, t.actions[:, None]], axis=1)))
-           for t in all_trajs]
+           for t in trajs]
     flags = np.concatenate(
-        [np.full(t.num_steps, t.source == "expert", dtype=bool) for t in all_trajs]
+        [np.full(t.num_steps, t.source == "expert", dtype=bool) for t in trajs]
     )
-    levels = assign_levels(np.concatenate(sig), k_levels, flags)
-    pos = 0
-    for t, s in zip(all_trajs, sig):
-        n = t.num_steps
-        t.sigma_scores = s
-        t.expert_levels = levels[pos:pos + n].astype(np.float64)
-        rhat = rw.redistribute_trajectory(t.rewards, s, bag_len=bag_len, beta=beta)
-        t.rewards_redistributed = rhat
-        t.rtg = rw.recompute_rtg(rhat)
-        pos += n
-    return offline, expert
+    rtgs = np.stack([
+        rw.recompute_rtg(rw.redistribute_trajectory(t.rewards, s, bag_len=bag_len, beta=beta))
+        for t, s in zip(trajs, sig)
+    ])
+    levels = assign_levels(np.concatenate(sig), k_levels, flags).reshape(rtgs.shape)
+    return levels, rtgs
 
 
 def cmd_prep(exp: ExperimentConfig, plain_ce: bool = False):
+    """Offline then expert trajectories and their ``prep_labels`` under the
+    discriminator ``train-disc`` saved; writes nothing."""
     disc = DiscriminatorModel.load(exp.disc_path(plain_ce))
-    offline = load_jsonl(exp.offline_path)
-    expert = load_jsonl(exp.expert_path)
-    offline, expert = prep_trajectories(
-        offline, expert, disc, exp.model.k_levels, exp.model.bag_len, exp.beta
-    )
-    save_jsonl(offline, exp.prepped_path("offline", plain_ce))
-    save_jsonl(expert, exp.prepped_path("expert", plain_ce))
-    return offline, expert
+    trajs = load_jsonl(exp.offline_path) + load_jsonl(exp.expert_path)
+    return trajs, prep_labels(trajs, disc, exp.model.k_levels, exp.model.bag_len, exp.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +460,25 @@ def cmd_prep(exp: ExperimentConfig, plain_ce: bool = False):
 class MethodSpec:
     name: str
     arch: Arch
-    use_expert_data: bool
-    disc_plain_ce: bool | None  # None: no discriminator involved
+    disc_plain_ce: bool | None  # None: no discriminator and no expert data
     redistributed_labels: bool
     seed_offset: int
+
+    @property
+    def use_expert_data(self) -> bool:
+        return self.disc_plain_ce is not None
 
 
 # ebaret-noe and dt have the same MethodSpec apart from the name and the seed
 # offset (4 against 5): the gap between them measures seed noise.
 METHODS = {
-    "ebaret": MethodSpec("ebaret", ARCH_FULL, True, False, True, 0),
-    "ebaret-nopu": MethodSpec("ebaret-nopu", ARCH_FULL, True, True, True, 1),
-    "ebaret-noea": MethodSpec("ebaret-noea", ARCH_NO_LEVEL, True, False, True, 2),
-    "ebaret-nobr": MethodSpec("ebaret-nobr", ARCH_FULL, True, False, False, 3),
-    "ebaret-noe": MethodSpec("ebaret-noe", ARCH_DT, False, None, False, 4),
-    "dt": MethodSpec("dt", ARCH_DT, False, None, False, 5),
-    "bc": MethodSpec("bc", ARCH_BC, False, None, False, 6),
+    "ebaret": MethodSpec("ebaret", ARCH_FULL, False, True, 0),
+    "ebaret-nopu": MethodSpec("ebaret-nopu", ARCH_FULL, True, True, 1),
+    "ebaret-noea": MethodSpec("ebaret-noea", ARCH_NO_LEVEL, False, True, 2),
+    "ebaret-nobr": MethodSpec("ebaret-nobr", ARCH_FULL, False, False, 3),
+    "ebaret-noe": MethodSpec("ebaret-noe", ARCH_DT, None, False, 4),
+    "dt": MethodSpec("dt", ARCH_DT, None, False, 5),
+    "bc": MethodSpec("bc", ARCH_BC, None, False, 6),
 }
 
 
@@ -485,58 +494,39 @@ def raw_rtg(traj: Trajectory) -> np.ndarray:
     return rw.recompute_rtg(traj.rewards)
 
 
-def build_training_batch(trajs, model_cfg: ModelConfig, spec: MethodSpec) -> TrainingBatch:
-    n = len(trajs)
-    t_steps = trajs[0].num_steps
+def build_training_batch(trajs, model_cfg: ModelConfig, spec: MethodSpec,
+                         labels: tuple | None) -> TrainingBatch:
+    """Batch of ``trajs``; ``labels`` are their ``prep_labels``, None for a
+    method without a discriminator."""
     states = np.stack([t.states for t in trajs])
     actions = np.stack([t.actions for t in trajs])
     if spec.redistributed_labels:
-        missing = [t for t in trajs if t.rtg is None]
-        if missing:
-            raise PipelineError("trajectories lack redistributed labels; run prep")
-        rtgs = np.stack([t.rtg for t in trajs])
+        rtgs = labels[1]
     else:
         rtgs = np.stack([raw_rtg(t) for t in trajs])
     if spec.arch.use_level_embedding:
-        missing = [t for t in trajs if t.expert_levels is None]
-        if missing:
-            raise PipelineError("trajectories lack expert levels; run prep")
-        levels = np.stack([t.expert_levels for t in trajs]).astype(np.int64)
+        levels = labels[0]
     else:
-        levels = np.zeros((n, t_steps), dtype=np.int64)
+        levels = np.zeros(actions.shape, dtype=np.int64)
     return TrainingBatch(states, actions, rtgs / model_cfg.rtg_scale, levels)
-
-
-def _load_method_data(exp: ExperimentConfig, spec: MethodSpec):
-    if spec.disc_plain_ce is None:
-        offline = load_jsonl(exp.offline_path)
-        expert = load_jsonl(exp.expert_path) if spec.use_expert_data else []
-    else:
-        offline = load_jsonl(exp.prepped_path("offline", spec.disc_plain_ce))
-        expert = (
-            load_jsonl(exp.prepped_path("expert", spec.disc_plain_ce))
-            if spec.use_expert_data
-            else []
-        )
-    return offline, expert
 
 
 def cmd_train(exp: ExperimentConfig, method: str) -> TrajectoryTransformer:
     spec = METHODS[normalize_method(method)]
-    offline, expert = _load_method_data(exp, spec)
-    trajs = offline + expert
-
     if spec.use_expert_data:
-        mean_off = float(np.mean([t.total_reward for t in offline]))
-        mean_exp = float(np.mean([t.total_reward for t in expert]))
+        trajs, labels = cmd_prep(exp, spec.disc_plain_ce)
+        mean_off = float(np.mean([t.total_reward for t in trajs if t.source != "expert"]))
+        mean_exp = float(np.mean([t.total_reward for t in trajs if t.source == "expert"]))
         if mean_exp <= mean_off:
             raise PipelineError(
                 f"expert data is not better than offline data "
                 f"({mean_exp:.3f} <= {mean_off:.3f}); dataset generation is off"
             )
+    else:
+        trajs, labels = load_jsonl(exp.offline_path), None
 
     model_cfg = ModelConfig(**{**asdict(exp.model), "seed": exp.model.seed + 1000 * spec.seed_offset})
-    data = build_training_batch(trajs, model_cfg, spec)
+    data = build_training_batch(trajs, model_cfg, spec, labels)
     rows: list = []
     model = train_model(data, model_cfg, spec.arch, log_rows=rows)
 
@@ -762,29 +752,23 @@ def cmd_report(exp: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def ensure_datasets(exp: ExperimentConfig):
+def ensure_training_inputs(exp: ExperimentConfig, spec: MethodSpec):
+    """Generate missing datasets and train the method's discriminator if
+    it has none."""
     if not os.path.exists(exp.offline_path):
         cmd_gen_data(exp)
     if not os.path.exists(exp.expert_path):
         cmd_gen_expert(exp)
-
-
-def ensure_prepped(exp: ExperimentConfig, plain_ce: bool):
-    if not os.path.exists(exp.disc_path(plain_ce)):
-        cmd_train_disc(exp, plain_ce=plain_ce)
-    if not all(os.path.exists(exp.prepped_path(which, plain_ce))
-               for which in ("offline", "expert")):
-        cmd_prep(exp, plain_ce=plain_ce)
+    if spec.use_expert_data and not os.path.exists(exp.disc_path(spec.disc_plain_ce)):
+        cmd_train_disc(exp, plain_ce=spec.disc_plain_ce)
 
 
 def run_pipeline(exp: ExperimentConfig, method: str,
                  rstar_cache: dict | None = None) -> tuple[str, EvalReport]:
-    """Data (if missing) -> prep (if needed) -> train -> eval for a method."""
+    """Data and discriminator (if missing) -> train (if no checkpoint) ->
+    eval for a method."""
     name = normalize_method(method)
-    spec = METHODS[name]
-    ensure_datasets(exp)
-    if spec.disc_plain_ce is not None:
-        ensure_prepped(exp, spec.disc_plain_ce)
+    ensure_training_inputs(exp, METHODS[name])
     if not os.path.exists(exp.ckpt_path(name)):
         cmd_train(exp, name)
     report = cmd_eval(exp, name, rstar_cache=rstar_cache)

@@ -2,9 +2,8 @@
 
 A trajectory is one campaign-day: per-step state vectors, bid-scale
 actions, realized conversion counts, spends, and expected value acquired.
-Annotation fields (discriminator scores, expert levels, redistributed
-rewards, return-to-go labels) are filled in by later pipeline stages and
-round-trip through the same JSONL schema.
+Training labels derived from them (expert levels, return-to-go) are
+computed when a method trains and are not part of the record.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,18 +32,7 @@ class CampaignConstraints:
             raise ValueError(f"ros_bound must be positive, got {self.ros_bound}")
 
 
-_ARRAY_FIELDS = (
-    "states",
-    "actions",
-    "rewards",
-    "spends",
-    "values",
-    "sigma_scores",
-    "expert_levels",
-    "rewards_redistributed",
-    "rtg",
-)
-_OPTIONAL_ARRAYS = ("sigma_scores", "expert_levels", "rewards_redistributed", "rtg")
+_STEP_ARRAYS = ("actions", "rewards", "spends", "values")
 
 
 @dataclass
@@ -58,10 +46,6 @@ class Trajectory:
     spends: np.ndarray  # (T,)
     values: np.ndarray  # (T,) expected value acquired per step
     source: str = "policy"
-    sigma_scores: np.ndarray | None = None
-    expert_levels: np.ndarray | None = None
-    rewards_redistributed: np.ndarray | None = None
-    rtg: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,11 +53,8 @@ class Trajectory:
         if self.states.ndim != 2 or self.states.shape[1] != STATE_DIM:
             raise ValueError(f"states must be (T, {STATE_DIM}), got {self.states.shape}")
         t = self.states.shape[0]
-        for name in _ARRAY_FIELDS[1:]:
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=np.float64)
+        for name in _STEP_ARRAYS:
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (t,):
                 raise ValueError(f"{name} must have shape ({t},), got {arr.shape}")
             setattr(self, name, arr)
@@ -109,32 +90,24 @@ class Trajectory:
             "values": self.values.tolist(),
             "source": self.source,
         }
-        for name in _OPTIONAL_ARRAYS:
-            arr = getattr(self, name)
-            if arr is not None:
-                out[name] = arr.tolist()
         if self.meta:
             out["meta"] = self.meta
         return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Trajectory":
-        kwargs = {
-            "campaign_id": d["campaign_id"],
-            "seed": int(d["seed"]),
-            "constraints": CampaignConstraints(**d["constraints"]),
-            "states": np.asarray(d["states"], dtype=np.float64),
-            "actions": np.asarray(d["actions"], dtype=np.float64),
-            "rewards": np.asarray(d["rewards"], dtype=np.float64),
-            "spends": np.asarray(d["spends"], dtype=np.float64),
-            "values": np.asarray(d["values"], dtype=np.float64),
-            "source": d.get("source", "policy"),
-            "meta": d.get("meta", {}),
-        }
-        for name in _OPTIONAL_ARRAYS:
-            if name in d:
-                kwargs[name] = np.asarray(d[name], dtype=np.float64)
-        return cls(**kwargs)
+        return cls(
+            campaign_id=d["campaign_id"],
+            seed=int(d["seed"]),
+            constraints=CampaignConstraints(**d["constraints"]),
+            states=d["states"],
+            actions=d["actions"],
+            rewards=d["rewards"],
+            spends=d["spends"],
+            values=d["values"],
+            source=d.get("source", "policy"),
+            meta=d.get("meta", {}),
+        )
 
 
 def atomic_write_text(path, text: str):
@@ -167,7 +140,3 @@ def load_jsonl(path):
                 out.append(Trajectory.from_json_dict(json.loads(line)))
     return out
 
-
-# Sanity guard: keep the dataclass field list and the serialization schema
-# in sync if fields are added later.
-assert {f.name for f in fields(Trajectory)} >= set(_ARRAY_FIELDS)

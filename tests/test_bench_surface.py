@@ -1,13 +1,16 @@
-"""The names the benchmark in ``perfbench/`` hooks into still exist.
+"""The benchmark in ``perfbench/`` still runs against the package.
 
-``perfbench/spans.py`` wraps ``bagbid`` functions and methods by name and
-``perfbench/run.py`` reads package attributes, so renaming or deleting one
-of them breaks a traced or an untraced benchmark run; these checks make
-that fail here instead.
+``perfbench/spans.py`` wraps ``bagbid`` functions and methods by name,
+``perfbench/run.py`` reads package attributes and ``perfbench/workloads.py``
+drives the pipeline's stage functions, so renaming, deleting or rewiring
+one of them breaks a benchmark run; these checks make that fail here
+instead.
 """
 
 import importlib.util
 import os
+
+import pytest
 
 import bagbid
 from bagbid import pipeline
@@ -38,3 +41,12 @@ def test_tracer_installs_and_undoes():
 def test_environment_reads_package():
     env = _load("run").environment(bagbid)
     assert env["kernel_backend"] == bagbid.KERNEL_BACKEND
+
+
+@pytest.mark.parametrize("workload", ["datagen", "train", "eval"])
+def test_workload_runs_traced(workload, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import run
+
+    result, report, _ = run.run(workload, seed=7, seconds=0, trace=True, scale="tiny")
+    assert result["correct"], report

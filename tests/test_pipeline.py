@@ -10,9 +10,10 @@ import pytest
 from bagbid import nncore as nc
 from bagbid import pipeline as pl
 from bagbid import rewards as rw
+from bagbid.discriminator import DiscriminatorModel, sigmoid
 from bagbid.expert import ROS_SLACK
 from bagbid.market import run_episodes
-from bagbid.trajectory import load_jsonl
+from bagbid.trajectory import load_jsonl, save_jsonl
 
 
 def test_normalize_method_aliases():
@@ -81,34 +82,49 @@ class TestPrep:
         return exp, *pl.cmd_prep(exp)
 
     def test_annotations_present(self, prepped):
-        exp, offline, expert = prepped
-        for t in offline + expert:
-            assert t.sigma_scores is not None and t.rtg is not None
-            assert t.expert_levels is not None
-            assert t.rewards_redistributed is not None
+        exp, trajs, (levels, rtgs) = prepped
+        n = len(exp.campaigns) * exp.train_episodes_per_campaign
+        assert len(trajs) == 2 * n
+        assert [t.source == "expert" for t in trajs] == [False] * n + [True] * n
+        shape = (len(trajs), exp.market.steps_per_episode)
+        assert levels.shape == rtgs.shape == shape
+        assert levels.dtype == np.int64 and np.isfinite(rtgs).all()
+        assert set(np.unique(levels)) <= set(range(exp.model.k_levels))
 
     def test_expert_levels_pinned_top(self, prepped):
-        exp, offline, expert = prepped
+        exp, trajs, (levels, _) = prepped
         k = exp.model.k_levels
-        for t in expert:
-            assert (t.expert_levels == k - 1).all()
+        for t, lv in zip(trajs, levels):
+            if t.source == "expert":
+                assert (lv == k - 1).all()
+        offline = levels[[t.source != "expert" for t in trajs]]
+        assert set(np.unique(offline)) == set(range(k))
 
     def test_bag_conservation_and_rtg(self, prepped):
-        exp, offline, expert = prepped
+        exp, trajs, (_, rtgs) = prepped
+        disc = DiscriminatorModel.load(exp.disc_path(False))
         bag = exp.model.bag_len
-        for t in offline:
+        for t, rtg in zip(trajs, rtgs):
+            scores = sigmoid(disc.score_batch(pl.transitions_matrix([t])))
+            rhat = rw.redistribute_trajectory(t.rewards, scores, bag_len=bag, beta=exp.beta)
             for start in range(0, t.num_steps, bag):
                 sl = slice(start, start + bag)
-                assert t.rewards_redistributed[sl].sum() == pytest.approx(
-                    t.rewards[sl].sum(), abs=1e-9
-                )
+                assert rhat[sl].sum() == pytest.approx(t.rewards[sl].sum(), abs=1e-9)
+            assert rtg[0] == rhat.sum()
             for i in range(t.num_steps - 1):
-                assert t.rtg[i + 1] == t.rtg[i] - t.rewards_redistributed[i]
+                assert rtg[i + 1] == rtg[i] - rhat[i]
 
-    def test_roundtrip_preserves_annotations(self, prepped):
-        exp, offline, _ = prepped
-        again = load_jsonl(exp.prepped_path("offline", False))
-        assert np.array_equal(again[0].rtg, offline[0].rtg)
+    def test_prep_writes_nothing(self, prepped):
+        exp = prepped[0]
+
+        def snapshot():
+            return {os.path.join(d, f): os.stat(os.path.join(d, f)).st_mtime_ns
+                    for d, _, files in os.walk(exp.output_dir) for f in files}
+
+        before = snapshot()
+        pl.cmd_prep(exp)
+        assert snapshot() == before
+        assert not [f for f in before if "prepped" in f]
 
 
 class TestTrainEval:
@@ -129,24 +145,25 @@ class TestTrainEval:
 
     def test_nobr_uses_raw_suffix_labels(self, ready):
         exp = ready
-        pl.ensure_prepped(exp, plain_ce=False)
+        pl.cmd_train_disc(exp)
         spec = pl.METHODS["ebaret-nobr"]
-        offline, expert = pl._load_method_data(exp, spec)
-        batch = pl.build_training_batch(offline + expert, exp.model, spec)
-        t0 = offline[0]
+        trajs, labels = pl.cmd_prep(exp)
+        batch = pl.build_training_batch(trajs, exp.model, spec, labels)
+        t0 = trajs[0]
         expected = rw.recompute_rtg(t0.rewards) / exp.model.rtg_scale
         assert np.allclose(batch.rtgs[0], expected, atol=1e-12)
+        assert np.array_equal(batch.levels, labels[0])
 
     def test_noea_checkpoint_has_no_level_table(self, ready):
         exp = ready
-        pl.ensure_prepped(exp, plain_ce=False)
+        pl.cmd_train_disc(exp)
         pl.cmd_train(exp, "ebaret-noea")
         payload = json.load(open(exp.ckpt_path("ebaret-noea")))
         assert not any("embed.level" in n for n in payload["params"])
 
     def test_ebaret_checkpoint_structure(self, ready):
         exp = ready
-        pl.ensure_prepped(exp, plain_ce=False)
+        pl.cmd_train_disc(exp)
         pl.cmd_train(exp, "ebaret")
         payload = json.load(open(exp.ckpt_path("ebaret")))
         names = payload["params"].keys()
@@ -157,7 +174,7 @@ class TestTrainEval:
 
     def test_train_determinism(self, ready):
         exp = ready
-        pl.ensure_prepped(exp, plain_ce=False)
+        pl.cmd_train_disc(exp)
         pl.cmd_train(exp, "ebaret")
         first = open(exp.ckpt_path("ebaret")).read()
         pl.cmd_train(exp, "ebaret")
@@ -248,7 +265,7 @@ class TestTrainEval:
         each day's actions and row equal those of the day rolled alone."""
         exp = ready
         if method == "ebaret":
-            pl.ensure_prepped(exp, plain_ce=False)
+            pl.cmd_train_disc(exp)
         pl.cmd_train(exp, method)
         rollouts = []
 
@@ -280,29 +297,46 @@ class TestTrainEval:
         assert os.path.exists(ckpt)
         assert report.grand_mean() >= 0.0
 
-    def test_ensure_prepped_regenerates_missing_expert_file(self, ready):
+    def test_eq8_precondition_guard(self, ready):
         exp = ready
-        pl.ensure_prepped(exp, plain_ce=False)
-        path = exp.prepped_path("expert", False)
-        with open(path, "rb") as f:
-            first = f.read()
-        os.remove(path)
-        pl.ensure_prepped(exp, plain_ce=False)
-        with open(path, "rb") as f:
-            assert f.read() == first
-
-    def test_eq8_precondition_guard(self, ready, monkeypatch):
-        exp = ready
-        pl.ensure_prepped(exp, plain_ce=False)
+        pl.cmd_train_disc(exp)
         # corrupt the expert file so experts look weak
-        experts = load_jsonl(exp.prepped_path("expert", False))
+        experts = load_jsonl(exp.expert_path)
         for t in experts:
             t.rewards[...] = 0.0
-        from bagbid.trajectory import save_jsonl
-
-        save_jsonl(experts, exp.prepped_path("expert", False))
+        save_jsonl(experts, exp.expert_path)
         with pytest.raises(pl.PipelineError):
             pl.cmd_train(exp, "ebaret")
+
+    @pytest.mark.parametrize("change", ["beta", "k_levels", "disc"])
+    def test_training_follows_changed_label_inputs(self, tiny_experiment, tmp_path,
+                                                   change):
+        """Changing beta, k_levels or the discriminator and training again
+        gives the checkpoint a fresh directory trains at the new values."""
+        from bagbid.cli import main
+
+        def train(exp, name, *commands):
+            path = str(tmp_path / f"{name}.json")
+            exp.save(path)
+            for command in commands + ("train",):
+                argv = [command, "--config", path]
+                if command == "train":
+                    argv += ["--method", "ebaret"]
+                assert main(argv) == 0
+            with open(exp.ckpt_path("ebaret"), "rb") as f:
+                return f.read()
+
+        exp = tiny_experiment
+        first = train(exp, "old")
+        if change == "beta":
+            exp.beta = 5.0
+        elif change == "k_levels":
+            exp.model.k_levels = 3
+        else:
+            exp.disc.seed = 1
+        again = train(exp, "new", *(("train-disc",) if change == "disc" else ()))
+        exp.output_dir = str(tmp_path / "fresh")
+        assert train(exp, "fresh") == again != first
 
 
 class TestRatioReport:
@@ -362,6 +396,27 @@ class TestConfigValidation:
 
 
 class TestCli:
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ('{"disc": {"foo": 1}}', "unexpected keyword argument 'foo'"),
+        ('{"disc": {"plain_ce": true}}', "unexpected keyword argument 'plain_ce'"),
+        ('{"model": {"context_steps": 24}}', "model.context_steps=24 is shorter than "
+                                             "market.steps_per_episode=48"),
+        ('{"model": {"a_max": 5.0}}', "model.a_max=5.0 differs from market.a_max=10.0"),
+    ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch"])
+    def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
+        from bagbid.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "run"
+        argv = ["train", "--method", "bc", "--config", str(path), "--output-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bagbid: error: {path}: ") and message in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--method", "ebaret"],
         ["report"],
