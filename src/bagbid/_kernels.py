@@ -1,4 +1,5 @@
-"""The auction-scan kernels.
+"""Auction-scan kernels: the sequential budget-forfeit scans that the
+expert's replay and every market step run.
 
 Both scan opportunities in stream order with plain IEEE double arithmetic:
 a bid ``scale * value`` wins when it strictly exceeds the competitor bid,
@@ -6,7 +7,17 @@ the winner pays the competitor bid, and a win whose payment exceeds the
 remaining budget is forfeited.
 """
 
+import sys
+
 import numpy as np
+
+
+def get_backend(name="python"):
+    """The kernel module for ``name``.  Only "python" (this module) exists;
+    callers that probe for the removed compiled backend get RuntimeError."""
+    if name != "python":
+        raise RuntimeError(f"kernel backend {name!r} is not available")
+    return sys.modules[__name__]
 
 
 def replay_scan(scale, values, comp_bids, eff_values, budget):

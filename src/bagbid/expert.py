@@ -13,8 +13,9 @@ pressure opportunity j is won exactly when ``s * value_j > comp_bid_j``,
 i.e. when ``s`` exceeds its ratio ``comp_bid_j / value_j``; every scale
 therefore wins a prefix of the opportunities sorted by ratio, and the
 prefixes are the only outcomes to compare.  ``solve_multipliers`` scans
-them once, replays the chosen scale, and ``generate_expert_trajectory``
-rolls the market at it.
+them once and replays the chosen scale; ``generate_expert_trajectories``
+solves every day's scale and rolls all the days in one lockstep batch,
+each at its own constant scale.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bagbid import _kernels
-from bagbid.market import MarketConfig, OpportunityStream, constant_policy, run_episode
+from bagbid.market import OpportunityStream, run_episodes
 from bagbid.trajectory import CampaignConstraints, Trajectory
 
 ROS_SLACK = 1e-6
@@ -97,23 +98,23 @@ def solve_multipliers(stream: OpportunityStream, constraints: CampaignConstraint
     return MultiplierSolution(scale=scale, feasible=False, summary=summary)
 
 
-def generate_expert_trajectory(config: MarketConfig, constraints: CampaignConstraints,
-                               campaign_id="c0") -> Trajectory:
-    """Hindsight expert episode for one (config, seed) campaign-day.
+def generate_expert_trajectories(configs, constraints, campaign_ids) -> list[Trajectory]:
+    """Hindsight expert episodes, one per (config, constraints, campaign id)
+    campaign-day.
 
-    Solves the bid scale against the day's stream and rolls the market at
-    exactly that scale, so the episode reproduces the replay's won set.
+    Solves each day's bid scale against its stream and rolls every day at
+    exactly its scale, so each episode reproduces its replay's won set.
     """
-    stream = OpportunityStream(config)
-    solution = solve_multipliers(stream, constraints, a_max=config.a_max)
-    trajectory = run_episode(
-        constant_policy(solution.scale), config, constraints,
-        campaign_id=campaign_id, source="expert",
-        meta={
-            "expert_scale": solution.scale,
-            "feasible": bool(solution.feasible),
-            "replay_value": float(solution.summary.total_value),
-            "replay_spend": float(solution.summary.total_spend),
-        },
-    )
-    return trajectory
+    solutions = [solve_multipliers(OpportunityStream(c), k, a_max=c.a_max)
+                 for c, k in zip(configs, constraints, strict=True)]
+    scales = [sol.scale for sol in solutions]
+    trajectories = run_episodes(lambda states, actions, rewards: scales,
+                                configs, constraints, campaign_ids, source="expert")
+    for traj, sol in zip(trajectories, solutions):
+        traj.meta = {
+            "expert_scale": sol.scale,
+            "feasible": bool(sol.feasible),
+            "replay_value": float(sol.summary.total_value),
+            "replay_spend": float(sol.summary.total_spend),
+        }
+    return trajectories

@@ -8,6 +8,12 @@ an auction whose payment would exceed the remaining budget is forfeited, so
 episode spend never exceeds the budget.  Won impressions convert with
 probability ``value_j * cvr_profile[t]`` (clamped to 1), drawn from
 pre-seeded uniforms so episodes are fully reproducible.
+
+``MarketEnv`` steps a batch of such episodes in lockstep, one row per
+campaign-day, and ``run_episodes`` is the one rollout: offline logging,
+hindsight expert episodes and evaluation each roll all of their days in
+one call.  Every row is scanned on its own, in stream order, so a day's
+outcome does not depend on the other days in its batch.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from bagbid import _kernels
-from bagbid.trajectory import STATE_DIM, CampaignConstraints, Trajectory
+from bagbid.trajectory import STATE_DIM, Trajectory
 
 log = logging.getLogger(__name__)
 
@@ -112,10 +118,7 @@ class OpportunityStream:
         self.values = np.clip(values, eps, 1.0 - 1e-12)
         self.comp_bids = rng.lognormal(mean=mu, sigma=sigma, size=m)
         self.conv_draws = rng.random(m)
-        self.step_index = np.repeat(np.arange(t_steps), n)
-        self.eff_values = np.minimum(
-            self.values * config.cvr_profile[self.step_index], 1.0
-        )
+        self.eff_values = np.minimum(self.values * np.repeat(config.cvr_profile, n), 1.0)
         self.step_mean_values = self.values.reshape(t_steps, n).mean(axis=1)
 
     @property
@@ -128,167 +131,116 @@ class OpportunityStream:
 
 
 class MarketEnv:
-    """Sequential episode interface over a pre-drawn opportunity stream."""
+    """A batch of episodes stepped in lockstep, one row per (config,
+    constraints) campaign-day; the rows share the episode length T.
 
-    def __init__(self, config: MarketConfig, constraints: CampaignConstraints):
-        config.validate()
-        self.config = config
-        self.constraints = constraints
-        self.stream = OpportunityStream(config)
-        self.reset()
+    ``states`` (n, T+1, STATE_DIM) holds the features observed before each
+    step and after the last one; ``actions`` (as applied, after clamping),
+    ``rewards`` (conversions), ``spends`` and ``values`` (expected value
+    won) are (n, T).  ``t`` is the next step to auction.
+    """
 
-    def reset(self):
+    def __init__(self, configs, constraints):
+        if len(configs) != len(constraints):
+            raise MarketInputError(f"{len(configs)} configs for {len(constraints)} constraints")
+        lengths = {c.steps_per_episode for c in configs}
+        if len(lengths) != 1:
+            raise MarketInputError(f"lockstep episodes need one episode length, got {lengths}")
+        (t_steps,) = lengths
+        n = len(configs)
+        for c in configs:
+            c.validate()
+        self.streams = [OpportunityStream(c) for c in configs]
+        self.a_max = [float(c.a_max) for c in configs]
+        self.budgets = np.array([k.budget for k in constraints], dtype=np.float64)
+        self.opportunities = np.array([c.opportunities_per_step for c in configs],
+                                      dtype=np.float64)
+        self.cvr_profiles = np.stack([c.cvr_profile for c in configs])
+        self.step_means = np.stack([s.step_mean_values for s in self.streams])
+        self.states = np.empty((n, t_steps + 1, STATE_DIM))
+        self.actions = np.empty((n, t_steps))
+        self.rewards = np.empty((n, t_steps))
+        self.spends = np.empty((n, t_steps))
+        self.values = np.empty((n, t_steps))
+        self.remaining = self.budgets.copy()
+        self.wins = np.zeros(n)  # counts, exact in float64
+        self.total_spend = np.zeros(n)
+        self.total_value = np.zeros(n)
         self.t = 0
-        self.remaining = self.constraints.budget
-        self.total_wins = 0
-        self.total_spend = 0.0
-        self.total_value = 0.0
-        self.last_spend = 0.0
-        self.last_mean_value = 0.0
-        self.states = []
-        self.actions = []
-        self.rewards = []
-        self.spends = []
-        self.values = []
-        return self.observe()
+        self._observe()
 
-    @property
-    def done(self) -> bool:
-        return self.t >= self.config.steps_per_episode
+    def _observe(self):
+        """Fill ``states[:, t]``, the features seen before acting at step t."""
+        t, t_steps = self.t, self.actions.shape[1]
+        s = self.states[:, t]
+        s[:, 0] = t / t_steps
+        s[:, 1] = self.remaining / self.budgets
+        s[:, 2] = (self.spends[:, t - 1] if t else 0.0) * t_steps / self.budgets
+        s[:, 3] = self.wins / (t * self.opportunities) if t else 0.0
+        s[:, 4] = self.total_spend / np.maximum(self.wins, 1.0)  # no wins, no spend
+        s[:, 5] = self.step_means[:, t - 1] if t else 0.0
+        s[:, 6] = self.cvr_profiles[:, t] if t < t_steps else 0.0
+        s[:, 7] = self.total_value / self.budgets
 
-    def observe(self) -> np.ndarray:
-        """State features seen before acting at the current step."""
-        cfg = self.config
-        budget = self.constraints.budget
-        auctions_so_far = self.t * cfg.opportunities_per_step
-        s = np.empty(STATE_DIM, dtype=np.float64)
-        s[0] = self.t / cfg.steps_per_episode
-        s[1] = self.remaining / budget
-        s[2] = self.last_spend * cfg.steps_per_episode / budget
-        s[3] = self.total_wins / auctions_so_far if auctions_so_far else 0.0
-        s[4] = self.total_spend / self.total_wins if self.total_wins else 0.0
-        s[5] = self.last_mean_value
-        s[6] = cfg.cvr_profile[self.t] if self.t < cfg.steps_per_episode else 0.0
-        s[7] = self.total_value / budget
-        return s
+    def step(self, actions):
+        """Auction step t's opportunities of every row at its bid scale.
 
-    def step(self, action):
-        """Auction the current step's opportunities at a bid scale.
-
-        Returns (next_state, step_reward, step_spend).  Out-of-range
-        actions are clamped with a warning rather than rejected.
+        Out-of-range actions are clamped to ``[0, a_max]`` with one warning
+        each rather than rejected.  Each row is scanned on its own, in
+        stream order, so its outcome does not depend on the other rows.
         """
-        if self.done:
+        t = self.t
+        if t == self.actions.shape[1]:
             raise MarketInputError("episode already finished")
-        if not math.isfinite(action):
-            raise MarketInputError(f"action must be finite, got {action}")
-        if action < 0.0 or action > self.config.a_max:
-            log.warning(
-                "action %.6g outside [0, %g]; clamping", action, self.config.a_max
+        if len(actions) != len(self.streams):
+            raise MarketInputError(f"{len(actions)} actions for {len(self.streams)} episodes")
+        applied = []
+        for action, a_max in zip(map(float, actions), self.a_max):
+            if not math.isfinite(action):
+                raise MarketInputError(f"action must be finite, got {action}")
+            if action < 0.0 or action > a_max:
+                log.warning("action %.6g outside [0, %g]; clamping", action, a_max)
+                action = min(max(action, 0.0), a_max)
+            applied.append(action)
+        self.actions[:, t] = applied
+
+        for i, (stream, action) in enumerate(zip(self.streams, applied)):
+            sl = stream.step_slice(t)
+            # the kernel decrements the budget win by win, which keeps the
+            # budget path bit-identical to a whole-stream replay at one scale
+            wins, spend, conversions, value, self.remaining[i] = _kernels.step_scan(
+                action, stream.values[sl], stream.comp_bids[sl], stream.eff_values[sl],
+                stream.conv_draws[sl], float(self.remaining[i]),
             )
-            action = min(max(action, 0.0), self.config.a_max)
-
-        state = self.observe()
-        sl = self.stream.step_slice(self.t)
-        wins, spend, conversions, value, remaining = _kernels.step_scan(
-            float(action),
-            self.stream.values[sl],
-            self.stream.comp_bids[sl],
-            self.stream.eff_values[sl],
-            self.stream.conv_draws[sl],
-            self.remaining,
-        )
-
-        self.states.append(state)
-        self.actions.append(float(action))
-        self.rewards.append(float(conversions))
-        self.spends.append(spend)
-        self.values.append(value)
-
-        # Take the kernel's sequentially decremented budget rather than
-        # subtracting the step sum: keeps the budget path bit-identical to
-        # a whole-stream replay at the same scale.
-        self.remaining = remaining
-        self.total_wins += wins
-        self.total_spend += spend
-        self.total_value += value
-        self.last_spend = spend
-        self.last_mean_value = float(self.stream.step_mean_values[self.t])
+            self.wins[i] += wins
+            self.rewards[i, t], self.spends[i, t], self.values[i, t] = conversions, spend, value
+        self.total_spend += self.spends[:, t]
+        self.total_value += self.values[:, t]
         self.t += 1
-        return self.observe(), int(conversions), spend
-
-    def trajectory(self, campaign_id="c0", source="policy", meta=None) -> Trajectory:
-        if not self.done:
-            raise MarketInputError("episode not finished")
-        return Trajectory(
-            campaign_id=campaign_id,
-            seed=self.config.seed,
-            constraints=self.constraints,
-            states=np.asarray(self.states),
-            actions=np.asarray(self.actions),
-            rewards=np.asarray(self.rewards),
-            spends=np.asarray(self.spends),
-            values=np.asarray(self.values),
-            source=source,
-            meta=meta or {},
-        )
+        self._observe()
 
 
-def run_episodes(policy, configs, constraints, campaign_ids, source="policy",
-                 meta=None) -> list[Trajectory]:
+def run_episodes(policy, configs, constraints, campaign_ids,
+                 source="policy") -> list[Trajectory]:
     """Roll one episode per (config, constraints, campaign id) in lockstep.
 
     Every step calls ``policy(states, actions, rewards)`` once for all n
-    episodes: ``states`` (n, t+1, STATE_DIM) holds observations up to and
-    including the current step, ``actions`` and ``rewards`` (n, t) hold
-    the completed steps, actions as applied after clamping to
-    ``[0, a_max]``; it returns n bid scales.  Each episode is then
-    stepped on its own ``MarketEnv``, so its scan stays sequential and
-    its outcome does not depend on the others.  The episodes must share
-    one episode length.
+    episodes with the batch ``MarketEnv``'s history: ``states``
+    (n, t+1, STATE_DIM) up to and including the current step, ``actions``
+    (as applied after clamping to ``[0, a_max]``) and ``rewards`` (n, t)
+    of the completed steps; it returns n bid scales.  Each trajectory is
+    one row of the batch.
     """
-    envs = [MarketEnv(c, k) for c, k in zip(configs, constraints, strict=True)]
-    if len(campaign_ids) != len(envs):
-        raise MarketInputError(f"{len(campaign_ids)} campaign ids for {len(envs)} episodes")
-    lengths = {env.config.steps_per_episode for env in envs}
-    if len(lengths) != 1:
-        raise MarketInputError(f"lockstep episodes need one episode length, got {lengths}")
-    (t_steps,) = lengths
-    n = len(envs)
-    states = np.empty((n, t_steps + 1, STATE_DIM))
-    actions = np.empty((n, t_steps))
-    rewards = np.empty((n, t_steps))
-    for i, env in enumerate(envs):
-        states[i, 0] = env.observe()
+    if len(campaign_ids) != len(configs):
+        raise MarketInputError(f"{len(campaign_ids)} campaign ids for {len(configs)} episodes")
+    env = MarketEnv(configs, constraints)
+    t_steps = env.actions.shape[1]
     for t in range(t_steps):
-        bids = policy(states[:, :t + 1], actions[:, :t], rewards[:, :t])
-        if len(bids) != n:
-            raise MarketInputError(f"policy returned {len(bids)} actions for {n} episodes")
-        for i, (env, bid) in enumerate(zip(envs, bids)):
-            states[i, t + 1], rewards[i, t], _ = env.step(float(bid))
-            actions[i, t] = env.actions[-1]  # the bid as clamped and applied
-    return [env.trajectory(campaign_id=cid, source=source, meta=dict(meta or {}))
-            for env, cid in zip(envs, campaign_ids)]
-
-
-def run_episode(policy, config: MarketConfig, constraints: CampaignConstraints,
-                campaign_id="c0", source="policy", meta=None) -> Trajectory:
-    """Roll one full episode under a single-episode ``policy``.
-
-    The policy is called as ``policy(states, actions, rewards)`` with one
-    episode's rows of the ``run_episodes`` buffers and returns one bid
-    scale.
-    """
-    def batched(states, actions, rewards):
-        return (policy(states[0], actions[0], rewards[0]),)
-
-    (trajectory,) = run_episodes(batched, [config], [constraints], [campaign_id],
-                                 source=source, meta=meta)
-    return trajectory
-
-
-def constant_policy(scale: float):
-    """Policy that bids a fixed scale at every step."""
-    def policy(states, actions, rewards):
-        return scale
-    return policy
+        env.step(policy(env.states[:, :t + 1], env.actions[:, :t], env.rewards[:, :t]))
+    return [
+        Trajectory(campaign_id=cid, seed=cfg.seed, constraints=k,
+                   states=env.states[i, :t_steps], actions=env.actions[i],
+                   rewards=env.rewards[i], spends=env.spends[i], values=env.values[i],
+                   source=source)
+        for i, (cfg, k, cid) in enumerate(zip(configs, constraints, campaign_ids))
+    ]

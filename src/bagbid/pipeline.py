@@ -43,11 +43,10 @@ from bagbid.discriminator import (
     sigmoid,
     train_discriminator,
 )
-from bagbid.expert import ROS_SLACK, generate_expert_trajectory, solve_multipliers
+from bagbid.expert import ROS_SLACK, generate_expert_trajectories, solve_multipliers
 from bagbid.market import (
     MarketConfig,
     OpportunityStream,
-    run_episode,
     run_episodes,
     sinusoid_cvr_profile,
 )
@@ -192,6 +191,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
+        for section in ("market", "behavior", "model", "disc"):
+            if not isinstance(d.get(section, {}), dict):
+                raise ConfigError(f"{section} must be a JSON object")
+        campaigns = d.get("campaigns", [])
+        if not isinstance(campaigns, list) or not all(isinstance(c, dict) for c in campaigns):
+            raise ConfigError("campaigns must be a list of JSON objects")
         d = dict(d)
         if "market" in d:
             d["market"] = MarketSettings(**_tupled(d["market"]))
@@ -296,61 +303,60 @@ def market_config_for(exp: ExperimentConfig, campaign_idx: int, seed: int) -> Ma
 # ---------------------------------------------------------------------------
 
 
-def _behavior_policy(kind: str, rng, expert_scale: float, b: BehaviorSettings,
-                     a_max: float):
-    if kind == "random":
-        def policy(states, actions, rewards):
-            return min(float(rng.uniform(b.random_low, b.random_high)), a_max)
-    elif kind == "fixed":
-        def policy(states, actions, rewards):
-            return min(b.fixed_scale, a_max)
-    elif kind == "noisy_expert":
-        def policy(states, actions, rewards):
-            return min(float(expert_scale * rng.lognormal(0.0, b.noise_sigma)), a_max)
-    else:
-        raise ConfigError(f"unknown behavior policy {kind!r}")
-    return policy
-
-
 _BEHAVIOR_KINDS = ("random", "fixed", "noisy_expert")
 
 
+def _train_days(exp: ExperimentConfig):
+    """Every training day, campaign-major: its (campaign index, episode
+    index), and the market configs, constraints and campaign ids that
+    ``run_episodes`` takes."""
+    keys = [(ci, ei) for ci in range(len(exp.campaigns))
+            for ei in range(exp.train_episodes_per_campaign)]
+    return (keys,
+            [market_config_for(exp, ci, train_seed(exp, ci, ei)) for ci, ei in keys],
+            [exp.campaigns[ci].constraints for ci, _ in keys],
+            [exp.campaigns[ci].campaign_id for ci, _ in keys])
+
+
 def gen_offline_data(exp: ExperimentConfig) -> list:
-    """Mixed-policy behavior episodes for every campaign and train seed."""
-    out = []
-    for ci, camp in enumerate(exp.campaigns):
-        for ei in range(exp.train_episodes_per_campaign):
-            seed = train_seed(exp, ci, ei)
-            cfg = market_config_for(exp, ci, seed)
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((exp.seed, 11, ci, ei)))
-            )
-            kind = _BEHAVIOR_KINDS[rng.choice(3, p=exp.behavior.mix)]
-            expert_scale = 0.0
-            if kind == "noisy_expert":
-                stream = OpportunityStream(cfg)
-                sol = solve_multipliers(stream, camp.constraints, a_max=cfg.a_max)
-                expert_scale = sol.scale
-            policy = _behavior_policy(kind, rng, expert_scale, exp.behavior, cfg.a_max)
-            traj = run_episode(
-                policy, cfg, camp.constraints,
-                campaign_id=camp.campaign_id, source=kind,
-            )
-            out.append(traj)
-    return out
+    """Mixed-policy behavior episodes for every campaign and train seed,
+    all rolled in one ``run_episodes`` batch.
+
+    Each day has its own generator, seeded by (seed, 11, campaign index,
+    episode index).  It draws the day's logger (random, fixed or
+    noisy-expert) and then, step by step, the day's bids, so no day's
+    episode depends on the other days.
+    """
+    b = exp.behavior
+    keys, configs, constraints, campaign_ids = _train_days(exp)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((exp.seed, 11, ci, ei))))
+            for ci, ei in keys]
+    kinds = [_BEHAVIOR_KINDS[rng.choice(3, p=b.mix)] for rng in rngs]
+    scales = [solve_multipliers(OpportunityStream(cfg), k, a_max=cfg.a_max).scale
+              if kind == "noisy_expert" else 0.0
+              for cfg, k, kind in zip(configs, constraints, kinds)]
+
+    def bid(rng, kind, expert_scale):
+        if kind == "random":
+            return float(rng.uniform(b.random_low, b.random_high))
+        if kind == "fixed":
+            return b.fixed_scale
+        return float(expert_scale * rng.lognormal(0.0, b.noise_sigma))
+
+    def policy(states, actions, rewards):
+        return [min(bid(*day), exp.market.a_max) for day in zip(rngs, kinds, scales)]
+
+    trajs = run_episodes(policy, configs, constraints, campaign_ids)
+    for traj, kind in zip(trajs, kinds):
+        traj.source = kind
+    return trajs
 
 
 def gen_expert_data(exp: ExperimentConfig) -> list:
-    """Hindsight expert episodes on the same campaign/seed grid."""
-    out = []
-    for ci, camp in enumerate(exp.campaigns):
-        for ei in range(exp.train_episodes_per_campaign):
-            seed = train_seed(exp, ci, ei)
-            cfg = market_config_for(exp, ci, seed)
-            out.append(
-                generate_expert_trajectory(cfg, camp.constraints, campaign_id=camp.campaign_id)
-            )
-    return out
+    """Hindsight expert episodes on the same campaign/seed grid, all
+    rolled in one ``run_episodes`` batch."""
+    _, *days = _train_days(exp)
+    return generate_expert_trajectories(*days)
 
 
 def _sha256(path) -> str:

@@ -10,10 +10,10 @@ from bagbid.expert import (
     ROS_SLACK,
     ReplaySummary,
     _replay_scale,
-    generate_expert_trajectory,
+    generate_expert_trajectories,
     solve_multipliers,
 )
-from bagbid.market import MarketConfig, OpportunityStream, run_episode, constant_policy
+from bagbid.market import OpportunityStream, run_episodes
 from bagbid.trajectory import CampaignConstraints
 
 # The dual-multiplier form of the expert bid and an exhaustive optimum,
@@ -311,16 +311,20 @@ class TestSolveMultipliers:
 class TestExpertTrajectory:
     def test_expert_beats_behavior_on_matched_seed(self, small_config):
         constraints = CampaignConstraints(budget=3.0, ros_bound=6.0)
-        expert = generate_expert_trajectory(small_config, constraints)
-        behavior = run_episode(constant_policy(0.7), small_config, constraints)
+        (expert,) = generate_expert_trajectories([small_config], [constraints], ["c0"])
+        (behavior,) = run_episodes(lambda states, actions, rewards: [0.7],
+                                   [small_config], [constraints], ["c0"])
         assert expert.total_value >= behavior.total_value
 
     def test_feasibility_audit(self, small_config):
+        """Twenty days rolled in one batch, each feasible and on its
+        replay's value."""
         constraints = CampaignConstraints(budget=2.5, ros_bound=4.0)
-        for seed in range(20):
-            cfg = dataclasses.replace(small_config, seed=seed)
-            traj = generate_expert_trajectory(cfg, constraints)
-            assert traj.meta["feasible"]
+        configs = [dataclasses.replace(small_config, seed=seed) for seed in range(20)]
+        trajs = generate_expert_trajectories(configs, [constraints] * 20, ["c0"] * 20)
+        assert [t.seed for t in trajs] == list(range(20))
+        for traj in trajs:
+            assert traj.source == "expert" and traj.meta["feasible"]
             assert abs(traj.total_value - traj.meta["replay_value"]) <= 1e-9
             assert traj.total_spend <= constraints.budget + 1e-9
             if traj.total_value > 0:
@@ -328,16 +332,21 @@ class TestExpertTrajectory:
 
     def test_effectively_zero_budget(self, small_config):
         constraints = CampaignConstraints(budget=1e-12, ros_bound=1.0)
-        traj = generate_expert_trajectory(small_config, constraints)
+        (traj,) = generate_expert_trajectories([small_config], [constraints], ["c0"])
         assert traj.total_spend <= 1e-12
 
     def test_episode_reproduces_replay(self, small_config):
         """The constant-scale episode must land exactly on the solver's
-        replay summary (same won set)."""
+        replay summary (same won set), also beside other days."""
         constraints = CampaignConstraints(budget=3.0, ros_bound=6.0)
         stream = OpportunityStream(small_config)
         sol = solve_multipliers(stream, constraints, a_max=small_config.a_max)
-        traj = generate_expert_trajectory(small_config, constraints)
+        other = dataclasses.replace(small_config, seed=7)
+        trajs = generate_expert_trajectories(
+            [other, small_config], [CampaignConstraints(0.5, 6.0), constraints], ["c1", "c0"])
+        traj = trajs[1]
+        assert traj.meta["expert_scale"] == sol.scale
+        assert np.all(traj.actions == sol.scale)
         assert traj.total_spend == pytest.approx(sol.summary.total_spend, abs=1e-9)
         assert traj.total_value == pytest.approx(sol.summary.total_value, abs=1e-9)
 

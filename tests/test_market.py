@@ -6,13 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from bagbid import _kernels
 from bagbid.market import (
     MarketConfig,
     MarketEnv,
     MarketInputError,
     OpportunityStream,
-    constant_policy,
-    run_episode,
     run_episodes,
     sinusoid_cvr_profile,
 )
@@ -108,23 +107,36 @@ class TestRunAuction:
             run_auction(float("inf"), opp, 0.5, flat_profile(1))
 
 
+def constant(scales):
+    """Lockstep policy bidding ``scales`` (one per episode, or one for all)
+    at every step."""
+    return lambda states, actions, rewards: np.broadcast_to(scales, len(states))
+
+
+def roll(scale, config, constraints, campaign_id="c0", source="policy"):
+    """One episode at a constant bid scale."""
+    (traj,) = run_episodes(constant(scale), [config], [constraints], [campaign_id],
+                           source=source)
+    return traj
+
+
 class TestStep:
     def test_zero_action_zero_everything(self, small_config, constraints):
-        env = MarketEnv(small_config, constraints)
-        _, reward, spend = env.step(0.0)
-        assert reward == 0 and spend == 0.0
+        env = MarketEnv([small_config], [constraints])
+        env.step([0.0])
+        assert env.rewards[0, 0] == 0 and env.spends[0, 0] == 0.0
 
     def test_exhausted_budget_spends_nothing(self, small_config):
-        env = MarketEnv(small_config, CampaignConstraints(budget=1e-12, ros_bound=1.0))
+        env = MarketEnv([small_config], [CampaignConstraints(budget=1e-12, ros_bound=1.0)])
         for _ in range(small_config.steps_per_episode):
-            _, _, spend = env.step(5.0)
-            assert spend == 0.0
+            env.step([5.0])
+        assert (env.spends == 0.0).all()
 
     def test_spend_matches_replay_oracle(self, small_config, constraints):
         """Independent pure-python replay of the same seeded stream."""
-        env = MarketEnv(small_config, constraints)
+        env = MarketEnv([small_config], [constraints])
         action = 1.0
-        _, _, spend0 = env.step(action)
+        env.step([action])
 
         stream = OpportunityStream(small_config)
         sl = stream.step_slice(0)
@@ -134,53 +146,62 @@ class TestStep:
             if action * v > c and c <= remaining:
                 expected += c
                 remaining -= c
-        assert spend0 == expected
+        assert env.spends[0, 0] == expected
 
     def test_mean_value_feature_is_step_slice_mean(self, small_config, constraints):
         """The precomputed per-step mean equals the mean of the step's
         slice bitwise, so the state feature did not change."""
-        env = MarketEnv(small_config, constraints)
+        env = MarketEnv([small_config], [constraints])
         stream = OpportunityStream(small_config)
         for t in range(small_config.steps_per_episode):
-            state, _, _ = env.step(1.0)
-            assert state[5] == stream.values[stream.step_slice(t)].mean()
+            env.step([1.0])
+            assert env.states[0, t + 1, 5] == stream.values[stream.step_slice(t)].mean()
 
     def test_action_clamped_with_warning(self, small_config, constraints, caplog):
-        env = MarketEnv(small_config, constraints)
+        """Each out-of-range action is clamped to [0, a_max] with its own
+        warning; in-range actions are applied as given."""
+        env = MarketEnv([small_config] * 3, [constraints] * 3)
         with caplog.at_level("WARNING"):
-            env.step(small_config.a_max + 5.0)
-        assert any("clamping" in r.message for r in caplog.records)
-        assert env.actions[0] == small_config.a_max
+            env.step([small_config.a_max + 5.0, 1.5, -2.0])
+        assert sum("clamping" in r.message for r in caplog.records) == 2
+        assert env.actions[:, 0].tolist() == [small_config.a_max, 1.5, 0.0]
 
     def test_step_after_done_rejected(self, small_config, constraints):
-        env = MarketEnv(small_config, constraints)
+        env = MarketEnv([small_config], [constraints])
         for _ in range(small_config.steps_per_episode):
-            env.step(0.0)
+            env.step([0.0])
         with pytest.raises(MarketInputError):
-            env.step(0.0)
+            env.step([0.0])
+
+    def test_bad_actions_rejected(self, small_config, constraints):
+        env = MarketEnv([small_config] * 2, [constraints] * 2)
+        for actions in ([1.0], [1.0, float("nan")], [float("inf"), 1.0]):
+            with pytest.raises(MarketInputError):
+                env.step(actions)
+        assert env.t == 0
 
 
 class TestRunEpisode:
     def test_zero_policy(self, small_config, constraints):
-        traj = run_episode(constant_policy(0.0), small_config, constraints)
+        traj = roll(0.0, small_config, constraints)
         assert traj.total_reward == 0.0 and traj.total_spend == 0.0
 
     def test_determinism_byte_for_byte(self, small_config, constraints):
-        t1 = run_episode(constant_policy(1.3), small_config, constraints)
-        t2 = run_episode(constant_policy(1.3), small_config, constraints)
+        t1 = roll(1.3, small_config, constraints)
+        t2 = roll(1.3, small_config, constraints)
         assert json.dumps(t1.to_json_dict()) == json.dumps(t2.to_json_dict())
 
     def test_budget_accounting_oracle(self, small_config):
         """Recompute spend from the trajectory record; total stays within
         budget."""
         constraints = CampaignConstraints(budget=2.0, ros_bound=6.0)
-        traj = run_episode(constant_policy(1.0), small_config, constraints)
+        traj = roll(1.0, small_config, constraints)
         assert traj.spends.sum() <= constraints.budget + 1e-9
         # the recorded per-step spends are what the totals claim
         assert traj.total_spend == traj.spends.sum()
 
     def test_episode_shape(self, small_config, constraints):
-        traj = run_episode(constant_policy(1.0), small_config, constraints)
+        traj = roll(1.0, small_config, constraints)
         t = small_config.steps_per_episode
         assert traj.states.shape == (t, 8)
         for arr in (traj.actions, traj.rewards, traj.spends, traj.values):
@@ -190,12 +211,14 @@ class TestRunEpisode:
         seen = []
 
         def policy(states, actions, rewards):
-            seen.append((len(states), len(actions), len(rewards)))
-            return 0.5
+            seen.append((states.shape, actions.shape, rewards.shape))
+            return np.full(len(states), 0.5)
 
-        run_episode(policy, small_config, constraints)
-        assert seen[0] == (1, 0, 0)
-        assert seen[-1] == (small_config.steps_per_episode, len(seen) - 1, len(seen) - 1)
+        run_episodes(policy, [small_config] * 2, [constraints] * 2, ["c0", "c1"])
+        t = small_config.steps_per_episode
+        assert len(seen) == t
+        assert seen[0] == ((2, 1, 8), (2, 0), (2, 0))
+        assert seen[-1] == ((2, t, 8), (2, t - 1), (2, t - 1))
 
 
 class TestRunEpisodes:
@@ -208,10 +231,13 @@ class TestRunEpisodes:
 
         short = MarketConfig(steps_per_episode=12, opportunities_per_step=20,
                              cvr_profile=np.ones(12), seed=1)
-        for configs, ids in [([small_config, small_config], ["c0"]),
-                             ([small_config, short], ["c0", "c1"])]:
+        for configs, constraint_list, ids in [
+            ([small_config, small_config], [constraints] * 2, ["c0"]),
+            ([small_config, short], [constraints] * 2, ["c0", "c1"]),
+            ([small_config, small_config], [constraints], ["c0", "c1"]),
+        ]:
             with pytest.raises(MarketInputError):
-                run_episodes(policy, configs, [constraints] * 2, ids)
+                run_episodes(policy, configs, constraint_list, ids)
         with pytest.raises(MarketInputError):
             run_episodes(lambda s, a, r: np.zeros(1), [small_config] * 2,
                          [constraints] * 2, ["c0", "c1"])
@@ -231,27 +257,65 @@ class TestRunEpisodes:
         assert np.array_equal(traj.actions, np.full(cfg.steps_per_episode, 2.0))
         assert np.array_equal(seen[-1][0], traj.actions[:-1])
 
+    def test_batch_rows_equal_days_rolled_alone(self, small_config, monkeypatch, caplog):
+        """A day rolled in a lockstep batch equals, field for field, the
+        same day rolled alone.  The batch mixes two campaigns' CVR
+        profiles, a budget that forfeits and a row whose bids are clamped;
+        the policy reads each row's own state."""
+        other = sinusoid_cvr_profile(24, phase=1.0, seed=9)
+        days = [
+            (small_config, CampaignConstraints(budget=8.0, ros_bound=6.0), "c0"),
+            (dataclasses.replace(small_config, seed=43, cvr_profile=other),
+             CampaignConstraints(budget=0.5, ros_bound=6.0), "c1"),
+            (dataclasses.replace(small_config, seed=44, a_max=2.0),
+             CampaignConstraints(budget=8.0, ros_bound=6.0), "c0"),
+            (dataclasses.replace(small_config, seed=45, cvr_profile=other),
+             CampaignConstraints(budget=3.0, ros_bound=6.0), "c1"),
+        ]
+
+        def policy(states, actions, rewards):
+            now = states[:, -1]
+            return 0.5 + 6.0 * now[:, 1] * now[:, 6] + rewards.sum(axis=1)
+
+        forfeits = []
+        step_scan = _kernels.step_scan
+
+        def counted(action, values, comp_bids, *rest):
+            out = step_scan(action, values, comp_bids, *rest)
+            forfeits.append(int(np.count_nonzero(action * values > comp_bids)) - out[0])
+            return out
+
+        monkeypatch.setattr(_kernels, "step_scan", counted)
+        with caplog.at_level("WARNING"):
+            batch = run_episodes(policy, *zip(*days), source="mixed")
+        assert np.reshape(forfeits, (-1, len(days))).sum(axis=0)[1] > 0
+        assert sum("clamping" in r.message for r in caplog.records) > 0
+        assert batch[2].actions.max() == 2.0
+
+        for (cfg, k, cid), traj in zip(days, batch):
+            (alone,) = run_episodes(policy, [cfg], [k], [cid], source="mixed")
+            assert traj.to_json_dict() == alone.to_json_dict()
+
 
 class TestInvariants:
     def test_budget_safety_random_policies(self, small_config, rng):
         constraints = CampaignConstraints(budget=1.5, ros_bound=6.0)
-        for seed in range(10):
-            cfg = dataclasses.replace(small_config, seed=seed)
+        configs = [dataclasses.replace(small_config, seed=seed) for seed in range(10)]
 
-            def policy(states, actions, rewards):
-                return float(rng.uniform(0, cfg.a_max))
+        def policy(states, actions, rewards):
+            return rng.uniform(0, small_config.a_max, size=len(states))
 
-            traj = run_episode(policy, cfg, constraints)
+        trajs = run_episodes(policy, configs, [constraints] * 10, ["c0"] * 10)
+        for traj in trajs:
             assert traj.spends.sum() <= constraints.budget + 1e-9
 
     def test_monotone_spend_ample_budget(self, small_config):
         """Without budget pressure the won set grows with the action, so
         spend is exactly non-decreasing."""
         constraints = CampaignConstraints(budget=1e9, ros_bound=1e9)
-        spends = [
-            run_episode(constant_policy(a), small_config, constraints).total_spend
-            for a in np.linspace(0.0, 8.0, 12)
-        ]
+        scales = np.linspace(0.0, 8.0, 12)
+        spends = [t.total_spend for t in run_episodes(
+            constant(scales), [small_config] * 12, [constraints] * 12, ["c0"] * 12)]
         assert all(b >= a for a, b in zip(spends, spends[1:]))
 
     def test_monotone_spend_binding_budget_within_granularity(self, small_config):
@@ -260,21 +324,20 @@ class TestInvariants:
         constraints = CampaignConstraints(budget=2.0, ros_bound=1e9)
         stream = OpportunityStream(small_config)
         max_payment = stream.comp_bids.max()
-        spends = [
-            run_episode(constant_policy(a), small_config, constraints).total_spend
-            for a in np.linspace(0.0, 8.0, 12)
-        ]
+        scales = np.linspace(0.0, 8.0, 12)
+        spends = [t.total_spend for t in run_episodes(
+            constant(scales), [small_config] * 12, [constraints] * 12, ["c0"] * 12)]
         assert all(b >= a - max_payment for a, b in zip(spends, spends[1:]))
 
     def test_conversion_rarity_default_params(self):
         cfg = MarketConfig(seed=11)
         constraints = CampaignConstraints(budget=1e9, ros_bound=1e9)
-        traj = run_episode(constant_policy(5.0), cfg, constraints)
+        traj = roll(5.0, cfg, constraints)
         n_opps = cfg.steps_per_episode * cfg.opportunities_per_step
         assert traj.total_reward / n_opps < 0.05
 
     def test_state_features_bounded(self, small_config, constraints):
-        traj = run_episode(constant_policy(2.0), small_config, constraints)
+        traj = roll(2.0, small_config, constraints)
         assert np.isfinite(traj.states).all()
         assert (traj.states[:, 0] >= 0).all() and (traj.states[:, 0] <= 1).all()
         assert (traj.states[:, 1] >= 0).all() and (traj.states[:, 1] <= 1).all()
@@ -299,8 +362,7 @@ class TestSerialization:
     def test_jsonl_roundtrip(self, small_config, constraints, tmp_path):
         from bagbid.trajectory import load_jsonl, save_jsonl
 
-        t1 = run_episode(constant_policy(1.7), small_config, constraints,
-                         campaign_id="c3", source="fixed")
+        t1 = roll(1.7, small_config, constraints, campaign_id="c3", source="fixed")
         path = tmp_path / "trajs.jsonl"
         save_jsonl([t1], path)
         (t2,) = load_jsonl(path)

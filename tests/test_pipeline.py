@@ -364,11 +364,10 @@ class TestRatioReport:
         assert sum(int(r["count"]) for r in rows) == summary["n"]
 
     def test_zero_action_policy_ratio_zero(self, tiny_experiment):
-        from bagbid.market import constant_policy, run_episode
-
         exp = tiny_experiment
         cfg = pl.market_config_for(exp, 0, pl.train_seed(exp, 0, 0))
-        traj = run_episode(constant_policy(0.0), cfg, exp.campaigns[0].constraints)
+        (traj,) = run_episodes(lambda states, actions, rewards: [0.0], [cfg],
+                               [exp.campaigns[0].constraints], ["c0"])
         rstar = pl._hindsight_value(exp, 0, cfg.seed, {})
         assert rstar > 0
         assert traj.total_value / rstar == 0.0
@@ -403,7 +402,14 @@ class TestCli:
         ('{"model": {"context_steps": 24}}', "model.context_steps=24 is shorter than "
                                              "market.steps_per_episode=48"),
         ('{"model": {"a_max": 5.0}}', "model.a_max=5.0 differs from market.a_max=10.0"),
-    ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch"])
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"market": [1]}', "market must be a JSON object"),
+        ('{"campaigns": [1]}', "campaigns must be a list of JSON objects"),
+        ('{"campaigns": 3}', "campaigns must be a list of JSON objects"),
+        ('{"model": 3}', "model must be a JSON object"),
+    ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
+            "top-level-list", "market-list", "campaign-number", "campaigns-number",
+            "model-number"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 
