@@ -1,10 +1,22 @@
-"""Auction-scan kernels: the sequential budget-forfeit scans that the
-expert's replay and every market step run.
+"""Auction-scan kernels: the budget-forfeit scans that the expert's
+replay and every market step run.
 
-Both scan opportunities in stream order with plain IEEE double arithmetic:
-a bid ``scale * value`` wins when it strictly exceeds the competitor bid,
-the winner pays the competitor bid, and a win whose payment exceeds the
-remaining budget is forfeited.
+Both follow opportunities in stream order with plain IEEE double
+arithmetic: a bid ``scale * value`` wins when it strictly exceeds the
+competitor bid, the winner pays the competitor bid, and a win whose
+payment exceeds the remaining budget is forfeited.
+
+``replay_scan`` covers a whole day (4800 opportunities at the default
+shape) in whole-array numpy: the won set is one comparison, and the budget
+path, spend and value are ``ufunc.accumulate`` left folds, which add and
+subtract in the same order as a loop and so give the same floats
+(``np.sum`` adds pairwise and would change the last bits).  On a 2-vCPU
+VM it takes 50-95 us per default day against 0.9-1.1 ms for the loop.
+
+``step_scan`` stays a loop: one market step has only 100 opportunities,
+and there the same array code measured 35 us per row against 24-25 us
+for the loop (the 768 rows of a default-shape gen-data and gen-expert
+run, same VM).
 """
 
 import sys
@@ -24,29 +36,36 @@ def replay_scan(scale, values, comp_bids, eff_values, budget):
     """Replay a constant bid scale over a whole stream under ``budget``.
 
     Returns (spend, value, wins, forfeits); value sums ``eff_values`` of
-    the wins.
+    the wins.  Bitwise equal to scanning the stream one opportunity at a
+    time: the budget path is a left fold over the winners' payments, cut
+    at each forfeit and resumed at the next winner that still fits, and
+    spend and value are left folds over the accepted wins.
     """
-    v = np.ascontiguousarray(values, dtype=np.float64).tolist()
-    c = np.ascontiguousarray(comp_bids, dtype=np.float64).tolist()
-    ev = np.ascontiguousarray(eff_values, dtype=np.float64).tolist()
-    scale = float(scale)
+    comp_bids = np.asarray(comp_bids, dtype=np.float64)
+    won = np.flatnonzero(float(scale) * np.asarray(values, dtype=np.float64) > comp_bids)
+    pays = comp_bids[won]
+    accepted = np.zeros(pays.size, dtype=bool)
     remaining = float(budget)
-    spend = 0.0
-    value = 0.0
-    wins = 0
-    forfeits = 0
-    for j in range(len(v)):
-        bid = scale * v[j]
-        if bid > c[j]:
-            pay = c[j]
-            if pay <= remaining:
-                remaining -= pay
-                spend += pay
-                value += ev[j]
-                wins += 1
-            else:
-                forfeits += 1
-    return spend, value, wins, forfeits
+    tail = np.arange(pays.size)
+    while tail.size:
+        tail_pays = pays[tail]
+        # remaining budget before each winner of the tail, folded left
+        before = np.subtract.accumulate(np.concatenate(([remaining], tail_pays)))[:-1]
+        fits = tail_pays <= before
+        first = int(fits.argmin())
+        if fits[first]:  # no forfeit in the rest of the stream
+            accepted[tail] = True
+            break
+        accepted[tail[:first]] = True
+        remaining = before[first]
+        # the budget only shrinks, so a winner it cannot pay now is forfeited
+        rest = tail[first + 1:]
+        tail = rest[pays[rest] <= remaining]
+    spend = np.add.accumulate(np.concatenate(([0.0], pays[accepted])))[-1]
+    value = np.add.accumulate(np.concatenate(
+        ([0.0], np.asarray(eff_values, dtype=np.float64)[won[accepted]])))[-1]
+    wins = int(np.count_nonzero(accepted))
+    return float(spend), float(value), wins, pays.size - wins
 
 
 def step_scan(action, values, comp_bids, eff_values, conv_draws, remaining):

@@ -15,7 +15,8 @@ therefore wins a prefix of the opportunities sorted by ratio, and the
 prefixes are the only outcomes to compare.  ``solve_multipliers`` scans
 them once and replays the chosen scale; ``generate_expert_trajectories``
 solves every day's scale and rolls all the days in one lockstep batch,
-each at its own constant scale.
+each at its own constant scale.  A day's ``OpportunityStream`` is built
+once and serves both its solve and its rollout.
 """
 
 from __future__ import annotations
@@ -98,18 +99,18 @@ def solve_multipliers(stream: OpportunityStream, constraints: CampaignConstraint
     return MultiplierSolution(scale=scale, feasible=False, summary=summary)
 
 
-def generate_expert_trajectories(configs, constraints, campaign_ids) -> list[Trajectory]:
-    """Hindsight expert episodes, one per (config, constraints, campaign id)
+def generate_expert_trajectories(streams, constraints, campaign_ids) -> list[Trajectory]:
+    """Hindsight expert episodes, one per (stream, constraints, campaign id)
     campaign-day.
 
-    Solves each day's bid scale against its stream and rolls every day at
-    exactly its scale, so each episode reproduces its replay's won set.
+    Solves each day's bid scale against its stream and rolls every day on
+    that same stream at exactly its scale, so each episode reproduces its
+    replay's won set.
     """
-    solutions = [solve_multipliers(OpportunityStream(c), k, a_max=c.a_max)
-                 for c, k in zip(configs, constraints, strict=True)]
+    solutions = [solve_multipliers(s, k) for s, k in zip(streams, constraints, strict=True)]
     scales = [sol.scale for sol in solutions]
     trajectories = run_episodes(lambda states, actions, rewards: scales,
-                                configs, constraints, campaign_ids, source="expert")
+                                streams, constraints, campaign_ids, source="expert")
     for traj, sol in zip(trajectories, solutions):
         traj.meta = {
             "expert_scale": sol.scale,

@@ -12,8 +12,10 @@ pre-seeded uniforms so episodes are fully reproducible.
 ``MarketEnv`` steps a batch of such episodes in lockstep, one row per
 campaign-day, and ``run_episodes`` is the one rollout: offline logging,
 hindsight expert episodes and evaluation each roll all of their days in
-one call.  Every row is scanned on its own, in stream order, so a day's
-outcome does not depend on the other days in its batch.
+one call.  Both take the days' ``OpportunityStream``s, which carry their
+configs, so a caller that also solves a day's hindsight optimum builds
+its stream once.  Every row is scanned on its own, in stream order, so a
+day's outcome does not depend on the other days in its batch.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class OpportunityStream:
 
 
 class MarketEnv:
-    """A batch of episodes stepped in lockstep, one row per (config,
+    """A batch of episodes stepped in lockstep, one row per (stream,
     constraints) campaign-day; the rows share the episode length T.
 
     ``states`` (n, T+1, STATE_DIM) holds the features observed before each
@@ -140,17 +142,18 @@ class MarketEnv:
     won) are (n, T).  ``t`` is the next step to auction.
     """
 
-    def __init__(self, configs, constraints):
-        if len(configs) != len(constraints):
-            raise MarketInputError(f"{len(configs)} configs for {len(constraints)} constraints")
+    def __init__(self, streams, constraints):
+        if len(streams) != len(constraints):
+            raise MarketInputError(f"{len(streams)} streams for {len(constraints)} constraints")
+        configs = [s.config for s in streams]
         lengths = {c.steps_per_episode for c in configs}
         if len(lengths) != 1:
             raise MarketInputError(f"lockstep episodes need one episode length, got {lengths}")
         (t_steps,) = lengths
-        n = len(configs)
+        n = len(streams)
         for c in configs:
             c.validate()
-        self.streams = [OpportunityStream(c) for c in configs]
+        self.streams = list(streams)
         self.a_max = [float(c.a_max) for c in configs]
         self.budgets = np.array([k.budget for k in constraints], dtype=np.float64)
         self.opportunities = np.array([c.opportunities_per_step for c in configs],
@@ -220,9 +223,9 @@ class MarketEnv:
         self._observe()
 
 
-def run_episodes(policy, configs, constraints, campaign_ids,
+def run_episodes(policy, streams, constraints, campaign_ids,
                  source="policy") -> list[Trajectory]:
-    """Roll one episode per (config, constraints, campaign id) in lockstep.
+    """Roll one episode per (stream, constraints, campaign id) in lockstep.
 
     Every step calls ``policy(states, actions, rewards)`` once for all n
     episodes with the batch ``MarketEnv``'s history: ``states``
@@ -231,16 +234,16 @@ def run_episodes(policy, configs, constraints, campaign_ids,
     of the completed steps; it returns n bid scales.  Each trajectory is
     one row of the batch.
     """
-    if len(campaign_ids) != len(configs):
-        raise MarketInputError(f"{len(campaign_ids)} campaign ids for {len(configs)} episodes")
-    env = MarketEnv(configs, constraints)
+    if len(campaign_ids) != len(streams):
+        raise MarketInputError(f"{len(campaign_ids)} campaign ids for {len(streams)} episodes")
+    env = MarketEnv(streams, constraints)
     t_steps = env.actions.shape[1]
     for t in range(t_steps):
         env.step(policy(env.states[:, :t + 1], env.actions[:, :t], env.rewards[:, :t]))
     return [
-        Trajectory(campaign_id=cid, seed=cfg.seed, constraints=k,
+        Trajectory(campaign_id=cid, seed=stream.config.seed, constraints=k,
                    states=env.states[i, :t_steps], actions=env.actions[i],
                    rewards=env.rewards[i], spends=env.spends[i], values=env.values[i],
                    source=source)
-        for i, (cfg, k, cid) in enumerate(zip(configs, constraints, campaign_ids))
+        for i, (stream, k, cid) in enumerate(zip(streams, constraints, campaign_ids))
     ]

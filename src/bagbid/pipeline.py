@@ -308,12 +308,13 @@ _BEHAVIOR_KINDS = ("random", "fixed", "noisy_expert")
 
 def _train_days(exp: ExperimentConfig):
     """Every training day, campaign-major: its (campaign index, episode
-    index), and the market configs, constraints and campaign ids that
-    ``run_episodes`` takes."""
+    index), and the opportunity streams, constraints and campaign ids that
+    ``run_episodes`` takes.  Each day's stream is built here once."""
     keys = [(ci, ei) for ci in range(len(exp.campaigns))
             for ei in range(exp.train_episodes_per_campaign)]
     return (keys,
-            [market_config_for(exp, ci, train_seed(exp, ci, ei)) for ci, ei in keys],
+            [OpportunityStream(market_config_for(exp, ci, train_seed(exp, ci, ei)))
+             for ci, ei in keys],
             [exp.campaigns[ci].constraints for ci, _ in keys],
             [exp.campaigns[ci].campaign_id for ci, _ in keys])
 
@@ -328,13 +329,12 @@ def gen_offline_data(exp: ExperimentConfig) -> list:
     episode depends on the other days.
     """
     b = exp.behavior
-    keys, configs, constraints, campaign_ids = _train_days(exp)
+    keys, streams, constraints, campaign_ids = _train_days(exp)
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((exp.seed, 11, ci, ei))))
             for ci, ei in keys]
     kinds = [_BEHAVIOR_KINDS[rng.choice(3, p=b.mix)] for rng in rngs]
-    scales = [solve_multipliers(OpportunityStream(cfg), k, a_max=cfg.a_max).scale
-              if kind == "noisy_expert" else 0.0
-              for cfg, k, kind in zip(configs, constraints, kinds)]
+    scales = [solve_multipliers(stream, k).scale if kind == "noisy_expert" else 0.0
+              for stream, k, kind in zip(streams, constraints, kinds)]
 
     def bid(rng, kind, expert_scale):
         if kind == "random":
@@ -346,7 +346,7 @@ def gen_offline_data(exp: ExperimentConfig) -> list:
     def policy(states, actions, rewards):
         return [min(bid(*day), exp.market.a_max) for day in zip(rngs, kinds, scales)]
 
-    trajs = run_episodes(policy, configs, constraints, campaign_ids)
+    trajs = run_episodes(policy, streams, constraints, campaign_ids)
     for traj, kind in zip(trajs, kinds):
         traj.source = kind
     return trajs
@@ -649,19 +649,17 @@ class EvalReport:
         return cls(method, rows)
 
 
-def _hindsight_value(exp: ExperimentConfig, ci: int, seed: int, cache: dict) -> float:
-    key = (ci, seed)
-    if key not in cache:
-        cfg = market_config_for(exp, ci, seed)
-        stream = OpportunityStream(cfg)
-        sol = solve_multipliers(stream, exp.campaigns[ci].constraints, a_max=cfg.a_max)
-        cache[key] = sol.summary.total_value
-    return cache[key]
+def _hindsight_value(stream: OpportunityStream, constraints: CampaignConstraints) -> float:
+    """r*: the replay value of the day's best constant bid scale."""
+    return solve_multipliers(stream, constraints).summary.total_value
 
 
 def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None) -> EvalReport:
     """Roll a trained method over every (campaign, period, seed) test day
-    in one lockstep batch and score each day against its r*."""
+    in one lockstep batch and score each day against its r*.
+
+    ``rstar_cache`` maps (campaign index, seed) to r*; a day missing from
+    it is solved on the stream it was rolled on and added."""
     spec = METHODS[normalize_method(method)]
     model = TrajectoryTransformer.load(exp.ckpt_path(spec.name))
     manual_target = model.loaded_meta.get("manual_target")
@@ -672,16 +670,19 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
         for period in range(exp.test_periods)
         for k in range(exp.test_seeds_per_period)
     ]
+    streams = [OpportunityStream(market_config_for(exp, ci, seed)) for ci, _, _, seed in days]
     trajs = run_episodes(
         make_inference_policy(model, manual_target=manual_target),
-        [market_config_for(exp, ci, seed) for ci, _, _, seed in days],
+        streams,
         [camp.constraints for _, camp, _, _ in days],
         [camp.campaign_id for _, camp, _, _ in days],
         source=spec.name,
     )
     rows = []
-    for (ci, camp, period, seed), traj in zip(days, trajs):
-        rstar = _hindsight_value(exp, ci, seed, cache)
+    for (ci, camp, period, seed), stream, traj in zip(days, streams, trajs):
+        if (ci, seed) not in cache:
+            cache[ci, seed] = _hindsight_value(stream, camp.constraints)
+        rstar = cache[ci, seed]
         value, spend = traj.total_value, traj.total_spend
         ros = spend / value if value > 0 else 0.0
         rows.append(
@@ -713,11 +714,12 @@ def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
     """Suboptimality of the offline corpus: achieved / hindsight-optimal
     expected conversions per episode, with a histogram over [0, 1]."""
     offline = load_jsonl(exp.offline_path)
-    cache: dict = {}
     idx = {c.campaign_id: i for i, c in enumerate(exp.campaigns)}
     ratios = []
     for t in offline:
-        rstar = _hindsight_value(exp, idx[t.campaign_id], t.seed, cache)
+        ci = idx[t.campaign_id]
+        rstar = _hindsight_value(OpportunityStream(market_config_for(exp, ci, t.seed)),
+                                 exp.campaigns[ci].constraints)
         ratios.append(t.total_value / rstar if rstar > 0 else 0.0)
     ratios = np.asarray(ratios)
 

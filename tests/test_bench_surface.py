@@ -50,3 +50,33 @@ def test_workload_runs_traced(workload, monkeypatch):
 
     result, report, _ = run.run(workload, seed=7, seconds=0, trace=True, scale="tiny")
     assert result["correct"], report
+
+
+def test_traced_datagen_scans_and_streams(monkeypatch):
+    """Through the benchmark's own tracer: each hindsight solve runs one
+    replay scan, and each stage builds one opportunity stream per day
+    (``_kernels.replay_scan``/``step_scan`` and ``OpportunityStream`` keep
+    the names and positional arguments the tracer wraps)."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import run
+    import workloads
+
+    result, report, tracer = run.run("datagen", seed=7, seconds=0, trace=True, scale="tiny")
+    assert result["correct"], report
+    metric = {k: v["value"] for k, v in result["metrics"].items()}
+    assert metric["expert.scans_per_solve"] == 1
+    assert metric["kernels.replay_scan_calls"] == metric["expert.solve_calls"] > 0
+
+    stages = ("pipeline.gen_data", "pipeline.gen_expert", "pipeline.ratio_report")
+    builds = {}  # stream builds per enclosing stage
+    for name, _, _, parent in tracer.spans:
+        if name == "market.stream_build":
+            while parent >= 0 and tracer.spans[parent][0] not in stages:
+                parent = tracer.spans[parent][3]
+            stage = tracer.spans[parent][0] if parent >= 0 else None
+            builds[stage] = builds.get(stage, 0) + 1
+    bodies = sum(name == "benchmark.body" for name, *_ in tracer.spans)
+    exp = workloads.experiment("unused", 7, "tiny", workloads.NOISY_EXPERT_ONLY)
+    days = len(pipeline.train_seeds(exp))
+    assert bodies >= 1
+    assert builds == dict.fromkeys(stages, days * bodies)

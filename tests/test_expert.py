@@ -311,17 +311,19 @@ class TestSolveMultipliers:
 class TestExpertTrajectory:
     def test_expert_beats_behavior_on_matched_seed(self, small_config):
         constraints = CampaignConstraints(budget=3.0, ros_bound=6.0)
-        (expert,) = generate_expert_trajectories([small_config], [constraints], ["c0"])
+        stream = OpportunityStream(small_config)
+        (expert,) = generate_expert_trajectories([stream], [constraints], ["c0"])
         (behavior,) = run_episodes(lambda states, actions, rewards: [0.7],
-                                   [small_config], [constraints], ["c0"])
+                                   [stream], [constraints], ["c0"])
         assert expert.total_value >= behavior.total_value
 
     def test_feasibility_audit(self, small_config):
         """Twenty days rolled in one batch, each feasible and on its
         replay's value."""
         constraints = CampaignConstraints(budget=2.5, ros_bound=4.0)
-        configs = [dataclasses.replace(small_config, seed=seed) for seed in range(20)]
-        trajs = generate_expert_trajectories(configs, [constraints] * 20, ["c0"] * 20)
+        streams = [OpportunityStream(dataclasses.replace(small_config, seed=seed))
+                   for seed in range(20)]
+        trajs = generate_expert_trajectories(streams, [constraints] * 20, ["c0"] * 20)
         assert [t.seed for t in trajs] == list(range(20))
         for traj in trajs:
             assert traj.source == "expert" and traj.meta["feasible"]
@@ -332,7 +334,8 @@ class TestExpertTrajectory:
 
     def test_effectively_zero_budget(self, small_config):
         constraints = CampaignConstraints(budget=1e-12, ros_bound=1.0)
-        (traj,) = generate_expert_trajectories([small_config], [constraints], ["c0"])
+        (traj,) = generate_expert_trajectories([OpportunityStream(small_config)],
+                                               [constraints], ["c0"])
         assert traj.total_spend <= 1e-12
 
     def test_episode_reproduces_replay(self, small_config):
@@ -341,9 +344,9 @@ class TestExpertTrajectory:
         constraints = CampaignConstraints(budget=3.0, ros_bound=6.0)
         stream = OpportunityStream(small_config)
         sol = solve_multipliers(stream, constraints, a_max=small_config.a_max)
-        other = dataclasses.replace(small_config, seed=7)
+        other = OpportunityStream(dataclasses.replace(small_config, seed=7))
         trajs = generate_expert_trajectories(
-            [other, small_config], [CampaignConstraints(0.5, 6.0), constraints], ["c1", "c0"])
+            [other, stream], [CampaignConstraints(0.5, 6.0), constraints], ["c1", "c0"])
         traj = trajs[1]
         assert traj.meta["expert_scale"] == sol.scale
         assert np.all(traj.actions == sol.scale)

@@ -1,11 +1,52 @@
 """Forfeiture semantics of the auction-scan kernels, checked against
-hand-worked cases and against each other."""
+hand-worked cases, against each other and, bit for bit, against a
+sequential scan written out here."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagbid import KERNEL_BACKEND, _kernels
 from bagbid.market import MarketConfig, OpportunityStream
+
+
+def sequential_replay(scale, values, comp_bids, eff_values, budget):
+    """``replay_scan`` one opportunity at a time: a win whose payment
+    exceeds the remaining budget is forfeited, and the scan goes on."""
+    remaining = float(budget)
+    spend = 0.0
+    value = 0.0
+    wins = 0
+    forfeits = 0
+    for v, c, ev in zip(np.asarray(values, dtype=np.float64).tolist(),
+                        np.asarray(comp_bids, dtype=np.float64).tolist(),
+                        np.asarray(eff_values, dtype=np.float64).tolist()):
+        if float(scale) * v > c:
+            if c <= remaining:
+                remaining -= c
+                spend += c
+                value += ev
+                wins += 1
+            else:
+                forfeits += 1
+    return spend, value, wins, forfeits
+
+
+def assert_replay_bitwise(scale, values, comp_bids, eff_values, budget):
+    """Every field of ``replay_scan`` equals the sequential scan's: the
+    same type and the same float, compared through ``repr``."""
+    got = _kernels.replay_scan(scale, values, comp_bids, eff_values, budget)
+    want = sequential_replay(scale, values, comp_bids, eff_values, budget)
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert [repr(x) for x in got] == [repr(x) for x in want], (got, want)
+    return got
+
+
+def _stream(seed, n):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = rng.beta(1.6, 90.0, n) + 1e-6
+    return values, rng.lognormal(-3.1, 0.9, n), rng.random(n)
 
 
 class TestSemantics:
@@ -13,22 +54,28 @@ class TestSemantics:
         values = np.array([0.5, 0.5, 0.5])
         comps = np.array([0.9, 0.5, 0.05])
         eff = values.copy()
-        spend, value, wins, forfeits = _kernels.replay_scan(10.0, values, comps, eff, 1.0)
+        spend, value, wins, forfeits = assert_replay_bitwise(10.0, values, comps, eff, 1.0)
         # wins 0.9, forfeits 0.5 (only 0.1 left), wins 0.05
         assert wins == 2 and forfeits == 1
         assert spend == pytest.approx(0.95)
 
     def test_tie_loses(self):
-        values = np.array([0.5])
-        comps = np.array([1.0])
-        spend, value, wins, forfeits = _kernels.replay_scan(2.0, values, comps, values, 10.0)
-        assert wins == 0 and spend == 0.0
+        values = np.array([0.5, 0.25, 0.375])
+        comps = np.array([1.0, 0.5, 0.75])
+        spend, value, wins, forfeits = assert_replay_bitwise(2.0, values, comps, values, 10.0)
+        assert (spend, wins, forfeits) == (0.0, 0, 0)
 
     def test_exact_budget_payment_allowed(self):
+        """A payment equal to the whole budget, or to what is left of it,
+        is paid; the next win is forfeited."""
         values = np.array([0.5])
         comps = np.array([1.0])
-        spend, *_ = _kernels.replay_scan(3.0, values, comps, values, 1.0)
+        spend, *_ = assert_replay_bitwise(3.0, values, comps, values, 1.0)
         assert spend == 1.0
+        values = np.full(4, 0.5)
+        comps = np.array([0.5, 0.25, 0.25, 0.125])
+        spend, _, wins, forfeits = assert_replay_bitwise(10.0, values, comps, values, 1.0)
+        assert (spend, wins, forfeits) == (1.0, 3, 1)
 
     @pytest.mark.parametrize("budget", [1.5, 0.3, 50.0])
     def test_chained_steps_equal_whole_replay(self, budget):
@@ -39,7 +86,7 @@ class TestSemantics:
                            cvr_profile=np.ones(12))
         stream = OpportunityStream(cfg)
         scale = 2.0
-        whole_spend, _, whole_wins, _ = _kernels.replay_scan(
+        whole_spend, _, whole_wins, _ = assert_replay_bitwise(
             scale, stream.values, stream.comp_bids, stream.eff_values, budget
         )
         remaining = budget
@@ -56,6 +103,56 @@ class TestSemantics:
         assert wins == whole_wins
         assert abs(spend - whole_spend) < 1e-12
         assert abs(remaining - (budget - whole_spend)) < 1e-12
+
+
+class TestReplayMatchesSequentialScan:
+    def test_no_forfeits(self):
+        values, comps, eff = _stream(0, 4800)
+        spend, _, wins, forfeits = assert_replay_bitwise(2.0, values, comps, eff, 1e9)
+        assert wins > 0 and forfeits == 0 and spend > 0.0
+
+    @pytest.mark.parametrize("budget", [0.0, 1e-12])
+    def test_zero_and_tiny_budget_forfeit_every_win(self, budget):
+        values, comps, eff = _stream(1, 500)
+        spend, _, wins, forfeits = assert_replay_bitwise(4.0, values, comps, eff, budget)
+        assert (spend, wins) == (0.0, 0) and forfeits > 0
+
+    @pytest.mark.parametrize("share", [0.05, 0.3, 0.7])
+    def test_budget_exhausted_mid_stream(self, share):
+        values, comps, eff = _stream(2, 4800)
+        budget = share * comps[5.0 * values > comps].sum()
+        spend, _, wins, forfeits = assert_replay_bitwise(5.0, values, comps, eff, budget)
+        assert wins > 0 and forfeits > 0 and spend <= budget
+
+    def test_scale_zero_wins_nothing(self):
+        values, comps, eff = _stream(3, 300)
+        assert assert_replay_bitwise(0.0, values, comps, eff, 10.0) == (0.0, 0.0, 0, 0)
+
+    def test_empty_stream(self):
+        empty = np.empty(0)
+        assert assert_replay_bitwise(1.0, empty, empty, empty, 1.0) == (0.0, 0.0, 0, 0)
+
+    def test_seeded_forfeit_heavy_streams(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        for seed in range(300):
+            values, comps, eff = _stream(seed, int(rng.integers(0, 400)))
+            scale = float(rng.choice([0.5, 2.0, 8.0]))
+            budget = float(rng.uniform(0.0, 0.5) * comps.sum())
+            assert_replay_bitwise(scale, values, comps, eff, budget)
+
+    # dyadic grids make ties and payments that land exactly on the budget
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+                                st.sampled_from([0.0625, 0.125, 0.25, 0.5, 1.0]),
+                                st.floats(0.0, 1.0)), max_size=60),
+        scale=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+        budget=st.one_of(st.sampled_from([0.0, 0.25, 0.375, 1.0, 2.5]),
+                         st.floats(0.0, 8.0)),
+    )
+    def test_random_dyadic_streams(self, rows, scale, budget):
+        values, comps, eff = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+        assert_replay_bitwise(scale, values, comps, eff, budget)
 
 
 def test_backend_reported():

@@ -115,30 +115,31 @@ def constant(scales):
 
 def roll(scale, config, constraints, campaign_id="c0", source="policy"):
     """One episode at a constant bid scale."""
-    (traj,) = run_episodes(constant(scale), [config], [constraints], [campaign_id],
-                           source=source)
+    (traj,) = run_episodes(constant(scale), [OpportunityStream(config)], [constraints],
+                           [campaign_id], source=source)
     return traj
 
 
 class TestStep:
     def test_zero_action_zero_everything(self, small_config, constraints):
-        env = MarketEnv([small_config], [constraints])
+        env = MarketEnv([OpportunityStream(small_config)], [constraints])
         env.step([0.0])
         assert env.rewards[0, 0] == 0 and env.spends[0, 0] == 0.0
 
     def test_exhausted_budget_spends_nothing(self, small_config):
-        env = MarketEnv([small_config], [CampaignConstraints(budget=1e-12, ros_bound=1.0)])
+        env = MarketEnv([OpportunityStream(small_config)],
+                        [CampaignConstraints(budget=1e-12, ros_bound=1.0)])
         for _ in range(small_config.steps_per_episode):
             env.step([5.0])
         assert (env.spends == 0.0).all()
 
     def test_spend_matches_replay_oracle(self, small_config, constraints):
         """Independent pure-python replay of the same seeded stream."""
-        env = MarketEnv([small_config], [constraints])
+        stream = OpportunityStream(small_config)
+        env = MarketEnv([stream], [constraints])
         action = 1.0
         env.step([action])
 
-        stream = OpportunityStream(small_config)
         sl = stream.step_slice(0)
         expected = 0.0
         remaining = constraints.budget
@@ -151,8 +152,8 @@ class TestStep:
     def test_mean_value_feature_is_step_slice_mean(self, small_config, constraints):
         """The precomputed per-step mean equals the mean of the step's
         slice bitwise, so the state feature did not change."""
-        env = MarketEnv([small_config], [constraints])
         stream = OpportunityStream(small_config)
+        env = MarketEnv([stream], [constraints])
         for t in range(small_config.steps_per_episode):
             env.step([1.0])
             assert env.states[0, t + 1, 5] == stream.values[stream.step_slice(t)].mean()
@@ -160,21 +161,21 @@ class TestStep:
     def test_action_clamped_with_warning(self, small_config, constraints, caplog):
         """Each out-of-range action is clamped to [0, a_max] with its own
         warning; in-range actions are applied as given."""
-        env = MarketEnv([small_config] * 3, [constraints] * 3)
+        env = MarketEnv([OpportunityStream(small_config)] * 3, [constraints] * 3)
         with caplog.at_level("WARNING"):
             env.step([small_config.a_max + 5.0, 1.5, -2.0])
         assert sum("clamping" in r.message for r in caplog.records) == 2
         assert env.actions[:, 0].tolist() == [small_config.a_max, 1.5, 0.0]
 
     def test_step_after_done_rejected(self, small_config, constraints):
-        env = MarketEnv([small_config], [constraints])
+        env = MarketEnv([OpportunityStream(small_config)], [constraints])
         for _ in range(small_config.steps_per_episode):
             env.step([0.0])
         with pytest.raises(MarketInputError):
             env.step([0.0])
 
     def test_bad_actions_rejected(self, small_config, constraints):
-        env = MarketEnv([small_config] * 2, [constraints] * 2)
+        env = MarketEnv([OpportunityStream(small_config)] * 2, [constraints] * 2)
         for actions in ([1.0], [1.0, float("nan")], [float("inf"), 1.0]):
             with pytest.raises(MarketInputError):
                 env.step(actions)
@@ -214,7 +215,8 @@ class TestRunEpisode:
             seen.append((states.shape, actions.shape, rewards.shape))
             return np.full(len(states), 0.5)
 
-        run_episodes(policy, [small_config] * 2, [constraints] * 2, ["c0", "c1"])
+        run_episodes(policy, [OpportunityStream(small_config)] * 2, [constraints] * 2,
+                     ["c0", "c1"])
         t = small_config.steps_per_episode
         assert len(seen) == t
         assert seen[0] == ((2, 1, 8), (2, 0), (2, 0))
@@ -229,17 +231,18 @@ class TestRunEpisodes:
             calls.append(1)
             return np.zeros(len(states))
 
-        short = MarketConfig(steps_per_episode=12, opportunities_per_step=20,
-                             cvr_profile=np.ones(12), seed=1)
-        for configs, constraint_list, ids in [
-            ([small_config, small_config], [constraints] * 2, ["c0"]),
-            ([small_config, short], [constraints] * 2, ["c0", "c1"]),
-            ([small_config, small_config], [constraints], ["c0", "c1"]),
+        day = OpportunityStream(small_config)
+        short = OpportunityStream(MarketConfig(steps_per_episode=12, opportunities_per_step=20,
+                                               cvr_profile=np.ones(12), seed=1))
+        for streams, constraint_list, ids in [
+            ([day, day], [constraints] * 2, ["c0"]),
+            ([day, short], [constraints] * 2, ["c0", "c1"]),
+            ([day, day], [constraints], ["c0", "c1"]),
         ]:
             with pytest.raises(MarketInputError):
-                run_episodes(policy, configs, constraint_list, ids)
+                run_episodes(policy, streams, constraint_list, ids)
         with pytest.raises(MarketInputError):
-            run_episodes(lambda s, a, r: np.zeros(1), [small_config] * 2,
+            run_episodes(lambda s, a, r: np.zeros(1), [day] * 2,
                          [constraints] * 2, ["c0", "c1"])
         assert not calls
 
@@ -253,7 +256,7 @@ class TestRunEpisodes:
             seen.append(actions.copy())
             return np.full(len(states), 5.0)
 
-        (traj,) = run_episodes(policy, [cfg], [constraints], ["c0"])
+        (traj,) = run_episodes(policy, [OpportunityStream(cfg)], [constraints], ["c0"])
         assert np.array_equal(traj.actions, np.full(cfg.steps_per_episode, 2.0))
         assert np.array_equal(seen[-1][0], traj.actions[:-1])
 
@@ -264,12 +267,13 @@ class TestRunEpisodes:
         the policy reads each row's own state."""
         other = sinusoid_cvr_profile(24, phase=1.0, seed=9)
         days = [
-            (small_config, CampaignConstraints(budget=8.0, ros_bound=6.0), "c0"),
-            (dataclasses.replace(small_config, seed=43, cvr_profile=other),
+            (OpportunityStream(small_config), CampaignConstraints(budget=8.0, ros_bound=6.0),
+             "c0"),
+            (OpportunityStream(dataclasses.replace(small_config, seed=43, cvr_profile=other)),
              CampaignConstraints(budget=0.5, ros_bound=6.0), "c1"),
-            (dataclasses.replace(small_config, seed=44, a_max=2.0),
+            (OpportunityStream(dataclasses.replace(small_config, seed=44, a_max=2.0)),
              CampaignConstraints(budget=8.0, ros_bound=6.0), "c0"),
-            (dataclasses.replace(small_config, seed=45, cvr_profile=other),
+            (OpportunityStream(dataclasses.replace(small_config, seed=45, cvr_profile=other)),
              CampaignConstraints(budget=3.0, ros_bound=6.0), "c1"),
         ]
 
@@ -292,20 +296,21 @@ class TestRunEpisodes:
         assert sum("clamping" in r.message for r in caplog.records) > 0
         assert batch[2].actions.max() == 2.0
 
-        for (cfg, k, cid), traj in zip(days, batch):
-            (alone,) = run_episodes(policy, [cfg], [k], [cid], source="mixed")
+        for (stream, k, cid), traj in zip(days, batch):
+            (alone,) = run_episodes(policy, [stream], [k], [cid], source="mixed")
             assert traj.to_json_dict() == alone.to_json_dict()
 
 
 class TestInvariants:
     def test_budget_safety_random_policies(self, small_config, rng):
         constraints = CampaignConstraints(budget=1.5, ros_bound=6.0)
-        configs = [dataclasses.replace(small_config, seed=seed) for seed in range(10)]
+        streams = [OpportunityStream(dataclasses.replace(small_config, seed=seed))
+                   for seed in range(10)]
 
         def policy(states, actions, rewards):
             return rng.uniform(0, small_config.a_max, size=len(states))
 
-        trajs = run_episodes(policy, configs, [constraints] * 10, ["c0"] * 10)
+        trajs = run_episodes(policy, streams, [constraints] * 10, ["c0"] * 10)
         for traj in trajs:
             assert traj.spends.sum() <= constraints.budget + 1e-9
 
@@ -315,7 +320,8 @@ class TestInvariants:
         constraints = CampaignConstraints(budget=1e9, ros_bound=1e9)
         scales = np.linspace(0.0, 8.0, 12)
         spends = [t.total_spend for t in run_episodes(
-            constant(scales), [small_config] * 12, [constraints] * 12, ["c0"] * 12)]
+            constant(scales), [OpportunityStream(small_config)] * 12, [constraints] * 12,
+            ["c0"] * 12)]
         assert all(b >= a for a, b in zip(spends, spends[1:]))
 
     def test_monotone_spend_binding_budget_within_granularity(self, small_config):
@@ -326,7 +332,7 @@ class TestInvariants:
         max_payment = stream.comp_bids.max()
         scales = np.linspace(0.0, 8.0, 12)
         spends = [t.total_spend for t in run_episodes(
-            constant(scales), [small_config] * 12, [constraints] * 12, ["c0"] * 12)]
+            constant(scales), [stream] * 12, [constraints] * 12, ["c0"] * 12)]
         assert all(b >= a - max_payment for a, b in zip(spends, spends[1:]))
 
     def test_conversion_rarity_default_params(self):

@@ -12,7 +12,7 @@ from bagbid import pipeline as pl
 from bagbid import rewards as rw
 from bagbid.discriminator import DiscriminatorModel, sigmoid
 from bagbid.expert import ROS_SLACK
-from bagbid.market import run_episodes
+from bagbid.market import OpportunityStream, run_episodes
 from bagbid.trajectory import load_jsonl, save_jsonl
 
 
@@ -24,6 +24,20 @@ def test_normalize_method_aliases():
     assert pl.normalize_method("ebaret¬BR") == "ebaret-nobr"
     with pytest.raises(Exception):
         pl.normalize_method("iql")
+
+
+@pytest.fixture
+def stream_seeds(monkeypatch):
+    """The market seed of every ``OpportunityStream`` built from here on."""
+    seeds = []
+    build = OpportunityStream.__init__
+
+    def counted(self, config):
+        seeds.append(config.seed)
+        build(self, config)
+
+    monkeypatch.setattr(OpportunityStream, "__init__", counted)
+    return seeds
 
 
 def test_seed_layout_disjoint(tiny_experiment):
@@ -62,6 +76,22 @@ class TestGenData:
         pl.cmd_gen_data(exp)
         h2 = json.load(open(exp.manifest_path))["sha256"]["offline"]
         assert h1 == h2
+
+    @pytest.mark.parametrize("mix", [(0.0, 0.0, 1.0), (0.3, 0.3, 0.4)],
+                             ids=["noisy-expert", "default"])
+    def test_offline_days_build_one_stream_each(self, tiny_experiment, stream_seeds, mix):
+        """A noisy-expert day is solved and rolled on the same stream."""
+        exp = tiny_experiment
+        exp.behavior.mix = mix
+        trajs = pl.gen_offline_data(exp)
+        if mix[2] == 1.0:
+            assert {t.source for t in trajs} == {"noisy_expert"}
+        assert stream_seeds == pl.train_seeds(exp)
+
+    def test_expert_days_build_one_stream_each(self, tiny_experiment, stream_seeds):
+        exp = tiny_experiment
+        pl.gen_expert_data(exp)
+        assert stream_seeds == pl.train_seeds(exp)
 
     def test_expert_flagged_and_feasible(self, tiny_experiment):
         exp = tiny_experiment
@@ -252,6 +282,20 @@ class TestTrainEval:
         assert 0.0 <= bc["mean_budget_use"] <= 1.0 + 1e-9
         assert bc["ros_violation_rate"] == 0.0
 
+    def test_cold_eval_builds_one_stream_per_test_day(self, ready, stream_seeds):
+        """With an empty r* cache every test day is rolled and solved on
+        one stream, and the values equal a warm cache's."""
+        exp = ready
+        pl.cmd_train(exp, "bc")
+        stream_seeds.clear()  # the data stages ran before
+        cache = {}
+        cold = pl.cmd_eval(exp, "bc", rstar_cache=cache)
+        assert sorted(stream_seeds) == sorted(pl.test_seeds(exp))
+        assert len(cache) == len(stream_seeds)
+        warm = pl.cmd_eval(exp, "bc", rstar_cache=cache)
+        assert len(stream_seeds) == 2 * len(cache)
+        assert [vars(r) for r in cold.rows] == [vars(r) for r in warm.rows]
+
     def test_eval_determinism(self, ready):
         exp = ready
         pl.cmd_train(exp, "bc")
@@ -275,9 +319,9 @@ class TestTrainEval:
                 return rollouts[-1]
             return wrapped
 
-        def one_at_a_time(policy, configs, constraints, campaign_ids, **kwargs):
-            return [run_episodes(policy, [cfg], [c], [cid], **kwargs)[0]
-                    for cfg, c, cid in zip(configs, constraints, campaign_ids)]
+        def one_at_a_time(policy, streams, constraints, campaign_ids, **kwargs):
+            return [run_episodes(policy, [stream], [c], [cid], **kwargs)[0]
+                    for stream, c, cid in zip(streams, constraints, campaign_ids)]
 
         monkeypatch.setattr(pl, "run_episodes", recorded(run_episodes))
         lockstep = pl.cmd_eval(exp, method)
@@ -344,10 +388,12 @@ class TestRatioReport:
         exp = tiny_experiment
         pl.cmd_gen_expert(exp)
         experts = load_jsonl(exp.expert_path)
-        cache = {}
         idx = {c.campaign_id: i for i, c in enumerate(exp.campaigns)}
         for t in experts:
-            rstar = pl._hindsight_value(exp, idx[t.campaign_id], t.seed, cache)
+            ci = idx[t.campaign_id]
+            rstar = pl._hindsight_value(
+                OpportunityStream(pl.market_config_for(exp, ci, t.seed)),
+                exp.campaigns[ci].constraints)
             assert t.total_value == pytest.approx(rstar, abs=1e-9)
 
     def test_offline_corpus_summary(self, tiny_experiment):
@@ -365,10 +411,10 @@ class TestRatioReport:
 
     def test_zero_action_policy_ratio_zero(self, tiny_experiment):
         exp = tiny_experiment
-        cfg = pl.market_config_for(exp, 0, pl.train_seed(exp, 0, 0))
-        (traj,) = run_episodes(lambda states, actions, rewards: [0.0], [cfg],
+        stream = OpportunityStream(pl.market_config_for(exp, 0, pl.train_seed(exp, 0, 0)))
+        (traj,) = run_episodes(lambda states, actions, rewards: [0.0], [stream],
                                [exp.campaigns[0].constraints], ["c0"])
-        rstar = pl._hindsight_value(exp, 0, cfg.seed, {})
+        rstar = pl._hindsight_value(stream, exp.campaigns[0].constraints)
         assert rstar > 0
         assert traj.total_value / rstar == 0.0
 

@@ -262,9 +262,9 @@ def _live_episode(policy) -> tf._LiveEpisode:
 
 def _roll(policy, market_config, constraints):
     """One episode through the lockstep policy (a batch of one)."""
-    from bagbid.market import run_episodes
+    from bagbid.market import OpportunityStream, run_episodes
 
-    (traj,) = run_episodes(policy, [market_config], [constraints], ["c0"])
+    (traj,) = run_episodes(policy, [OpportunityStream(market_config)], [constraints], ["c0"])
     return traj
 
 
@@ -276,7 +276,7 @@ class TestInference:
         """At every step, the KV-cached policy's return predictions and
         actions for a lockstep batch of two episodes equal the batch
         forward over the tokens it has fed."""
-        from bagbid.market import run_episodes
+        from bagbid.market import OpportunityStream, run_episodes
         from bagbid.trajectory import CampaignConstraints
 
         steps = small_config.steps_per_episode
@@ -312,7 +312,9 @@ class TestInference:
             return action
 
         trajs = run_episodes(
-            checked_policy, [small_config, dataclasses.replace(small_config, seed=43)],
+            checked_policy,
+            [OpportunityStream(small_config),
+             OpportunityStream(dataclasses.replace(small_config, seed=43))],
             [constraints, CampaignConstraints(budget=3.0, ros_bound=6.0)], ["c0", "c1"],
         )
         assert [t.num_steps for t in trajs] == [steps, steps]
