@@ -52,7 +52,8 @@ def main(argv=None) -> int:
         ("gen-data", "generate the mixed-quality offline dataset"),
         ("gen-expert", "generate hindsight expert trajectories"),
         ("eval", "evaluate a trained method on test periods"),
-        ("report", "cross-method summary and ratio histogram"),
+        ("report", "cross-method summary, and the offline data's ratio histogram "
+                   "against the r* in gen-expert's data"),
         ("train-disc", "train the expert-transition discriminator"),
         ("train", "train a bidding model"),
         ("write-config", "write the default config JSON to stdout"),

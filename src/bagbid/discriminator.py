@@ -116,14 +116,6 @@ class DiscriminatorModel:
         dh = self.fc2.backward(self.act2.backward(dh))
         self.fc1.backward(self.act1.backward(dh))
 
-    def score(self, state, action) -> float:
-        """Deterministic logit for a single (state, action) pair."""
-        state = np.asarray(state, dtype=np.float64)
-        if state.shape != (STATE_DIM,):
-            raise DatasetSchemaError(f"state must have dimension {STATE_DIM}")
-        x = np.concatenate([state, [float(action)]])[None, :]
-        return float(self.forward(x)[0])
-
     def score_batch(self, x) -> np.ndarray:
         return self.forward(x)
 
@@ -177,19 +169,6 @@ def plain_ce_loss_from_logits(expert_logits, offline_logits):
     d_e = (sigmoid(e) - 1.0) / e.size
     d_o = sigmoid(o) / o.size
     return float(loss), d_e, d_o
-
-
-def nnpu_loss(model: DiscriminatorModel, expert_batch, offline_batch,
-              eta: float | None = None) -> float:
-    """Non-negative PU risk of a model on (expert, offline) input batches."""
-    if eta is None:
-        eta = model.class_prior
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0,1), got {eta}")
-    loss, _, _ = nnpu_loss_from_logits(
-        model.forward(expert_batch), model.forward(offline_batch), eta
-    )
-    return loss
 
 
 def _check_matrix(name, x):

@@ -59,27 +59,26 @@ def _replay_scale(stream: OpportunityStream, scale: float, budget: float) -> Rep
     )
 
 
-def solve_multipliers(stream: OpportunityStream, constraints: CampaignConstraints,
-                      a_max: float | None = None) -> MultiplierSolution:
+def solve_multipliers(stream: OpportunityStream,
+                      constraints: CampaignConstraints) -> MultiplierSolution:
     """Best constant bid scale on a stream, exact over all scales.
 
     Sorting opportunities by ``comp_bid / value`` makes the won set of any
     scale a prefix of that order that never splits a group of equal ratios,
     so those prefixes are the only candidates (one vectorised pass).  Among
     prefixes whose full spend fits the budget, whose RoS is within bound
-    and whose scale interval starts below ``a_max`` (so the solution is
-    realizable as a constant-action episode), the highest-value one is bid
-    at the midpoint of its interval, capped at ``a_max``.  A budgeted
-    replay confirms it wins that prefix with no forfeits; should float
-    rounding disagree, the next-best prefix is tried.  Scales that forfeit
-    are never chosen: their won set depends on arrival order, not price.
-    A zero-spend prefix is always a candidate, so ``feasible`` is False
-    only if even that fails to replay cleanly.
+    and whose scale interval starts below the stream config's ``a_max`` (so
+    the solution is realizable as a constant-action episode), the
+    highest-value one is bid at the midpoint of its interval, capped at
+    ``a_max``.  A budgeted replay confirms it wins that prefix with no
+    forfeits; should float rounding disagree, the next-best prefix is
+    tried.  Scales that forfeit are never chosen: their won set depends on
+    arrival order, not price.  A zero-spend prefix is always a candidate,
+    so ``feasible`` is False only if even that fails to replay cleanly.
     """
     if stream.size == 0:
         raise ValueError("opportunity stream is empty")
-    if a_max is None:
-        a_max = stream.config.a_max
+    a_max = stream.config.a_max
     bound = constraints.ros_bound + ROS_SLACK
     ratios = stream.comp_bids / stream.values  # values are positive
     order = np.argsort(ratios, kind="stable")

@@ -56,17 +56,16 @@ def sinusoid_cvr_profile(steps=48, amplitude=0.4, noise=0.05, phase=0.0, seed=0)
     return np.clip(profile, 0.05, 2.0)
 
 
-def _default_profile():
-    return sinusoid_cvr_profile()
-
-
 @dataclass
 class MarketConfig:
+    """One campaign-day's market.  The defaults are the pipeline's market
+    (``pipeline.MarketSettings`` reads them from here)."""
+
     steps_per_episode: int = 48
     opportunities_per_step: int = 100
-    value_distribution_params: tuple = (1.6, 90.0)  # Beta shape (a, b)
-    competitor_bid_params: tuple = (-3.1, 0.9)  # mean, sigma of log bid
-    cvr_profile: np.ndarray = field(default_factory=_default_profile)
+    value_distribution_params: tuple = (1.3, 130.0)  # Beta shape (a, b)
+    competitor_bid_params: tuple = (-4.1, 1.0)  # mean, sigma of log bid
+    cvr_profile: np.ndarray = field(default_factory=sinusoid_cvr_profile)
     seed: int = 0
     a_max: float = 10.0
 
@@ -87,7 +86,7 @@ class MarketConfig:
             raise MarketInputError(
                 f"cvr_profile must have length {self.steps_per_episode}"
             )
-        if np.any(self.cvr_profile <= 0) or np.any(self.cvr_profile > 2.0):
+        if not np.all((self.cvr_profile > 0) & (self.cvr_profile <= 2.0)):  # NaN too
             raise MarketInputError("cvr_profile values must lie in (0, 2]")
         if self.a_max <= 0:
             raise MarketInputError("a_max must be positive")

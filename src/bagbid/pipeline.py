@@ -10,7 +10,9 @@ Stages, each a pure function of the experiment config and seed:
                transition, assigns expert levels and rebuilds return-to-go
                from bag-redistributed rewards, in memory
   eval         roll trained policies over held-out test periods
-  report       cross-method tables, suboptimality-ratio histogram
+  report       cross-method tables, and the offline corpus's
+               suboptimality-ratio histogram against the r* that
+               gen-expert stored for each training day
 
 Outputs are JSONL datasets, JSON checkpoints, and CSV metrics under the
 config's output directory.  Prep labels are a function of the datasets,
@@ -72,6 +74,7 @@ from bagbid.transformer import (
 )
 
 TEST_SEED_BASE = 50_000
+TEST_PERIOD_STRIDE = 100
 CAMPAIGN_SEED_STRIDE = 100_000
 
 
@@ -92,13 +95,16 @@ class CampaignSpec:
 
 @dataclass
 class MarketSettings:
-    steps_per_episode: int = 48
-    opportunities_per_step: int = 100
-    value_distribution_params: tuple = (1.3, 130.0)
-    competitor_bid_params: tuple = (-4.1, 1.0)
+    """Every campaign-day's ``MarketConfig``, with its defaults, and the
+    shape of the CVR profile ``market_config_for`` draws per campaign."""
+
+    steps_per_episode: int = MarketConfig.steps_per_episode
+    opportunities_per_step: int = MarketConfig.opportunities_per_step
+    value_distribution_params: tuple = MarketConfig.value_distribution_params
+    competitor_bid_params: tuple = MarketConfig.competitor_bid_params
     cvr_amplitude: float = 0.4
     cvr_noise: float = 0.05
-    a_max: float = 10.0
+    a_max: float = MarketConfig.a_max
 
 
 @dataclass
@@ -139,6 +145,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.campaigns:
             self.campaigns = default_campaigns()
+        try:
+            market_config_for(self, 0, self.seed)  # MarketConfig's own checks
+        except ValueError as e:
+            raise ConfigError(f"market: {e}") from None
         if self.market.steps_per_episode % self.model.bag_len != 0:
             raise ConfigError("steps_per_episode must be divisible by bag_len")
         if self.model.context_steps < self.market.steps_per_episode:
@@ -151,8 +161,21 @@ class ExperimentConfig:
                 f"model.a_max={self.model.a_max} differs from "
                 f"market.a_max={self.market.a_max}"
             )
-        if self.train_episodes_per_campaign >= TEST_SEED_BASE:
-            raise ConfigError("too many training episodes for the seed layout")
+        if not 0 < self.train_episodes_per_campaign < TEST_SEED_BASE:
+            raise ConfigError(f"train_episodes_per_campaign must be in [1, {TEST_SEED_BASE}), "
+                              f"got {self.train_episodes_per_campaign}")
+        if not 0 < self.test_seeds_per_period <= TEST_PERIOD_STRIDE:
+            raise ConfigError(f"test_seeds_per_period must be in [1, {TEST_PERIOD_STRIDE}], "
+                              f"got {self.test_seeds_per_period}")
+        max_periods = (CAMPAIGN_SEED_STRIDE - TEST_SEED_BASE) // TEST_PERIOD_STRIDE
+        if not 0 < self.test_periods <= max_periods:
+            raise ConfigError(f"test_periods must be in [1, {max_periods}], "
+                              f"got {self.test_periods}")
+        if not self.beta > 0:
+            raise ConfigError(f"beta must be positive, got {self.beta}")
+        if not 0.0 <= self.dt_target_quantile <= 1.0:
+            raise ConfigError(f"dt_target_quantile must be in [0, 1], "
+                              f"got {self.dt_target_quantile}")
 
     # -- paths --------------------------------------------------------------
 
@@ -256,7 +279,7 @@ def test_seed(exp: ExperimentConfig, campaign_idx: int, period: int, k: int) -> 
         exp.seed
         + CAMPAIGN_SEED_STRIDE * campaign_idx
         + TEST_SEED_BASE
-        + 100 * period
+        + TEST_PERIOD_STRIDE * period
         + k
     )
 
@@ -649,17 +672,13 @@ class EvalReport:
         return cls(method, rows)
 
 
-def _hindsight_value(stream: OpportunityStream, constraints: CampaignConstraints) -> float:
-    """r*: the replay value of the day's best constant bid scale."""
-    return solve_multipliers(stream, constraints).summary.total_value
-
-
 def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None) -> EvalReport:
     """Roll a trained method over every (campaign, period, seed) test day
     in one lockstep batch and score each day against its r*.
 
-    ``rstar_cache`` maps (campaign index, seed) to r*; a day missing from
-    it is solved on the stream it was rolled on and added."""
+    ``rstar_cache`` maps (campaign index, seed) to r*, the replay value of
+    the day's best constant bid scale; a day missing from it is solved on
+    the stream it was rolled on and added."""
     spec = METHODS[normalize_method(method)]
     model = TrajectoryTransformer.load(exp.ckpt_path(spec.name))
     manual_target = model.loaded_meta.get("manual_target")
@@ -681,7 +700,7 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
     rows = []
     for (ci, camp, period, seed), stream, traj in zip(days, streams, trajs):
         if (ci, seed) not in cache:
-            cache[ci, seed] = _hindsight_value(stream, camp.constraints)
+            cache[ci, seed] = solve_multipliers(stream, camp.constraints).summary.total_value
         rstar = cache[ci, seed]
         value, spend = traj.total_value, traj.total_spend
         ros = spend / value if value > 0 else 0.0
@@ -712,14 +731,24 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
 
 def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
     """Suboptimality of the offline corpus: achieved / hindsight-optimal
-    expected conversions per episode, with a histogram over [0, 1]."""
-    offline = load_jsonl(exp.offline_path)
-    idx = {c.campaign_id: i for i, c in enumerate(exp.campaigns)}
+    expected conversions per episode, with a histogram over [0, 1].
+
+    A day's r* is the replay value gen-expert stored for the expert
+    episode of the same campaign, seed and constraints."""
+    if not os.path.exists(exp.expert_path):
+        raise PipelineError(f"{exp.expert_path} is missing; run gen-expert first")
+    experts = {(t.campaign_id, t.seed): t for t in load_jsonl(exp.expert_path)}
     ratios = []
-    for t in offline:
-        ci = idx[t.campaign_id]
-        rstar = _hindsight_value(OpportunityStream(market_config_for(exp, ci, t.seed)),
-                                 exp.campaigns[ci].constraints)
+    for t in load_jsonl(exp.offline_path):
+        expert = experts.get((t.campaign_id, t.seed))
+        if expert is None:
+            raise PipelineError(f"{exp.expert_path} has no day {t.campaign_id} seed {t.seed} "
+                                f"of the offline data; run gen-expert again")
+        if expert.constraints != t.constraints:
+            raise PipelineError(f"day {t.campaign_id} seed {t.seed} has {t.constraints} offline "
+                                f"but {expert.constraints} in {exp.expert_path}; "
+                                f"run gen-expert again")
+        rstar = expert.meta["replay_value"]
         ratios.append(t.total_value / rstar if rstar > 0 else 0.0)
     ratios = np.asarray(ratios)
 
@@ -769,15 +798,3 @@ def ensure_training_inputs(exp: ExperimentConfig, spec: MethodSpec):
         cmd_gen_expert(exp)
     if spec.use_expert_data and not os.path.exists(exp.disc_path(spec.disc_plain_ce)):
         cmd_train_disc(exp, plain_ce=spec.disc_plain_ce)
-
-
-def run_pipeline(exp: ExperimentConfig, method: str,
-                 rstar_cache: dict | None = None) -> tuple[str, EvalReport]:
-    """Data and discriminator (if missing) -> train (if no checkpoint) ->
-    eval for a method."""
-    name = normalize_method(method)
-    ensure_training_inputs(exp, METHODS[name])
-    if not os.path.exists(exp.ckpt_path(name)):
-        cmd_train(exp, name)
-    report = cmd_eval(exp, name, rstar_cache=rstar_cache)
-    return exp.ckpt_path(name), report

@@ -88,6 +88,42 @@ def _adam_matches_reference(ps, fill_grads, steps=5, beta1=0.9, beta2=0.999, eps
             assert p.value.tobytes() == ref[name][0].tobytes(), (t, name)
 
 
+def _grad_check(loss_fn, tensors, analytic_grads, h=1e-5):
+    """Max relative error between analytic and central-difference grads.
+
+    ``loss_fn()`` must recompute the scalar loss from the current contents
+    of ``tensors`` (mutated in place while probing).  Per tensor the error
+    is ``max|a - n| / max(max|a|, max|n|, 1)``; the worst tensor is
+    returned.  Double precision only.
+    """
+    worst = 0.0
+    for arr, analytic in zip(tensors, analytic_grads):
+        numeric = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            orig = arr[ix]
+            arr[ix] = orig + h
+            lp = loss_fn()
+            arr[ix] = orig - h
+            lm = loss_fn()
+            arr[ix] = orig
+            numeric[ix] = (lp - lm) / (2.0 * h)
+        scale = max(
+            float(np.abs(analytic).max(initial=0.0)),
+            float(np.abs(numeric).max(initial=0.0)),
+            1.0,
+        )
+        err = float(np.abs(analytic - numeric).max(initial=0.0)) / scale
+        worst = max(worst, err)
+    return worst
+
+
+@pytest.fixture
+def grad_check():
+    return _grad_check
+
+
 @pytest.fixture
 def assert_in_arena():
     return _assert_in_arena

@@ -54,9 +54,11 @@ def test_workload_runs_traced(workload, monkeypatch):
 
 def test_traced_datagen_scans_and_streams(monkeypatch):
     """Through the benchmark's own tracer: each hindsight solve runs one
-    replay scan, and each stage builds one opportunity stream per day
-    (``_kernels.replay_scan``/``step_scan`` and ``OpportunityStream`` keep
-    the names and positional arguments the tracer wraps)."""
+    replay scan; gen-data and gen-expert each build one opportunity stream
+    and solve once per day, and the ratio report, which reads r* from the
+    expert data, does neither (``_kernels.replay_scan``/``step_scan`` and
+    ``OpportunityStream`` keep the names and positional arguments the
+    tracer wraps)."""
     monkeypatch.syspath_prepend(PERFBENCH)
     import run
     import workloads
@@ -68,15 +70,18 @@ def test_traced_datagen_scans_and_streams(monkeypatch):
     assert metric["kernels.replay_scan_calls"] == metric["expert.solve_calls"] > 0
 
     stages = ("pipeline.gen_data", "pipeline.gen_expert", "pipeline.ratio_report")
-    builds = {}  # stream builds per enclosing stage
+    inside = {}  # (span, enclosing stage) -> calls
     for name, _, _, parent in tracer.spans:
-        if name == "market.stream_build":
+        if name in ("market.stream_build", "expert.solve"):
             while parent >= 0 and tracer.spans[parent][0] not in stages:
                 parent = tracer.spans[parent][3]
             stage = tracer.spans[parent][0] if parent >= 0 else None
-            builds[stage] = builds.get(stage, 0) + 1
+            inside[name, stage] = inside.get((name, stage), 0) + 1
     bodies = sum(name == "benchmark.body" for name, *_ in tracer.spans)
+    reports = sum(name == "pipeline.ratio_report" for name, *_ in tracer.spans)
     exp = workloads.experiment("unused", 7, "tiny", workloads.NOISY_EXPERT_ONLY)
     days = len(pipeline.train_seeds(exp))
-    assert bodies >= 1
-    assert builds == dict.fromkeys(stages, days * bodies)
+    assert bodies >= 1 and reports == bodies
+    assert inside == {(name, stage): days * bodies
+                      for name in ("market.stream_build", "expert.solve")
+                      for stage in stages[:2]}

@@ -35,21 +35,21 @@ def pairwise_auc(pos_scores, neg_scores):
 class TestScore:
     def test_zero_initialized_final_layer(self):
         model = dsc.DiscriminatorModel(seed=0)
-        state = np.linspace(0, 1, 8)
-        logit = model.score(state, 1.5)
+        x = np.concatenate([np.linspace(0, 1, 8), [1.5]])[None, :]
+        (logit,) = model.forward(x)
         assert logit == 0.0
         assert dsc.sigmoid(np.array(logit)) == 0.5
 
     def test_deterministic(self, rng):
         model = dsc.DiscriminatorModel(seed=1)
         model.params["fc3.w"].value[...] = 0.3
-        state = rng.normal(size=8)
-        assert model.score(state, 2.0) == model.score(state, 2.0)
+        x = np.concatenate([rng.normal(size=8), [2.0]])[None, :]
+        assert model.forward(x)[0] == model.forward(x)[0]
 
     def test_dimension_mismatch(self):
         model = dsc.DiscriminatorModel(seed=0)
         with pytest.raises(dsc.DatasetSchemaError):
-            model.score(np.zeros(7), 1.0)
+            model.forward(np.zeros((1, 8)))  # a 7-dim state and its action
         with pytest.raises(dsc.DatasetSchemaError):
             model.forward(np.zeros((3, 5)))
 
@@ -108,7 +108,7 @@ class TestNnpuLoss:
         assert loss >= 0.0
         assert loss >= eta * dsc.softplus(-np.array(e)).mean() - 1e-12
 
-    def test_grad_check_both_branches(self, rng):
+    def test_grad_check_both_branches(self, rng, grad_check):
         model = dsc.DiscriminatorModel(hidden=8, seed=3)
         model.params["fc3.w"].value[...] = rng.normal(0, 0.5, (8, 1))
         eb = rng.normal(size=(6, 9))
@@ -129,7 +129,7 @@ class TestNnpuLoss:
         seen_branches = set()
         for e_in, o_in, eta in cases:
             def loss_fn():
-                return dsc.nnpu_loss(model, e_in, o_in, eta)
+                return dsc.nnpu_loss_from_logits(model.forward(e_in), model.forward(o_in), eta)[0]
 
             model.params.zero_grad()
             logits = model.forward(np.concatenate([e_in, o_in]))
@@ -140,7 +140,7 @@ class TestNnpuLoss:
             model.backward(np.concatenate([d_e, d_o]))
             tensors = [p.value for _, p in model.params.items()]
             grads = [p.grad for _, p in model.params.items()]
-            assert nc.grad_check(loss_fn, tensors, grads) < 1e-4
+            assert grad_check(loss_fn, tensors, grads) < 1e-4
         assert seen_branches == {True, False}  # both clamp branches exercised
 
 

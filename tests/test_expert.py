@@ -245,13 +245,15 @@ class TestSolveMultipliers:
 
     def test_binding_a_max(self):
         # ratios 0.2 and 4.0: the second win needs a scale above 4
-        stream = FakeStream([0.5, 0.5], [0.1, 2.0], a_max=10.0)
         constraints = CampaignConstraints(budget=10.0, ros_bound=50.0)
+        stream = FakeStream([0.5, 0.5], [0.1, 2.0], a_max=10.0)
         assert solve_multipliers(stream, constraints).summary.wins == 2
-        sol = solve_multipliers(stream, constraints, a_max=3.0)
+        stream = FakeStream([0.5, 0.5], [0.1, 2.0], a_max=3.0)
+        sol = solve_multipliers(stream, constraints)
         assert sol.summary.wins == 1 and sol.scale <= 3.0
         # the midpoint of (0.2, 4.0) lies above a_max, so the scale is capped
-        sol = solve_multipliers(stream, constraints, a_max=1.0)
+        stream = FakeStream([0.5, 0.5], [0.1, 2.0], a_max=1.0)
+        sol = solve_multipliers(stream, constraints)
         assert sol.summary.wins == 1 and sol.scale == 1.0
 
     def test_ros_not_monotone_in_scale(self):
@@ -343,7 +345,7 @@ class TestExpertTrajectory:
         replay summary (same won set), also beside other days."""
         constraints = CampaignConstraints(budget=3.0, ros_bound=6.0)
         stream = OpportunityStream(small_config)
-        sol = solve_multipliers(stream, constraints, a_max=small_config.a_max)
+        sol = solve_multipliers(stream, constraints)
         other = OpportunityStream(dataclasses.replace(small_config, seed=7))
         trajs = generate_expert_trajectories(
             [other, stream], [CampaignConstraints(0.5, 6.0), constraints], ["c1", "c0"])

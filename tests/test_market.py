@@ -355,8 +355,9 @@ class TestConfigValidation:
             MarketConfig(steps_per_episode=48, cvr_profile=np.ones(10))
 
     def test_profile_range(self):
-        with pytest.raises(MarketInputError):
-            MarketConfig(steps_per_episode=4, cvr_profile=np.array([1.0, 2.5, 1.0, 1.0]))
+        for bad in (2.5, 0.0, np.nan):
+            with pytest.raises(MarketInputError):
+                MarketConfig(steps_per_episode=4, cvr_profile=np.array([1.0, bad, 1.0, 1.0]))
 
     def test_sinusoid_profile_in_range(self):
         for seed in range(5):

@@ -26,7 +26,7 @@ class TestAffine:
         with pytest.raises(nc.ShapeError):
             nc.affine_forward(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
 
-    def test_grad_check(self, gen):
+    def test_grad_check(self, gen, grad_check):
         x = gen.normal(size=(4, 8))
         w = gen.normal(size=(8, 3))
         b = gen.normal(size=3)
@@ -38,7 +38,7 @@ class TestAffine:
 
         y, cache = nc.affine_forward(x, w, b)
         dx, dw, db = nc.affine_backward(dy, cache)
-        assert nc.grad_check(loss, [x, w, b], [dx, dw, db]) < 1e-6
+        assert grad_check(loss, [x, w, b], [dx, dw, db]) < 1e-6
 
 
 class TestLayerNorm:
@@ -48,7 +48,7 @@ class TestLayerNorm:
         assert np.abs(xhat.mean(axis=-1)).max() < 1e-6
         assert np.abs(xhat.var(axis=-1) - 1.0).max() < 1e-4  # eps-shifted variance
 
-    def test_grad_check(self, gen):
+    def test_grad_check(self, gen, grad_check):
         x = gen.normal(size=(4, 8))
         g = gen.normal(size=8) + 1.0
         b = gen.normal(size=8)
@@ -60,7 +60,7 @@ class TestLayerNorm:
 
         y, cache = nc.layer_norm_forward(x, g, b)
         dx, dg, dbeta = nc.layer_norm_backward(dy, cache)
-        assert nc.grad_check(loss, [x, g, b], [dx, dg, dbeta]) < 1e-5
+        assert grad_check(loss, [x, g, b], [dx, dg, dbeta]) < 1e-5
 
 
 class TestGelu:
@@ -68,7 +68,7 @@ class TestGelu:
         y, _ = nc.gelu_forward(np.zeros(3))
         assert np.array_equal(y, np.zeros(3))
 
-    def test_grad_check(self, gen):
+    def test_grad_check(self, gen, grad_check):
         x = gen.normal(size=(5, 7))
         dy = gen.normal(size=(5, 7))
 
@@ -78,7 +78,7 @@ class TestGelu:
 
         y, cache = nc.gelu_forward(x)
         dx = nc.gelu_backward(dy, cache)
-        assert nc.grad_check(loss, [x], [dx]) < 1e-5
+        assert grad_check(loss, [x], [dx]) < 1e-5
 
 
 def naive_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
@@ -173,7 +173,7 @@ class TestCausalAttention:
         y2 = attn.forward(x2)
         assert np.array_equal(y1[:3], y2[:3])
 
-    def test_grad_check(self, gen):
+    def test_grad_check(self, gen, grad_check):
         ps, attn, x = self._setup(gen)
         dy = gen.normal(size=x.shape)
 
@@ -187,7 +187,7 @@ class TestCausalAttention:
         views = attn_views(ps, "a")
         tensors = [x] + [p.value for p in views]
         grads = [dx] + [p.grad for p in views]
-        assert nc.grad_check(loss, tensors, grads) < 1e-4
+        assert grad_check(loss, tensors, grads) < 1e-4
 
     @pytest.mark.parametrize("length", [1, nc.ATTN_BLOCK - 1, nc.ATTN_BLOCK,
                                         2 * nc.ATTN_BLOCK + 3])
@@ -208,7 +208,7 @@ class TestCausalAttention:
             assert g.shape == ref.shape
             assert np.abs(g - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
-    def test_grad_check_batched_blocks(self, gen):
+    def test_grad_check_batched_blocks(self, gen, grad_check):
         ps = nc.ParameterSet()
         attn = nc.CausalSelfAttention(ps, "a", 8, 2, gen, w_std=0.3)
         x = gen.normal(size=(2, nc.ATTN_BLOCK + 2, 8))
@@ -224,7 +224,7 @@ class TestCausalAttention:
         views = attn_views(ps, "a")
         tensors = [x] + [p.value for p in views]
         grads = [dx] + [p.grad for p in views]
-        assert nc.grad_check(loss, tensors, grads) < 1e-4
+        assert grad_check(loss, tensors, grads) < 1e-4
 
     @pytest.mark.parametrize("chunk", [1, 2, nc.ATTN_BLOCK, 33])
     def test_kv_cache_chunks_match_one_shot(self, gen, chunk):
@@ -306,7 +306,7 @@ class TestAdam:
 
 
 class TestEmbedding:
-    def test_lookup_and_grad(self, gen):
+    def test_lookup_and_grad(self, gen, grad_check):
         table = gen.normal(size=(5, 3))
         idx = np.array([[0, 2], [2, 4]])
         dy = gen.normal(size=(2, 2, 3))
@@ -318,7 +318,7 @@ class TestEmbedding:
             out, _ = nc.embedding_forward(table, idx)
             return float((out * dy).sum())
 
-        assert nc.grad_check(loss, [table], [dtable]) < 1e-6
+        assert grad_check(loss, [table], [dtable]) < 1e-6
 
     def test_out_of_range(self, gen):
         with pytest.raises(nc.ShapeError):

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import dataclasses
+import io
 import json
 import os
 
@@ -11,7 +12,7 @@ from bagbid import nncore as nc
 from bagbid import pipeline as pl
 from bagbid import rewards as rw
 from bagbid.discriminator import DiscriminatorModel, sigmoid
-from bagbid.expert import ROS_SLACK
+from bagbid.expert import ROS_SLACK, solve_multipliers
 from bagbid.market import OpportunityStream, run_episodes
 from bagbid.trajectory import load_jsonl, save_jsonl
 
@@ -336,9 +337,13 @@ class TestTrainEval:
         assert [vars(r) for r in lockstep.rows] == [vars(r) for r in alone.rows]
 
     def test_run_pipeline_end_to_end(self, tiny_experiment):
+        """From an empty directory, the path ``bagbid train`` and
+        ``bagbid eval`` take."""
         exp = tiny_experiment
-        ckpt, report = pl.run_pipeline(exp, "ebaret")
-        assert os.path.exists(ckpt)
+        pl.ensure_training_inputs(exp, pl.METHODS["ebaret"])
+        pl.cmd_train(exp, "ebaret")
+        report = pl.cmd_eval(exp, "ebaret")
+        assert os.path.exists(exp.ckpt_path("ebaret"))
         assert report.grand_mean() >= 0.0
 
     def test_eq8_precondition_guard(self, ready):
@@ -383,22 +388,84 @@ class TestTrainEval:
         assert train(exp, "fresh") == again != first
 
 
+def resolved_rstar(exp, campaign_id, seed):
+    """A day's r*, solved on its rebuilt stream."""
+    ci = [c.campaign_id for c in exp.campaigns].index(campaign_id)
+    stream = OpportunityStream(pl.market_config_for(exp, ci, seed))
+    return solve_multipliers(stream, exp.campaigns[ci].constraints).summary.total_value
+
+
+def resolved_ratio_files(exp, bins=20):
+    """The text of ``ratio_hist.csv`` and ``ratio_summary.json`` for the
+    offline data, each day's r* solved again rather than read from
+    ``expert.jsonl``."""
+    ratios = []
+    for t in load_jsonl(exp.offline_path):
+        rstar = resolved_rstar(exp, t.campaign_id, t.seed)
+        ratios.append(t.total_value / rstar if rstar > 0 else 0.0)
+    ratios = np.asarray(ratios)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    counts, _ = np.histogram(np.clip(ratios, 0.0, 1.0), bins=edges)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["bin_low", "bin_high", "count"])
+    for i in range(bins):
+        w.writerow([f"{edges[i]:.4f}", f"{edges[i + 1]:.4f}", int(counts[i])])
+    summary = {
+        "n": int(ratios.size),
+        "median": float(np.median(ratios)),
+        "mean": float(ratios.mean()),
+        "max": float(ratios.max()),
+        "min": float(ratios.min()),
+        "frac_below_0.9": float((ratios < 0.9).mean()),
+    }
+    return buf.getvalue(), json.dumps(summary, indent=2)
+
+
 class TestRatioReport:
     def test_expert_matches_hindsight_exactly(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_expert(exp)
-        experts = load_jsonl(exp.expert_path)
-        idx = {c.campaign_id: i for i, c in enumerate(exp.campaigns)}
-        for t in experts:
-            ci = idx[t.campaign_id]
-            rstar = pl._hindsight_value(
-                OpportunityStream(pl.market_config_for(exp, ci, t.seed)),
-                exp.campaigns[ci].constraints)
+        for t in load_jsonl(exp.expert_path):
+            rstar = resolved_rstar(exp, t.campaign_id, t.seed)
+            assert t.meta["replay_value"] == rstar
+            # the episode sums its steps' values, the replay folds the wins
             assert t.total_value == pytest.approx(rstar, abs=1e-9)
+
+    def test_report_equals_resolved_rstar(self, tiny_experiment):
+        """Reading r* from the expert data writes the same bytes as solving
+        every offline day again."""
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        pl.cmd_ratio_report(exp)
+        written = []
+        for name in ("ratio_hist.csv", "ratio_summary.json"):
+            with open(exp.path("reports", name), newline="") as f:
+                written.append(f.read())
+        assert tuple(written) == resolved_ratio_files(exp)
+
+    @pytest.mark.parametrize("change", ["missing-day", "other-budget"])
+    def test_mismatched_expert_data_rejected(self, tiny_experiment, change):
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        experts = load_jsonl(exp.expert_path)
+        day = experts[3]
+        if change == "missing-day":
+            experts.remove(day)
+            message = f"has no day {day.campaign_id} seed {day.seed} "
+        else:
+            day.constraints = dataclasses.replace(day.constraints, budget=1.0)
+            message = f"day {day.campaign_id} seed {day.seed} has "
+        save_jsonl(experts, exp.expert_path)
+        with pytest.raises(pl.PipelineError, match=message):
+            pl.cmd_ratio_report(exp)
 
     def test_offline_corpus_summary(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
         summary = pl.cmd_ratio_report(exp)
         assert summary["n"] == len(exp.campaigns) * exp.train_episodes_per_campaign
         assert summary["max"] <= 1.0 + 1e-9
@@ -414,7 +481,7 @@ class TestRatioReport:
         stream = OpportunityStream(pl.market_config_for(exp, 0, pl.train_seed(exp, 0, 0)))
         (traj,) = run_episodes(lambda states, actions, rewards: [0.0], [stream],
                                [exp.campaigns[0].constraints], ["c0"])
-        rstar = pl._hindsight_value(stream, exp.campaigns[0].constraints)
+        rstar = solve_multipliers(stream, exp.campaigns[0].constraints).summary.total_value
         assert rstar > 0
         assert traj.total_value / rstar == 0.0
 
@@ -439,6 +506,16 @@ class TestConfigValidation:
         with pytest.raises(pl.ConfigError):
             pl.ExperimentConfig(market=pl.MarketSettings(steps_per_episode=44))
 
+    def test_largest_test_layout_stays_in_its_campaign(self):
+        exp = pl.ExperimentConfig(test_periods=500, test_seeds_per_period=100)
+        seeds = pl.test_seeds(exp)
+        assert len(set(seeds)) == len(seeds)
+        assert not set(seeds) & set(pl.train_seeds(exp))
+        per_campaign = len(seeds) // len(exp.campaigns)
+        for ci in range(len(exp.campaigns)):
+            block = seeds[ci * per_campaign:(ci + 1) * per_campaign]
+            assert {(s - exp.seed) // pl.CAMPAIGN_SEED_STRIDE for s in block} == {ci}
+
 
 class TestCli:
     @pytest.mark.parametrize("text, message", [
@@ -453,9 +530,24 @@ class TestCli:
         ('{"campaigns": [1]}', "campaigns must be a list of JSON objects"),
         ('{"campaigns": 3}', "campaigns must be a list of JSON objects"),
         ('{"model": 3}', "model must be a JSON object"),
+        ('{"beta": 0}', "beta must be positive, got 0"),
+        ('{"dt_target_quantile": 1.5}', "dt_target_quantile must be in [0, 1], got 1.5"),
+        ('{"test_periods": 0}', "test_periods must be in [1, 500], got 0"),
+        ('{"train_episodes_per_campaign": 0}',
+         "train_episodes_per_campaign must be in [1, 50000), got 0"),
+        ('{"test_seeds_per_period": 0}', "test_seeds_per_period must be in [1, 100], got 0"),
+        ('{"market": {"value_distribution_params": [0, 1]}}',
+         "market: Beta shape parameters must be positive"),
+        ('{"market": {"opportunities_per_step": 0}}',
+         "market: episode and step sizes must be positive"),
+        ('{"market": {"cvr_noise": NaN}}', "market: cvr_profile values must lie in (0, 2]"),
+        ('{"test_seeds_per_period": 101}', "test_seeds_per_period must be in [1, 100], got 101"),
+        ('{"test_periods": 501}', "test_periods must be in [1, 500], got 501"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
             "top-level-list", "market-list", "campaign-number", "campaigns-number",
-            "model-number"])
+            "model-number", "beta-zero", "quantile-above-one", "no-test-periods",
+            "no-train-episodes", "no-test-seeds", "beta-shape-zero", "no-opportunities", "nan-cvr-noise",
+            "test-seeds-overlap-next-period", "test-periods-reach-next-campaign"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 
@@ -468,6 +560,22 @@ class TestCli:
         assert err.startswith(f"bagbid: error: {path}: ") and message in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_report_without_expert_data_fails_without_traceback(self, tiny_experiment,
+                                                                 tmp_path, capsys):
+        """The ratio report reads r* from gen-expert's data, so it refuses
+        to run without it."""
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
+                                        False)]).save(exp.metrics_path("bc"))
+        path = tmp_path / "config.json"
+        exp.save(path)
+        assert main(["report", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"bagbid: error: {exp.expert_path} is missing; run gen-expert first\n"
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--method", "ebaret"],

@@ -115,7 +115,7 @@ class TestForward:
         assert not np.array_equal(ap1, ap2)
         assert np.std(ap1) > 0  # no degenerate constant head
 
-    def test_grad_check_full_loss(self, tiny_cfg, rng):
+    def test_grad_check_full_loss(self, tiny_cfg, rng, grad_check):
         cfg = tf.ModelConfig(d_model=16, n_layers=1, n_heads=2, context_steps=2,
                              bag_len=2, seed=0, rtg_scale=1.0)
         model = tf.TrajectoryTransformer(cfg)
@@ -132,7 +132,7 @@ class TestForward:
         model.backward(d_r, d_a)
         tensors = [p.value for _, p in model.params.items()]
         grads = [p.grad for _, p in model.params.items()]
-        assert nc.grad_check(loss_fn, tensors, grads) < 1e-4
+        assert grad_check(loss_fn, tensors, grads) < 1e-4
 
 
 class TestLoss:
