@@ -20,6 +20,7 @@ import sys
 
 from bagbid import pipeline as pl
 from bagbid.nncore import CheckpointError
+from bagbid.trajectory import TrajectoryFileError
 
 
 def _load_config(args) -> pl.ExperimentConfig:
@@ -70,7 +71,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (pl.PipelineError, pl.ConfigError, CheckpointError, FileNotFoundError) as e:
+    except (pl.PipelineError, pl.ConfigError, CheckpointError, TrajectoryFileError,
+            FileNotFoundError) as e:
         print(f"bagbid: error: {e}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
 """Double-precision neural-net kernels with explicit backward passes.
 
 Everything here is plain numpy float64: affine, layer norm, GELU, causal
-self-attention, embedding lookup, a bias-corrected Adam step, and a
-central-difference gradient checker.  No graphs, no broadcasting magic
-beyond a leading batch dimension; each op caches what its backward needs
-and training is bitwise deterministic for a fixed seed.
+self-attention, embedding lookup and a bias-corrected Adam step.  No
+graphs, no broadcasting magic beyond a leading batch dimension; each op
+caches what its backward needs and training is bitwise deterministic for
+a fixed seed.
 
 A ``ParameterSet`` keeps every parameter in one arena: one flat float64
 buffer of values and one of gradients, allocated at their final size on

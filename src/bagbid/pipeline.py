@@ -8,7 +8,8 @@ Stages, each a pure function of the experiment config and seed:
   train        fit one method (bc / dt / ebaret and its ablations); for
                a method with a discriminator, prep first scores every
                transition, assigns expert levels and rebuilds return-to-go
-               from bag-redistributed rewards, in memory
+               from bag-redistributed rewards, in memory, on the (N, T)
+               stack of all episodes at once
   eval         roll trained policies over held-out test periods
   report       cross-method tables, and the offline corpus's
                suboptimality-ratio histogram against the r* that
@@ -54,7 +55,6 @@ from bagbid.market import (
 )
 from bagbid.trajectory import (
     CampaignConstraints,
-    Trajectory,
     atomic_write_text,
     load_jsonl,
     save_jsonl,
@@ -145,6 +145,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.campaigns:
             self.campaigns = default_campaigns()
+        for i, c in enumerate(self.campaigns):
+            try:
+                c.constraints
+            except (ValueError, TypeError) as e:
+                raise ConfigError(f"campaigns[{i}]: {e}") from None
+            if c.campaign_id in [d.campaign_id for d in self.campaigns[:i]]:
+                raise ConfigError(f"campaigns[{i}]: duplicate campaign_id {c.campaign_id!r}")
         try:
             market_config_for(self, 0, self.seed)  # MarketConfig's own checks
         except ValueError as e:
@@ -453,22 +460,18 @@ def cmd_train_disc(exp: ExperimentConfig, plain_ce: bool = False) -> Discriminat
 def prep_labels(trajs, disc: DiscriminatorModel, k_levels: int, bag_len: int,
                 beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Expert levels and return-to-go labels, two (N, T) arrays in
-    trajectory order.
+    trajectory order, computed on the stacked episodes at once.
 
     Levels pool every non-expert transition for the quantile split; expert
     transitions are pinned to the top level.  Return-to-go is rebuilt from
     the rewards redistributed within each bag by discriminator score.
     """
-    sig = [sigmoid(disc.score_batch(np.concatenate([t.states, t.actions[:, None]], axis=1)))
-           for t in trajs]
-    flags = np.concatenate(
-        [np.full(t.num_steps, t.source == "expert", dtype=bool) for t in trajs]
-    )
-    rtgs = np.stack([
-        rw.recompute_rtg(rw.redistribute_trajectory(t.rewards, s, bag_len=bag_len, beta=beta))
-        for t, s in zip(trajs, sig)
-    ])
-    levels = assign_levels(np.concatenate(sig), k_levels, flags).reshape(rtgs.shape)
+    rewards = np.stack([t.rewards for t in trajs])
+    sig = sigmoid(disc.score_batch(transitions_matrix(trajs)))
+    flags = np.repeat([t.source == "expert" for t in trajs], rewards.shape[1])
+    levels = assign_levels(sig, k_levels, flags).reshape(rewards.shape)
+    rtgs = rw.recompute_rtg(rw.redistribute_trajectory(rewards, sig.reshape(rewards.shape),
+                                                       bag_len, beta))
     return levels, rtgs
 
 
@@ -519,10 +522,6 @@ def normalize_method(name: str) -> str:
     raise ConfigError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
 
 
-def raw_rtg(traj: Trajectory) -> np.ndarray:
-    return rw.recompute_rtg(traj.rewards)
-
-
 def build_training_batch(trajs, model_cfg: ModelConfig, spec: MethodSpec,
                          labels: tuple | None) -> TrainingBatch:
     """Batch of ``trajs``; ``labels`` are their ``prep_labels``, None for a
@@ -532,7 +531,7 @@ def build_training_batch(trajs, model_cfg: ModelConfig, spec: MethodSpec,
     if spec.redistributed_labels:
         rtgs = labels[1]
     else:
-        rtgs = np.stack([raw_rtg(t) for t in trajs])
+        rtgs = rw.recompute_rtg(np.stack([t.rewards for t in trajs]))
     if spec.arch.use_level_embedding:
         levels = labels[0]
     else:

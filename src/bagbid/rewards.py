@@ -1,8 +1,9 @@
 """Bag-level reward redistribution and return-to-go relabeling.
 
-An episode is partitioned into fixed-length bags of consecutive steps.
-Within each bag the realized rewards are pooled and reallocated across the
-bag's transitions in proportion to
+Both functions take (..., T) arrays with one episode per row and work on
+all rows at once.  An episode is partitioned into fixed-length bags of
+consecutive steps.  Within each bag the realized rewards are pooled and
+reallocated across the bag's transitions in proportion to
 
     phi(score) = exp(score / beta)
 
@@ -15,72 +16,50 @@ so episode return is unchanged; only the within-bag credit moves.
 Return-to-go labels are rebuilt from the redistributed rewards by the
 forward recurrence R[t+1] = R[t] - r_hat[t] starting at the episode total,
 which makes the recurrence hold bitwise at every step.
+
+Each row's result is bitwise that of the row alone: a sum over the
+contiguous last axis is the same pairwise sum per row as a 1-D sum, and
+``np.subtract.accumulate`` is the left fold of the recurrence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_BAG_LEN = 8
-DEFAULT_BETA = 0.5
 
+def redistribute_trajectory(rewards, scores, bag_len: int, beta: float) -> np.ndarray:
+    """Reallocate each bag's total reward by discriminator score.
 
-def phi(score, beta: float):
-    """Redistribution weight exp(score / beta) for scores in [0, 1]."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return np.exp(np.asarray(score, dtype=np.float64) / beta)
-
-
-def redistribute_bag(rewards, scores, beta: float = DEFAULT_BETA) -> np.ndarray:
-    """Reallocate one bag's total reward by discriminator score.
-
-    r_hat[t] = phi(score[t]) / sum_j phi(score[j]) * sum_j reward[j].
-    The bag total is conserved (to float rounding); with a non-negative
-    total every r_hat is non-negative.
+    r_hat[t] = phi(score[t]) / sum_bag phi(score) * sum_bag reward, with
+    bags the aligned blocks of ``bag_len`` steps of each row; the episode
+    length must be a multiple of ``bag_len`` (bags never straddle
+    episodes).  With a non-negative bag total every r_hat is non-negative.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    if rewards.shape != scores.shape or rewards.ndim != 1:
-        raise ValueError(
-            f"rewards and scores must be equal-length vectors, "
-            f"got {rewards.shape} and {scores.shape}"
-        )
-    weights = phi(scores, beta)
-    return weights / weights.sum() * rewards.sum()
-
-
-def redistribute_trajectory(rewards, scores, bag_len: int = DEFAULT_BAG_LEN,
-                            beta: float = DEFAULT_BETA) -> np.ndarray:
-    """Apply bag redistribution over a whole episode.
-
-    Bags are aligned blocks; the episode length must be a multiple of
-    ``bag_len`` (bags never straddle episodes).
-    """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    t = rewards.shape[0]
+    if rewards.shape != scores.shape or rewards.ndim == 0:
+        raise ValueError(f"rewards and scores must be equal-shape (..., T) arrays, "
+                         f"got {rewards.shape} and {scores.shape}")
+    t = rewards.shape[-1]
     if t % bag_len != 0:
         raise ValueError(f"episode length {t} not divisible by bag length {bag_len}")
-    out = np.empty_like(rewards)
-    for start in range(0, t, bag_len):
-        sl = slice(start, start + bag_len)
-        out[sl] = redistribute_bag(rewards[sl], scores[sl], beta)
-    return out
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    bags = (*rewards.shape[:-1], t // bag_len, bag_len)
+    weights = np.exp(scores.reshape(bags) / beta)
+    totals = rewards.reshape(bags).sum(axis=-1, keepdims=True)
+    return (weights / weights.sum(axis=-1, keepdims=True) * totals).reshape(rewards.shape)
 
 
-def recompute_rtg(rewards_redistributed) -> np.ndarray:
-    """Return-to-go labels over redistributed rewards.
+def recompute_rtg(r) -> np.ndarray:
+    """Return-to-go labels over (redistributed) rewards.
 
     R[0] is the episode total; stepping forward subtracts the step's
-    redistributed reward, so R[t+1] == R[t] - r_hat[t] holds exactly and
-    R[0] matches the raw episode return up to redistribution rounding.
+    reward, so R[t+1] == R[t] - r[t] holds exactly and R[0] matches the
+    raw episode return up to redistribution rounding.
     """
-    r = np.asarray(rewards_redistributed, dtype=np.float64)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("need a non-empty reward vector")
-    rtg = np.empty_like(r)
-    rtg[0] = r.sum()
-    for t in range(r.size - 1):
-        rtg[t + 1] = rtg[t] - r[t]
-    return rtg
+    r = np.asarray(r, dtype=np.float64)
+    if r.ndim == 0 or r.shape[-1] == 0:
+        raise ValueError("need a non-empty reward vector per episode")
+    return np.subtract.accumulate(
+        np.concatenate([r.sum(axis=-1, keepdims=True), r[..., :-1]], axis=-1), axis=-1)

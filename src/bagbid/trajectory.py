@@ -131,12 +131,22 @@ def save_jsonl(trajectories, path):
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+class TrajectoryFileError(ValueError):
+    """A dataset line that is not UTF-8 JSON, lacks a key or fails the
+    checks of ``Trajectory``; the message starts ``path:line:``."""
+
+
 def load_jsonl(path):
     out = []
-    with open(path) as f:
-        for line in f:
+    with open(path, "rb") as f:  # json.loads decodes each line, inside the try
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(Trajectory.from_json_dict(json.loads(line)))
+            except KeyError as e:
+                raise TrajectoryFileError(f"{path}:{lineno}: missing key {e}") from None
+            except (ValueError, TypeError) as e:
+                raise TrajectoryFileError(f"{path}:{lineno}: {e}") from None
     return out
-

@@ -104,6 +104,12 @@ class Arch:
     def tokens_per_step(self) -> int:
         return 3 if self.use_rtg_tokens else 2
 
+    @property
+    def action_token(self) -> int:
+        """Position within a step of the token the action head reads: R_t,
+        or s_t without return tokens."""
+        return 1 if self.use_rtg_tokens else 0
+
 
 ARCH_FULL = Arch()
 ARCH_NO_LEVEL = Arch(use_level_embedding=False)
@@ -262,8 +268,7 @@ class TrajectoryTransformer:
         rtg_pred = None
         if self.arch.use_rtg_head:
             rtg_pred = self.rtg_head.forward(h[:, 0::k, :])[..., 0]
-        act_pos = 1 if self.arch.use_rtg_tokens else 0
-        act_pred = self.act_head.forward(h[:, act_pos::k, :])[..., 0]
+        act_pred = self.act_head.forward(h[:, self.arch.action_token::k, :])[..., 0]
         return rtg_pred, act_pred
 
     def backward(self, d_rtg_pred, d_act_pred):
@@ -272,8 +277,7 @@ class TrajectoryTransformer:
         dh = np.zeros((b, l, d))
         if self.arch.use_rtg_head and d_rtg_pred is not None:
             dh[:, 0::k, :] += self.rtg_head.backward(d_rtg_pred[..., None])
-        act_pos = 1 if self.arch.use_rtg_tokens else 0
-        dh[:, act_pos::k, :] += self.act_head.backward(d_act_pred[..., None])
+        dh[:, self.arch.action_token::k, :] += self.act_head.backward(d_act_pred[..., None])
         d_tokens = self._body_backward(dh)
         self._step_embeddings_backward(d_tokens)
 
@@ -477,7 +481,7 @@ def make_inference_policy(model: TrajectoryTransformer, manual_target: float | N
             else:
                 rtg = ep.rtgs[:, t - 1] - rewards[:, -1] / config.rtg_scale
             ep.rtgs[:, t] = np.maximum(rtg, 0.0)
-        h = _advance(model, ep, t, 1 if arch.use_rtg_tokens else 0)
+        h = _advance(model, ep, t, arch.action_token)
         return np.clip(model.act_head.forward(h)[:, 0], 0.0, config.a_max)
 
     return policy

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,52 @@ def _grad_check(loss_fn, tensors, analytic_grads, h=1e-5):
         err = float(np.abs(analytic - numeric).max(initial=0.0)) / scale
         worst = max(worst, err)
     return worst
+
+
+def _loop_redistribute(rewards, scores, bag_len, beta):
+    """One episode, bag by bag: r_hat = phi / sum(phi) * bag total with
+    phi = exp(score / beta)."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    out = np.empty_like(rewards)
+    for start in range(0, rewards.shape[0], bag_len):
+        sl = slice(start, start + bag_len)
+        weights = np.exp(scores[sl] / beta)
+        out[sl] = weights / weights.sum() * rewards[sl].sum()
+    return out
+
+
+def _loop_rtg(r):
+    """One episode, step by step: R[0] = total, R[t+1] = R[t] - r[t]."""
+    r = np.asarray(r, dtype=np.float64)
+    rtg = np.empty_like(r)
+    rtg[0] = r.sum()
+    for t in range(r.size - 1):
+        rtg[t + 1] = rtg[t] - r[t]
+    return rtg
+
+
+def _loop_prep_labels(trajs, disc, k_levels, bag_len, beta):
+    """``pipeline.prep_labels`` one trajectory, one bag and one step at a
+    time: each trajectory is scored alone and labelled by the loops."""
+    from bagbid.discriminator import assign_levels, sigmoid
+
+    sig = [sigmoid(disc.score_batch(np.concatenate([t.states, t.actions[:, None]], axis=1)))
+           for t in trajs]
+    flags = np.concatenate(
+        [np.full(t.num_steps, t.source == "expert", dtype=bool) for t in trajs])
+    rtgs = np.stack([_loop_rtg(_loop_redistribute(t.rewards, s, bag_len, beta))
+                     for t, s in zip(trajs, sig)])
+    levels = assign_levels(np.concatenate(sig), k_levels, flags).reshape(rtgs.shape)
+    return levels, rtgs
+
+
+@pytest.fixture(scope="session")
+def label_loops():
+    """Loop references for the array label code: ``redistribute`` and
+    ``rtg`` take one episode, ``prep_labels`` a list of trajectories."""
+    return SimpleNamespace(redistribute=_loop_redistribute, rtg=_loop_rtg,
+                           prep_labels=_loop_prep_labels)
 
 
 @pytest.fixture

@@ -145,6 +145,22 @@ class TestPrep:
             for i in range(t.num_steps - 1):
                 assert rtg[i + 1] == rtg[i] - rhat[i]
 
+    @pytest.mark.parametrize("plain_ce", [False, True], ids=["nnpu", "ce"])
+    def test_labels_equal_loop_reference(self, tiny_experiment, label_loops, plain_ce):
+        """The array labels are byte for byte those of scoring each
+        trajectory alone and labelling it bag by bag and step by step."""
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        pl.cmd_train_disc(exp, plain_ce=plain_ce)
+        trajs, labels = pl.cmd_prep(exp, plain_ce)
+        disc = DiscriminatorModel.load(exp.disc_path(plain_ce))
+        expected = label_loops.prep_labels(trajs, disc, exp.model.k_levels,
+                                           exp.model.bag_len, exp.beta)
+        for got, want in zip(labels, expected):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
     def test_prep_writes_nothing(self, prepped):
         exp = prepped[0]
 
@@ -543,11 +559,17 @@ class TestCli:
         ('{"market": {"cvr_noise": NaN}}', "market: cvr_profile values must lie in (0, 2]"),
         ('{"test_seeds_per_period": 101}', "test_seeds_per_period must be in [1, 100], got 101"),
         ('{"test_periods": 501}', "test_periods must be in [1, 500], got 501"),
+        ('{"campaigns": [{"campaign_id": "c0", "budget": -1, "ros_bound": 6}]}',
+         "campaigns[0]: budget must be positive, got -1"),
+        ('{"campaigns": [{"campaign_id": "c0", "budget": 5, "ros_bound": 6}, '
+         '{"campaign_id": "c0", "budget": 7, "ros_bound": 6}]}',
+         "campaigns[1]: duplicate campaign_id 'c0'"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
             "top-level-list", "market-list", "campaign-number", "campaigns-number",
             "model-number", "beta-zero", "quantile-above-one", "no-test-periods",
             "no-train-episodes", "no-test-seeds", "beta-shape-zero", "no-opportunities", "nan-cvr-noise",
-            "test-seeds-overlap-next-period", "test-periods-reach-next-campaign"])
+            "test-seeds-overlap-next-period", "test-periods-reach-next-campaign",
+            "negative-budget", "duplicate-campaign"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 
@@ -560,6 +582,56 @@ class TestCli:
         assert err.startswith(f"bagbid: error: {path}: ") and message in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, dataset, garble, where, message", [
+        ("train-disc", "offline", "unterminated", -1, "line 1 column"),
+        ("train", "offline", "unterminated", -1, "line 1 column"),
+        ("train-disc", "expert", "cut-short", -1, "line 1 column"),
+        ("train", "expert", "cut-short", -1, "line 1 column"),
+        ("train-disc", "expert", "missing-key", 2, "missing key 'rewards'"),
+        ("train", "offline", "bad-shape", 1, "actions must have shape (24,), got (23,)"),
+        ("train-disc", "offline", "not-utf8", -1, "can't decode byte 0xff"),
+    ], ids=["train-disc-unterminated", "train-unterminated", "train-disc-cut-short",
+            "train-cut-short", "train-disc-missing-key", "train-bad-shape",
+            "train-disc-not-utf8"])
+    def test_garbled_dataset_fails_without_traceback(self, tiny_experiment, tmp_path,
+                                                     capsys, command, dataset, garble,
+                                                     where, message):
+        """A dataset line that is not UTF-8 JSON, lacks a key or fails the
+        trajectory checks is reported by file and line number."""
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        path = exp.offline_path if dataset == "offline" else exp.expert_path
+        with open(path) as f:
+            lines = f.read().splitlines()
+        if garble == "unterminated":
+            lines.append('{"campaign_id": "c0"')
+        elif garble == "not-utf8":
+            lines.append("\xff")
+        elif garble == "cut-short":
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]
+        else:
+            record = json.loads(lines[where - 1])
+            if garble == "missing-key":
+                del record["rewards"]
+            else:
+                record["actions"] = record["actions"][:-1]
+            lines[where - 1] = json.dumps(record)
+        with open(path, "w", encoding="latin-1") as f:  # the datasets are ASCII
+            f.write("\n".join(lines) + "\n")
+        lineno = len(lines) if where == -1 else where
+        config = tmp_path / "config.json"
+        exp.save(config)
+        argv = [command, "--config", str(config)]
+        if command == "train":
+            argv += ["--method", "ebaret"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bagbid: error: {path}:{lineno}: ") and message in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_report_without_expert_data_fails_without_traceback(self, tiny_experiment,
                                                                  tmp_path, capsys):

@@ -191,6 +191,16 @@ class TestArchVariants:
         assert rtg_pred is None
         assert act_pred.shape == (2, 4)
 
+    @pytest.mark.parametrize("arch, token", [
+        (tf.ARCH_FULL, 1), (tf.ARCH_NO_LEVEL, 1), (tf.ARCH_DT, 1), (tf.ARCH_BC, 0),
+    ], ids=["full", "no-level", "dt", "bc"])
+    def test_action_token_is_not_a_checkpoint_field(self, arch, token):
+        """The action head reads R_t, or s_t without return tokens; the
+        position is derived, so checkpoints store only the four switches."""
+        assert arch.action_token == token
+        assert [f.name for f in dataclasses.fields(arch)] == [
+            "use_rtg_tokens", "use_rtg_head", "use_bag_embedding", "use_level_embedding"]
+
 
 class TestTraining:
     def test_deterministic_checkpoint(self, tiny_cfg, rng, tmp_path):
