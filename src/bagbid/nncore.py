@@ -10,10 +10,11 @@ A ``ParameterSet`` keeps every parameter in one arena: one flat float64
 buffer of values and one of gradients, allocated at their final size on
 first use, with each ``Parameter.value`` and ``.grad`` a view into them.
 So ``zero_grad`` and the finiteness check are one call each, and
-``adam_step`` is a few whole-buffer ufuncs into preallocated scratch that
-give bitwise the per-parameter update.  Parameters are only updated in
-place; binding another array to one raises.  The Adam moments are
-allocated at the first step, so a loaded model does not carry them.
+``adam_step`` runs a few ufuncs over fixed-size slices of the arena into
+one slice of preallocated scratch, which gives bitwise the per-parameter
+update.  Parameters are only updated in place; binding another array to
+one raises.  The Adam moments are allocated at the first step, so a
+loaded model does not carry them.
 
 The ops are written to make few passes over memory.  Affine ops run one
 2-D GEMM over the flattened leading dims.  Causal attention keeps
@@ -21,12 +22,17 @@ The ops are written to make few passes over memory.  Affine ops run one
 one (3d,) block, with the named parameters as column views (so the
 checkpoint names are unchanged): one GEMM projects q, k and v with no
 copy, and the backward adds their weight gradient into the fused block in
-one op.  Attention is block-causal: queries go in blocks of
-``ATTN_BLOCK`` rows, each block scores only the keys at or before its
-last row, and only its diagonal square is masked, so the fully masked
-upper blocks cost nothing in either direction.  The same attention
-forward takes an optional per-layer key/value cache, so KV-cached
-inference runs the training kernels on the tokens it has not fed yet.
+one op.  Attention takes its query rows as an argument: k and v serve
+every row, but only the chosen q rows are kept, so a caller that reads
+some rows' outputs pays for the scores, the output projection and their
+backward on those rows only (the q gradient of the other rows is zero).
+Attention is block-causal: queries go in blocks of ``ATTN_BLOCK`` rows,
+each block scores only the keys up to its last query's position, and one
+mask built from the positions hides each key past its own query's, so
+the keys after a block cost nothing in either direction.  The same
+attention forward takes an optional per-layer key/value cache, so
+KV-cached inference runs the training kernels on the tokens it has not
+fed yet.
 
 Checkpoints (version 2) are one JSON object: ``format``, ``version``,
 ``meta`` and, per parameter name, its ``shape`` and its ``data`` as base64
@@ -278,43 +284,52 @@ def _decode(rec: dict, name: str, path) -> np.ndarray:
     return np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).reshape(shape)
 
 
+# Elements per slice of an Adam update.  The two scratch buffers hold one
+# slice, so they stay small and in cache whatever the size of the model.
+ADAM_CHUNK = 16384
+
+
 def adam_step(params: ParameterSet, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update over the whole arena.
 
     Rejects the whole step (raises, no state mutated) when any gradient is
-    non-finite.  Each line below is one elementwise op written into
-    preallocated scratch, in the order of the per-parameter formula
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+    non-finite.  The arena is updated in slices of ``ADAM_CHUNK``
+    elements.  Each line of the loop is one elementwise op on a slice,
+    written into preallocated scratch, in the order of the per-parameter
+    formula ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
     ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is
     bitwise that of updating each parameter on its own.
     """
-    g = params.grads
-    if not np.isfinite(g).all():
+    g_all = params.grads
+    if not np.isfinite(g_all).all():
         name = next(n for n, p in params.items() if not np.isfinite(p.grad).all())
         raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
     if params.adam_m is None:
-        params.adam_m, params.adam_v = np.zeros(g.size), np.zeros(g.size)
-        params._adam_scratch = np.empty(g.size), np.empty(g.size)
-    m, v = params.adam_m, params.adam_v
-    s, u = params._adam_scratch
+        params.adam_m, params.adam_v = np.zeros(g_all.size), np.zeros(g_all.size)
+        n = min(g_all.size, ADAM_CHUNK)
+        params._adam_scratch = np.empty(n), np.empty(n)
     params.adam_t += 1
     t = params.adam_t
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    m *= beta1
-    np.multiply(g, 1.0 - beta1, out=s)
-    m += s
-    v *= beta2
-    np.square(g, out=s)
-    s *= 1.0 - beta2
-    v += s
-    np.divide(m, bc1, out=s)
-    s *= lr
-    np.divide(v, bc2, out=u)
-    np.sqrt(u, out=u)
-    u += eps
-    s /= u
-    np.subtract(params.values, s, out=params.values)
+    for lo in range(0, g_all.size, ADAM_CHUNK):
+        part = slice(lo, lo + ADAM_CHUNK)
+        g, m, v, w = g_all[part], params.adam_m[part], params.adam_v[part], params.values[part]
+        s, u = (buf[:g.size] for buf in params._adam_scratch)
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.square(g, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        s /= u
+        w -= s
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +386,12 @@ def layer_norm_backward(dy, cache):
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-_MASK_CACHE: dict[int, np.ndarray] = {}
 
 # Query rows per attention block.  Smaller blocks skip more masked scores
 # but pay numpy call overhead per block; of 12-144 rows, 24 gave the
 # fastest forward plus backward at the default model (batch 8, 144 tokens,
 # 4 heads of 16) on a 2-vCPU x86 VM with OpenBLAS.
 ATTN_BLOCK = 24
-
-
-def _future_mask(length: int) -> np.ndarray:
-    """Boolean (L, L) mask of strictly-future positions (upper triangle)."""
-    mask = _MASK_CACHE.get(length)
-    if mask is None:
-        mask = _MASK_CACHE[length] = ~np.tril(np.ones((length, length), dtype=bool))
-    return mask
 
 
 def gelu_forward(x):
@@ -428,16 +434,20 @@ def softmax(x, axis=-1):
     return z
 
 
-def causal_attention_forward(x, wqkv, bqkv, wo, bo, n_heads, kv=None, start=0):
+def causal_attention_forward(x, wqkv, bqkv, wo, bo, n_heads, kv=None, start=0, rows=None):
     """Multi-head self-attention with a strict causal mask.
 
-    ``x`` is (L, d) or (batch, L, d); output matches.  ``wqkv`` (d, 3d)
-    and ``bqkv`` (3d,) hold the q, k and v projections side by side, so
-    one GEMM projects all three.  Position i attends to positions <= i
-    only.  The queries go in blocks of ``ATTN_BLOCK`` rows: block
-    ``[lo, hi)`` scores keys ``[0, hi)`` only and sets the future part of
-    its diagonal square to -inf, so future tokens carry exactly zero
-    weight.
+    ``x`` is (L, d) or (batch, L, d).  ``wqkv`` (d, 3d) and ``bqkv`` (3d,)
+    hold the q, k and v projections side by side, so one GEMM projects all
+    three for every row.  ``rows`` (a slice or an ascending int array of
+    positions within ``x``; None means every row) picks the query rows: the
+    output has one row per query, (len(rows), d) or (batch, len(rows), d),
+    while every row of ``x`` still serves as a key and a value.
+
+    A query at position i attends to positions <= i only.  The queries go
+    in blocks of ``ATTN_BLOCK`` rows: a block scores the keys up to its
+    last query's position and sets each key past its own query's position
+    to -inf, so future tokens carry exactly zero weight.
 
     ``kv = (k_buf, v_buf)``, both (batch, heads, max_L, dh), is a key/value
     cache: ``x`` holds positions ``[start, start + L)`` of a longer
@@ -453,60 +463,76 @@ def causal_attention_forward(x, wqkv, bqkv, wo, bo, n_heads, kv=None, start=0):
     if d % n_heads != 0:
         raise ShapeError(f"model dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
+    if rows is None:
+        rows = slice(None)
 
     qkv, c_qkv = affine_forward(x, wqkv, bqkv)
     # (3, b, heads, L, dh) views of the (b, L, 3, heads, dh) projection
     q, k, v = qkv.reshape(b, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q = q[:, :, rows]
     q *= 1.0 / math.sqrt(dh)
+    pos = np.arange(start, start + length)[rows]
     if kv is not None:
         k_buf, v_buf = kv
         k_buf[:, :, start:start + length] = k
         v_buf[:, :, start:start + length] = v
         k, v = k_buf, v_buf
-    merged = np.empty((b, length, n_heads, dh))
+    n_rows = pos.size
+    merged = np.empty((b, n_rows, n_heads, dh))
     probs = []
-    for lo in range(0, length, ATTN_BLOCK):
-        hi = min(lo + ATTN_BLOCK, length)
-        scores = q[:, :, lo:hi] @ k[:, :, :start + hi].transpose(0, 1, 3, 2)
-        np.copyto(scores[..., start + lo:], -np.inf, where=_future_mask(hi - lo))
+    for lo in range(0, n_rows, ATTN_BLOCK):
+        hi = min(lo + ATTN_BLOCK, n_rows)
+        # keys before ``first`` are visible to every query of the block;
+        # a lone query (as in cached inference) has nothing to mask
+        first, end = pos[lo] + 1, pos[hi - 1] + 1
+        scores = q[:, :, lo:hi] @ k[:, :, :end].transpose(0, 1, 3, 2)
+        if first < end:
+            np.copyto(scores[..., first:], -np.inf,
+                      where=pos[lo:hi, None] < np.arange(first, end))
         p = softmax(scores, axis=-1)
-        merged[:, lo:hi] = (p @ v[:, :, :start + hi]).transpose(0, 2, 1, 3)
+        merged[:, lo:hi] = (p @ v[:, :, :end]).transpose(0, 2, 1, 3)
         probs.append(p)
-    y, co = affine_forward(merged.reshape(b, length, d), wo, bo)
-    cache = None if kv is not None else (c_qkv, co, q, k, v, probs, squeezed)
+    y, co = affine_forward(merged.reshape(b, n_rows, d), wo, bo)
+    cache = None if kv is not None else (c_qkv, co, q, k, v, probs, rows, squeezed)
     return (y[0] if squeezed else y), cache
 
 
 def causal_attention_backward(dy, cache):
-    """Gradients (dx, dwqkv, dbqkv, dwo, dbo).
+    """Gradients (dx, dwqkv, dbqkv, dwo, dbo); ``dy`` has the forward's
+    output rows and ``dx`` every row of its input.
 
     Works block by block like the forward and overwrites the cached
-    probabilities, so a cache serves one backward only.
+    probabilities, so a cache serves one backward only.  The q gradient
+    goes into the query rows of the fused (q, k, v) gradient; the other
+    rows of it stay zero.
     """
-    c_qkv, co, q, k, v, probs, squeezed = cache
+    c_qkv, co, q, k, v, probs, rows, squeezed = cache
     if squeezed:
         dy = dy[None]
-    b, n_heads, length, dh = q.shape
+    b, n_heads, n_rows, dh = q.shape
+    length = k.shape[2]
     d = n_heads * dh
 
     dmerged, dwo, dbo = affine_backward(dy, co)
-    dctx = dmerged.reshape(b, length, n_heads, dh).transpose(0, 2, 1, 3)
+    dctx = dmerged.reshape(b, n_rows, n_heads, dh).transpose(0, 2, 1, 3)
     dqkv = np.zeros((b, length, 3, n_heads, dh))
-    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-    for lo, p in zip(range(0, length, ATTN_BLOCK), probs):
-        hi = lo + p.shape[-2]
+    _, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+    dq = np.empty(q.shape)
+    for lo, p in zip(range(0, n_rows, ATTN_BLOCK), probs):
+        hi, end = lo + p.shape[-2], p.shape[-1]
         dc = dctx[:, :, lo:hi]
-        dv[:, :, :hi] += p.transpose(0, 1, 3, 2) @ dc
+        dv[:, :, :end] += p.transpose(0, 1, 3, 2) @ dc
         # softmax backward, in place: ds = p * dp - p * rowsum(p * dp);
         # masked entries have p = 0 and contribute nothing
-        ds = dc @ v[:, :, :hi].transpose(0, 1, 3, 2)
+        ds = dc @ v[:, :, :end].transpose(0, 1, 3, 2)
         ds *= p
         p *= ds.sum(axis=-1, keepdims=True)
         ds -= p
-        dq[:, :, lo:hi] = ds @ k[:, :, :hi]
-        dk[:, :, :hi] += ds.transpose(0, 1, 3, 2) @ q[:, :, lo:hi]
+        dq[:, :, lo:hi] = ds @ k[:, :, :end]
+        dk[:, :, :end] += ds.transpose(0, 1, 3, 2) @ q[:, :, lo:hi]
     # q was scaled by 1/sqrt(dh) after its projection
     dq *= 1.0 / math.sqrt(dh)
+    dqkv[:, rows, 0] = dq.transpose(0, 2, 1, 3)
     dx, dwqkv, dbqkv = affine_backward(dqkv.reshape(b, length, 3 * d), c_qkv)
     if squeezed:
         dx = dx[0]
@@ -608,10 +634,10 @@ class CausalSelfAttention:
         self.wo = ps.add(f"{name}.wo", _normal(rng, w_std, (dim, dim)), shape=(dim, dim))
         self.bo = ps.add(f"{name}.bo", shape=(dim,))
 
-    def forward(self, x, kv=None, start=0):
+    def forward(self, x, kv=None, start=0, rows=None):
         y, self._cache = causal_attention_forward(
             x, self.wqkv.value, self.bqkv.value, self.wo.value, self.bo.value,
-            self.n_heads, kv, start,
+            self.n_heads, kv, start, rows,
         )
         return y
 

@@ -34,7 +34,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -522,6 +522,12 @@ def normalize_method(name: str) -> str:
     raise ConfigError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
 
 
+def method_model_config(exp: ExperimentConfig, spec: MethodSpec) -> ModelConfig:
+    """The model config ``spec`` trains with: the experiment's, with the
+    seed offset by the method."""
+    return replace(exp.model, seed=exp.model.seed + 1000 * spec.seed_offset)
+
+
 def build_training_batch(trajs, model_cfg: ModelConfig, spec: MethodSpec,
                          labels: tuple | None) -> TrainingBatch:
     """Batch of ``trajs``; ``labels`` are their ``prep_labels``, None for a
@@ -553,7 +559,7 @@ def cmd_train(exp: ExperimentConfig, method: str) -> TrajectoryTransformer:
     else:
         trajs, labels = load_jsonl(exp.offline_path), None
 
-    model_cfg = ModelConfig(**{**asdict(exp.model), "seed": exp.model.seed + 1000 * spec.seed_offset})
+    model_cfg = method_model_config(exp, spec)
     data = build_training_batch(trajs, model_cfg, spec, labels)
     rows: list = []
     model = train_model(data, model_cfg, spec.arch, log_rows=rows)
@@ -677,9 +683,20 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
 
     ``rstar_cache`` maps (campaign index, seed) to r*, the replay value of
     the day's best constant bid scale; a day missing from it is solved on
-    the stream it was rolled on and added."""
+    the stream it was rolled on and added.  A checkpoint whose model
+    config or architecture is not the one ``cmd_train`` would train for
+    ``exp`` raises ``PipelineError`` naming the fields that differ."""
     spec = METHODS[normalize_method(method)]
-    model = TrajectoryTransformer.load(exp.ckpt_path(spec.name))
+    path = exp.ckpt_path(spec.name)
+    model = TrajectoryTransformer.load(path)
+    stale = [f"{part}.{k} is {have[k]!r}, not {want[k]!r}"
+             for part, have, want in [
+                 ("model", asdict(model.config), asdict(method_model_config(exp, spec))),
+                 ("arch", asdict(model.arch), asdict(spec.arch))]
+             for k in want if have[k] != want[k]]
+    if stale:
+        raise PipelineError(f"{path} was trained for another config: {', '.join(stale)}; "
+                            f"run `bagbid train --method {spec.name}` again")
     manual_target = model.loaded_meta.get("manual_target")
     cache = rstar_cache if rstar_cache is not None else {}
     days = [

@@ -10,7 +10,12 @@ the full model, a bag-position embedding (t mod bag_len) and an expert
 level embedding shared by all three tokens of its step.  Two heads read
 the causal hidden states: the return head predicts R_t from the s_t token
 and the action head predicts a_t from the R_t token, i.e. each prediction
-conditions on exactly the tokens to its left.
+conditions on exactly the tokens to its left.  The last block computes
+only the rows the heads read: its keys and values cover every token, but
+its queries, MLP and the final layer norm run on the s_t and R_t rows
+(the action head's token alone without a return head), i.e. 2/3 of the
+rows of the full model, 1/3 for the plain return-conditioned one and 1/2
+for behavior cloning.
 
 Architecture switches cover the baselines and ablations: a plain
 return-conditioned transformer drops the return head and bag/level
@@ -24,7 +29,8 @@ substituted for the unknown R_t token, and the emitted action is clamped
 to the market's action range.  Inference has no forward of its own: it
 embeds the steps it has not fed yet with ``_step_embeddings`` and runs
 those tokens through ``_body`` with a per-layer key/value cache, i.e.
-through the same layers and kernels as training.
+through the same layers and kernels as training, asking for the one row
+it reads.
 
 Inference rolls a batch of episodes in lockstep (``market.run_episodes``):
 the cache and the step buffers have a leading axis of n episodes, every
@@ -85,6 +91,9 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
+        if self.n_layers < 1:
+            # the last block is the one that cuts the rows to those read
+            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.k_levels < 2:
             raise ConfigError("k_levels must be >= 2")
         if self.rtg_scale <= 0:
@@ -109,6 +118,14 @@ class Arch:
         """Position within a step of the token the action head reads: R_t,
         or s_t without return tokens."""
         return 1 if self.use_rtg_tokens else 0
+
+    @property
+    def read_tokens(self) -> tuple:
+        """Positions within a step of the tokens the heads read, ascending:
+        the return head reads s_t (the first), the action head the last."""
+        if self.use_rtg_head and self.action_token != 0:
+            return (0, self.action_token)
+        return (self.action_token,)
 
 
 ARCH_FULL = Arch()
@@ -228,27 +245,34 @@ class TrajectoryTransformer:
 
     # -- transformer body --------------------------------------------------
 
-    def _body(self, tokens, kv=None, start=0):
-        """Final hidden states of ``tokens``.  With ``kv``, one key/value
-        cache per block, the tokens sit at positions ``start ..`` after the
-        cached ones (see ``nncore.causal_attention_forward``)."""
+    def _body(self, tokens, rows, kv=None, start=0):
+        """Final hidden states of the tokens at ``rows`` (a slice or an
+        ascending int array of positions within ``tokens``), (B, len(rows),
+        d).  Every block but the last runs on all tokens; the last one
+        computes keys and values for all of them and everything else only
+        for ``rows``.  With ``kv``, one key/value cache per block, the
+        tokens sit at positions ``start ..`` after the cached ones (see
+        ``nncore.causal_attention_forward``)."""
         h = tokens
-        for blk, layer_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
-            a = blk["attn"].forward(blk["ln1"].forward(h), layer_kv, start)
-            h = h + a
+        self._rows = [slice(None)] * (len(self.blocks) - 1) + [rows]
+        for blk, layer_kv, r in zip(self.blocks, kv or [None] * len(self.blocks), self._rows):
+            a = blk["attn"].forward(blk["ln1"].forward(h), layer_kv, start, r)
+            h = h[:, r] + a
             m = blk["fc2"].forward(blk["gelu"].forward(blk["fc1"].forward(blk["ln2"].forward(h))))
             h = h + m
         return self.ln_f.forward(h)
 
     def _body_backward(self, d_out):
         dh = self.ln_f.backward(d_out)
-        for blk in reversed(self.blocks):
+        for blk, r in zip(reversed(self.blocks), reversed(self._rows)):
             dm = blk["ln2"].backward(
                 blk["fc1"].backward(blk["gelu"].backward(blk["fc2"].backward(dh)))
             )
             dh = dh + dm
+            # the residual's gradient joins the attention's at its rows
             da = blk["ln1"].backward(blk["attn"].backward(dh))
-            dh = dh + da
+            da[:, r] += dh
+            dh = da
         return dh
 
     # -- training forward / backward ---------------------------------------
@@ -259,26 +283,27 @@ class TrajectoryTransformer:
         Returns (rtg_pred, action_pred), each (B, T); rtg_pred is None
         without the return head.  rtg_pred[t] reads the s_t token,
         action_pred[t] reads the R_t token (the s_t token for the
-        no-return-token architecture).
+        no-return-token architecture).  Only the tokens the heads read
+        leave the last block.
         """
         tokens = self._step_embeddings(states, rtgs, actions, levels)
-        h = self._body(tokens)
-        self._h_shape = h.shape
-        k = self.arch.tokens_per_step
+        b, t = actions.shape
+        read = self.arch.read_tokens
+        rows = (self.arch.tokens_per_step * np.arange(t)[:, None] + read).ravel()
+        h = self._body(tokens, rows).reshape(b, t, len(read), -1)
         rtg_pred = None
         if self.arch.use_rtg_head:
-            rtg_pred = self.rtg_head.forward(h[:, 0::k, :])[..., 0]
-        act_pred = self.act_head.forward(h[:, self.arch.action_token::k, :])[..., 0]
+            rtg_pred = self.rtg_head.forward(h[:, :, 0])[..., 0]
+        act_pred = self.act_head.forward(h[:, :, -1])[..., 0]
         return rtg_pred, act_pred
 
     def backward(self, d_rtg_pred, d_act_pred):
-        b, l, d = self._h_shape
-        k = self.arch.tokens_per_step
-        dh = np.zeros((b, l, d))
+        b, t = d_act_pred.shape
+        dh = np.zeros((b, t, len(self.arch.read_tokens), self.config.d_model))
         if self.arch.use_rtg_head and d_rtg_pred is not None:
-            dh[:, 0::k, :] += self.rtg_head.backward(d_rtg_pred[..., None])
-        dh[:, self.arch.action_token::k, :] += self.act_head.backward(d_act_pred[..., None])
-        d_tokens = self._body_backward(dh)
+            dh[:, :, 0] += self.rtg_head.backward(d_rtg_pred[..., None])
+        dh[:, :, -1] += self.act_head.backward(d_act_pred[..., None])
+        d_tokens = self._body_backward(dh.reshape(b, -1, self.config.d_model))
         self._step_embeddings_backward(d_tokens)
 
     # -- persistence ---------------------------------------------------------
@@ -431,10 +456,10 @@ def _advance(model: TrajectoryTransformer, ep: _LiveEpisode, t: int, last: int) 
         ep.states[:, steps], ep.rtgs[:, steps], ep.actions[:, steps],
         ep.levels[:, steps], first_step=first,
     )
-    h = model._body(tokens[:, ep.n_tokens - k * first:end - k * first], ep.kv,
-                    ep.n_tokens)
+    h = model._body(tokens[:, ep.n_tokens - k * first:end - k * first],
+                    slice(-1, None), ep.kv, ep.n_tokens)
     ep.n_tokens = end
-    return h[:, -1]
+    return h[:, 0]
 
 
 def make_inference_policy(model: TrajectoryTransformer, manual_target: float | None = None):

@@ -208,6 +208,29 @@ class TestCausalAttention:
             assert g.shape == ref.shape
             assert np.abs(g - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
+    @pytest.mark.parametrize("length", [1, nc.ATTN_BLOCK + 1, 2 * nc.ATTN_BLOCK + 3])
+    def test_query_rows_match_naive_reference(self, gen, length):
+        """Query rows in the transformer's s_t, R_t pattern (two of every
+        three, spanning query blocks): the outputs are those rows of the
+        full attention, and the gradients those of a full backward whose
+        output gradient is zero on the other rows."""
+        dim, heads = 16, 2
+        x = gen.normal(size=(3, length, dim))
+        params = []
+        for _ in range(4):
+            params += [gen.normal(0.0, 0.3, (dim, dim)), gen.normal(0.0, 0.3, dim)]
+        rows = np.flatnonzero(np.arange(length) % 3 != 2)
+        dy = np.zeros(x.shape)
+        dy[:, rows] = gen.normal(size=(3, rows.size, dim))
+        y, cache = nc.causal_attention_forward(x, *fused(params), heads, rows=rows)
+        grads = split(nc.causal_attention_backward(dy[:, rows], cache))
+        y_ref, backward = naive_attention(x, *params, heads)
+        assert y.shape == (3, rows.size, dim)
+        assert np.abs(y - y_ref[:, rows]).max() <= 1e-10 * max(1.0, np.abs(y_ref).max())
+        for g, ref in zip(grads, backward(dy)):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
     def test_grad_check_batched_blocks(self, gen, grad_check):
         ps = nc.ParameterSet()
         attn = nc.CausalSelfAttention(ps, "a", 8, 2, gen, w_std=0.3)
@@ -563,6 +586,22 @@ class TestArena:
     def test_adam_matches_per_parameter_reference(self, adam_matches_reference):
         model = tf.TrajectoryTransformer(tf.ModelConfig())
         adam_matches_reference(model.params, default_model_grads(model), beta2=0.99)
+
+    def test_adam_slices_match_per_parameter_reference(self, adam_matches_reference,
+                                                       monkeypatch, gen):
+        """An arena of several Adam slices, with slice edges inside
+        parameters and a short last slice, updates bitwise like each
+        parameter on its own, with scratch of one slice."""
+        monkeypatch.setattr(nc, "ADAM_CHUNK", 4)
+        ps = nc.ParameterSet()
+        for name, shape in [("a", (5,)), ("b", (3, 3)), ("c", (2,)), ("d", (7,))]:
+            ps.add(name, gen.normal(size=shape))
+
+        def fill():
+            ps.grads[...] = gen.normal(size=ps.size)
+
+        adam_matches_reference(ps, fill)
+        assert [buf.size for buf in ps._adam_scratch] == [4, 4]
 
     def test_nonfinite_gradient_leaves_state_untouched(self):
         model = tf.TrajectoryTransformer(tf.ModelConfig())

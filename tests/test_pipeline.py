@@ -352,6 +352,17 @@ class TestTrainEval:
             assert np.abs(a.actions - b.actions).max() <= 1e-9
         assert [vars(r) for r in lockstep.rows] == [vars(r) for r in alone.rows]
 
+    def test_eval_refuses_another_methods_architecture(self, tiny_experiment):
+        from bagbid.transformer import ARCH_FULL, TrajectoryTransformer
+
+        exp = tiny_experiment
+        cfg = pl.method_model_config(exp, pl.METHODS["bc"])
+        TrajectoryTransformer(cfg, ARCH_FULL).save(exp.ckpt_path("bc"))
+        with pytest.raises(pl.PipelineError,
+                           match="arch.use_rtg_tokens is True, not False, "
+                                 "arch.use_rtg_head is True, not False"):
+            pl.cmd_eval(exp, "bc")
+
     def test_run_pipeline_end_to_end(self, tiny_experiment):
         """From an empty directory, the path ``bagbid train`` and
         ``bagbid eval`` take."""
@@ -564,12 +575,13 @@ class TestCli:
         ('{"campaigns": [{"campaign_id": "c0", "budget": 5, "ros_bound": 6}, '
          '{"campaign_id": "c0", "budget": 7, "ros_bound": 6}]}',
          "campaigns[1]: duplicate campaign_id 'c0'"),
+        ('{"model": {"n_layers": 0}}', "n_layers must be >= 1, got 0"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
             "top-level-list", "market-list", "campaign-number", "campaigns-number",
             "model-number", "beta-zero", "quantile-above-one", "no-test-periods",
             "no-train-episodes", "no-test-seeds", "beta-shape-zero", "no-opportunities", "nan-cvr-noise",
             "test-seeds-overlap-next-period", "test-periods-reach-next-campaign",
-            "negative-budget", "duplicate-campaign"])
+            "negative-budget", "duplicate-campaign", "no-layers"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 
@@ -648,6 +660,32 @@ class TestCli:
         assert main(["report", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f"bagbid: error: {exp.expert_path} is missing; run gen-expert first\n"
+
+    @pytest.mark.parametrize("change, message", [
+        ("context", "model.context_steps is 24, not 48"),
+        ("lr", "model.lr is 0.001, not 0.002"),
+    ], ids=["shorter-context", "other-lr"])
+    def test_stale_checkpoint_fails_without_traceback(self, tiny_experiment, tmp_path,
+                                                      capsys, change, message):
+        """A checkpoint trained under another model config is refused by
+        eval, naming the field, rather than rolled or scored."""
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        config = tmp_path / "config.json"
+        exp.save(config)
+        assert main(["train", "--method", "bc", "--config", str(config)]) == 0
+        if change == "context":
+            exp.market.steps_per_episode = exp.model.context_steps = 48
+        else:
+            exp.model.lr = 0.002
+        exp.save(config)
+        assert main(["eval", "--method", "bc", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bagbid: error: {exp.ckpt_path('bc')} was trained for "
+                              f"another config: {message}; ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not os.path.exists(exp.metrics_path("bc"))
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--method", "ebaret"],

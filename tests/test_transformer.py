@@ -23,6 +23,48 @@ def random_steps(rng, batch, steps):
     )
 
 
+def all_rows_forward(model, states, rtgs, actions, levels):
+    """Reference forward with no row cut: every block computes every
+    token, and the heads pick their rows out of the final hidden states.
+    Returns (rtg_pred, action_pred, backward), where ``backward(d_rtg,
+    d_act)`` accumulates the parameter gradients like ``model.backward``."""
+    arch, k = model.arch, model.arch.tokens_per_step
+    h = model._step_embeddings(states, rtgs, actions, levels)
+    for blk in model.blocks:
+        h = h + blk["attn"].forward(blk["ln1"].forward(h))
+        h = h + blk["fc2"].forward(blk["gelu"].forward(blk["fc1"].forward(blk["ln2"].forward(h))))
+    h = model.ln_f.forward(h)
+    rtg_pred = model.rtg_head.forward(h[:, 0::k])[..., 0] if arch.use_rtg_head else None
+    act_pred = model.act_head.forward(h[:, arch.action_token::k])[..., 0]
+
+    def backward(d_rtg, d_act):
+        dh = np.zeros(h.shape)
+        if arch.use_rtg_head:
+            dh[:, 0::k] += model.rtg_head.backward(d_rtg[..., None])
+        dh[:, arch.action_token::k] += model.act_head.backward(d_act[..., None])
+        dh = model.ln_f.backward(dh)
+        for blk in reversed(model.blocks):
+            dh = dh + blk["ln2"].backward(
+                blk["fc1"].backward(blk["gelu"].backward(blk["fc2"].backward(dh))))
+            dh = dh + blk["ln1"].backward(blk["attn"].backward(dh))
+        model._step_embeddings_backward(dh)
+
+    return rtg_pred, act_pred, backward
+
+
+def perturbed(model, seed=3, std=0.2):
+    """``model`` with noise added to every parameter, so that attention
+    weights and head outputs are far from their near-zero initial values."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    for _, p in model.params.items():
+        p.value += gen.normal(0.0, std, p.value.shape)
+    return model
+
+
+ROW_CUT_ARCHS = {"full": tf.ARCH_FULL, "no-level": tf.ARCH_NO_LEVEL, "dt": tf.ARCH_DT,
+                 "bc": tf.ARCH_BC}
+
+
 class TestConfigValidation:
     def test_context_bag_divisibility(self):
         with pytest.raises(tf.ConfigError):
@@ -133,6 +175,70 @@ class TestForward:
         tensors = [p.value for _, p in model.params.items()]
         grads = [p.grad for _, p in model.params.items()]
         assert grad_check(loss_fn, tensors, grads) < 1e-4
+
+
+    @pytest.mark.parametrize("arch", ["full", "dt", "bc"])
+    def test_grad_check_two_layers(self, arch, rng, grad_check):
+        """With two layers the last block, which computes only the rows the
+        heads read, is not also the first."""
+        cfg = tf.ModelConfig(d_model=8, n_layers=2, n_heads=2, context_steps=2,
+                             bag_len=2, seed=0, rtg_scale=1.0)
+        model = perturbed(tf.TrajectoryTransformer(cfg, ROW_CUT_ARCHS[arch]))
+        s, r, a, lv = random_steps(rng, 1, 2)
+        rt, at = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+
+        def loss_fn():
+            rp, ap = model.forward(s, r, a, lv)
+            return tf.loss_terms(rp, ap, rt, at)[0]
+
+        model.params.zero_grad()
+        rp, ap = model.forward(s, r, a, lv)
+        model.backward(*tf.loss_grads(rp, ap, rt, at))
+        tensors = [p.value for _, p in model.params.items()]
+        grads = [p.grad for _, p in model.params.items()]
+        assert grad_check(loss_fn, tensors, grads) < 1e-4
+
+
+class TestRowCut:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("arch", ROW_CUT_ARCHS)
+    def test_matches_all_rows_reference(self, arch, n_layers, rng):
+        """Head outputs and gradients equal those of the forward that runs
+        every token through every block, up to rounding."""
+        cfg = tf.ModelConfig(d_model=16, n_layers=n_layers, n_heads=2, context_steps=32,
+                             bag_len=8, k_levels=2, seed=0, rtg_scale=1.0)
+        model = perturbed(tf.TrajectoryTransformer(cfg, ROW_CUT_ARCHS[arch]))
+        s, r, a, lv = random_steps(rng, 3, 32)
+        rt, at = rng.normal(size=(3, 32)), rng.normal(size=(3, 32))
+
+        model.params.zero_grad()
+        rp_ref, ap_ref, backward = all_rows_forward(model, s, r, a, lv)
+        backward(*tf.loss_grads(rp_ref, ap_ref, rt, at))
+        ref_grads = model.params.grads.copy()
+        model.params.zero_grad()
+        rp, ap = model.forward(s, r, a, lv)
+        model.backward(*tf.loss_grads(rp, ap, rt, at))
+
+        for out, ref in [(ap, ap_ref)] + ([(rp, rp_ref)] if rp_ref is not None else []):
+            assert out.shape == ref.shape
+            assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert (rp is None) == (rp_ref is None)
+        grads = model.params.grads
+        assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
+
+    @pytest.mark.parametrize("arch, share", [("full", (2, 3)), ("dt", (1, 3)), ("bc", (1, 2))])
+    def test_last_block_mlp_runs_on_read_rows(self, arch, share, rng):
+        """The last block's MLP and the final layer norm see only the s_t
+        and R_t rows with a return head, the action token's otherwise."""
+        cfg = tf.ModelConfig(d_model=16, n_layers=2, n_heads=2, context_steps=8,
+                             bag_len=4, seed=0)
+        model = tf.TrajectoryTransformer(cfg, ROW_CUT_ARCHS[arch])
+        model.forward(*random_steps(rng, 2, 8))
+        all_rows = model.blocks[0]["fc1"]._cache[0].shape[0]
+        read = model.blocks[-1]["fc1"]._cache[0].shape[0]
+        assert all_rows == 2 * 8 * model.arch.tokens_per_step
+        assert read * share[1] == all_rows * share[0]
+        assert model.ln_f._cache[0].shape[:2] == (2, read // 2)
 
 
 class TestLoss:
@@ -292,10 +398,7 @@ class TestInference:
         steps = small_config.steps_per_episode
         cfg = tf.ModelConfig(d_model=16, n_layers=2, n_heads=2, context_steps=steps,
                              bag_len=8, k_levels=3, seed=0, rtg_scale=10.0)
-        model = tf.TrajectoryTransformer(cfg, arch)
-        gen = np.random.Generator(np.random.PCG64(3))
-        for _, p in model.params.items():
-            p.value += gen.normal(0.0, 0.2, p.value.shape)
+        model = perturbed(tf.TrajectoryTransformer(cfg, arch))
         # keep most predictions inside the clamps so the comparison bites
         model.act_head.b.value[...] = 3.0
         if arch.use_rtg_head:
