@@ -131,9 +131,12 @@ class DiscriminatorModel:
 
     @classmethod
     def load(cls, path) -> "DiscriminatorModel":
-        records, meta = nc.read_checkpoint(path)
+        records, meta = nc.read_checkpoint(path, "discriminator")
         model = cls.__new__(cls)
-        model._build(int(meta["hidden"]), float(meta["class_prior"]), rng=None)
+        try:
+            model._build(int(meta["hidden"]), float(meta["class_prior"]), rng=None)
+        except (KeyError, TypeError, ValueError) as e:
+            raise nc.CheckpointError(f"{path}: bad discriminator meta ({e!r})") from None
         model.params.load_records(records, path)
         return model
 

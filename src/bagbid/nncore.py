@@ -34,32 +34,38 @@ attention forward takes an optional per-layer key/value cache, so
 KV-cached inference runs the training kernels on the tokens it has not
 fed yet.
 
-Checkpoints (version 2) are one JSON object: ``format``, ``version``,
-``meta`` and, per parameter name, its ``shape`` and its ``data`` as base64
-of the little-endian float64 bytes in C order.  The bytes round-trip every
-value bitwise (signed zeros, subnormals and infinities included), saving
-the same parameters twice writes the same file, and loading costs a
-base64 decode instead of parsing a float list.  ``read_checkpoint``
-raises ``CheckpointError`` for a file of another format or version
-(version 1 stored float lists and is no longer read).  A model loads by
-laying out its arena without drawing an init and decoding each parameter
-straight into its slice (``ParameterSet.load_records``), which raises
-``CheckpointError`` for data that do not fill their shape and for the
-first missing, unexpected or mis-shaped parameter.
+Checkpoints (version 3) are one compact JSON header line, then ``\n``,
+then the parameters' little-endian float64 bytes in C order, one
+parameter after another.  The header holds ``format``, ``version``,
+``meta`` and ``params``, which maps each parameter name to its ``shape``
+in declaration order, so each parameter's offset in the data follows from
+the shapes before it.  The bytes round-trip every value bitwise (signed
+zeros, subnormals and infinities included), and saving the same
+parameters twice writes the same file.  ``read_checkpoint`` reads the file
+once, parses only the header and returns read-only views of the data at
+those offsets; ``ParameterSet.load_records`` copies each view into its
+slot of an arena laid out without drawing an init.  Every file this
+version cannot read raises ``CheckpointError`` naming its path: another
+format or version (versions 1 and 2 were JSON throughout and are no
+longer read), a header line that is missing, cut, not UTF-8 JSON or
+malformed, data shorter or longer than the shapes need, a checkpoint of
+another kind than the caller asked for, and the first missing,
+unexpected or mis-shaped parameter.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 
 import numpy as np
 
-from bagbid.trajectory import atomic_write_text
+# perfbench/spans.py wraps ``atomic_write_text`` where this module looks it
+# up, so the name stays here although checkpoints are written as bytes
+from bagbid.trajectory import atomic_write_bytes, atomic_write_text
 
 CHECKPOINT_FORMAT = "bagbid-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _CHECKPOINT_DTYPE = np.dtype("<f8")
 
 
@@ -218,70 +224,79 @@ class ParameterSet:
         return self._size
 
     def load_records(self, records: dict, path):
-        """Decode the parameter records of a checkpoint (``read_checkpoint``)
-        straight into the arena.  Raises ``CheckpointError`` naming the
-        first missing, unexpected or mis-shaped parameter."""
+        """Copy the parameter arrays of a checkpoint (``read_checkpoint``)
+        into the arena.  Raises ``CheckpointError`` naming the first
+        missing, unexpected or mis-shaped parameter."""
         for name, p in self._params.items():
             if name not in records:
                 raise CheckpointError(f"{path}: missing parameter {name!r}")
-            shape = tuple(records[name]["shape"])
-            if shape != p.value.shape:
-                raise CheckpointError(
-                    f"{path}: {name}: checkpoint shape {shape} != {p.value.shape}")
+            if records[name].shape != p.value.shape:
+                raise CheckpointError(f"{path}: {name}: checkpoint shape "
+                                      f"{records[name].shape} != {p.value.shape}")
         for name in records:
             if name not in self._params:
                 raise CheckpointError(f"{path}: unexpected parameter {name!r}")
-        for name, rec in records.items():
-            self._params[name].value[...] = _decode(rec, name, path)
+        for name, data in records.items():
+            self._params[name].value[...] = data
 
     def save(self, path, meta: dict | None = None):
-        payload = {
+        header = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "meta": meta or {},
-            "params": {
-                name: {
-                    "shape": list(p.value.shape),
-                    "data": base64.b64encode(
-                        p.value.astype(_CHECKPOINT_DTYPE, copy=False).tobytes()
-                    ).decode("ascii"),
-                }
-                for name, p in self._params.items()
-            },
+            "params": {name: {"shape": list(p.value.shape)} for name, p in self._params.items()},
         }
-        atomic_write_text(path, json.dumps(payload, separators=(",", ":")))
+        parts = [json.dumps(header, separators=(",", ":")).encode("ascii"), b"\n"]
+        parts += [p.value.astype(_CHECKPOINT_DTYPE, copy=False).tobytes()
+                  for p in self._params.values()]
+        atomic_write_bytes(path, b"".join(parts))
 
 
-def read_checkpoint(path) -> tuple[dict, dict]:
-    """Parse a checkpoint file into its parameter records ({name: {"shape",
-    "data"}}) and meta.  The data stay encoded until
-    ``ParameterSet.load_records`` decodes them into a model's arena."""
-    with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+def read_checkpoint(path, kind: str | None = None) -> tuple[dict, dict]:
+    """The parameters of a checkpoint file ({name: read-only float64 view
+    of its shape into the file's bytes}) and its meta.  ``kind``, if
+    given, is the ``meta["kind"]`` the caller reads."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    end = raw.find(b"\n")
+    line = raw if end < 0 else raw[:end]
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(f"{path}: the header line is not UTF-8 JSON ({e})") from None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    version = payload.get("version")
-    if version == 1:
+    version = header.get("version")
+    if version in (1, 2):
         raise CheckpointError(
-            f"{path} is a version 1 checkpoint, which this version no longer "
+            f"{path} is a version {version} checkpoint, which this version no longer "
             f"reads; retrain with `bagbid train`"
         )
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    return payload["params"], payload.get("meta", {})
-
-
-def _decode(rec: dict, name: str, path) -> np.ndarray:
-    """A record's data as a read-only little-endian float64 array of its
-    shape, over the decoded bytes."""
-    shape = tuple(rec["shape"])
-    try:
-        raw = base64.b64decode(rec["data"], validate=True)
-    except ValueError as e:  # binascii.Error or non-ASCII text
-        raise CheckpointError(f"{path}: {name}: bad data ({e})") from None
-    if len(raw) != _CHECKPOINT_DTYPE.itemsize * math.prod(shape):
-        raise CheckpointError(f"{path}: {name}: {len(raw)} bytes do not fill shape {shape}")
-    return np.frombuffer(raw, dtype=_CHECKPOINT_DTYPE).reshape(shape)
+    if end < 0:
+        raise CheckpointError(f"{path} ends inside its header line")
+    meta, params = header.get("meta", {}), header.get("params")
+    if not (isinstance(meta, dict) and isinstance(params, dict) and all(
+            isinstance(rec, dict) and isinstance(rec.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in rec["shape"])
+            for rec in params.values())):
+        raise CheckpointError(f"{path}: the header's params or meta are malformed")
+    shapes = {name: tuple(rec["shape"]) for name, rec in params.items()}
+    if kind is not None and meta.get("kind") != kind:
+        raise CheckpointError(
+            f"{path} is a {meta.get('kind', 'kindless')} checkpoint, not a {kind} one")
+    offset = end + 1
+    need = _CHECKPOINT_DTYPE.itemsize * sum(math.prod(s) for s in shapes.values())
+    if len(raw) - offset != need:
+        raise CheckpointError(f"{path} holds {len(raw) - offset} bytes of parameter data, "
+                              f"but the shapes in its header need {need}")
+    records = {}
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        records[name] = np.frombuffer(raw, _CHECKPOINT_DTYPE, count, offset).reshape(shape)
+        offset += count * _CHECKPOINT_DTYPE.itemsize
+    return records, meta
 
 
 # Elements per slice of an Adam update.  The two scratch buffers hold one

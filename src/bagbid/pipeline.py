@@ -15,8 +15,9 @@ Stages, each a pure function of the experiment config and seed:
                suboptimality-ratio histogram against the r* that
                gen-expert stored for each training day
 
-Outputs are JSONL datasets, JSON checkpoints, and CSV metrics under the
-config's output directory.  Prep labels are a function of the datasets,
+Outputs are JSONL datasets, ``.ckpt`` checkpoints (a JSON header line and
+raw float64 data, see ``nncore``) and CSV metrics under the config's
+output directory.  Prep labels are a function of the datasets,
 the discriminator checkpoint, ``k_levels``, ``bag_len`` and ``beta``, and
 no file stores them, so a training always sees labels for the config and
 discriminator it runs with.  Each method's eval writes only its own
@@ -202,10 +203,10 @@ class ExperimentConfig:
         return self.path("data", "manifest.json")
 
     def disc_path(self, plain_ce: bool):
-        return self.path("models", "disc_ce.json" if plain_ce else "disc_nnpu.json")
+        return self.path("models", "disc_ce.ckpt" if plain_ce else "disc_nnpu.ckpt")
 
     def ckpt_path(self, method: str):
-        return self.path("models", f"ckpt_{method}.json")
+        return self.path("models", f"ckpt_{method}.ckpt")
 
     def train_log_path(self, method: str):
         return self.path("logs", f"train_{method}.csv")

@@ -111,13 +111,22 @@ class Trajectory:
 
 
 def atomic_write_text(path, text: str):
-    """Write a file via temp-and-rename so partial writes are never seen."""
+    """Write a text file via temp-and-rename so partial writes are never seen."""
+    _atomic_write(path, "w", text)
+
+
+def atomic_write_bytes(path, data: bytes):
+    """``atomic_write_text`` for binary files."""
+    _atomic_write(path, "wb", data)
+
+
+def _atomic_write(path, mode: str, content):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, mode) as f:
+            f.write(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -320,9 +320,12 @@ class TrajectoryTransformer:
 
     @classmethod
     def load(cls, path) -> "TrajectoryTransformer":
-        records, meta = nc.read_checkpoint(path)
+        records, meta = nc.read_checkpoint(path, "trajectory-transformer")
         model = cls.__new__(cls)
-        model._build(ModelConfig(**meta["config"]), Arch(**meta["arch"]), rng=None)
+        try:
+            model._build(ModelConfig(**meta["config"]), Arch(**meta["arch"]), rng=None)
+        except (KeyError, TypeError, ValueError) as e:
+            raise nc.CheckpointError(f"{path}: bad model meta ({e!r})") from None
         model.params.load_records(records, path)
         model.loaded_meta = meta
         return model

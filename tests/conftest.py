@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,6 +167,24 @@ def label_loops():
     ``rtg`` take one episode, ``prep_labels`` a list of trajectories."""
     return SimpleNamespace(redistribute=_loop_redistribute, rtg=_loop_rtg,
                            prep_labels=_loop_prep_labels)
+
+
+def _split_checkpoint(path):
+    """A checkpoint file's JSON header (a dict) and its data bytes."""
+    line, _, data = Path(path).read_bytes().partition(b"\n")
+    return json.loads(line), data
+
+
+def _join_checkpoint(path, header, data):
+    """Write ``header`` and ``data`` to ``path`` as one checkpoint file."""
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + data)
+
+
+@pytest.fixture
+def checkpoint_parts():
+    """``split(path)`` reads a checkpoint's header and data; ``join(path,
+    header, data)`` writes them back."""
+    return SimpleNamespace(split=_split_checkpoint, join=_join_checkpoint)
 
 
 @pytest.fixture

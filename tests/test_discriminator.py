@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -254,8 +253,8 @@ class TestArena:
         assert_in_arena(model.params)
         model.params.zero_grad()
         assert_in_arena(model.params)
-        model.save(tmp_path / "d.json")
-        assert_in_arena(dsc.DiscriminatorModel.load(tmp_path / "d.json").params)
+        model.save(tmp_path / "d.ckpt")
+        assert_in_arena(dsc.DiscriminatorModel.load(tmp_path / "d.ckpt").params)
 
     def test_adam_matches_per_parameter_reference(self, rng, adam_matches_reference):
         model = dsc.DiscriminatorModel(seed=1)
@@ -265,7 +264,7 @@ class TestArena:
     def test_load_draws_nothing_and_resaves_same_bytes(self, rng, tmp_path, monkeypatch):
         xe, xo = toy_sets(rng, n=64)
         model, _ = dsc.train_discriminator(xe, xo, dsc.DiscConfig(steps=5, seed=2))
-        first, second = tmp_path / "1.json", tmp_path / "2.json"
+        first, second = tmp_path / "1.ckpt", tmp_path / "2.ckpt"
         model.save(first)
 
         def no_rng(*args, **kwargs):
@@ -275,10 +274,10 @@ class TestArena:
         dsc.DiscriminatorModel.load(first).save(second)
         assert second.read_bytes() == first.read_bytes()
 
-    def test_checkpoint_layout_pinned(self, tmp_path):
-        path = tmp_path / "d.json"
+    def test_checkpoint_layout_pinned(self, tmp_path, checkpoint_parts):
+        path = tmp_path / "d.ckpt"
         dsc.DiscriminatorModel().save(path)
-        params = json.loads(path.read_text())["params"]
+        params = checkpoint_parts.split(path)[0]["params"]
         assert [(name, tuple(rec["shape"])) for name, rec in params.items()] == [
             ("fc1.w", (9, 64)), ("fc1.b", (64,)), ("fc2.w", (64, 64)), ("fc2.b", (64,)),
             ("fc3.w", (64, 1)), ("fc3.b", (1,)),
@@ -289,7 +288,7 @@ class TestPersistence:
     def test_save_load_identical_scores(self, rng, tmp_path):
         xe, xo = toy_sets(rng, n=64)
         model, _ = dsc.train_discriminator(xe, xo, dsc.DiscConfig(steps=40, seed=2))
-        path = tmp_path / "disc.json"
+        path = tmp_path / "disc.ckpt"
         model.save(path)
         loaded = dsc.DiscriminatorModel.load(path)
         x = rng.normal(size=(10, 9))
@@ -297,11 +296,11 @@ class TestPersistence:
         assert loaded.class_prior == model.class_prior
 
     @pytest.mark.parametrize("prior", [0.0, 1.5])
-    def test_load_rejects_bad_class_prior(self, tmp_path, prior):
-        path = tmp_path / "disc.json"
+    def test_load_rejects_bad_class_prior(self, tmp_path, checkpoint_parts, prior):
+        path = tmp_path / "disc.ckpt"
         dsc.DiscriminatorModel(hidden=4).save(path)
-        payload = json.loads(path.read_text())
-        payload["meta"]["class_prior"] = prior
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="class_prior"):
+        header, data = checkpoint_parts.split(path)
+        header["meta"]["class_prior"] = prior
+        checkpoint_parts.join(path, header, data)
+        with pytest.raises(nc.CheckpointError, match="class_prior"):
             dsc.DiscriminatorModel.load(path)

@@ -378,7 +378,7 @@ class TestCheckpoint:
         ps = nc.ParameterSet()
         ps.add("a.w", gen.normal(size=(3, 4)))
         ps.add("a.b", gen.normal(size=4))
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "c.ckpt"
         ps.save(path, meta={"note": "test"})
 
         loaded, meta = reload(ps, path)
@@ -386,20 +386,34 @@ class TestCheckpoint:
         assert np.array_equal(loaded["a.w"].value, ps["a.w"].value)
         assert np.array_equal(loaded["a.b"].value, ps["a.b"].value)
 
-    def test_versioned_header(self, gen, tmp_path):
+    def test_versioned_header(self, gen, tmp_path, checkpoint_parts):
         ps = nc.ParameterSet()
         ps.add("w", np.ones(2))
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.ckpt"
         ps.save(path)
-        with open(path) as f:
-            payload = json.load(f)
-        assert payload["format"] == nc.CHECKPOINT_FORMAT
-        assert payload["version"] == nc.CHECKPOINT_VERSION
+        header, _ = checkpoint_parts.split(path)
+        assert header["format"] == nc.CHECKPOINT_FORMAT
+        assert header["version"] == nc.CHECKPOINT_VERSION
+
+    def test_file_is_header_line_and_raw_bytes(self, tmp_path, checkpoint_parts):
+        """A compact JSON header line, then every parameter's little-endian
+        float64 bytes in name order: the fused q|k|v block of the arena is
+        written column view by column view."""
+        model = tf.TrajectoryTransformer(tf.ModelConfig())
+        path = tmp_path / "c.ckpt"
+        model.save(path, extra_meta={"method": "x"})
+        header, data = checkpoint_parts.split(path)
+        line = json.dumps(header, separators=(",", ":")).encode()
+        assert path.stat().st_size == len(line) + 1 + 8 * model.params.size
+        assert path.read_bytes()[:len(line) + 1] == line + b"\n"
+        assert data == b"".join(p.value.astype("<f8").tobytes()
+                                for _, p in model.params.items())
+        assert list(header["params"]) == model.params.names()
 
     def test_shape_mismatch_rejected(self, tmp_path):
         ps = nc.ParameterSet()
         ps.add("w", np.ones(2))
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.ckpt"
         ps.save(path)
         other = nc.ParameterSet()
         other.add("w", np.ones(3))
@@ -412,7 +426,7 @@ class TestCheckpoint:
         ps.add("scalar", -0.0)
         ps.add("vec", [5e-324, -1e308, 1e308, 0.0, -0.0])
         ps.add("mat", [[2.5e-310, -7.0], [1.0 / 3.0, -5e-324]])
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.ckpt"
         ps.save(path)
         loaded, _ = reload(ps, path)
         for name, p in ps.items():
@@ -426,7 +440,7 @@ class TestCheckpoint:
         ps = nc.ParameterSet()
         ps.add("a.w", gen.normal(size=(3, 4)))
         ps.add("a.b", gen.normal(size=4))
-        first, second, again = (tmp_path / n for n in ("1.json", "2.json", "3.json"))
+        first, second, again = (tmp_path / n for n in ("1.ckpt", "2.ckpt", "3.ckpt"))
         ps.save(first, meta={"note": "x"})
         ps.save(second, meta={"note": "x"})
         assert first.read_bytes() == second.read_bytes()
@@ -434,32 +448,63 @@ class TestCheckpoint:
         reloaded.save(again, meta=meta)
         assert again.read_bytes() == first.read_bytes()
 
-    @pytest.mark.parametrize("cut", [1, 4], ids=["bad-padding", "short"])
+    @pytest.mark.parametrize("cut", [1, 8], ids=["bad-padding", "short"])
     def test_truncated_data_rejected(self, gen, tmp_path, cut):
+        """Data that end inside a value, or one value short."""
         ps = nc.ParameterSet()
         ps.add("w", gen.normal(size=(3, 4)))
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.ckpt"
         ps.save(path)
-        payload = json.loads(path.read_text())
-        payload["params"]["w"]["data"] = payload["params"]["w"]["data"][:-cut]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(nc.CheckpointError, match="w"):
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(nc.CheckpointError,
+                           match=f"{96 - cut} bytes of parameter data, but the shapes "
+                                 f"in its header need 96"):
             reload(ps, path)
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda params: params.pop("a.b"), "missing parameter 'a.b'"),
-        (lambda params: params.update(extra=params["a.b"]), "unexpected parameter 'extra'"),
-        (lambda params: params["a.w"].update(shape=[4, 3]), r"a.w: checkpoint shape \(4, 3\)"),
+    @pytest.mark.parametrize("content,message", [
+        (b"", "the header line is not UTF-8 JSON"),
+        (b"hello", "the header line is not UTF-8 JSON"),
+        (b'{"format":"bagbid-checkpoint","version":3,"meta":{},"params":{"w":',
+         "the header line is not UTF-8 JSON"),
+        (b'{"format":"bagbid-checkpoint","version":3,"meta":{},"params":{"w":{"shape":[1]}}}',
+         "ends inside its header line"),
+        (b'"\xff"\n', "the header line is not UTF-8 JSON"),
+        (b"[1, 2]\n", "is not a bagbid-checkpoint file"),
+        (b'{"format":"bagbid-checkpoint","version":3,"meta":{},"params":{"w":{"shape":"2"}}}\n',
+         "the header's params or meta are malformed"),
+        (b'{"format":"bagbid-checkpoint","version":3,"meta":{},"params":{"w":[2]}}\n',
+         "the header's params or meta are malformed"),
+        (b'{"format":"bagbid-checkpoint","version":3,"meta":[],"params":{}}\n',
+         "the header's params or meta are malformed"),
+        (b'{"format":"bagbid-checkpoint","version":3,"meta":{},"params":{"w":{"shape":[1]}}}\n'
+         + bytes(16), "16 bytes of parameter data, but the shapes in its header need 8"),
+    ], ids=["empty", "hello", "header-cut", "no-newline", "not-utf8", "not-object",
+            "shape-text", "shape-missing", "meta-list", "padded"])
+    def test_malformed_file_rejected(self, tmp_path, content, message):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(nc.CheckpointError, match=message) as e:
+            nc.read_checkpoint(path)
+        assert str(path) in str(e.value)
+
+    @pytest.mark.parametrize("edit,values,message", [
+        (lambda params: params.pop("a.b"), -4, "missing parameter 'a.b'"),
+        (lambda params: params.update(extra=params["a.b"]), 4, "unexpected parameter 'extra'"),
+        (lambda params: params["a.w"].update(shape=[4, 3]), 0, r"a.w: checkpoint shape \(4, 3\)"),
     ], ids=["missing", "unexpected", "misshaped"])
-    def test_mismatched_parameters_rejected(self, gen, tmp_path, edit, message):
+    def test_mismatched_parameters_rejected(self, gen, tmp_path, checkpoint_parts, edit,
+                                            values, message):
+        """``values`` is the number of float64 values the data gain (or
+        lose) with the header edit, so the file itself stays well formed."""
         ps = nc.ParameterSet()
         ps.add("a.w", gen.normal(size=(3, 4)))
         ps.add("a.b", gen.normal(size=4))
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.ckpt"
         ps.save(path)
-        payload = json.loads(path.read_text())
-        edit(payload["params"])
-        path.write_text(json.dumps(payload))
+        header, data = checkpoint_parts.split(path)
+        edit(header["params"])
+        data = data[:8 * values] if values < 0 else data + bytes(8 * values)
+        checkpoint_parts.join(path, header, data)
         records, _ = nc.read_checkpoint(path)
         other = nc.ParameterSet()
         other.add("a.w", shape=(3, 4))
@@ -467,17 +512,29 @@ class TestCheckpoint:
         with pytest.raises(nc.CheckpointError, match=message):
             other.load_records(records, path)
 
-    @pytest.mark.parametrize("header,message", [
-        ({"format": "other"}, "not a bagbid-checkpoint"),
-        ({"version": 1}, "retrain with `bagbid train`"),
-        ({"version": 3}, "unsupported checkpoint version 3"),
-    ], ids=["format", "v1", "v3"])
-    def test_other_format_or_version_rejected(self, tmp_path, header, message):
+    @pytest.mark.parametrize("header,one_line,message", [
+        ({"format": "other"}, False, "not a bagbid-checkpoint"),
+        ({"version": 1, "params": {"w": {"shape": [2], "data": [1.0, 1.0]}}}, True,
+         "is a version 1 checkpoint, .* retrain with `bagbid train`"),
+        ({"version": 2, "params": {"w": {"shape": [2], "data": "AAAAAAAA8D8AAAAAAADwPw=="}}},
+         True, "is a version 2 checkpoint, .* retrain with `bagbid train`"),
+        ({"version": nc.CHECKPOINT_VERSION + 1}, False,
+         f"unsupported checkpoint version {nc.CHECKPOINT_VERSION + 1}"),
+    ], ids=["format", "v1", "v2", "v3"])
+    def test_other_format_or_version_rejected(self, tmp_path, checkpoint_parts, header,
+                                              one_line, message):
+        """Versions 1 and 2 were one JSON object, parameter data included,
+        with no line after it; the ``v3`` row is a version newer than this
+        one."""
         ps = nc.ParameterSet()
         ps.add("w", np.ones(2))
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.ckpt"
         ps.save(path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), **header}))
+        current, data = checkpoint_parts.split(path)
+        if one_line:
+            path.write_text(json.dumps({**current, **header}))
+        else:
+            checkpoint_parts.join(path, {**current, **header}, data)
         with pytest.raises(nc.CheckpointError, match=message):
             nc.read_checkpoint(path)
 
@@ -550,8 +607,8 @@ class TestArena:
         ps.zero_grad()
         assert_in_arena(ps)
         assert not ps.grads.any()
-        model.save(tmp_path / "c.json")
-        loaded = tf.TrajectoryTransformer.load(tmp_path / "c.json")
+        model.save(tmp_path / "c.ckpt")
+        loaded = tf.TrajectoryTransformer.load(tmp_path / "c.ckpt")
         assert_in_arena(loaded.params)
         assert loaded.params.values.tobytes() == ps.values.tobytes()
         assert loaded.params.adam_m is None and loaded.params.adam_v is None
@@ -621,7 +678,7 @@ class TestArena:
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_load_draws_nothing_and_resaves_same_bytes(self, arch, tmp_path, monkeypatch):
-        first, second = tmp_path / "1.json", tmp_path / "2.json"
+        first, second = tmp_path / "1.ckpt", tmp_path / "2.ckpt"
         tf.TrajectoryTransformer(tf.ModelConfig(seed=3), ARCHS[arch]).save(first)
 
         def no_rng(*args, **kwargs):
@@ -632,9 +689,9 @@ class TestArena:
         assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("arch", ARCHS)
-    def test_checkpoint_layout_pinned(self, arch, tmp_path):
-        path = tmp_path / "c.json"
+    def test_checkpoint_layout_pinned(self, arch, tmp_path, checkpoint_parts):
+        path = tmp_path / "c.ckpt"
         tf.TrajectoryTransformer(tf.ModelConfig(), ARCHS[arch]).save(path)
-        params = json.loads(path.read_text())["params"]
+        params = checkpoint_parts.split(path)[0]["params"]
         assert [(name, tuple(rec["shape"])) for name, rec in params.items()] == \
             CHECKPOINT_LAYOUTS[arch]

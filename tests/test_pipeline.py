@@ -182,11 +182,10 @@ class TestTrainEval:
         pl.cmd_gen_expert(exp)
         return exp
 
-    def test_bc_checkpoint_has_no_rtg_head(self, ready):
+    def test_bc_checkpoint_has_no_rtg_head(self, ready, checkpoint_parts):
         exp = ready
         pl.cmd_train(exp, "bc")
-        payload = json.load(open(exp.ckpt_path("bc")))
-        names = payload["params"].keys()
+        names = checkpoint_parts.split(exp.ckpt_path("bc"))[0]["params"].keys()
         assert not any("head.rtg" in n for n in names)
         assert not any("embed.rtg" in n for n in names)
 
@@ -201,31 +200,33 @@ class TestTrainEval:
         assert np.allclose(batch.rtgs[0], expected, atol=1e-12)
         assert np.array_equal(batch.levels, labels[0])
 
-    def test_noea_checkpoint_has_no_level_table(self, ready):
+    def test_noea_checkpoint_has_no_level_table(self, ready, checkpoint_parts):
         exp = ready
         pl.cmd_train_disc(exp)
         pl.cmd_train(exp, "ebaret-noea")
-        payload = json.load(open(exp.ckpt_path("ebaret-noea")))
-        assert not any("embed.level" in n for n in payload["params"])
+        header, _ = checkpoint_parts.split(exp.ckpt_path("ebaret-noea"))
+        assert not any("embed.level" in n for n in header["params"])
 
-    def test_ebaret_checkpoint_structure(self, ready):
+    def test_ebaret_checkpoint_structure(self, ready, checkpoint_parts):
         exp = ready
         pl.cmd_train_disc(exp)
         pl.cmd_train(exp, "ebaret")
-        payload = json.load(open(exp.ckpt_path("ebaret")))
-        names = payload["params"].keys()
+        header, _ = checkpoint_parts.split(exp.ckpt_path("ebaret"))
+        names = header["params"].keys()
         assert any("embed.level" in n for n in names)
         assert any("head.rtg" in n for n in names)
-        assert payload["meta"]["method"] == "ebaret"
+        assert header["meta"]["method"] == "ebaret"
         assert os.path.exists(exp.train_log_path("ebaret"))
 
     def test_train_determinism(self, ready):
         exp = ready
         pl.cmd_train_disc(exp)
         pl.cmd_train(exp, "ebaret")
-        first = open(exp.ckpt_path("ebaret")).read()
+        with open(exp.ckpt_path("ebaret"), "rb") as f:
+            first = f.read()
         pl.cmd_train(exp, "ebaret")
-        assert open(exp.ckpt_path("ebaret")).read() == first
+        with open(exp.ckpt_path("ebaret"), "rb") as f:
+            assert f.read() == first
 
     def test_eval_report_and_metrics(self, ready):
         exp = ready
@@ -732,20 +733,102 @@ class TestCli:
         assert err.startswith("bagbid: error: ") and "retrain with `bagbid train`" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
-    def test_mismatched_checkpoint_fails_without_traceback(self, tmp_path, capsys):
+    def test_mismatched_checkpoint_fails_without_traceback(self, tmp_path, capsys,
+                                                           checkpoint_parts):
         from bagbid.cli import main
         from bagbid.transformer import ARCH_BC, ModelConfig, TrajectoryTransformer
 
         path = pl.default_config(output_dir=str(tmp_path)).ckpt_path("bc")
         os.makedirs(os.path.dirname(path))
         TrajectoryTransformer(ModelConfig(), ARCH_BC).save(path)
-        with open(path) as f:
-            payload = json.load(f)
-        del payload["params"]["head.action.b"]
-        with open(path, "w") as f:
-            json.dump(payload, f)
+        header, data = checkpoint_parts.split(path)
+        del header["params"]["head.action.b"]  # the last parameter: one value
+        checkpoint_parts.join(path, header, data[:-8])
         assert main(["eval", "--method", "bc", "--output-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bagbid: error: ")
         assert "missing parameter 'head.action.b'" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @staticmethod
+    def _checkpoint_error(exp, tmp_path, capsys, command, path):
+        """The stderr of ``command`` (eval of bc, or training ebaret, which
+        reads the nnPU discriminator) run under ``exp``, which must fail
+        with one line naming ``path``."""
+        from bagbid.cli import main
+
+        config = tmp_path / "config.json"
+        exp.save(config)
+        method = "bc" if command == "eval" else "ebaret"
+        assert main([command, "--method", method, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bagbid: error: {path}")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("command, garble, message", [
+        ("eval", "half", "bytes of parameter data, but the shapes in its header need"),
+        ("eval", "padded", "bytes of parameter data, but the shapes in its header need"),
+        ("eval", "header-cut", "the header line is not UTF-8 JSON"),
+        ("eval", "no-data", "ends inside its header line"),
+        ("eval", "hello", "the header line is not UTF-8 JSON"),
+        ("eval", "not-object", "is not a bagbid-checkpoint file"),
+        ("eval", "bad-meta", "bad model meta"),
+        ("train", "half", "bytes of parameter data, but the shapes in its header need"),
+        ("train", "hello", "the header line is not UTF-8 JSON"),
+        ("train", "bad-meta", "bad discriminator meta"),
+    ], ids=["eval-half", "eval-padded", "eval-header-cut", "eval-no-data", "eval-hello",
+            "eval-not-object", "eval-bad-meta", "train-half", "train-hello",
+            "train-bad-meta"])
+    def test_garbled_checkpoint_fails_without_traceback(self, tiny_experiment, tmp_path,
+                                                        capsys, checkpoint_parts, command,
+                                                        garble, message):
+        """A cut, padded or garbled checkpoint fails with one line naming
+        it: the method's checkpoint for eval, the discriminator for the
+        training of a method whose labels it scores."""
+        from bagbid.discriminator import DiscriminatorModel
+        from bagbid.transformer import TrajectoryTransformer
+
+        exp = tiny_experiment
+        if command == "eval":
+            path = exp.ckpt_path("bc")
+            spec = pl.METHODS["bc"]
+            TrajectoryTransformer(pl.method_model_config(exp, spec), spec.arch).save(path)
+        else:
+            path = exp.disc_path(False)
+            DiscriminatorModel(hidden=4).save(path)
+        if garble == "bad-meta":
+            header, data = checkpoint_parts.split(path)
+            del header["meta"]["config" if command == "eval" else "hidden"]
+            checkpoint_parts.join(path, header, data)
+        else:
+            with open(path, "rb") as f:
+                raw = f.read()
+            header_end = raw.index(b"\n")
+            with open(path, "wb") as f:
+                f.write({
+                    "half": raw[:header_end + 1 + (len(raw) - header_end) // 2],
+                    "padded": raw + bytes(8),
+                    "header-cut": raw[:header_end // 2],
+                    "no-data": raw[:header_end],
+                    "hello": b"hello",
+                    "not-object": b"[1, 2]\n",
+                }[garble])
+        assert message in self._checkpoint_error(exp, tmp_path, capsys, command, path)
+
+    @pytest.mark.parametrize("command", ["eval", "train"],
+                             ids=["discriminator-as-model", "model-as-discriminator"])
+    def test_checkpoint_of_other_kind_fails_without_traceback(self, tiny_experiment,
+                                                              tmp_path, capsys, command):
+        from bagbid.discriminator import DiscriminatorModel
+        from bagbid.transformer import TrajectoryTransformer
+
+        exp = tiny_experiment
+        if command == "eval":
+            path, kinds = exp.ckpt_path("bc"), ("discriminator", "trajectory-transformer")
+            DiscriminatorModel(hidden=4).save(path)
+        else:
+            path, kinds = exp.disc_path(False), ("trajectory-transformer", "discriminator")
+            TrajectoryTransformer(exp.model).save(path)
+        err = self._checkpoint_error(exp, tmp_path, capsys, command, path)
+        assert err == f"bagbid: error: {path} is a {kinds[0]} checkpoint, not a {kinds[1]} one\n"

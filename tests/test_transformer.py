@@ -315,10 +315,10 @@ class TestTraining:
         cfg = tf.ModelConfig(**{**tiny_cfg.__dict__, "train_steps": 20, "batch_size": 2})
         m1 = tf.train_model(data, cfg)
         m2 = tf.train_model(data, cfg)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         m1.save(p1)
         m2.save(p2)
-        assert p1.read_text() == p2.read_text()
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_loss_curve_pinned(self, tiny_cfg):
         """Losses of a fixed tiny run, recorded before the attention kernel
@@ -353,7 +353,7 @@ class TestTraining:
     def test_save_load_roundtrip(self, tiny_cfg, rng, tmp_path):
         s, r, a, lv = random_steps(rng, 2, 8)
         model = tf.TrajectoryTransformer(tiny_cfg)
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.ckpt"
         model.save(path, extra_meta={"method": "test"})
         loaded = tf.TrajectoryTransformer.load(path)
         rp1, ap1 = model.forward(s, r, a, lv)
@@ -365,7 +365,7 @@ class TestTraining:
         cfg = tf.ModelConfig(**{**tiny_cfg.__dict__, "lr_warmup_frac": 0.2,
                                 "lr_final_frac": 0.1, "adam_beta2": 0.95})
         arch = tf.Arch(use_rtg_tokens=False, use_level_embedding=False)
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.ckpt"
         tf.TrajectoryTransformer(cfg, arch).save(path)
         loaded = tf.TrajectoryTransformer.load(path)
         assert loaded.config == cfg and loaded.arch == arch
