@@ -13,10 +13,16 @@ subtract in the same order as a loop and so give the same floats
 (``np.sum`` adds pairwise and would change the last bits).  On a 2-vCPU
 VM it takes 50-95 us per default day against 0.9-1.1 ms for the loop.
 
-``step_scan`` stays a loop: one market step has only 100 opportunities,
-and there the same array code measured 35 us per row against 24-25 us
-for the loop (the 768 rows of a default-shape gen-data and gen-expert
-run, same VM).
+``step_scan`` finds a step's winners with one numpy comparison and folds
+the budget over the winners alone in a Python loop.  On one row of 100
+opportunities (25-80 winners, same VM) that takes 13-24 us against
+21-28 us for a loop over every opportunity; a whole-array fold with its
+forfeit cuts was slower than either (35 us against 24-25 us).  On the
+20-opportunity steps of the test configs the numpy calls cost more than
+they save (8-10 us against 5-7 us per row).  Both kernels stay bitwise
+equal to the one-opportunity-at-a-time scan: a float64 numpy product and
+``>`` round and compare like Python floats, and the winners keep stream
+order.
 """
 
 import sys
@@ -75,25 +81,22 @@ def step_scan(action, values, comp_bids, eff_values, conv_draws, remaining):
     win converts when its draw in ``conv_draws`` is below its effective
     value.
     """
-    v = np.ascontiguousarray(values, dtype=np.float64).tolist()
-    c = np.ascontiguousarray(comp_bids, dtype=np.float64).tolist()
-    ev = np.ascontiguousarray(eff_values, dtype=np.float64).tolist()
-    u = np.ascontiguousarray(conv_draws, dtype=np.float64).tolist()
-    action = float(action)
+    comp_bids = np.asarray(comp_bids, dtype=np.float64)
+    won = float(action) * np.asarray(values, dtype=np.float64) > comp_bids
+    pays = comp_bids[won].tolist()
+    ev = np.asarray(eff_values, dtype=np.float64)[won].tolist()
+    u = np.asarray(conv_draws, dtype=np.float64)[won].tolist()
     rem = float(remaining)
     spend = 0.0
     value = 0.0
     wins = 0
     conversions = 0
-    for j in range(len(v)):
-        bid = action * v[j]
-        if bid > c[j]:
-            pay = c[j]
-            if pay <= rem:
-                rem -= pay
-                spend += pay
-                value += ev[j]
-                wins += 1
-                if u[j] < ev[j]:
-                    conversions += 1
+    for pay, ev_j, u_j in zip(pays, ev, u):
+        if pay <= rem:
+            rem -= pay
+            spend += pay
+            value += ev_j
+            wins += 1
+            if u_j < ev_j:
+                conversions += 1
     return wins, spend, conversions, value, rem

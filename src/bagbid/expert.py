@@ -59,13 +59,32 @@ def _replay_scale(stream: OpportunityStream, scale: float, budget: float) -> Rep
     )
 
 
+def _ascending(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of ``ratios`` and the sorted ratios.
+
+    The order inside a group of equal ratios changes the float sums of the
+    prefix spend and value, so ties keep arrival order (a stable sort).
+    Without ties the ascending order is unique, and numpy's default sort,
+    several times faster than the stable one on a default day, finds the
+    same permutation; the stable sort runs only when two sorted neighbours
+    are equal.
+    """
+    order = np.argsort(ratios)
+    ranked = ratios[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(ratios, kind="stable")
+        ranked = ratios[order]
+    return order, ranked
+
+
 def solve_multipliers(stream: OpportunityStream,
                       constraints: CampaignConstraints) -> MultiplierSolution:
     """Best constant bid scale on a stream, exact over all scales.
 
     Sorting opportunities by ``comp_bid / value`` makes the won set of any
     scale a prefix of that order that never splits a group of equal ratios,
-    so those prefixes are the only candidates (one vectorised pass).  Among
+    so those prefixes are the only candidates (one vectorised pass; the
+    sort is stable only when ratios tie, see ``_ascending``).  Among
     prefixes whose full spend fits the budget, whose RoS is within bound
     and whose scale interval starts below the stream config's ``a_max`` (so
     the solution is realizable as a constant-action episode), the
@@ -81,12 +100,12 @@ def solve_multipliers(stream: OpportunityStream,
     a_max = stream.config.a_max
     bound = constraints.ros_bound + ROS_SLACK
     ratios = stream.comp_bids / stream.values  # values are positive
-    order = np.argsort(ratios, kind="stable")
+    order, ranked = _ascending(ratios)
     spend = np.cumsum(np.concatenate(([0.0], stream.comp_bids[order])))
     value = np.cumsum(np.concatenate(([0.0], stream.eff_values[order])))
     # Prefix k is won by scales in (edges[k], edges[k+1]]; it is reachable
     # only if that interval is non-empty, i.e. not inside a tie group.
-    edges = np.concatenate(([0.0], ratios[order], [np.inf]))
+    edges = np.concatenate(([0.0], ranked, [np.inf]))
     k = np.flatnonzero(edges[1:] > edges[:-1])
     ros = np.divide(spend[k], value[k], out=np.zeros(k.size), where=value[k] > 0)
     k = k[(spend[k] <= constraints.budget) & (ros <= bound) & (edges[k] < a_max)]

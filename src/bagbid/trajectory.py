@@ -142,10 +142,16 @@ def save_jsonl(trajectories, path):
 
 class TrajectoryFileError(ValueError):
     """A dataset line that is not UTF-8 JSON, lacks a key or fails the
-    checks of ``Trajectory``; the message starts ``path:line:``."""
+    checks of ``Trajectory`` (the message starts ``path:line:``), or a
+    dataset with no trajectories at all."""
 
 
 def load_jsonl(path):
+    """The trajectories of a dataset file, at least one.
+
+    Every generated dataset holds one episode per campaign-day, so an
+    empty one is an error here rather than in the stage that reads it.
+    """
     out = []
     with open(path, "rb") as f:  # json.loads decodes each line, inside the try
         for lineno, line in enumerate(f, 1):
@@ -158,4 +164,6 @@ def load_jsonl(path):
                 raise TrajectoryFileError(f"{path}:{lineno}: missing key {e}") from None
             except (ValueError, TypeError) as e:
                 raise TrajectoryFileError(f"{path}:{lineno}: {e}") from None
+    if not out:
+        raise TrajectoryFileError(f"{path} holds no trajectories")
     return out

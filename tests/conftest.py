@@ -169,6 +169,65 @@ def label_loops():
                            prep_labels=_loop_prep_labels)
 
 
+def _loop_step_scan(action, values, comp_bids, eff_values, conv_draws, remaining):
+    """``_kernels.step_scan`` as a loop over every opportunity of the step."""
+    v = np.ascontiguousarray(values, dtype=np.float64).tolist()
+    c = np.ascontiguousarray(comp_bids, dtype=np.float64).tolist()
+    ev = np.ascontiguousarray(eff_values, dtype=np.float64).tolist()
+    u = np.ascontiguousarray(conv_draws, dtype=np.float64).tolist()
+    action = float(action)
+    rem = float(remaining)
+    spend = 0.0
+    value = 0.0
+    wins = 0
+    conversions = 0
+    for j in range(len(v)):
+        bid = action * v[j]
+        if bid > c[j]:
+            pay = c[j]
+            if pay <= rem:
+                rem -= pay
+                spend += pay
+                value += ev[j]
+                wins += 1
+                if u[j] < ev[j]:
+                    conversions += 1
+    return wins, spend, conversions, value, rem
+
+
+def _stable_solve_multipliers(stream, constraints):
+    """``expert.solve_multipliers`` with a stable sort of the ratios on
+    every stream, tied or not."""
+    from bagbid.expert import ROS_SLACK, MultiplierSolution, _replay_scale
+
+    if stream.size == 0:
+        raise ValueError("opportunity stream is empty")
+    a_max = stream.config.a_max
+    bound = constraints.ros_bound + ROS_SLACK
+    ratios = stream.comp_bids / stream.values
+    order = np.argsort(ratios, kind="stable")
+    spend = np.cumsum(np.concatenate(([0.0], stream.comp_bids[order])))
+    value = np.cumsum(np.concatenate(([0.0], stream.eff_values[order])))
+    edges = np.concatenate(([0.0], ratios[order], [np.inf]))
+    k = np.flatnonzero(edges[1:] > edges[:-1])
+    ros = np.divide(spend[k], value[k], out=np.zeros(k.size), where=value[k] > 0)
+    k = k[(spend[k] <= constraints.budget) & (ros <= bound) & (edges[k] < a_max)]
+    for i in k[np.argsort(-value[k], kind="stable")]:
+        scale = float(min(0.5 * (edges[i] + edges[i + 1]), a_max))
+        summary = _replay_scale(stream, scale, constraints.budget)
+        if summary.forfeits == 0 and summary.ros <= bound:
+            return MultiplierSolution(scale=scale, feasible=True, summary=summary)
+    return MultiplierSolution(scale=scale, feasible=False, summary=summary)
+
+
+@pytest.fixture(scope="session")
+def scan_refs():
+    """References for the data-generation kernels: ``step_scan`` loops
+    over every opportunity, ``solve_multipliers`` always sorts stably."""
+    return SimpleNamespace(step_scan=_loop_step_scan,
+                           solve_multipliers=_stable_solve_multipliers)
+
+
 def _split_checkpoint(path):
     """A checkpoint file's JSON header (a dict) and its data bytes."""
     line, _, data = Path(path).read_bytes().partition(b"\n")

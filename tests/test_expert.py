@@ -9,6 +9,7 @@ from bagbid import _kernels
 from bagbid.expert import (
     ROS_SLACK,
     ReplaySummary,
+    _ascending,
     _replay_scale,
     generate_expert_trajectories,
     solve_multipliers,
@@ -308,6 +309,70 @@ class TestSolveMultipliers:
         sol = solve_multipliers(stream, constraints)
         assert sol.feasible
         assert sol.summary.wins == 0 and sol.summary.total_spend == 0.0
+
+
+@pytest.fixture
+def argsort_kinds(monkeypatch):
+    """The ``kind`` of every ``np.argsort`` call from here on."""
+    kinds = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return kinds
+
+
+def _tied_stream(seed, n=600):
+    """Dyadic values and competitor bids, so ratios tie in large groups
+    whose members carry different effective values."""
+    r = np.random.Generator(np.random.PCG64(seed))
+    values = r.choice([0.125, 0.25, 0.5, 1.0], n)
+    comps = r.integers(1, 64, n) / 256.0
+    return FakeStream(values, comps, eff=values * r.uniform(0.5, 1.5, n), a_max=4.0)
+
+
+class TestRatioSort:
+    """``solve_multipliers`` sorts ratios with numpy's default sort and
+    falls back to the stable sort only on ties; the reference sorts
+    stably every time."""
+
+    @pytest.mark.parametrize("per_step", [20, 100])
+    def test_tie_free_streams_take_the_default_sort(self, argsort_kinds, scan_refs,
+                                                    small_config, per_step):
+        for seed in range(8):
+            stream = OpportunityStream(dataclasses.replace(
+                small_config, seed=seed, opportunities_per_step=per_step))
+            ratios = stream.comp_bids / stream.values
+            assert np.unique(ratios).size == ratios.size
+            argsort_kinds.clear()
+            order, ranked = _ascending(ratios)
+            assert argsort_kinds == [None]
+            stable = np.argsort(ratios, kind="stable")
+            assert np.array_equal(order, stable)
+            assert ranked.tobytes() == ratios[stable].tobytes()
+            for budget in (0.5, 3.0, 50.0):
+                constraints = CampaignConstraints(budget=budget, ros_bound=6.0)
+                sol = solve_multipliers(stream, constraints)
+                assert repr(sol) == repr(scan_refs.solve_multipliers(stream, constraints))
+
+    def test_ties_fall_back_to_the_stable_sort(self, argsort_kinds, scan_refs):
+        for seed in range(6):
+            stream = _tied_stream(seed)
+            ratios = stream.comp_bids / stream.values
+            assert np.unique(ratios).size < ratios.size // 2
+            argsort_kinds.clear()
+            order, ranked = _ascending(ratios)
+            assert argsort_kinds == [None, "stable"]
+            assert np.array_equal(order, np.argsort(ratios, kind="stable"))
+            for budget in (1.0, 10.0, 40.0, 1e6):
+                for ros_bound in (0.5, 6.0):
+                    constraints = CampaignConstraints(budget=budget, ros_bound=ros_bound)
+                    sol = solve_multipliers(stream, constraints)
+                    ref = scan_refs.solve_multipliers(stream, constraints)
+                    assert sol == ref and repr(sol) == repr(ref)
 
 
 class TestExpertTrajectory:

@@ -155,6 +155,94 @@ class TestReplayMatchesSequentialScan:
         assert_replay_bitwise(scale, values, comps, eff, budget)
 
 
+def _step_rows(seed, n_steps, per_step):
+    """The per-step slices of a market stream: values, competitor bids,
+    effective values and conversion draws."""
+    cfg = MarketConfig(steps_per_episode=n_steps, opportunities_per_step=per_step, seed=seed,
+                       cvr_profile=np.ones(n_steps))
+    stream = OpportunityStream(cfg)
+    return [(stream.values[sl], stream.comp_bids[sl], stream.eff_values[sl],
+             stream.conv_draws[sl])
+            for sl in map(stream.step_slice, range(n_steps))]
+
+
+class TestStepScanMatchesLoop:
+    """``step_scan`` folds over the winners alone; every field, its type
+    included, equals the loop over every opportunity."""
+
+    @pytest.fixture(autouse=True)
+    def _loop(self, scan_refs):
+        self.loop = scan_refs.step_scan
+
+    def check(self, action, values, comps, eff, draws, remaining):
+        got = _kernels.step_scan(action, values, comps, eff, draws, remaining)
+        want = self.loop(action, values, comps, eff, draws, remaining)
+        assert [type(x) for x in got] == [type(x) for x in want] == [int, float, int, float,
+                                                                      float]
+        assert [repr(x) for x in got] == [repr(x) for x in want], (got, want)
+        return got
+
+    @pytest.mark.parametrize("action, remaining, wins", [
+        (1.0, 1.0, 0), (4.0, 1.0, 1), (4.0, 0.1, 0), (4.0, 0.25, 1),
+    ], ids=["lost", "won", "forfeited", "exact-budget"])
+    def test_single_opportunity(self, action, remaining, wins):
+        one = np.array([0.125]), np.array([0.25]), np.array([0.5]), np.array([0.25])
+        assert self.check(action, *one, remaining)[0] == wins
+
+    def test_no_winner_and_every_winner(self):
+        rows = _step_rows(5, 6, 100)
+        for values, comps, eff, draws in rows:
+            assert self.check(0.0, values, comps, eff, draws, 10.0)[:2] == (0, 0.0)
+            top = float((comps / values).max()) * 2.0
+            assert self.check(top, values, comps, eff, draws, 1e9)[0] == values.size
+
+    def test_budgets(self):
+        """Zero, tiny, exactly the first winner's payment, and ample."""
+        for values, comps, eff, draws in _step_rows(6, 8, 100):
+            first = float(comps[3.0 * values > comps][0])
+            for remaining in (0.0, 1e-12, first, 1e6):
+                _, spend, _, _, left = self.check(3.0, values, comps, eff, draws, remaining)
+                assert spend <= remaining and left >= 0.0
+            assert self.check(3.0, values, comps, eff, draws, first)[1] == first
+
+    def test_forfeit_heavy_rows(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        forfeits = 0
+        for seed in range(40):
+            remaining = float(rng.uniform(0.05, 0.4))
+            for values, comps, eff, draws in _step_rows(seed, 10, int(rng.integers(1, 120))):
+                action = float(rng.choice([2.0, 6.0, 20.0]))
+                wins, _, _, _, remaining = self.check(action, values, comps, eff, draws,
+                                                      remaining)
+                forfeits += np.count_nonzero(action * values > comps) - wins
+        assert forfeits > 1000
+
+    def test_seeded_rows(self):
+        """Default-shape steps at varied scales and budgets, the budget
+        carried from step to step as ``MarketEnv`` does."""
+        rng = np.random.Generator(np.random.PCG64(8))
+        for seed in range(12):
+            remaining = float(rng.uniform(0.5, 12.0))
+            for values, comps, eff, draws in _step_rows(seed, 48, 100):
+                action = float(rng.uniform(0.0, 8.0))
+                remaining = self.check(action, values, comps, eff, draws, remaining)[4]
+
+    # dyadic grids make ties and payments that land exactly on the budget
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+                                st.sampled_from([0.0, 0.0625, 0.125, 0.25, 0.5, 1.0]),
+                                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=60),
+        action=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+        remaining=st.one_of(st.sampled_from([0.0, 0.25, 0.375, 1.0, 2.5]),
+                            st.floats(0.0, 8.0)),
+    )
+    def test_random_dyadic_streams(self, rows, action, remaining):
+        values, comps, eff, draws = np.array(rows, dtype=np.float64).T
+        self.check(action, values, comps, eff, draws, remaining)
+
+
 def test_backend_reported():
     assert KERNEL_BACKEND == "python"
     assert _kernels.get_backend("python").replay_scan is _kernels.replay_scan

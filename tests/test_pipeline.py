@@ -94,6 +94,38 @@ class TestGenData:
         pl.gen_expert_data(exp)
         assert stream_seeds == pl.train_seeds(exp)
 
+    def test_datasets_equal_those_of_the_reference_kernels(self, tiny_experiment, scan_refs,
+                                                            monkeypatch, tmp_path):
+        """Both datasets are byte-identical to those generated with the
+        all-opportunity step loop and the always-stable ratio sort."""
+        from bagbid import _kernels
+        from bagbid import expert as ex
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        fast = [open(path, "rb").read() for path in (exp.offline_path, exp.expert_path)]
+
+        calls = {"step_scan": 0, "solve_multipliers": 0}
+
+        def counted(name):
+            ref = getattr(scan_refs, name)
+
+            def call(*args):
+                calls[name] += 1
+                return ref(*args)
+            return call
+
+        monkeypatch.setattr(_kernels, "step_scan", counted("step_scan"))
+        solve = counted("solve_multipliers")
+        monkeypatch.setattr(ex, "solve_multipliers", solve)
+        monkeypatch.setattr(pl, "solve_multipliers", solve)
+        exp.output_dir = str(tmp_path / "reference")
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        assert calls["step_scan"] > 0 and calls["solve_multipliers"] > 0
+        assert fast == [open(path, "rb").read() for path in (exp.offline_path, exp.expert_path)]
+
     def test_expert_flagged_and_feasible(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_expert(exp)
@@ -645,6 +677,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"bagbid: error: {path}:{lineno}: ") and message in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, dataset", [
+        (["train-disc"], "offline"),
+        (["train-disc"], "expert"),
+        (["train", "--method", "ebaret"], "offline"),
+        (["train", "--method", "ebaret"], "expert"),
+        (["train", "--method", "dt"], "offline"),
+        (["report"], "offline"),
+    ], ids=["train-disc-offline", "train-disc-expert", "train-offline", "train-expert",
+            "train-dt-offline", "report-offline"])
+    def test_empty_dataset_fails_without_traceback(self, tiny_experiment, tmp_path, capsys,
+                                                   argv, dataset):
+        """A dataset file with no trajectories is refused by name."""
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
+                                        False)]).save(exp.metrics_path("bc"))
+        path = exp.offline_path if dataset == "offline" else exp.expert_path
+        open(path, "wb").close()
+        config = tmp_path / "config.json"
+        exp.save(config)
+        assert main(argv + ["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"bagbid: error: {path} holds no trajectories\n"
 
     def test_report_without_expert_data_fails_without_traceback(self, tiny_experiment,
                                                                  tmp_path, capsys):
