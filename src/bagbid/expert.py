@@ -13,9 +13,12 @@ pressure opportunity j is won exactly when ``s * value_j > comp_bid_j``,
 i.e. when ``s`` exceeds its ratio ``comp_bid_j / value_j``; every scale
 therefore wins a prefix of the opportunities sorted by ratio, and the
 prefixes are the only outcomes to compare.  ``solve_multipliers`` scans
-them once and replays the chosen scale; ``generate_expert_trajectories``
-solves every day's scale and rolls all the days in one lockstep batch,
-each at its own constant scale.  A day's ``OpportunityStream`` is built
+them once and replays the chosen scale, so its r* is the best constant
+scale among those that win without forfeiting: a scale whose won prefix
+overruns the budget forfeits the wins it cannot pay for, and such scales
+are never chosen, although on some days one of them is worth slightly
+more.  ``generate_expert_trajectories`` solves every day's scale and
+rolls all the days in one lockstep batch, each at its own constant scale.  A day's ``OpportunityStream`` is built
 once and serves both its solve and its rollout.
 """
 
@@ -79,7 +82,7 @@ def _ascending(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_multipliers(stream: OpportunityStream,
                       constraints: CampaignConstraints) -> MultiplierSolution:
-    """Best constant bid scale on a stream, exact over all scales.
+    """Best constant bid scale among those that win without forfeiting.
 
     Sorting opportunities by ``comp_bid / value`` makes the won set of any
     scale a prefix of that order that never splits a group of equal ratios,

@@ -7,12 +7,13 @@ caches what its backward needs and training is bitwise deterministic for
 a fixed seed.
 
 A ``ParameterSet`` keeps every parameter in one arena: one flat float64
-buffer of values and one of gradients, allocated at their final size on
-first use, with each ``Parameter.value`` and ``.grad`` a view into them.
-So ``zero_grad`` and the finiteness check are one call each, and
-``adam_step`` runs a few ufuncs over fixed-size slices of the arena into
-one slice of preallocated scratch, which gives bitwise the per-parameter
-update.  Parameters are only updated in place; binding another array to
+buffer of values and one of gradients, each allocated at its final size
+on its first use (so a loaded model that only runs has no gradients), or
+bound to buffers the caller owns (``bind``), with each ``Parameter.value``
+and ``.grad`` a view into them.  So ``zero_grad`` and the finiteness
+check are one call each, and ``adam_step`` runs a few ufuncs over
+fixed-size slices of the arena into one slice of preallocated scratch,
+which gives bitwise the per-parameter update.  Parameters are only updated in place; binding another array to
 one raises.  The Adam moments are allocated at the first step, so a
 loaded model does not carry them.
 
@@ -82,7 +83,7 @@ class ShapeError(ValueError):
 
 
 class Parameter:
-    """A value and its gradient, both views into the arena of the
+    """A value and its gradient, both views into the arenas of the
     ``ParameterSet`` that made it.  A parameter is only ever updated in
     place: ``p.value[...] = x`` and ``p.grad += g`` work, while binding
     another array to ``value`` or ``grad`` raises ``AttributeError``."""
@@ -96,7 +97,7 @@ class Parameter:
     @property
     def value(self) -> np.ndarray:
         if self._value is None:
-            self._owner._allocate()
+            self._owner._allocate_values()
         return self._value
 
     @value.setter
@@ -108,7 +109,7 @@ class Parameter:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._owner._allocate()
+            self._owner._allocate_grads()
         return self._grad
 
     @grad.setter
@@ -128,17 +129,21 @@ class ParameterSet:
     while each of its parameters keeps its name.
 
     Parameters are declared first, each with its initial value or zeros;
-    the arena is allocated at its final size when a value, a gradient or
-    a buffer is first used, and no parameter can be added after that.
-    The two Adam moments are allocated at the first ``adam_step``, so a
-    model that is only loaded and run does not carry them.
+    each buffer is allocated at its final size when it is first used (the
+    values when a value or ``values`` is, the gradients when a gradient
+    or ``grads`` is), and no parameter can be added after that.  So a
+    model that is only loaded and run never allocates gradients.
+    ``bind`` lays the arena over buffers the caller owns instead, such as
+    one value buffer shared by several sets.  The two Adam moments are
+    allocated at the first ``adam_step``.
     """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
-        # (offset, block shape, index, initial value or None) of every
-        # view, named or not, until the arena is allocated
-        self._layout: dict[Parameter, tuple] | None = {}
+        # (offset, block shape, index) of every view, named or not
+        self._layout: dict[Parameter, tuple] = {}
+        # initial values, until the value buffer exists
+        self._init: dict[Parameter, np.ndarray] = {}
         self._size = 0
         self._values = self._grads = None
         self.adam_m = self.adam_v = None
@@ -153,16 +158,18 @@ class ParameterSet:
         offset = self._size
         self._size += math.prod(shape)
         p = Parameter(self)
-        self._layout[p] = (offset, shape, ..., None)
+        self._layout[p] = (offset, shape, ...)
         return p
 
     def add_view(self, name: str, block: Parameter, index=..., value=None) -> Parameter:
         """Name the part ``index`` of ``block``, starting at ``value`` (or
         zeros)."""
         self._check_new(name)
-        offset, shape, _, _ = self._layout[block]
+        offset, shape, _ = self._layout[block]
         p = self._params[name] = Parameter(self)
-        self._layout[p] = (offset, shape, index, value)
+        self._layout[p] = (offset, shape, index)
+        if value is not None:
+            self._init[p] = value
         return p
 
     def add(self, name: str, value=None, *, shape=None) -> Parameter:
@@ -175,7 +182,7 @@ class ParameterSet:
         return self.add_view(name, self.add_block(shape), value=value)
 
     def _check_open(self):
-        if self._layout is None:
+        if self._values is not None or self._grads is not None:
             raise ValueError("parameters cannot be added once the arena is in use")
 
     def _check_new(self, name: str):
@@ -183,17 +190,40 @@ class ParameterSet:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
 
-    def _allocate(self):
-        self._values = np.zeros(self._size)
-        self._grads = np.zeros(self._size)
-        for p, (offset, shape, index, value) in self._layout.items():
+    def _lay_out(self, buf: np.ndarray, slot: str) -> np.ndarray:
+        if buf.shape != (self._size,) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
+            raise ShapeError(f"an arena buffer must be ({self._size},) contiguous float64, "
+                             f"not {buf.shape} {buf.dtype}")
+        for p, (offset, shape, index) in self._layout.items():
             end = offset + math.prod(shape)
-            p._value = self._values[offset:end].reshape(shape)[index]
-            p._grad = self._grads[offset:end].reshape(shape)[index]
-            if value is not None:
-                p._value[...] = value
-            p._owner = None
-        self._layout = None
+            setattr(p, slot, buf[offset:end].reshape(shape)[index])
+            if p._value is not None and p._grad is not None:
+                p._owner = None  # nothing left to allocate: no reference cycle
+        return buf
+
+    def _allocate_values(self):
+        self._values = self._lay_out(np.zeros(self._size), "_value")
+        for p, value in self._init.items():
+            p._value[...] = value
+        self._init = {}
+
+    def _allocate_grads(self):
+        self._grads = self._lay_out(np.zeros(self._size), "_grad")
+
+    def bind(self, values: np.ndarray, grads: np.ndarray | None = None):
+        """Lay the arena over ``values``, and over ``grads`` when given
+        (without it the gradients are allocated on first use), instead of
+        allocating.  Both are flat float64 buffers of ``size`` elements,
+        and the parameters become views into them.  The buffers hold the
+        values as they are: no initial value is written, so several sets
+        of one layout can share a value buffer that one of them filled.
+        Binds once, before any value or gradient is used."""
+        if self._values is not None or self._grads is not None:
+            raise ValueError("the arena is already in use")
+        self._init = {}
+        self._values = self._lay_out(values, "_value")
+        if grads is not None:
+            self._grads = self._lay_out(grads, "_grad")
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -207,13 +237,13 @@ class ParameterSet:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._allocate()
+            self._allocate_values()
         return self._values
 
     @property
     def grads(self) -> np.ndarray:
         if self._grads is None:
-            self._allocate()
+            self._allocate_grads()
         return self._grads
 
     def zero_grad(self):

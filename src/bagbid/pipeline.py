@@ -54,6 +54,7 @@ from bagbid.market import (
     run_episodes,
     sinusoid_cvr_profile,
 )
+from bagbid.shard_worker import ShardWorkerError
 from bagbid.trajectory import (
     CampaignConstraints,
     atomic_write_text,
@@ -563,7 +564,10 @@ def cmd_train(exp: ExperimentConfig, method: str) -> TrajectoryTransformer:
     model_cfg = method_model_config(exp, spec)
     data = build_training_batch(trajs, model_cfg, spec, labels)
     rows: list = []
-    model = train_model(data, model_cfg, spec.arch, log_rows=rows)
+    try:
+        model = train_model(data, model_cfg, spec.arch, log_rows=rows)
+    except ShardWorkerError as e:
+        raise PipelineError(f"training {spec.name}: {e}") from None
 
     manual_target = float(
         np.quantile([t.total_reward for t in trajs], exp.dt_target_quantile)

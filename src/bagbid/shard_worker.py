@@ -1,0 +1,228 @@
+"""Worker processes for the two shards of a train step.
+
+``transformer.train_model`` splits every step's batch into two fixed
+shards.  Once training is long enough to pay for them, ``ShardWorkers``
+starts two workers, one per shard, and each step:
+
+- writes the current values into the shared value arena,
+- sends each worker its shard's row indices (one JSON line),
+- reads back each shard's squared-error sums (one JSON line each),
+
+after which each worker's gradient is in its own shared gradient arena,
+for the parent to sum and to take the Adam step with.  The parent's model
+keeps arenas of its own and copies its values in, so the model that
+training returns does not depend on the mapping.
+
+The values, the two gradient arenas and the stacked dataset live in one
+file mapping, in ``/dev/shm`` where it can be made and in the temp
+directory otherwise.  The file is unlinked as soon as both workers have
+opened it, or when starting them fails, so no file outlives a training.
+Each worker is ``python -m bagbid.shard_worker`` with one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``), the ``bagbid`` this module was imported
+from first on its ``PYTHONPATH``, and its stdin and stdout as the request
+and reply pipes.  It ignores SIGINT (the parent handles an interrupt and
+stops it) and exits when its stdin closes.
+
+A worker that exits or raises makes the parent's next step raise
+``ShardWorkerError``; ``close`` stops the workers in every case.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import mmap
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+from dataclasses import asdict
+
+import numpy as np
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_STOP_TIMEOUT_S = 5.0
+
+
+class ShardWorkerError(RuntimeError):
+    """A training worker exited or failed."""
+
+
+def _mapping_dirs() -> list[str]:
+    """Where the shared file may go, in order of preference."""
+    return ["/dev/shm", tempfile.gettempdir()]
+
+
+def _create_mapping(nbytes: int) -> tuple[str, mmap.mmap]:
+    """A new file of ``nbytes`` (its space reserved, so a full file system
+    fails here and not as a bus error on first touch) and its mapping."""
+    error = None
+    for d in _mapping_dirs():
+        try:
+            fd, path = tempfile.mkstemp(prefix="bagbid-train-", dir=d)
+        except OSError as e:
+            error = e
+            continue
+        try:
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fd, 0, nbytes)
+            else:
+                os.ftruncate(fd, nbytes)
+            return path, mmap.mmap(fd, nbytes)
+        except OSError as e:
+            os.unlink(path)
+            error = e
+        finally:
+            os.close(fd)
+    raise ShardWorkerError(f"cannot create the shared training file: {error}")
+
+
+def _layout(size: int, n: int, t: int, state_dim: int) -> list[tuple]:
+    """(shape, dtype) of each array of the shared file, in file order: the
+    values and the two gradient arenas of ``size`` parameters, then the
+    states, actions, rtgs and levels of the (n, t) stacked dataset.  Every
+    dtype is 8 bytes wide."""
+    return ([((size,), np.float64)] * 3 + [((n, t, state_dim), np.float64)]
+            + [((n, t), np.float64)] * 2 + [((n, t), np.int64)])
+
+
+def _shared_arrays(buf, layout) -> tuple:
+    """The views of the shared file: (values, (grads0, grads1), states,
+    actions, rtgs, levels)."""
+    arrays, offset = [], 0
+    for shape, dtype in layout:
+        count = math.prod(shape)
+        arrays.append(np.frombuffer(buf, dtype, count, offset).reshape(shape))
+        offset += 8 * count
+    values, g0, g1, *data = arrays
+    return (values, (g0, g1), *data)
+
+
+class ShardWorkers:
+    """Two running workers and the mapping they share (parent side).
+
+    ``grads`` holds the two shards' gradient arenas, filled by ``step``.
+    """
+
+    def __init__(self, config, arch, data, batch_size: int, size: int):
+        n, t, state_dim = data.states.shape
+        layout = _layout(size, n, t, state_dim)
+        self._procs: list[subprocess.Popen] = []
+        path, buf = _create_mapping(sum(8 * math.prod(shape) for shape, _ in layout))
+        try:
+            self.values, self.grads, *shared = _shared_arrays(buf, layout)
+            for dst, src in zip(shared, (data.states, data.actions, data.rtgs, data.levels)):
+                dst[...] = src
+            setup = {"path": path, "size": size, "n": n, "t": t, "state_dim": state_dim,
+                     "batch_size": batch_size, "config": asdict(config),
+                     "arch": asdict(arch)}
+            path_env = os.environ.get("PYTHONPATH")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=_SRC + (os.pathsep + path_env if path_env else ""))
+            for shard in range(2):
+                self._procs.append(subprocess.Popen(
+                    [sys.executable, "-m", "bagbid.shard_worker"],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+                self._send(shard, {**setup, "shard": shard})
+            for shard in range(2):
+                self._receive(shard)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.unlink(path)
+
+    def step(self, values: np.ndarray, shards) -> list[tuple[float, float]]:
+        """Run one train step's shards on the current ``values``; returns
+        each shard's squared-error sums, and leaves its gradient in
+        ``grads``."""
+        self.values[...] = values
+        for shard, rows in enumerate(shards):
+            self._send(shard, rows.tolist())
+        replies = [self._receive(shard) for shard in range(2)]
+        return [(reply["rtg"], reply["act"]) for reply in replies]
+
+    def _send(self, shard: int, message):
+        proc = self._procs[shard]
+        try:
+            proc.stdin.write(json.dumps(message).encode() + b"\n")
+            proc.stdin.flush()
+        except OSError:
+            raise self._exited(shard) from None
+
+    def _receive(self, shard: int) -> dict:
+        line = self._procs[shard].stdout.readline()
+        try:
+            reply = json.loads(line)
+        except ValueError:  # an empty line: the worker's stdout closed
+            raise self._exited(shard) from None
+        if "error" in reply:
+            raise ShardWorkerError(f"training worker {shard} failed: {reply['error']}")
+        return reply
+
+    def _exited(self, shard: int) -> ShardWorkerError:
+        proc = self._procs[shard]
+        proc.kill()  # it may have closed its pipes without exiting
+        return ShardWorkerError(f"training worker {shard} exited with code {proc.wait()}")
+
+    def close(self):
+        """Stop the workers: close their stdin, then wait for them to exit,
+        killing one that does not within ``_STOP_TIMEOUT_S``."""
+        for proc in self._procs:
+            try:
+                proc.stdin.close()
+            except OSError:
+                pass
+        for proc in self._procs:
+            try:
+                proc.wait(timeout=_STOP_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        self._procs = []
+
+
+def _reply(out, message):
+    out.write(json.dumps(message).encode() + b"\n")
+    out.flush()
+
+
+def main() -> int:
+    """The worker loop: open the shared file named by the first request,
+    then answer each request of row indices with a ``shard_step``."""
+    # replies go to a copy of stdout; anything else the process prints goes
+    # to stderr instead of into the replies
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests = sys.stdin.buffer
+    try:
+        from bagbid import transformer as tf  # here: transformer imports this module
+
+        setup = json.loads(requests.readline())
+        with open(setup["path"], "r+b") as f:
+            buf = mmap.mmap(f.fileno(), 0)
+        values, grads, *arrays = _shared_arrays(buf, _layout(
+            setup["size"], setup["n"], setup["t"], setup["state_dim"]))
+        model = tf.TrajectoryTransformer.view(
+            tf.ModelConfig(**setup["config"]), tf.Arch(**setup["arch"]), values,
+            grads[setup["shard"]])
+        data = tf.TrainingBatch(*arrays)
+        _reply(replies, {"ready": True})
+        for line in requests:
+            rows = np.array(json.loads(line), dtype=np.int64)
+            rtg, act = tf.shard_step(model, data, rows, setup["batch_size"])
+            _reply(replies, {"rtg": rtg, "act": act})
+    except Exception as e:
+        try:
+            _reply(replies, {"error": f"{type(e).__name__}: {e}"})
+        except OSError:
+            pass
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

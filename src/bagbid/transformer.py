@@ -17,6 +17,16 @@ its queries, MLP and the final layer norm run on the s_t and R_t rows
 rows of the full model, 1/3 for the plain return-conditioned one and 1/2
 for behavior cloning.
 
+A train step (``train_model``) splits its sampled batch into two fixed
+shards and adds the first shard's gradient of the whole batch's loss to
+the second's, each computed by a view of the model over one shared value
+arena with a gradient arena of its own.  Step 0 runs both shards in
+process; a training whose remaining steps would take ``WORKER_PAYBACK_S``
+or more at step 0's pace, on a machine with at least two CPUs, runs the
+other steps' shards on two worker processes (``shard_worker``).  Either
+way the arithmetic is the same, so a run's bytes do not depend on where
+its shards run.
+
 Architecture switches cover the baselines and ablations: a plain
 return-conditioned transformer drops the return head and bag/level
 embeddings (manual return target at inference), behavior cloning
@@ -45,14 +55,23 @@ alone up to float reduction order.
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from bagbid import nncore as nc
+from bagbid.shard_worker import ShardWorkers
 from bagbid.trajectory import STATE_DIM, Trajectory
 
 DEFAULT_RTG_SCALE = 30.0
+
+# Seconds of in-process training that the steps after step 0 must be
+# worth, at step 0's pace, before ``train_model`` moves them to two worker
+# processes: starting the workers costs 0.2-0.3 s on a 2-vCPU x86 VM, so
+# short trainings (a handful of steps, or tiny models) stay in-process.
+WORKER_PAYBACK_S = 1.0
 
 
 class ConfigError(ValueError):
@@ -319,6 +338,19 @@ class TrajectoryTransformer:
         self.params.save(path, meta=meta)
 
     @classmethod
+    def view(cls, config: ModelConfig, arch: Arch, values: np.ndarray,
+             grads: np.ndarray | None = None) -> "TrajectoryTransformer":
+        """A model whose parameters are views into the flat buffer
+        ``values`` (``ParameterSet.bind``): it draws and writes no initial
+        weight, so it computes with what ``values`` holds, for instance
+        another model's ``params.values``.  Its gradients go to ``grads``,
+        or to an arena of its own."""
+        model = cls.__new__(cls)
+        model._build(config, arch, rng=None)
+        model.params.bind(values, grads)
+        return model
+
+    @classmethod
     def load(cls, path) -> "TrajectoryTransformer":
         records, meta = nc.read_checkpoint(path, "trajectory-transformer")
         model = cls.__new__(cls)
@@ -331,30 +363,42 @@ class TrajectoryTransformer:
         return model
 
 
-def loss_terms(rtg_pred, action_pred, rtg_target, action_target):
-    """Squared-error losses, summed over steps and averaged over the batch.
-
-    Returns (total, rtg_part, action_part); rtg terms are zero when the
-    model has no return head.
-    """
+def squared_errors(rtg_pred, action_pred, rtg_target, action_target):
+    """Squared errors summed over rows and steps, (rtg_sum, action_sum);
+    the rtg sum is zero when the model has no return head."""
     if action_pred.shape != action_target.shape:
         raise ValueError(
             f"action shapes disagree: {action_pred.shape} vs {action_target.shape}"
         )
-    b = action_pred.shape[0]
-    act = float(np.sum((action_pred - action_target) ** 2)) / b
+    act = float(np.sum((action_pred - action_target) ** 2))
     rtg = 0.0
     if rtg_pred is not None:
         if rtg_pred.shape != rtg_target.shape:
             raise ValueError(
                 f"rtg shapes disagree: {rtg_pred.shape} vs {rtg_target.shape}"
             )
-        rtg = float(np.sum((rtg_pred - rtg_target) ** 2)) / b
+        rtg = float(np.sum((rtg_pred - rtg_target) ** 2))
+    return rtg, act
+
+
+def loss_terms(rtg_pred, action_pred, rtg_target, action_target):
+    """Squared-error losses, summed over steps and averaged over the batch.
+
+    Returns (total, rtg_part, action_part); rtg terms are zero when the
+    model has no return head.
+    """
+    b = action_pred.shape[0]
+    rtg, act = squared_errors(rtg_pred, action_pred, rtg_target, action_target)
+    rtg /= b
+    act /= b
     return rtg + act, rtg, act
 
 
-def loss_grads(rtg_pred, action_pred, rtg_target, action_target):
-    b = action_pred.shape[0]
+def loss_grads(rtg_pred, action_pred, rtg_target, action_target, batch_size=None):
+    """Gradients of ``loss_terms`` with respect to the predictions; with
+    ``batch_size``, the predictions are a shard of a batch of that many
+    rows and the loss is averaged over the whole batch."""
+    b = action_pred.shape[0] if batch_size is None else batch_size
     d_act = 2.0 * (action_pred - action_target) / b
     d_rtg = None
     if rtg_pred is not None:
@@ -390,28 +434,77 @@ def lr_at(config: ModelConfig, step: int) -> float:
     return config.lr * (floor + (1.0 - floor) * 0.5 * (1.0 + math.cos(math.pi * progress)))
 
 
+def shard_step(model: TrajectoryTransformer, data: TrainingBatch, rows,
+               batch_size: int) -> tuple[float, float]:
+    """One shard of a train step: zero ``model``'s gradients, then fill
+    them with the gradient, on the rows ``rows`` of ``data``, of the loss
+    of the whole batch of ``batch_size`` rows (squared errors summed over
+    steps, divided by ``batch_size``).  Returns the shard's squared-error
+    sums (``squared_errors``); a shard with no rows has zero gradient."""
+    model.params.zero_grad()
+    if len(rows) == 0:
+        return 0.0, 0.0
+    shard = data.take(rows)
+    rtg_pred, act_pred = model.forward(shard.states, shard.rtgs, shard.actions, shard.levels)
+    sums = squared_errors(rtg_pred, act_pred, shard.rtgs, shard.actions)
+    model.backward(*loss_grads(rtg_pred, act_pred, shard.rtgs, shard.actions, batch_size))
+    return sums
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL,
                 log_rows: list | None = None) -> TrajectoryTransformer:
     """Adam training loop; deterministic for a fixed config seed.
 
+    A step samples ``min(batch_size, N)`` row indices and splits them into
+    two fixed shards (``np.array_split(idx, 2)``).  Each shard's gradient
+    of the whole batch's loss (``shard_step``) is computed by its own view
+    of the model: the views share one value arena and own one gradient
+    arena each.  The step's gradient is the first shard's plus the
+    second's, and its logged losses are the two shards' squared-error sums
+    added and divided by the batch size.  Step 0 runs both shards in this
+    process.  When it has at least two CPUs and the remaining steps, at
+    step 0's pace, would take ``WORKER_PAYBACK_S`` or more, the other steps
+    run each shard in a worker process (``shard_worker.ShardWorkers``)
+    while this process sums the gradients and takes the Adam step.  The
+    shards and their arithmetic are the same either way, so checkpoints
+    and logged losses are byte-identical wherever the shards run.
+
     ``log_rows``, when given, collects (step, rtg_loss, action_loss).
     """
     model = TrajectoryTransformer(config, arch)
+    views = (model, TrajectoryTransformer.view(config, arch, model.params.values))
     rng = np.random.Generator(np.random.PCG64(config.seed + 7919))
     n = data.size
-    for step in range(config.train_steps):
-        idx = rng.integers(0, n, size=min(config.batch_size, n))
-        batch = data.take(idx)
-        model.params.zero_grad()
-        rtg_pred, act_pred = model.forward(
-            batch.states, batch.rtgs, batch.actions, batch.levels
-        )
-        total, rtg_l, act_l = loss_terms(rtg_pred, act_pred, batch.rtgs, batch.actions)
-        d_rtg, d_act = loss_grads(rtg_pred, act_pred, batch.rtgs, batch.actions)
-        model.backward(d_rtg, d_act)
-        nc.adam_step(model.params, lr=lr_at(config, step), beta2=config.adam_beta2)
-        if log_rows is not None:
-            log_rows.append((step, rtg_l, act_l))
+    b = min(config.batch_size, n)
+    workers = None
+    try:
+        for step in range(config.train_steps):
+            t0 = time.perf_counter()
+            shards = np.array_split(rng.integers(0, n, size=b), 2)
+            if workers is None:
+                sums = [shard_step(v, data, rows, b) for v, rows in zip(views, shards)]
+                grads = [v.params.grads for v in views]
+            else:
+                sums = workers.step(model.params.values, shards)
+                grads = workers.grads
+            np.add(*grads, out=model.params.grads)
+            nc.adam_step(model.params, lr=lr_at(config, step), beta2=config.adam_beta2)
+            if log_rows is not None:
+                log_rows.append((step, (sums[0][0] + sums[1][0]) / b,
+                                 (sums[0][1] + sums[1][1]) / b))
+            if (step == 0 and config.train_steps > 1 and _cpu_count() >= 2
+                    and (config.train_steps - 1) * (time.perf_counter() - t0)
+                    >= WORKER_PAYBACK_S):
+                workers = ShardWorkers(config, arch, data, b, model.params.size)
+    finally:
+        if workers is not None:
+            workers.close()
     return model
 
 

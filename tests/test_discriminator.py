@@ -294,6 +294,7 @@ class TestPersistence:
         x = rng.normal(size=(10, 9))
         assert np.array_equal(model.forward(x), loaded.forward(x))
         assert loaded.class_prior == model.class_prior
+        assert loaded.params._grads is None  # scoring allocates no gradients
 
     @pytest.mark.parametrize("prior", [0.0, 1.5])
     def test_load_rejects_bad_class_prior(self, tmp_path, checkpoint_parts, prior):

@@ -194,7 +194,8 @@ class TestSolveMultipliers:
     def test_beats_every_constant_scale(self):
         """Exhaustive oracle: replay one scale inside every interval between
         consecutive sorted ratios, plus a_max.  The solver must match the
-        best of those that replay cleanly and stay below the subset optimum.
+        best constant scale among those that win without forfeiting (the
+        ones that replay cleanly), and stay below the subset optimum.
         Effective values carry per-opportunity CVR multipliers, so RoS is
         not monotone in the scale."""
         for seed in range(60):
