@@ -2,7 +2,8 @@
 
 All subcommands take ``--config`` (JSON file; built-in desk-scale defaults
 otherwise), ``--output-dir``, and ``--seed``; every source of randomness
-derives from the config seed.
+derives from the config's three seeds (``seed`` for the data, ``model.seed``
+and ``disc.seed`` for the trainings), and ``--seed`` sets all three.
 
 ``train`` generates missing datasets and trains a missing discriminator
 first; the expert levels and return-to-go labels of a method with a
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from bagbid import pipeline as pl
 from bagbid.nncore import CheckpointError
@@ -31,16 +33,16 @@ def _load_config(args) -> pl.ExperimentConfig:
     if args.output_dir:
         exp.output_dir = args.output_dir
     if args.seed is not None:
-        exp = pl.ExperimentConfig.from_json_dict(
-            {**exp.to_json_dict(), "seed": args.seed}
-        )
+        exp = replace(exp, seed=args.seed, model=replace(exp.model, seed=args.seed),
+                      disc=replace(exp.disc, seed=args.seed))
     return exp
 
 
 def _add_common(p):
     p.add_argument("--config", help="experiment config JSON (defaults built in)")
     p.add_argument("--output-dir", help="override the config's output directory")
-    p.add_argument("--seed", type=int, help="override the config's base seed")
+    p.add_argument("--seed", type=int,
+                   help="override the config's seed, model.seed and disc.seed")
 
 
 def main(argv=None) -> int:

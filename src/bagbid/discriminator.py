@@ -64,6 +64,9 @@ class DiscConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("hidden", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.class_prior < 1.0:
             raise ValueError(f"class_prior must be in (0,1), got {self.class_prior}")
 

@@ -7,15 +7,16 @@ caches what its backward needs and training is bitwise deterministic for
 a fixed seed.
 
 A ``ParameterSet`` keeps every parameter in one arena: one flat float64
-buffer of values and one of gradients, each allocated at its final size
-on its first use (so a loaded model that only runs has no gradients), or
-bound to buffers the caller owns (``bind``), with each ``Parameter.value``
-and ``.grad`` a view into them.  So ``zero_grad`` and the finiteness
-check are one call each, and ``adam_step`` runs a few ufuncs over
-fixed-size slices of the arena into one slice of preallocated scratch,
-which gives bitwise the per-parameter update.  Parameters are only updated in place; binding another array to
-one raises.  The Adam moments are allocated at the first step, so a
-loaded model does not carry them.
+buffer of values and one of gradients, each allocated by the set at its
+final size on its first use (so a loaded model that only runs has no
+gradients), with each ``Parameter.value`` and ``.grad`` a view into them.
+So copying a model's values or gradients in or out, ``zero_grad`` and the
+finiteness check are one call each, and ``adam_step`` runs a few ufuncs
+over fixed-size slices of the arena into one slice of preallocated
+scratch, which gives bitwise the per-parameter update.  Parameters are
+only updated in place; binding another array to one raises.  The Adam
+moments are allocated at the first step, so a loaded model does not carry
+them.
 
 The ops are written to make few passes over memory.  Affine ops run one
 2-D GEMM over the flattened leading dims.  Causal attention keeps
@@ -132,10 +133,10 @@ class ParameterSet:
     each buffer is allocated at its final size when it is first used (the
     values when a value or ``values`` is, the gradients when a gradient
     or ``grads`` is), and no parameter can be added after that.  So a
-    model that is only loaded and run never allocates gradients.
-    ``bind`` lays the arena over buffers the caller owns instead, such as
-    one value buffer shared by several sets.  The two Adam moments are
-    allocated at the first ``adam_step``.
+    model that is only loaded and run never allocates gradients.  The set
+    owns both buffers; a caller that shares values or gradients with
+    another set copies them into or out of ``values`` and ``grads``.  The
+    two Adam moments are allocated at the first ``adam_step``.
     """
 
     def __init__(self):
@@ -191,9 +192,6 @@ class ParameterSet:
             raise ValueError(f"duplicate parameter name {name!r}")
 
     def _lay_out(self, buf: np.ndarray, slot: str) -> np.ndarray:
-        if buf.shape != (self._size,) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
-            raise ShapeError(f"an arena buffer must be ({self._size},) contiguous float64, "
-                             f"not {buf.shape} {buf.dtype}")
         for p, (offset, shape, index) in self._layout.items():
             end = offset + math.prod(shape)
             setattr(p, slot, buf[offset:end].reshape(shape)[index])
@@ -209,21 +207,6 @@ class ParameterSet:
 
     def _allocate_grads(self):
         self._grads = self._lay_out(np.zeros(self._size), "_grad")
-
-    def bind(self, values: np.ndarray, grads: np.ndarray | None = None):
-        """Lay the arena over ``values``, and over ``grads`` when given
-        (without it the gradients are allocated on first use), instead of
-        allocating.  Both are flat float64 buffers of ``size`` elements,
-        and the parameters become views into them.  The buffers hold the
-        values as they are: no initial value is written, so several sets
-        of one layout can share a value buffer that one of them filled.
-        Binds once, before any value or gradient is used."""
-        if self._values is not None or self._grads is not None:
-            raise ValueError("the arena is already in use")
-        self._init = {}
-        self._values = self._lay_out(values, "_value")
-        if grads is not None:
-            self._grads = self._lay_out(grads, "_grad")
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]

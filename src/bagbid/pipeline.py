@@ -84,6 +84,15 @@ class PipelineError(RuntimeError):
     pass
 
 
+def _write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` as one CSV file, atomically."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
+
+
 @dataclass
 class CampaignSpec:
     campaign_id: str
@@ -180,6 +189,10 @@ class ExperimentConfig:
         if not 0 < self.test_periods <= max_periods:
             raise ConfigError(f"test_periods must be in [1, {max_periods}], "
                               f"got {self.test_periods}")
+        if self.disc.steps < 1:
+            # an untrained discriminator scores every transition alike, and
+            # the expert levels cannot be binned from equal scores
+            raise ConfigError(f"disc.steps must be >= 1, got {self.disc.steps}")
         if not self.beta > 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if not 0.0 <= self.dt_target_quantile <= 1.0:
@@ -450,12 +463,8 @@ def cmd_train_disc(exp: ExperimentConfig, plain_ce: bool = False) -> Discriminat
         transitions_matrix(expert), transitions_matrix(offline), exp.disc, plain_ce=plain_ce
     )
     model.save(exp.disc_path(plain_ce))
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["step", "loss"])
-    w.writerows((i, f"{v:.8f}") for i, v in enumerate(curve))
-    atomic_write_text(exp.path("logs", f"disc_{'ce' if plain_ce else 'nnpu'}.csv"),
-                      buf.getvalue())
+    _write_csv(exp.path("logs", f"disc_{'ce' if plain_ce else 'nnpu'}.csv"), ["step", "loss"],
+               ((i, f"{v:.8f}") for i, v in enumerate(curve)))
     return model
 
 
@@ -580,11 +589,8 @@ def cmd_train(exp: ExperimentConfig, method: str) -> TrajectoryTransformer:
             "n_train_trajectories": len(trajs),
         },
     )
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["step", "rtg_loss", "action_loss"])
-    w.writerows((s, f"{r:.8f}", f"{a:.8f}") for s, r, a in rows)
-    atomic_write_text(exp.train_log_path(spec.name), buf.getvalue())
+    _write_csv(exp.train_log_path(spec.name), ["step", "rtg_loss", "action_loss"],
+               ((s, f"{r:.8f}", f"{a:.8f}") for s, r, a in rows))
     return model
 
 
@@ -657,11 +663,7 @@ class EvalReport:
         """CSV with the ``EvalRow`` fields as columns in declaration order;
         floats are written as their round-trip repr, so ``load`` gives
         equal rows."""
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow([f.name for f in fields(EvalRow)])
-        w.writerows(astuple(r) for r in self.rows)
-        atomic_write_text(path, buf.getvalue())
+        _write_csv(path, [f.name for f in fields(EvalRow)], (astuple(r) for r in self.rows))
 
     @classmethod
     def load(cls, path, method: str) -> "EvalReport":
@@ -775,12 +777,9 @@ def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
 
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(np.clip(ratios, 0.0, 1.0), bins=edges)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["bin_low", "bin_high", "count"])
-    for i in range(bins):
-        w.writerow([f"{edges[i]:.4f}", f"{edges[i + 1]:.4f}", int(counts[i])])
-    atomic_write_text(exp.path("reports", "ratio_hist.csv"), buf.getvalue())
+    _write_csv(exp.path("reports", "ratio_hist.csv"), ["bin_low", "bin_high", "count"],
+               ([f"{edges[i]:.4f}", f"{edges[i + 1]:.4f}", int(counts[i])]
+                for i in range(bins)))
 
     summary = {
         "n": int(ratios.size),

@@ -2,18 +2,21 @@
 
 ``transformer.train_model`` splits every step's batch into two fixed
 shards.  Once training is long enough to pay for them, ``ShardWorkers``
-starts two workers, one per shard, and each step:
+starts two workers, one per shard, each with a model of its own, and
+each step:
 
-- writes the current values into the shared value arena,
+- writes the current values into the shared value buffer,
 - sends each worker its shard's row indices (one JSON line),
-- reads back each shard's squared-error sums (one JSON line each),
+- reads back each shard's squared-error sums (one JSON line each).
 
-after which each worker's gradient is in its own shared gradient arena,
-for the parent to sum and to take the Adam step with.  The parent's model
-keeps arenas of its own and copies its values in, so the model that
-training returns does not depend on the mapping.
+For each request a worker copies the shared values into its model's
+arena, runs ``transformer.shard_step`` on its model and copies the
+model's gradient into its own shared gradient buffer, for the parent to
+add to the other worker's and to take the Adam step with.  The parent's
+model and each worker's own arenas never alias the mapping, so the model
+that training returns does not depend on it.
 
-The values, the two gradient arenas and the stacked dataset live in one
+The values, the two gradient buffers and the stacked dataset live in one
 file mapping, in ``/dev/shm`` where it can be made and in the temp
 directory otherwise.  The file is unlinked as soon as both workers have
 opened it, or when starting them fails, so no file outlives a training.
@@ -80,7 +83,7 @@ def _create_mapping(nbytes: int) -> tuple[str, mmap.mmap]:
 
 def _layout(size: int, n: int, t: int, state_dim: int) -> list[tuple]:
     """(shape, dtype) of each array of the shared file, in file order: the
-    values and the two gradient arenas of ``size`` parameters, then the
+    values and the two gradient buffers of ``size`` parameters, then the
     states, actions, rtgs and levels of the (n, t) stacked dataset.  Every
     dtype is 8 bytes wide."""
     return ([((size,), np.float64)] * 3 + [((n, t, state_dim), np.float64)]
@@ -102,11 +105,13 @@ def _shared_arrays(buf, layout) -> tuple:
 class ShardWorkers:
     """Two running workers and the mapping they share (parent side).
 
-    ``grads`` holds the two shards' gradient arenas, filled by ``step``.
+    ``grads`` holds the two shards' gradients, filled by ``step``.  The
+    workers build models of ``model``'s config and architecture.
     """
 
-    def __init__(self, config, arch, data, batch_size: int, size: int):
+    def __init__(self, model, data, batch_size: int):
         n, t, state_dim = data.states.shape
+        size = model.params.size
         layout = _layout(size, n, t, state_dim)
         self._procs: list[subprocess.Popen] = []
         path, buf = _create_mapping(sum(8 * math.prod(shape) for shape, _ in layout))
@@ -115,8 +120,8 @@ class ShardWorkers:
             for dst, src in zip(shared, (data.states, data.actions, data.rtgs, data.levels)):
                 dst[...] = src
             setup = {"path": path, "size": size, "n": n, "t": t, "state_dim": state_dim,
-                     "batch_size": batch_size, "config": asdict(config),
-                     "arch": asdict(arch)}
+                     "batch_size": batch_size, "config": asdict(model.config),
+                     "arch": asdict(model.arch)}
             path_env = os.environ.get("PYTHONPATH")
             env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                        PYTHONPATH=_SRC + (os.pathsep + path_env if path_env else ""))
@@ -190,8 +195,9 @@ def _reply(out, message):
 
 
 def main() -> int:
-    """The worker loop: open the shared file named by the first request,
-    then answer each request of row indices with a ``shard_step``."""
+    """The worker loop: open the shared file named by the first request and
+    build a model, then answer each request of row indices with a
+    ``shard_step`` on the shared values."""
     # replies go to a copy of stdout; anything else the process prints goes
     # to stderr instead of into the replies
     replies = os.fdopen(os.dup(1), "wb")
@@ -206,14 +212,17 @@ def main() -> int:
             buf = mmap.mmap(f.fileno(), 0)
         values, grads, *arrays = _shared_arrays(buf, _layout(
             setup["size"], setup["n"], setup["t"], setup["state_dim"]))
-        model = tf.TrajectoryTransformer.view(
-            tf.ModelConfig(**setup["config"]), tf.Arch(**setup["arch"]), values,
-            grads[setup["shard"]])
+        grads = grads[setup["shard"]]
+        # its initial weights are overwritten before every step
+        model = tf.TrajectoryTransformer(tf.ModelConfig(**setup["config"]),
+                                         tf.Arch(**setup["arch"]))
         data = tf.TrainingBatch(*arrays)
         _reply(replies, {"ready": True})
         for line in requests:
             rows = np.array(json.loads(line), dtype=np.int64)
+            model.params.values[...] = values
             rtg, act = tf.shard_step(model, data, rows, setup["batch_size"])
+            grads[...] = model.params.grads
             _reply(replies, {"rtg": rtg, "act": act})
     except Exception as e:
         try:

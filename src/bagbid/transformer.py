@@ -19,13 +19,15 @@ for behavior cloning.
 
 A train step (``train_model``) splits its sampled batch into two fixed
 shards and adds the first shard's gradient of the whole batch's loss to
-the second's, each computed by a view of the model over one shared value
-arena with a gradient arena of its own.  Step 0 runs both shards in
-process; a training whose remaining steps would take ``WORKER_PAYBACK_S``
-or more at step 0's pace, on a machine with at least two CPUs, runs the
-other steps' shards on two worker processes (``shard_worker``).  Either
-way the arithmetic is the same, so a run's bytes do not depend on where
-its shards run.
+the second's.  Each process holds one model: in process, the shards run
+one after the other on the trained model, with the first shard's gradient
+copied aside; on the workers, each worker's own model takes a copy of the
+current values and hands back a copy of its gradient.  Step 0 runs both
+shards in process; a training whose remaining steps would take
+``WORKER_PAYBACK_S`` or more at step 0's pace, on a machine with at least
+two CPUs, runs the other steps' shards on two worker processes
+(``shard_worker``).  Either way the arithmetic is the same, so a run's
+bytes do not depend on where its shards run.
 
 Architecture switches cover the baselines and ablations: a plain
 return-conditioned transformer drops the return head and bag/level
@@ -101,6 +103,11 @@ class ModelConfig:
     adam_beta2: float = 0.99
 
     def __post_init__(self):
+        # n_layers: the last block is the one that cuts the rows to those read
+        for name in ("d_model", "n_layers", "n_heads", "context_steps", "bag_len",
+                     "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.context_steps % self.bag_len != 0:
             raise ConfigError(
                 f"context_steps={self.context_steps} not divisible by "
@@ -110,9 +117,6 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.n_layers < 1:
-            # the last block is the one that cuts the rows to those read
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.k_levels < 2:
             raise ConfigError("k_levels must be >= 2")
         if self.rtg_scale <= 0:
@@ -338,19 +342,6 @@ class TrajectoryTransformer:
         self.params.save(path, meta=meta)
 
     @classmethod
-    def view(cls, config: ModelConfig, arch: Arch, values: np.ndarray,
-             grads: np.ndarray | None = None) -> "TrajectoryTransformer":
-        """A model whose parameters are views into the flat buffer
-        ``values`` (``ParameterSet.bind``): it draws and writes no initial
-        weight, so it computes with what ``values`` holds, for instance
-        another model's ``params.values``.  Its gradients go to ``grads``,
-        or to an arena of its own."""
-        model = cls.__new__(cls)
-        model._build(config, arch, rng=None)
-        model.params.bind(values, grads)
-        return model
-
-    @classmethod
     def load(cls, path) -> "TrajectoryTransformer":
         records, meta = nc.read_checkpoint(path, "trajectory-transformer")
         model = cls.__new__(cls)
@@ -462,23 +453,25 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
     """Adam training loop; deterministic for a fixed config seed.
 
     A step samples ``min(batch_size, N)`` row indices and splits them into
-    two fixed shards (``np.array_split(idx, 2)``).  Each shard's gradient
-    of the whole batch's loss (``shard_step``) is computed by its own view
-    of the model: the views share one value arena and own one gradient
-    arena each.  The step's gradient is the first shard's plus the
-    second's, and its logged losses are the two shards' squared-error sums
-    added and divided by the batch size.  Step 0 runs both shards in this
-    process.  When it has at least two CPUs and the remaining steps, at
+    two fixed shards (``np.array_split(idx, 2)``).  The step's gradient is
+    the first shard's gradient of the whole batch's loss (``shard_step``)
+    plus the second's, and its logged losses are the two shards' squared-
+    error sums added and divided by the batch size.  Step 0 runs both
+    shards in this process on the one model: the first shard's gradient is
+    copied into a scratch buffer, allocated once, and added into the
+    second's.  When it has at least two CPUs and the remaining steps, at
     step 0's pace, would take ``WORKER_PAYBACK_S`` or more, the other steps
     run each shard in a worker process (``shard_worker.ShardWorkers``)
-    while this process sums the gradients and takes the Adam step.  The
-    shards and their arithmetic are the same either way, so checkpoints
-    and logged losses are byte-identical wherever the shards run.
+    while this process adds the two gradients and takes the Adam step.
+    The shards and their arithmetic are the same either way, so
+    checkpoints and logged losses are byte-identical wherever the shards
+    run.
 
     ``log_rows``, when given, collects (step, rtg_loss, action_loss).
     """
     model = TrajectoryTransformer(config, arch)
-    views = (model, TrajectoryTransformer.view(config, arch, model.params.values))
+    grads = model.params.grads
+    first = np.empty_like(grads)  # the first shard's gradient, in process
     rng = np.random.Generator(np.random.PCG64(config.seed + 7919))
     n = data.size
     b = min(config.batch_size, n)
@@ -488,12 +481,13 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
             t0 = time.perf_counter()
             shards = np.array_split(rng.integers(0, n, size=b), 2)
             if workers is None:
-                sums = [shard_step(v, data, rows, b) for v, rows in zip(views, shards)]
-                grads = [v.params.grads for v in views]
+                sums = [shard_step(model, data, shards[0], b)]
+                first[...] = grads
+                sums.append(shard_step(model, data, shards[1], b))
+                np.add(first, grads, out=grads)
             else:
                 sums = workers.step(model.params.values, shards)
-                grads = workers.grads
-            np.add(*grads, out=model.params.grads)
+                np.add(*workers.grads, out=grads)
             nc.adam_step(model.params, lr=lr_at(config, step), beta2=config.adam_beta2)
             if log_rows is not None:
                 log_rows.append((step, (sums[0][0] + sums[1][0]) / b,
@@ -501,7 +495,7 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
             if (step == 0 and config.train_steps > 1 and _cpu_count() >= 2
                     and (config.train_steps - 1) * (time.perf_counter() - t0)
                     >= WORKER_PAYBACK_S):
-                workers = ShardWorkers(config, arch, data, b, model.params.size)
+                workers = ShardWorkers(model, data, b)
     finally:
         if workers is not None:
             workers.close()

@@ -630,48 +630,6 @@ class TestArena:
         assert_in_arena(loaded.params)
         assert loaded.params.grads.any()
 
-    def test_bind_writes_no_initial_value(self, assert_in_arena):
-        """A bound set's parameters are views into the given buffers, which
-        keep what they hold: the ones a layer norm's gamma starts at are
-        not written over them."""
-        ps = nc.ParameterSet()
-        gamma = ps.add("ln.gamma", np.ones(3))
-        w = ps.add("w", shape=(2, 2))
-        values, grads = np.arange(7.0), np.zeros(7)
-        ps.bind(values, grads)
-        assert np.array_equal(values, np.arange(7.0))
-        assert np.array_equal(gamma.value, [0.0, 1.0, 2.0])
-        assert np.array_equal(w.value, [[3.0, 4.0], [5.0, 6.0]])
-        assert ps.values is values and ps.grads is grads
-        assert_in_arena(ps)
-        with pytest.raises(ValueError, match="already in use"):
-            ps.bind(values, grads)
-
-    def test_bind_without_grads_allocates_them_on_use(self):
-        ps = nc.ParameterSet()
-        p = ps.add("w", np.ones(2))
-        values = np.full(2, 5.0)
-        ps.bind(values)
-        assert ps._grads is None and np.array_equal(p.value, [5.0, 5.0])
-        p.grad += 1.0
-        assert np.array_equal(ps.grads, [1.0, 1.0]) and not np.shares_memory(ps.grads, values)
-
-    @pytest.mark.parametrize("buf", [np.zeros(3), np.zeros(5), np.zeros(4, dtype=np.float32),
-                                     np.zeros(8)[::2]],
-                             ids=["short", "long", "float32", "strided"])
-    def test_bind_rejects_a_buffer_of_another_layout(self, buf):
-        ps = nc.ParameterSet()
-        ps.add("w", shape=(2, 2))
-        with pytest.raises(nc.ShapeError, match="arena buffer"):
-            ps.bind(buf)
-
-    def test_bind_after_use_raises(self):
-        ps = nc.ParameterSet()
-        ps.add("w", shape=(2,))
-        ps.grads  # noqa: B018 - allocates the gradients
-        with pytest.raises(ValueError, match="already in use"):
-            ps.bind(np.zeros(2))
-
     def test_fused_qkv_views(self):
         model = tf.TrajectoryTransformer(tf.ModelConfig())
         attn = model.blocks[1]["attn"]

@@ -609,12 +609,22 @@ class TestCli:
          '{"campaign_id": "c0", "budget": 7, "ros_bound": 6}]}',
          "campaigns[1]: duplicate campaign_id 'c0'"),
         ('{"model": {"n_layers": 0}}', "n_layers must be >= 1, got 0"),
+        ('{"model": {"d_model": 0}}', "d_model must be >= 1, got 0"),
+        ('{"model": {"n_heads": 0}}', "n_heads must be >= 1, got 0"),
+        ('{"model": {"context_steps": 0}}', "context_steps must be >= 1, got 0"),
+        ('{"model": {"bag_len": 0}}', "bag_len must be >= 1, got 0"),
+        ('{"model": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
+        ('{"disc": {"hidden": 0}}', "hidden must be >= 1, got 0"),
+        ('{"disc": {"steps": 0}}', "disc.steps must be >= 1, got 0"),
+        ('{"disc": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
             "top-level-list", "market-list", "campaign-number", "campaigns-number",
             "model-number", "beta-zero", "quantile-above-one", "no-test-periods",
             "no-train-episodes", "no-test-seeds", "beta-shape-zero", "no-opportunities", "nan-cvr-noise",
             "test-seeds-overlap-next-period", "test-periods-reach-next-campaign",
-            "negative-budget", "duplicate-campaign", "no-layers"])
+            "negative-budget", "duplicate-campaign", "no-layers", "no-model-dim", "no-heads",
+            "no-context", "no-bag", "no-model-batch", "no-disc-hidden", "no-disc-steps",
+            "no-disc-batch"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 
@@ -627,6 +637,23 @@ class TestCli:
         assert err.startswith(f"bagbid: error: {path}: ") and message in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_write_config_loads_back(self, tmp_path, capsys):
+        """``write-config`` prints the default config, which ``--config``
+        reads back unchanged; ``--seed`` sets the data, model and
+        discriminator seeds alike."""
+        from bagbid.cli import main
+
+        assert main(["write-config"]) == 0
+        text = capsys.readouterr().out
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert pl.ExperimentConfig.load(path) == pl.default_config()
+        assert main(["write-config", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["write-config", "--seed", "5"]) == 0
+        seeded = json.loads(capsys.readouterr().out)
+        assert (seeded["seed"], seeded["model"]["seed"], seeded["disc"]["seed"]) == (5, 5, 5)
 
     @pytest.mark.parametrize("command, dataset, garble, where, message", [
         ("train-disc", "offline", "unterminated", -1, "line 1 column"),

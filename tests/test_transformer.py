@@ -310,29 +310,11 @@ class TestArchVariants:
 
 class TestShards:
     @pytest.mark.parametrize("arch", ROW_CUT_ARCHS)
-    def test_view_computes_with_the_given_values(self, arch, tiny_cfg, rng):
-        """A view over a trained model's values leaves them as they are
-        (no initial weight, such as a layer norm's ones, is written) and
-        computes what the model does, into gradients of its own."""
-        model = perturbed(tf.TrajectoryTransformer(tiny_cfg, ROW_CUT_ARCHS[arch]))
-        before = model.params.values.copy()
-        view = tf.TrajectoryTransformer.view(tiny_cfg, ROW_CUT_ARCHS[arch],
-                                             model.params.values)
-        assert model.params.values.tobytes() == before.tobytes()
-        assert view.params.values is model.params.values
-        steps = random_steps(rng, 2, 8)
-        for a, b in zip(model.forward(*steps), view.forward(*steps)):
-            assert (a is None and b is None) or a.tobytes() == b.tobytes()
-        assert not np.shares_memory(view.params.grads, model.params.grads)
-
-    @pytest.mark.parametrize("arch", ROW_CUT_ARCHS)
     def test_shard_gradients_sum_to_the_batch_gradient(self, arch, tiny_cfg, rng):
         """The two shards' gradients add up to the whole batch's, and their
         squared-error sums over the batch size to its losses, up to
-        rounding."""
+        rounding.  Both shards run on the one model, as in ``train_model``."""
         model = perturbed(tf.TrajectoryTransformer(tiny_cfg, ROW_CUT_ARCHS[arch]))
-        view = tf.TrajectoryTransformer.view(tiny_cfg, ROW_CUT_ARCHS[arch],
-                                             model.params.values)
         s, r, a, lv = random_steps(rng, 5, 8)
         data = tf.TrainingBatch(s, a, r, lv)
         model.params.zero_grad()
@@ -342,8 +324,10 @@ class TestShards:
         ref = model.params.grads.copy()
 
         shards = np.array_split(np.arange(5), 2)
-        sums = [tf.shard_step(v, data, rows, 5) for v, rows in zip((model, view), shards)]
-        grads = model.params.grads + view.params.grads
+        sums = [tf.shard_step(model, data, shards[0], 5)]
+        first = model.params.grads.copy()
+        sums.append(tf.shard_step(model, data, shards[1], 5))
+        grads = first + model.params.grads
         assert np.abs(grads - ref).max() <= 1e-12 * np.abs(ref).max()
         assert (sums[0][0] + sums[1][0]) / 5 == pytest.approx(rtg_l, rel=1e-12, abs=0.0)
         assert (sums[0][1] + sums[1][1]) / 5 == pytest.approx(act_l, rel=1e-12)
