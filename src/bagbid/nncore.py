@@ -465,12 +465,12 @@ def softmax(x, axis=-1):
 def causal_attention_forward(x, wqkv, bqkv, wo, bo, n_heads, kv=None, start=0, rows=None):
     """Multi-head self-attention with a strict causal mask.
 
-    ``x`` is (L, d) or (batch, L, d).  ``wqkv`` (d, 3d) and ``bqkv`` (3d,)
-    hold the q, k and v projections side by side, so one GEMM projects all
-    three for every row.  ``rows`` (a slice or an ascending int array of
+    ``x`` is (batch, L, d).  ``wqkv`` (d, 3d) and ``bqkv`` (3d,) hold the
+    q, k and v projections side by side, so one GEMM projects all three
+    for every row.  ``rows`` (a slice or an ascending int array of
     positions within ``x``; None means every row) picks the query rows: the
-    output has one row per query, (len(rows), d) or (batch, len(rows), d),
-    while every row of ``x`` still serves as a key and a value.
+    output has one row per query, (batch, len(rows), d), while every row
+    of ``x`` still serves as a key and a value.
 
     A query at position i attends to positions <= i only.  The queries go
     in blocks of ``ATTN_BLOCK`` rows: a block scores the keys up to its
@@ -484,9 +484,6 @@ def causal_attention_forward(x, wqkv, bqkv, wo, bo, n_heads, kv=None, start=0, r
     also attend to everything before ``start``.  The cached call returns
     no backward cache (None).
     """
-    squeezed = x.ndim == 2
-    if squeezed:
-        x = x[None]
     b, length, d = x.shape
     if d % n_heads != 0:
         raise ShapeError(f"model dim {d} not divisible by {n_heads} heads")
@@ -521,8 +518,7 @@ def causal_attention_forward(x, wqkv, bqkv, wo, bo, n_heads, kv=None, start=0, r
         merged[:, lo:hi] = (p @ v[:, :, :end]).transpose(0, 2, 1, 3)
         probs.append(p)
     y, co = affine_forward(merged.reshape(b, n_rows, d), wo, bo)
-    cache = None if kv is not None else (c_qkv, co, q, k, v, probs, rows, squeezed)
-    return (y[0] if squeezed else y), cache
+    return y, None if kv is not None else (c_qkv, co, q, k, v, probs, rows)
 
 
 def causal_attention_backward(dy, cache):
@@ -534,9 +530,7 @@ def causal_attention_backward(dy, cache):
     goes into the query rows of the fused (q, k, v) gradient; the other
     rows of it stay zero.
     """
-    c_qkv, co, q, k, v, probs, rows, squeezed = cache
-    if squeezed:
-        dy = dy[None]
+    c_qkv, co, q, k, v, probs, rows = cache
     b, n_heads, n_rows, dh = q.shape
     length = k.shape[2]
     d = n_heads * dh
@@ -562,8 +556,6 @@ def causal_attention_backward(dy, cache):
     dq *= 1.0 / math.sqrt(dh)
     dqkv[:, rows, 0] = dq.transpose(0, 2, 1, 3)
     dx, dwqkv, dbqkv = affine_backward(dqkv.reshape(b, length, 3 * d), c_qkv)
-    if squeezed:
-        dx = dx[0]
     return dx, dwqkv, dbqkv, dwo, dbo
 
 

@@ -104,6 +104,14 @@ class CampaignSpec:
         return CampaignConstraints(budget=self.budget, ros_bound=self.ros_bound)
 
 
+def default_campaigns() -> list:
+    budgets = [12.0, 16.0, 20.0, 24.0, 14.0, 22.0, 18.0, 26.0]
+    return [
+        CampaignSpec(campaign_id=f"c{i}", budget=b, ros_bound=6.0)
+        for i, b in enumerate(budgets)
+    ]
+
+
 @dataclass
 class MarketSettings:
     """Every campaign-day's ``MarketConfig``, with its defaults, and the
@@ -143,7 +151,7 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "runs/default"
     market: MarketSettings = field(default_factory=MarketSettings)
-    campaigns: list = field(default_factory=list)
+    campaigns: list = field(default_factory=default_campaigns)
     behavior: BehaviorSettings = field(default_factory=BehaviorSettings)
     train_episodes_per_campaign: int = 20
     test_periods: int = 7
@@ -155,7 +163,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.campaigns:
-            self.campaigns = default_campaigns()
+            raise ConfigError("campaigns must not be empty")
         for i, c in enumerate(self.campaigns):
             try:
                 c.constraints
@@ -238,21 +246,17 @@ class ExperimentConfig:
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        for section in ("market", "behavior", "model", "disc"):
-            if not isinstance(d.get(section, {}), dict):
-                raise ConfigError(f"{section} must be a JSON object")
         campaigns = d.get("campaigns", [])
         if not isinstance(campaigns, list) or not all(isinstance(c, dict) for c in campaigns):
             raise ConfigError("campaigns must be a list of JSON objects")
-        d = dict(d)
-        if "market" in d:
-            d["market"] = MarketSettings(**_tupled(d["market"]))
-        if "behavior" in d:
-            d["behavior"] = BehaviorSettings(**_tupled(d["behavior"]))
-        if "model" in d:
-            d["model"] = ModelConfig(**d["model"])
-        if "disc" in d:
-            d["disc"] = DiscConfig(**d["disc"])
+        d = dict(_integers_checked(cls, d))
+        for name, kind in (("market", MarketSettings), ("behavior", BehaviorSettings),
+                           ("model", ModelConfig), ("disc", DiscConfig)):
+            if name not in d:
+                continue
+            if not isinstance(d[name], dict):
+                raise ConfigError(f"{name} must be a JSON object")
+            d[name] = kind(**_tupled(_integers_checked(kind, d[name], f"{name}.")))
         if "campaigns" in d:
             d["campaigns"] = [CampaignSpec(**c) for c in d["campaigns"]]
         return cls(**d)
@@ -271,16 +275,17 @@ class ExperimentConfig:
         atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2, default=list))
 
 
+def _integers_checked(cls, d: dict, section: str = "") -> dict:
+    """``d``, once every field of ``cls`` declared ``int`` that it sets
+    holds a JSON integer (not a float or a bool)."""
+    for f in fields(cls):
+        if f.type == "int" and f.name in d and type(d[f.name]) is not int:
+            raise ConfigError(f"{section}{f.name} must be an integer, got {d[f.name]!r}")
+    return d
+
+
 def _tupled(d: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-
-
-def default_campaigns() -> list:
-    budgets = [12.0, 16.0, 20.0, 24.0, 14.0, 22.0, 18.0, 26.0]
-    return [
-        CampaignSpec(campaign_id=f"c{i}", budget=b, ros_bound=6.0)
-        for i, b in enumerate(budgets)
-    ]
 
 
 def default_config(output_dir="runs/default", seed=0) -> ExperimentConfig:

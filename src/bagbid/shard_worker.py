@@ -9,17 +9,20 @@ each step:
 - sends each worker its shard's row indices (one JSON line),
 - reads back each shard's squared-error sums (one JSON line each).
 
-For each request a worker copies the shared values into its model's
-arena, runs ``transformer.shard_step`` on its model and copies the
-model's gradient into its own shared gradient buffer, for the parent to
-add to the other worker's and to take the Adam step with.  The parent's
-model and each worker's own arenas never alias the mapping, so the model
-that training returns does not depend on it.
+For each request a worker zeroes its model's gradients, copies the
+shared values into its model's arena, runs ``transformer.shard_step`` on
+its model and copies the model's gradient into its own shared gradient
+buffer, for the parent to add to the other worker's and to take the Adam
+step with.  The parent's model and each worker's own arenas never alias
+the mapping, so the model that training returns does not depend on it.
 
-The values, the two gradient buffers and the stacked dataset live in one
-file mapping, in ``/dev/shm`` where it can be made and in the temp
-directory otherwise.  The file is unlinked as soon as both workers have
-opened it, or when starting them fails, so no file outlives a training.
+The values, the two gradient buffers and each ``TrainingBatch`` field
+live in one file mapping.  The file has no name: it is made unlinked, in
+``/dev/shm`` where it can be and in the temp directory otherwise, and
+reaches the workers as an inherited descriptor, which the first request
+names together with each field's shape and dtype.  The parent closes its
+descriptor once the workers have started and each worker once it has
+mapped the file, so no file outlives a training.
 Each worker is ``python -m bagbid.shard_worker`` with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``), the ``bagbid`` this module was imported
 from first on its ``PYTHONPATH``, and its stdin and stdout as the request
@@ -40,7 +43,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -57,49 +60,40 @@ def _mapping_dirs() -> list[str]:
     return ["/dev/shm", tempfile.gettempdir()]
 
 
-def _create_mapping(nbytes: int) -> tuple[str, mmap.mmap]:
-    """A new file of ``nbytes`` (its space reserved, so a full file system
-    fails here and not as a bus error on first touch) and its mapping."""
+def _create_mapping(nbytes: int) -> tuple:
+    """A new unnamed file of ``nbytes`` (its space reserved, so a full file
+    system fails here and not as a bus error on first touch), as an open
+    file object, and its mapping."""
     error = None
     for d in _mapping_dirs():
         try:
-            fd, path = tempfile.mkstemp(prefix="bagbid-train-", dir=d)
+            f = tempfile.TemporaryFile(prefix="bagbid-train-", dir=d)
         except OSError as e:
             error = e
             continue
         try:
             if hasattr(os, "posix_fallocate"):
-                os.posix_fallocate(fd, 0, nbytes)
+                os.posix_fallocate(f.fileno(), 0, nbytes)
             else:
-                os.ftruncate(fd, nbytes)
-            return path, mmap.mmap(fd, nbytes)
+                os.ftruncate(f.fileno(), nbytes)
+            return f, mmap.mmap(f.fileno(), nbytes)
         except OSError as e:
-            os.unlink(path)
+            f.close()
             error = e
-        finally:
-            os.close(fd)
     raise ShardWorkerError(f"cannot create the shared training file: {error}")
 
 
-def _layout(size: int, n: int, t: int, state_dim: int) -> list[tuple]:
-    """(shape, dtype) of each array of the shared file, in file order: the
-    values and the two gradient buffers of ``size`` parameters, then the
-    states, actions, rtgs and levels of the (n, t) stacked dataset.  Every
-    dtype is 8 bytes wide."""
-    return ([((size,), np.float64)] * 3 + [((n, t, state_dim), np.float64)]
-            + [((n, t), np.float64)] * 2 + [((n, t), np.int64)])
-
-
-def _shared_arrays(buf, layout) -> tuple:
-    """The views of the shared file: (values, (grads0, grads1), states,
-    actions, rtgs, levels)."""
+def _shared_arrays(buf, size: int, batch: dict) -> tuple:
+    """The views of the shared file, in file order: the values and the two
+    gradient buffers of ``size`` parameters, then one array per ``batch``
+    entry (field name: (shape, dtype string)); returns (values, (grads0,
+    grads1), {field name: array})."""
     arrays, offset = [], 0
-    for shape, dtype in layout:
-        count = math.prod(shape)
-        arrays.append(np.frombuffer(buf, dtype, count, offset).reshape(shape))
-        offset += 8 * count
+    for shape, dtype in [((size,), np.float64)] * 3 + list(batch.values()):
+        arrays.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
+        offset += arrays[-1].nbytes
     values, g0, g1, *data = arrays
-    return (values, (g0, g1), *data)
+    return values, (g0, g1), dict(zip(batch, data))
 
 
 class ShardWorkers:
@@ -110,16 +104,17 @@ class ShardWorkers:
     """
 
     def __init__(self, model, data, batch_size: int):
-        n, t, state_dim = data.states.shape
         size = model.params.size
-        layout = _layout(size, n, t, state_dim)
+        arrays = {f.name: getattr(data, f.name) for f in fields(data)}
+        batch = {name: (a.shape, a.dtype.str) for name, a in arrays.items()}
         self._procs: list[subprocess.Popen] = []
-        path, buf = _create_mapping(sum(8 * math.prod(shape) for shape, _ in layout))
+        file, buf = _create_mapping(3 * model.params.values.nbytes
+                                    + sum(a.nbytes for a in arrays.values()))
         try:
-            self.values, self.grads, *shared = _shared_arrays(buf, layout)
-            for dst, src in zip(shared, (data.states, data.actions, data.rtgs, data.levels)):
-                dst[...] = src
-            setup = {"path": path, "size": size, "n": n, "t": t, "state_dim": state_dim,
+            self.values, self.grads, shared = _shared_arrays(buf, size, batch)
+            for name, a in arrays.items():
+                shared[name][...] = a
+            setup = {"fd": file.fileno(), "size": size, "batch": batch,
                      "batch_size": batch_size, "config": asdict(model.config),
                      "arch": asdict(model.arch)}
             path_env = os.environ.get("PYTHONPATH")
@@ -128,7 +123,8 @@ class ShardWorkers:
             for shard in range(2):
                 self._procs.append(subprocess.Popen(
                     [sys.executable, "-m", "bagbid.shard_worker"],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+                    pass_fds=(file.fileno(),)))
                 self._send(shard, {**setup, "shard": shard})
             for shard in range(2):
                 self._receive(shard)
@@ -136,7 +132,7 @@ class ShardWorkers:
             self.close()
             raise
         finally:
-            os.unlink(path)
+            file.close()
 
     def step(self, values: np.ndarray, shards) -> list[tuple[float, float]]:
         """Run one train step's shards on the current ``values``; returns
@@ -195,9 +191,9 @@ def _reply(out, message):
 
 
 def main() -> int:
-    """The worker loop: open the shared file named by the first request and
-    build a model, then answer each request of row indices with a
-    ``shard_step`` on the shared values."""
+    """The worker loop: map the shared file whose descriptor the first
+    request names and build a model, then answer each request of row
+    indices with a ``shard_step`` on the shared values."""
     # replies go to a copy of stdout; anything else the process prints goes
     # to stderr instead of into the replies
     replies = os.fdopen(os.dup(1), "wb")
@@ -208,19 +204,19 @@ def main() -> int:
         from bagbid import transformer as tf  # here: transformer imports this module
 
         setup = json.loads(requests.readline())
-        with open(setup["path"], "r+b") as f:
+        with open(setup["fd"], "r+b") as f:
             buf = mmap.mmap(f.fileno(), 0)
-        values, grads, *arrays = _shared_arrays(buf, _layout(
-            setup["size"], setup["n"], setup["t"], setup["state_dim"]))
+        values, grads, arrays = _shared_arrays(buf, setup["size"], setup["batch"])
         grads = grads[setup["shard"]]
         # its initial weights are overwritten before every step
         model = tf.TrajectoryTransformer(tf.ModelConfig(**setup["config"]),
                                          tf.Arch(**setup["arch"]))
-        data = tf.TrainingBatch(*arrays)
+        data = tf.TrainingBatch(**arrays)
         _reply(replies, {"ready": True})
         for line in requests:
             rows = np.array(json.loads(line), dtype=np.int64)
             model.params.values[...] = values
+            model.params.zero_grad()
             rtg, act = tf.shard_step(model, data, rows, setup["batch_size"])
             grads[...] = model.params.grads
             _reply(replies, {"rtg": rtg, "act": act})

@@ -19,15 +19,15 @@ for behavior cloning.
 
 A train step (``train_model``) splits its sampled batch into two fixed
 shards and adds the first shard's gradient of the whole batch's loss to
-the second's.  Each process holds one model: in process, the shards run
-one after the other on the trained model, with the first shard's gradient
-copied aside; on the workers, each worker's own model takes a copy of the
-current values and hands back a copy of its gradient.  Step 0 runs both
-shards in process; a training whose remaining steps would take
-``WORKER_PAYBACK_S`` or more at step 0's pace, on a machine with at least
-two CPUs, runs the other steps' shards on two worker processes
-(``shard_worker``).  Either way the arithmetic is the same, so a run's
-bytes do not depend on where its shards run.
+the second's.  Each process holds one model: in process, both shards'
+backwards add into the trained model's one gradient arena; on the
+workers, each worker's own model takes a copy of the current values and
+hands back a copy of its gradient.  Step 0 runs both shards in process;
+a training whose remaining steps would take ``WORKER_PAYBACK_S`` or more
+at step 0's pace, on a machine with at least two CPUs, runs the other
+steps' shards on two worker processes (``shard_worker``).  Either way the
+arithmetic is the same, so a run's bytes do not depend on where its
+shards run.
 
 Architecture switches cover the baselines and ablations: a plain
 return-conditioned transformer drops the return head and bag/level
@@ -161,10 +161,8 @@ ARCH_BC = Arch(
 
 
 class TrajectoryTransformer:
-    def __init__(self, config: ModelConfig, arch: Arch = ARCH_FULL,
-                 seed: int | None = None):
-        rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
-        self._build(config, arch, rng)
+    def __init__(self, config: ModelConfig, arch: Arch = ARCH_FULL):
+        self._build(config, arch, np.random.Generator(np.random.PCG64(config.seed)))
 
     def _build(self, config: ModelConfig, arch: Arch, rng):
         """Lay out the layers; ``rng`` draws the initial weights, or None
@@ -427,12 +425,11 @@ def lr_at(config: ModelConfig, step: int) -> float:
 
 def shard_step(model: TrajectoryTransformer, data: TrainingBatch, rows,
                batch_size: int) -> tuple[float, float]:
-    """One shard of a train step: zero ``model``'s gradients, then fill
-    them with the gradient, on the rows ``rows`` of ``data``, of the loss
-    of the whole batch of ``batch_size`` rows (squared errors summed over
-    steps, divided by ``batch_size``).  Returns the shard's squared-error
-    sums (``squared_errors``); a shard with no rows has zero gradient."""
-    model.params.zero_grad()
+    """One shard of a train step: add to ``model``'s gradients the
+    gradient, on the rows ``rows`` of ``data``, of the loss of the whole
+    batch of ``batch_size`` rows (squared errors summed over steps, divided
+    by ``batch_size``).  Returns the shard's squared-error sums
+    (``squared_errors``); a shard with no rows adds nothing."""
     if len(rows) == 0:
         return 0.0, 0.0
     shard = data.take(rows)
@@ -457,21 +454,19 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
     the first shard's gradient of the whole batch's loss (``shard_step``)
     plus the second's, and its logged losses are the two shards' squared-
     error sums added and divided by the batch size.  Step 0 runs both
-    shards in this process on the one model: the first shard's gradient is
-    copied into a scratch buffer, allocated once, and added into the
-    second's.  When it has at least two CPUs and the remaining steps, at
-    step 0's pace, would take ``WORKER_PAYBACK_S`` or more, the other steps
-    run each shard in a worker process (``shard_worker.ShardWorkers``)
-    while this process adds the two gradients and takes the Adam step.
-    The shards and their arithmetic are the same either way, so
-    checkpoints and logged losses are byte-identical wherever the shards
-    run.
+    shards in this process on the one model: it zeroes the gradients once
+    and each shard's backward adds into them.  When it has at least two
+    CPUs and the remaining steps, at step 0's pace, would take
+    ``WORKER_PAYBACK_S`` or more, the other steps run each shard in a
+    worker process (``shard_worker.ShardWorkers``) while this process adds
+    the two gradients and takes the Adam step.  Every parameter gets one
+    ``+=`` per shard, so ``(0 + g0) + g1`` in process is ``g0 + g1`` from
+    the workers bit for bit, and checkpoints and logged losses are
+    byte-identical wherever the shards run.
 
     ``log_rows``, when given, collects (step, rtg_loss, action_loss).
     """
     model = TrajectoryTransformer(config, arch)
-    grads = model.params.grads
-    first = np.empty_like(grads)  # the first shard's gradient, in process
     rng = np.random.Generator(np.random.PCG64(config.seed + 7919))
     n = data.size
     b = min(config.batch_size, n)
@@ -481,13 +476,11 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
             t0 = time.perf_counter()
             shards = np.array_split(rng.integers(0, n, size=b), 2)
             if workers is None:
-                sums = [shard_step(model, data, shards[0], b)]
-                first[...] = grads
-                sums.append(shard_step(model, data, shards[1], b))
-                np.add(first, grads, out=grads)
+                model.params.zero_grad()
+                sums = [shard_step(model, data, rows, b) for rows in shards]
             else:
                 sums = workers.step(model.params.values, shards)
-                np.add(*workers.grads, out=grads)
+                np.add(*workers.grads, out=model.params.grads)
             nc.adam_step(model.params, lr=lr_at(config, step), beta2=config.adam_beta2)
             if log_rows is not None:
                 log_rows.append((step, (sums[0][0] + sums[1][0]) / b,

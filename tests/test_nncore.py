@@ -153,12 +153,12 @@ class TestCausalAttention:
     def _setup(self, gen, length=6, dim=16, heads=4):
         ps = nc.ParameterSet()
         attn = nc.CausalSelfAttention(ps, "a", dim, heads, gen)
-        x = gen.normal(size=(length, dim))
+        x = gen.normal(size=(1, length, dim))
         return ps, attn, x
 
     def test_single_token_is_value_projection(self, gen):
         ps, attn, _ = self._setup(gen, length=1)
-        x = gen.normal(size=(1, 16))
+        x = gen.normal(size=(1, 1, 16))
         y = attn.forward(x)
         # softmax over one element = 1: output = (x Wv + bv) Wo + bo
         v = x @ ps["a.wv"].value + ps["a.bv"].value
@@ -169,9 +169,9 @@ class TestCausalAttention:
         ps, attn, x = self._setup(gen)
         y1 = attn.forward(x)
         x2 = x.copy()
-        x2[3:] += gen.normal(size=x2[3:].shape)
+        x2[:, 3:] += gen.normal(size=x2[:, 3:].shape)
         y2 = attn.forward(x2)
-        assert np.array_equal(y1[:3], y2[:3])
+        assert np.array_equal(y1[:, :3], y2[:, :3])
 
     def test_grad_check(self, gen, grad_check):
         ps, attn, x = self._setup(gen)
@@ -274,7 +274,7 @@ class TestCausalAttention:
         ps = nc.ParameterSet()
         attn = nc.CausalSelfAttention(ps, "a", 10, 4, gen)
         with pytest.raises(nc.ShapeError):
-            attn.forward(gen.normal(size=(3, 10)))
+            attn.forward(gen.normal(size=(1, 3, 10)))
 
 
 class TestAdam:

@@ -617,6 +617,15 @@ class TestCli:
         ('{"disc": {"hidden": 0}}', "hidden must be >= 1, got 0"),
         ('{"disc": {"steps": 0}}', "disc.steps must be >= 1, got 0"),
         ('{"disc": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
+        ('{"model": {"train_steps": 60.0}}', "model.train_steps must be an integer, got 60.0"),
+        ('{"model": {"d_model": 16.0}}', "model.d_model must be an integer, got 16.0"),
+        ('{"model": {"n_layers": true}}', "model.n_layers must be an integer, got True"),
+        ('{"test_periods": 2.0}', "test_periods must be an integer, got 2.0"),
+        ('{"seed": 7.0}', "seed must be an integer, got 7.0"),
+        ('{"market": {"opportunities_per_step": 20.0}}',
+         "market.opportunities_per_step must be an integer, got 20.0"),
+        ('{"disc": {"steps": 80.0}}', "disc.steps must be an integer, got 80.0"),
+        ('{"campaigns": []}', "campaigns must not be empty"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
             "top-level-list", "market-list", "campaign-number", "campaigns-number",
             "model-number", "beta-zero", "quantile-above-one", "no-test-periods",
@@ -624,7 +633,9 @@ class TestCli:
             "test-seeds-overlap-next-period", "test-periods-reach-next-campaign",
             "negative-budget", "duplicate-campaign", "no-layers", "no-model-dim", "no-heads",
             "no-context", "no-bag", "no-model-batch", "no-disc-hidden", "no-disc-steps",
-            "no-disc-batch"])
+            "no-disc-batch", "float-train-steps", "float-model-dim", "bool-layers",
+            "float-test-periods", "float-seed", "float-opportunities", "float-disc-steps",
+            "empty-campaigns"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 

@@ -41,23 +41,25 @@ def cpus(monkeypatch):
 @pytest.fixture
 def workers(monkeypatch, tmp_path, cpus):
     """Two CPUs, workers from step 1 on, the shared file in a directory of
-    the test's own; records the started processes and the files made."""
+    the test's own; records the started processes, the directory's entries
+    as each one starts, and the files made."""
     cpus(2)
     monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
     shm = tmp_path / "shm"
     shm.mkdir()
     monkeypatch.setattr(sw, "_mapping_dirs", lambda: [str(shm)])
-    log = {"procs": [], "files": [], "dir": shm}
+    log = {"procs": [], "listings": [], "files": [], "dir": shm}
     popen, create = sw.subprocess.Popen, sw._create_mapping
 
     def recording_popen(*args, **kwargs):
         log["procs"].append(popen(*args, **kwargs))
+        log["listings"].append(os.listdir(shm))
         return log["procs"][-1]
 
     def recording_create(nbytes):
-        path, buf = create(nbytes)
-        log["files"].append(path)
-        return path, buf
+        file, buf = create(nbytes)
+        log["files"].append(file)
+        return file, buf
 
     monkeypatch.setattr(sw.subprocess, "Popen", recording_popen)
     monkeypatch.setattr(sw, "_create_mapping", recording_create)
@@ -66,13 +68,13 @@ def workers(monkeypatch, tmp_path, cpus):
 
 def assert_nothing_left(log, started=2):
     """Every worker has exited and been reaped, the test process has no
-    child, and no shared file remains."""
+    child, the shared file is closed and its directory is empty."""
     assert len(log["procs"]) == started and len(log["files"]) == 1
     for proc in log["procs"]:
         assert proc.returncode is not None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert not os.path.exists(log["files"][0])
+    assert log["files"][0].closed
     assert os.listdir(log["dir"]) == []
 
 
@@ -171,7 +173,7 @@ class TestFailures:
 
     def test_nan_data_on_the_worker_path(self, workers):
         """A NaN row first sampled after step 0 makes the parent reject the
-        summed gradient; both workers stop and the file is gone."""
+        summed gradient; both workers stop and the file is closed."""
         config, data = small_config(), small_data()
         data.states[self.row_after_step_0(data, config), 3, 2] = np.nan
         with pytest.raises(nc.NonFiniteGradientError):
@@ -189,8 +191,8 @@ class TestFailures:
         assert_nothing_left(workers)
 
     def test_worker_that_fails_to_start(self, workers, monkeypatch):
-        """A worker that exits before it opens the shared file: the file is
-        deleted all the same."""
+        """A worker that exits before it maps the shared file: the file is
+        closed all the same."""
         monkeypatch.setattr(sys, "executable", shutil.which("false"))
         with pytest.raises(sw.ShardWorkerError, match="training worker [01] exited with code 1"):
             tf.train_model(small_data(), small_config())
@@ -226,11 +228,21 @@ class TestFailures:
         assert_nothing_left(workers)
 
 
+def test_no_file_name_while_workers_run(workers, monkeypatch):
+    """The shared file has no entry in its directory from the start of the
+    first worker on, so a parent killed at any point leaves none behind."""
+    during_steps = []
+    fail_at_step(monkeypatch, 1, lambda pool: during_steps.append(os.listdir(workers["dir"])))
+    tf.train_model(small_data(), small_config())
+    assert workers["listings"] == [[], []] and during_steps == [[]]
+    assert_nothing_left(workers)
+
+
 def test_shared_file_falls_back_to_the_next_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(sw, "_mapping_dirs", lambda: [str(tmp_path / "missing"),
                                                       str(tmp_path)])
-    path, buf = sw._create_mapping(64)
-    try:
-        assert os.path.dirname(path) == str(tmp_path) and len(buf) == 64
-    finally:
-        os.unlink(path)
+    file, buf = sw._create_mapping(64)
+    with file, buf:
+        stat = os.fstat(file.fileno())
+        assert stat.st_dev == os.stat(tmp_path).st_dev and stat.st_nlink == 0
+        assert stat.st_size == len(buf) == 64

@@ -150,8 +150,8 @@ class TestForward:
 
     def test_seeds_give_different_outputs(self, tiny_cfg, rng):
         s, r, a, lv = random_steps(rng, 1, 4)
-        m1 = tf.TrajectoryTransformer(tiny_cfg, seed=1)
-        m2 = tf.TrajectoryTransformer(tiny_cfg, seed=2)
+        m1 = tf.TrajectoryTransformer(dataclasses.replace(tiny_cfg, seed=1))
+        m2 = tf.TrajectoryTransformer(dataclasses.replace(tiny_cfg, seed=2))
         rp1, ap1 = m1.forward(s, r, a, lv)
         rp2, ap2 = m2.forward(s, r, a, lv)
         assert not np.array_equal(ap1, ap2)
@@ -313,7 +313,8 @@ class TestShards:
     def test_shard_gradients_sum_to_the_batch_gradient(self, arch, tiny_cfg, rng):
         """The two shards' gradients add up to the whole batch's, and their
         squared-error sums over the batch size to its losses, up to
-        rounding.  Both shards run on the one model, as in ``train_model``."""
+        rounding.  Both shards add into the one model's gradients, zeroed
+        once, as in ``train_model``."""
         model = perturbed(tf.TrajectoryTransformer(tiny_cfg, ROW_CUT_ARCHS[arch]))
         s, r, a, lv = random_steps(rng, 5, 8)
         data = tf.TrainingBatch(s, a, r, lv)
@@ -323,22 +324,21 @@ class TestShards:
         model.backward(*tf.loss_grads(rtg_pred, act_pred, r, a))
         ref = model.params.grads.copy()
 
-        shards = np.array_split(np.arange(5), 2)
-        sums = [tf.shard_step(model, data, shards[0], 5)]
-        first = model.params.grads.copy()
-        sums.append(tf.shard_step(model, data, shards[1], 5))
-        grads = first + model.params.grads
+        model.params.zero_grad()
+        sums = [tf.shard_step(model, data, rows, 5) for rows in np.array_split(np.arange(5), 2)]
+        grads = model.params.grads
         assert np.abs(grads - ref).max() <= 1e-12 * np.abs(ref).max()
         assert (sums[0][0] + sums[1][0]) / 5 == pytest.approx(rtg_l, rel=1e-12, abs=0.0)
         assert (sums[0][1] + sums[1][1]) / 5 == pytest.approx(act_l, rel=1e-12)
 
-    def test_empty_shard_has_zero_gradient(self, tiny_cfg, rng):
+    def test_empty_shard_adds_nothing(self, tiny_cfg, rng):
         model = tf.TrajectoryTransformer(tiny_cfg)
-        model.params.grads[...] = 1.0
+        before = rng.normal(size=model.params.size)
+        model.params.grads[...] = before
         s, r, a, lv = random_steps(rng, 2, 8)
         data = tf.TrainingBatch(s, a, r, lv)
         assert tf.shard_step(model, data, np.array([], dtype=np.int64), 1) == (0.0, 0.0)
-        assert not model.params.grads.any()
+        assert np.array_equal(model.params.grads, before)
 
 
 class TestTraining:
