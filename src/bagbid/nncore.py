@@ -52,27 +52,40 @@ format or version (versions 1 and 2 were JSON throughout and are no
 longer read), a header line that is missing, cut, not UTF-8 JSON or
 malformed, data shorter or longer than the shapes need, a checkpoint of
 another kind than the caller asked for, and the first missing,
-unexpected or mis-shaped parameter.
+unexpected or mis-shaped parameter.  Datasets share the layout, and
+``trajectory.BinaryFormat`` writes and checks the header line and data
+of both.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 # perfbench/spans.py wraps ``atomic_write_text`` where this module looks it
 # up, so the name stays here although checkpoints are written as bytes
-from bagbid.trajectory import atomic_write_bytes, atomic_write_text
+from bagbid.trajectory import BinaryFormat, atomic_write_text
 
 CHECKPOINT_FORMAT = "bagbid-checkpoint"
 CHECKPOINT_VERSION = 3
-_CHECKPOINT_DTYPE = np.dtype("<f8")
 
 
 class CheckpointError(ValueError):
     """A checkpoint file this version cannot read."""
+
+
+def _retired_checkpoint(header: dict) -> str | None:
+    version = header.get("version")
+    if header.get("format") == CHECKPOINT_FORMAT and version in (1, 2):
+        return (f"is a version {version} checkpoint, which this version no longer "
+                f"reads; retrain with `bagbid train`")
+    return None
+
+
+_CHECKPOINT = BinaryFormat(name=CHECKPOINT_FORMAT, version=CHECKPOINT_VERSION,
+                           noun="checkpoint", data="parameter", sized_by="shapes",
+                           error=CheckpointError, retired=_retired_checkpoint)
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -253,16 +266,10 @@ class ParameterSet:
             self._params[name].value[...] = data
 
     def save(self, path, meta: dict | None = None):
-        header = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
+        _CHECKPOINT.write(path, {
             "meta": meta or {},
             "params": {name: {"shape": list(p.value.shape)} for name, p in self._params.items()},
-        }
-        parts = [json.dumps(header, separators=(",", ":")).encode("ascii"), b"\n"]
-        parts += [p.value.astype(_CHECKPOINT_DTYPE, copy=False).tobytes()
-                  for p in self._params.values()]
-        atomic_write_bytes(path, b"".join(parts))
+        }, [p.value for p in self._params.values()])
 
 
 def read_checkpoint(path, kind: str | None = None) -> tuple[dict, dict]:
@@ -271,24 +278,7 @@ def read_checkpoint(path, kind: str | None = None) -> tuple[dict, dict]:
     given, is the ``meta["kind"]`` the caller reads."""
     with open(path, "rb") as f:
         raw = f.read()
-    end = raw.find(b"\n")
-    line = raw if end < 0 else raw[:end]
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
-        raise CheckpointError(f"{path}: the header line is not UTF-8 JSON ({e})") from None
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    version = header.get("version")
-    if version in (1, 2):
-        raise CheckpointError(
-            f"{path} is a version {version} checkpoint, which this version no longer "
-            f"reads; retrain with `bagbid train`"
-        )
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    if end < 0:
-        raise CheckpointError(f"{path} ends inside its header line")
+    header, offset = _CHECKPOINT.split(raw, path)
     meta, params = header.get("meta", {}), header.get("params")
     if not (isinstance(meta, dict) and isinstance(params, dict) and all(
             isinstance(rec, dict) and isinstance(rec.get("shape"), list)
@@ -299,17 +289,8 @@ def read_checkpoint(path, kind: str | None = None) -> tuple[dict, dict]:
     if kind is not None and meta.get("kind") != kind:
         raise CheckpointError(
             f"{path} is a {meta.get('kind', 'kindless')} checkpoint, not a {kind} one")
-    offset = end + 1
-    need = _CHECKPOINT_DTYPE.itemsize * sum(math.prod(s) for s in shapes.values())
-    if len(raw) - offset != need:
-        raise CheckpointError(f"{path} holds {len(raw) - offset} bytes of parameter data, "
-                              f"but the shapes in its header need {need}")
-    records = {}
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        records[name] = np.frombuffer(raw, _CHECKPOINT_DTYPE, count, offset).reshape(shape)
-        offset += count * _CHECKPOINT_DTYPE.itemsize
-    return records, meta
+    data = _CHECKPOINT.views(raw, offset, [math.prod(s) for s in shapes.values()], path)
+    return {name: v.reshape(shape) for (name, shape), v in zip(shapes.items(), data)}, meta
 
 
 # Elements per slice of an Adam update.  The two scratch buffers hold one

@@ -15,12 +15,13 @@ Stages, each a pure function of the experiment config and seed:
                suboptimality-ratio histogram against the r* that
                gen-expert stored for each training day
 
-Outputs are JSONL datasets, ``.ckpt`` checkpoints (a JSON header line and
-raw float64 data, see ``nncore``) and CSV metrics under the config's
-output directory.  Prep labels are a function of the datasets,
-the discriminator checkpoint, ``k_levels``, ``bag_len`` and ``beta``, and
-no file stores them, so a training always sees labels for the config and
-discriminator it runs with.  Each method's eval writes only its own
+Outputs are ``.trajs`` datasets (see ``trajectory``) and ``.ckpt``
+checkpoints (see ``nncore``), each a JSON header line and raw float64
+data, and CSV metrics under the config's output directory.  Prep labels
+are a function of the datasets, the discriminator checkpoint,
+``k_levels``, ``bag_len`` and ``beta``, and no file stores them, so a
+training always sees labels for the config and discriminator it runs
+with.  Each method's eval writes only its own
 ``reports/metrics_<method>.csv``, one row per campaign-day, which
 ``report`` reads back, so evals of different methods never share a file.
 All file writes are atomic; train and test seed ranges are disjoint by
@@ -58,6 +59,7 @@ from bagbid.shard_worker import ShardWorkerError
 from bagbid.trajectory import (
     CampaignConstraints,
     atomic_write_text,
+    dataset_records,
     load_jsonl,
     save_jsonl,
 )
@@ -214,11 +216,11 @@ class ExperimentConfig:
 
     @property
     def offline_path(self):
-        return self.path("data", "offline.jsonl")
+        return self.path("data", "offline.trajs")
 
     @property
     def expert_path(self):
-        return self.path("data", "expert.jsonl")
+        return self.path("data", "expert.trajs")
 
     @property
     def manifest_path(self):
@@ -249,16 +251,18 @@ class ExperimentConfig:
         campaigns = d.get("campaigns", [])
         if not isinstance(campaigns, list) or not all(isinstance(c, dict) for c in campaigns):
             raise ConfigError("campaigns must be a list of JSON objects")
-        d = dict(_integers_checked(cls, d))
+        d = dict(_numbers_checked(cls, d))
         for name, kind in (("market", MarketSettings), ("behavior", BehaviorSettings),
                            ("model", ModelConfig), ("disc", DiscConfig)):
             if name not in d:
                 continue
             if not isinstance(d[name], dict):
                 raise ConfigError(f"{name} must be a JSON object")
-            d[name] = kind(**_tupled(_integers_checked(kind, d[name], f"{name}.")))
+            d[name] = kind(**_tupled(_numbers_checked(kind, d[name], f"{name}.")))
         if "campaigns" in d:
-            d["campaigns"] = [CampaignSpec(**c) for c in d["campaigns"]]
+            d["campaigns"] = [
+                CampaignSpec(**_numbers_checked(CampaignSpec, c, f"campaigns[{i}]."))
+                for i, c in enumerate(d["campaigns"])]
         return cls(**d)
 
     @classmethod
@@ -275,12 +279,18 @@ class ExperimentConfig:
         atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2, default=list))
 
 
-def _integers_checked(cls, d: dict, section: str = "") -> dict:
+def _numbers_checked(cls, d: dict, section: str = "") -> dict:
     """``d``, once every field of ``cls`` declared ``int`` that it sets
-    holds a JSON integer (not a float or a bool)."""
+    holds a JSON integer (not a float or a bool), and every field declared
+    ``float`` a JSON number (not a bool)."""
     for f in fields(cls):
-        if f.type == "int" and f.name in d and type(d[f.name]) is not int:
-            raise ConfigError(f"{section}{f.name} must be an integer, got {d[f.name]!r}")
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        if f.type == "int" and type(value) is not int:
+            raise ConfigError(f"{section}{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and type(value) not in (int, float):
+            raise ConfigError(f"{section}{f.name} must be a number, got {value!r}")
     return d
 
 
@@ -409,22 +419,15 @@ def gen_expert_data(exp: ExperimentConfig) -> list:
     return generate_expert_trajectories(*days)
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(exp: ExperimentConfig):
     files = {}
     counts = {}
     for name, path in (("offline", exp.offline_path), ("expert", exp.expert_path)):
         if os.path.exists(path):
-            files[name] = _sha256(path)
-            with open(path) as f:
-                counts[name] = sum(1 for line in f if line.strip())
+            with open(path, "rb") as f:
+                raw = f.read()
+            files[name] = hashlib.sha256(raw).hexdigest()
+            counts[name] = len(dataset_records(raw, path)[0])
     manifest = {
         "seed": exp.seed,
         "counts": counts,

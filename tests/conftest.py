@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from bagbid.market import MarketConfig
-from bagbid.trajectory import CampaignConstraints
+from bagbid.trajectory import CampaignConstraints, Trajectory
 
 
 @pytest.fixture
@@ -229,20 +230,22 @@ def scan_refs():
 
 
 def _split_checkpoint(path):
-    """A checkpoint file's JSON header (a dict) and its data bytes."""
+    """A checkpoint's or a dataset's JSON header (a dict) and its data
+    bytes."""
     line, _, data = Path(path).read_bytes().partition(b"\n")
     return json.loads(line), data
 
 
 def _join_checkpoint(path, header, data):
-    """Write ``header`` and ``data`` to ``path`` as one checkpoint file."""
+    """Write ``header`` and ``data`` to ``path`` as one checkpoint or
+    dataset file."""
     Path(path).write_bytes(json.dumps(header).encode() + b"\n" + data)
 
 
 @pytest.fixture
 def checkpoint_parts():
-    """``split(path)`` reads a checkpoint's header and data; ``join(path,
-    header, data)`` writes them back."""
+    """``split(path)`` reads a checkpoint's or a dataset's header and data;
+    ``join(path, header, data)`` writes them back."""
     return SimpleNamespace(split=_split_checkpoint, join=_join_checkpoint)
 
 
@@ -259,3 +262,19 @@ def assert_in_arena():
 @pytest.fixture
 def adam_matches_reference():
     return _adam_matches_reference
+
+
+def _assert_same_trajectory(a, b):
+    """Every field of two trajectories equal, the arrays bitwise (so the
+    sign of zero and NaN payloads count) and of the same shape."""
+    for f in dataclasses.fields(Trajectory):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.fixture
+def assert_same_trajectory():
+    return _assert_same_trajectory

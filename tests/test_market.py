@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -187,10 +186,11 @@ class TestRunEpisode:
         traj = roll(0.0, small_config, constraints)
         assert traj.total_reward == 0.0 and traj.total_spend == 0.0
 
-    def test_determinism_byte_for_byte(self, small_config, constraints):
+    def test_determinism_byte_for_byte(self, small_config, constraints,
+                                       assert_same_trajectory):
         t1 = roll(1.3, small_config, constraints)
         t2 = roll(1.3, small_config, constraints)
-        assert json.dumps(t1.to_json_dict()) == json.dumps(t2.to_json_dict())
+        assert_same_trajectory(t1, t2)
 
     def test_budget_accounting_oracle(self, small_config):
         """Recompute spend from the trajectory record; total stays within
@@ -260,7 +260,8 @@ class TestRunEpisodes:
         assert np.array_equal(traj.actions, np.full(cfg.steps_per_episode, 2.0))
         assert np.array_equal(seen[-1][0], traj.actions[:-1])
 
-    def test_batch_rows_equal_days_rolled_alone(self, small_config, monkeypatch, caplog):
+    def test_batch_rows_equal_days_rolled_alone(self, small_config, monkeypatch, caplog,
+                                                assert_same_trajectory):
         """A day rolled in a lockstep batch equals, field for field, the
         same day rolled alone.  The batch mixes two campaigns' CVR
         profiles, a budget that forfeits and a row whose bids are clamped;
@@ -298,7 +299,7 @@ class TestRunEpisodes:
 
         for (stream, k, cid), traj in zip(days, batch):
             (alone,) = run_episodes(policy, [stream], [k], [cid], source="mixed")
-            assert traj.to_json_dict() == alone.to_json_dict()
+            assert_same_trajectory(traj, alone)
 
 
 class TestInvariants:
@@ -366,14 +367,14 @@ class TestConfigValidation:
 
 
 class TestSerialization:
-    def test_jsonl_roundtrip(self, small_config, constraints, tmp_path):
+    def test_jsonl_roundtrip(self, small_config, constraints, tmp_path,
+                             assert_same_trajectory):
         from bagbid.trajectory import load_jsonl, save_jsonl
 
         t1 = roll(1.7, small_config, constraints, campaign_id="c3", source="fixed")
-        path = tmp_path / "trajs.jsonl"
+        path = tmp_path / "day.trajs"
         save_jsonl([t1], path)
         (t2,) = load_jsonl(path)
         assert t2.campaign_id == "c3" and t2.source == "fixed"
-        assert np.array_equal(t1.states, t2.states)
-        assert np.array_equal(t1.spends, t2.spends)
         assert t2.constraints == constraints
+        assert_same_trajectory(t1, t2)

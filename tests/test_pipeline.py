@@ -60,12 +60,8 @@ class TestGenData:
         pl.cmd_gen_data(exp)
         pl.cmd_gen_expert(exp)
         manifest = json.load(open(exp.manifest_path))
-        with open(exp.offline_path) as f:
-            offline_lines = sum(1 for line in f if line.strip())
-        with open(exp.expert_path) as f:
-            expert_lines = sum(1 for line in f if line.strip())
-        assert manifest["counts"]["offline"] == offline_lines
-        assert manifest["counts"]["expert"] == expert_lines
+        assert manifest["counts"]["offline"] == len(load_jsonl(exp.offline_path))
+        assert manifest["counts"]["expert"] == len(load_jsonl(exp.expert_path))
         assert manifest["counts"]["offline"] == (
             len(exp.campaigns) * exp.train_episodes_per_campaign
         )
@@ -457,8 +453,8 @@ def resolved_rstar(exp, campaign_id, seed):
 
 def resolved_ratio_files(exp, bins=20):
     """The text of ``ratio_hist.csv`` and ``ratio_summary.json`` for the
-    offline data, each day's r* solved again rather than read from
-    ``expert.jsonl``."""
+    offline data, each day's r* solved again rather than read from the
+    expert data."""
     ratios = []
     for t in load_jsonl(exp.offline_path):
         rstar = resolved_rstar(exp, t.campaign_id, t.seed)
@@ -626,6 +622,10 @@ class TestCli:
          "market.opportunities_per_step must be an integer, got 20.0"),
         ('{"disc": {"steps": 80.0}}', "disc.steps must be an integer, got 80.0"),
         ('{"campaigns": []}', "campaigns must not be empty"),
+        ('{"beta": true}', "beta must be a number, got True"),
+        ('{"model": {"lr": true}}', "model.lr must be a number, got True"),
+        ('{"campaigns": [{"campaign_id": "c0", "budget": true, "ros_bound": 6.0}]}',
+         "campaigns[0].budget must be a number, got True"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
             "top-level-list", "market-list", "campaign-number", "campaigns-number",
             "model-number", "beta-zero", "quantile-above-one", "no-test-periods",
@@ -635,7 +635,7 @@ class TestCli:
             "no-context", "no-bag", "no-model-batch", "no-disc-hidden", "no-disc-steps",
             "no-disc-batch", "float-train-steps", "float-model-dim", "bool-layers",
             "float-test-periods", "float-seed", "float-opportunities", "float-disc-steps",
-            "empty-campaigns"])
+            "empty-campaigns", "bool-beta", "bool-lr", "bool-budget"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 
@@ -666,46 +666,68 @@ class TestCli:
         seeded = json.loads(capsys.readouterr().out)
         assert (seeded["seed"], seeded["model"]["seed"], seeded["disc"]["seed"]) == (5, 5, 5)
 
-    @pytest.mark.parametrize("command, dataset, garble, where, message", [
-        ("train-disc", "offline", "unterminated", -1, "line 1 column"),
-        ("train", "offline", "unterminated", -1, "line 1 column"),
-        ("train-disc", "expert", "cut-short", -1, "line 1 column"),
-        ("train", "expert", "cut-short", -1, "line 1 column"),
-        ("train-disc", "expert", "missing-key", 2, "missing key 'rewards'"),
-        ("train", "offline", "bad-shape", 1, "actions must have shape (24,), got (23,)"),
-        ("train-disc", "offline", "not-utf8", -1, "can't decode byte 0xff"),
+    @pytest.mark.parametrize("command, dataset, garble, message", [
+        ("train-disc", "offline", "unterminated", "ends inside its header line"),
+        ("train", "offline", "unterminated", "ends inside its header line"),
+        ("train-disc", "expert", "cut-short",
+         "holds 18424 bytes of trajectory data, but the steps in its header need 18432"),
+        ("train", "expert", "cut-short",
+         "holds 18424 bytes of trajectory data, but the steps in its header need 18432"),
+        ("train", "offline", "padded",
+         "holds 18440 bytes of trajectory data, but the steps in its header need 18432"),
+        ("train-disc", "expert", "missing-key", "trajectory 2: missing key 'source'"),
+        ("train", "offline", "bad-shape", "trajectory 1: steps must be a positive integer, got 0"),
+        ("train-disc", "expert", "bad-budget", "trajectory 1: budget must be positive, got -1"),
+        ("train-disc", "offline", "not-utf8",
+         "the header line is not UTF-8 JSON ('utf-8' codec can't decode byte 0xff"),
+        ("train", "offline", "not-object", "is not a bagbid-dataset file"),
+        ("train-disc", "expert", "other-format", "is not a bagbid-dataset file"),
+        ("train", "expert", "other-version", "unsupported dataset version 2"),
+        ("train-disc", "offline", "malformed", "the header's trajectories are malformed"),
     ], ids=["train-disc-unterminated", "train-unterminated", "train-disc-cut-short",
-            "train-cut-short", "train-disc-missing-key", "train-bad-shape",
-            "train-disc-not-utf8"])
+            "train-cut-short", "train-padded", "train-disc-missing-key", "train-bad-shape",
+            "train-disc-bad-budget", "train-disc-not-utf8", "train-not-object",
+            "train-disc-other-format", "train-other-version", "train-disc-malformed"])
     def test_garbled_dataset_fails_without_traceback(self, tiny_experiment, tmp_path,
                                                      capsys, command, dataset, garble,
-                                                     where, message):
-        """A dataset line that is not UTF-8 JSON, lacks a key or fails the
-        trajectory checks is reported by file and line number."""
+                                                     message):
+        """A dataset whose header line is cut, not UTF-8 JSON or of
+        another format or version, whose data are shorter or longer than
+        its steps need, or whose record lacks a key or fails the
+        trajectory checks is reported by file, and by trajectory where one
+        is at fault."""
         from bagbid.cli import main
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
         pl.cmd_gen_expert(exp)
         path = exp.offline_path if dataset == "offline" else exp.expert_path
-        with open(path) as f:
-            lines = f.read().splitlines()
-        if garble == "unterminated":
-            lines.append('{"campaign_id": "c0"')
-        elif garble == "not-utf8":
-            lines.append("\xff")
-        elif garble == "cut-short":
-            lines[-1] = lines[-1][:len(lines[-1]) // 2]
-        else:
-            record = json.loads(lines[where - 1])
-            if garble == "missing-key":
-                del record["rewards"]
-            else:
-                record["actions"] = record["actions"][:-1]
-            lines[where - 1] = json.dumps(record)
-        with open(path, "w", encoding="latin-1") as f:  # the datasets are ASCII
-            f.write("\n".join(lines) + "\n")
-        lineno = len(lines) if where == -1 else where
+        with open(path, "rb") as f:
+            raw = f.read()
+        end = raw.index(b"\n")
+        header = json.loads(raw[:end])
+        records = header["trajectories"]
+        if garble == "missing-key":
+            del records[2]["source"]
+        elif garble == "bad-shape":
+            records[1]["steps"] = 0
+        elif garble == "bad-budget":
+            records[1]["constraints"]["budget"] = -1
+        elif garble == "other-format":
+            header["format"] = "bagbid-checkpoint"
+        elif garble == "other-version":
+            header["version"] = 2
+        elif garble == "malformed":
+            header["trajectories"] = {"c0": records}
+        raw = json.dumps(header).encode() + raw[end:]
+        with open(path, "wb") as f:
+            f.write({
+                "unterminated": raw[:raw.index(b"\n")],
+                "cut-short": raw[:-8],
+                "padded": raw + bytes(8),
+                "not-utf8": b"\xff" + raw,
+                "not-object": b"[1, 2]\n" + raw,
+            }.get(garble, raw))
         config = tmp_path / "config.json"
         exp.save(config)
         argv = [command, "--config", str(config)]
@@ -713,21 +735,52 @@ class TestCli:
             argv += ["--method", "ebaret"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"bagbid: error: {path}:{lineno}: ") and message in err
+        assert err.startswith(f"bagbid: error: {path}") and message in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv, dataset", [
-        (["train-disc"], "offline"),
-        (["train-disc"], "expert"),
-        (["train", "--method", "ebaret"], "offline"),
-        (["train", "--method", "ebaret"], "expert"),
-        (["train", "--method", "dt"], "offline"),
-        (["report"], "offline"),
+    def test_jsonl_dataset_fails_asking_to_regenerate(self, tiny_experiment, tmp_path,
+                                                      capsys):
+        """A dataset from before the header-and-raw-bytes layout, one JSON
+        object per line, is refused with one line that says how to replace
+        it."""
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        lines = [json.dumps({
+            "campaign_id": t.campaign_id, "seed": t.seed,
+            "constraints": dataclasses.asdict(t.constraints), "states": t.states.tolist(),
+            "actions": t.actions.tolist(), "rewards": t.rewards.tolist(),
+            "spends": t.spends.tolist(), "values": t.values.tolist(), "source": t.source,
+        }) for t in load_jsonl(exp.offline_path)]
+        with open(exp.offline_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        config = tmp_path / "config.json"
+        exp.save(config)
+        assert main(["train-disc", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"bagbid: error: {exp.offline_path} is a JSONL dataset, which this version no "
+            f"longer reads; run gen-data and gen-expert again\n")
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert main(["train-disc", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("argv, dataset, empty", [
+        (["train-disc"], "offline", "file"),
+        (["train-disc"], "expert", "file"),
+        (["train", "--method", "ebaret"], "offline", "file"),
+        (["train", "--method", "ebaret"], "expert", "file"),
+        (["train", "--method", "dt"], "offline", "file"),
+        (["report"], "offline", "file"),
+        (["train-disc"], "expert", "header"),
+        (["report"], "offline", "header"),
     ], ids=["train-disc-offline", "train-disc-expert", "train-offline", "train-expert",
-            "train-dt-offline", "report-offline"])
+            "train-dt-offline", "report-offline", "train-disc-expert-no-records",
+            "report-offline-no-records"])
     def test_empty_dataset_fails_without_traceback(self, tiny_experiment, tmp_path, capsys,
-                                                   argv, dataset):
-        """A dataset file with no trajectories is refused by name."""
+                                                   argv, dataset, empty):
+        """A dataset file with no trajectories, empty or with a header that
+        lists none, is refused by name."""
         from bagbid.cli import main
 
         exp = tiny_experiment
@@ -736,7 +789,10 @@ class TestCli:
         pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
                                         False)]).save(exp.metrics_path("bc"))
         path = exp.offline_path if dataset == "offline" else exp.expert_path
-        open(path, "wb").close()
+        if empty == "file":
+            open(path, "wb").close()
+        else:
+            save_jsonl([], path)
         config = tmp_path / "config.json"
         exp.save(config)
         assert main(argv + ["--config", str(config)]) == 1
