@@ -20,13 +20,12 @@ them.
 
 The ops are written to make few passes over memory.  Affine ops run one
 2-D GEMM over the flattened leading dims.  Causal attention keeps
-``wq|wk|wv`` as one contiguous (d, 3d) arena block and ``bq|bk|bv`` as
-one (3d,) block, with the named parameters as column views (so the
-checkpoint names are unchanged): one GEMM projects q, k and v with no
-copy, and the backward adds their weight gradient into the fused block in
-one op.  Attention takes its query rows as an argument: k and v serve
-every row, but only the chosen q rows are kept, so a caller that reads
-some rows' outputs pays for the scores, the output projection and their
+its q, k and v weights as one contiguous (d, 3d) parameter ``wqkv`` and
+their biases as one (3d,) parameter ``bqkv``: one GEMM projects q, k and
+v with no copy, and the backward adds their weight gradient in one op.
+Attention takes its query rows as an argument: k and v serve every row,
+but only the chosen q rows are kept, so a caller that reads some rows'
+outputs pays for the scores, the output projection and their
 backward on those rows only (the q gradient of the other rows is zero).
 Attention is block-causal: queries go in blocks of ``ATTN_BLOCK`` rows,
 each block scores only the keys up to its last query's position, and one
@@ -137,10 +136,8 @@ class ParameterSet:
 
     Every value lives in one flat float64 buffer (``values``) and every
     gradient in a second one of the same layout (``grads``);
-    ``Parameter.value`` and ``.grad`` are views into them.  A block
-    (``add_block``) is one contiguous region whose parts ``add_view``
-    names, so a fused weight such as ``wq|wk|wv`` is one (d, 3d) array
-    while each of its parameters keeps its name.
+    ``Parameter.value`` and ``.grad`` are views into them, one contiguous
+    region per parameter.
 
     Parameters are declared first, each with its initial value or zeros;
     each buffer is allocated at its final size when it is first used (the
@@ -154,7 +151,7 @@ class ParameterSet:
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
-        # (offset, block shape, index) of every view, named or not
+        # (offset, shape) of every parameter
         self._layout: dict[Parameter, tuple] = {}
         # initial values, until the value buffer exists
         self._init: dict[Parameter, np.ndarray] = {}
@@ -164,50 +161,27 @@ class ParameterSet:
         self._adam_scratch = None
         self.adam_t = 0
 
-    def add_block(self, shape) -> Parameter:
-        """An unnamed zeroed region of ``shape``; ``add_view`` names its
-        parts."""
-        self._check_open()
+    def add(self, name: str, value=None, *, shape=None) -> Parameter:
+        """Name a new region holding a copy of ``value``, or zeros of
+        ``shape``."""
+        if self._values is not None or self._grads is not None:
+            raise ValueError("parameters cannot be added once the arena is in use")
+        if name in self._params:
+            raise ValueError(f"duplicate parameter name {name!r}")
+        if value is not None:
+            value = np.array(value, dtype=np.float64)
+            shape = value.shape
         shape = tuple(shape)
-        offset = self._size
-        self._size += math.prod(shape)
-        p = Parameter(self)
-        self._layout[p] = (offset, shape, ...)
-        return p
-
-    def add_view(self, name: str, block: Parameter, index=..., value=None) -> Parameter:
-        """Name the part ``index`` of ``block``, starting at ``value`` (or
-        zeros)."""
-        self._check_new(name)
-        offset, shape, _ = self._layout[block]
         p = self._params[name] = Parameter(self)
-        self._layout[p] = (offset, shape, index)
+        self._layout[p] = (self._size, shape)
+        self._size += math.prod(shape)
         if value is not None:
             self._init[p] = value
         return p
 
-    def add(self, name: str, value=None, *, shape=None) -> Parameter:
-        """Name a new region holding a copy of ``value``, or zeros of
-        ``shape``."""
-        self._check_new(name)
-        if value is not None:
-            value = np.array(value, dtype=np.float64)
-            shape = value.shape
-        return self.add_view(name, self.add_block(shape), value=value)
-
-    def _check_open(self):
-        if self._values is not None or self._grads is not None:
-            raise ValueError("parameters cannot be added once the arena is in use")
-
-    def _check_new(self, name: str):
-        self._check_open()
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-
     def _lay_out(self, buf: np.ndarray, slot: str) -> np.ndarray:
-        for p, (offset, shape, index) in self._layout.items():
-            end = offset + math.prod(shape)
-            setattr(p, slot, buf[offset:end].reshape(shape)[index])
+        for p, (offset, shape) in self._layout.items():
+            setattr(p, slot, buf[offset:offset + math.prod(shape)].reshape(shape))
             if p._value is not None and p._grad is not None:
                 p._owner = None  # nothing left to allocate: no reference cycle
         return buf
@@ -619,19 +593,17 @@ class Gelu:
 
 
 class CausalSelfAttention:
-    """Self-attention whose ``wq|wk|wv`` and ``bq|bk|bv`` are one (d, 3d)
-    and one (3d,) arena block; the named parameters ``{name}.w{q,k,v}``
-    and ``{name}.b{q,k,v}`` are column views into them."""
+    """Self-attention whose q, k and v projections are the one (d, 3d)
+    parameter ``{name}.wqkv`` and the one (3d,) parameter ``{name}.bqkv``,
+    their columns in the order q, k, v."""
 
     def __init__(self, ps: ParameterSet, name, dim, n_heads, rng, w_std=0.02):
         self.n_heads = n_heads
-        self.wqkv = ps.add_block((dim, 3 * dim))
-        self.bqkv = ps.add_block((3 * dim,))
-        for i, stem in enumerate("qkv"):
-            cols = slice(i * dim, (i + 1) * dim)
-            ps.add_view(f"{name}.w{stem}", self.wqkv, (slice(None), cols),
-                        _normal(rng, w_std, (dim, dim)))
-            ps.add_view(f"{name}.b{stem}", self.bqkv, cols)
+        # the q, k and v draws, in that order, side by side
+        wqkv = None if rng is None else np.hstack(
+            [_normal(rng, w_std, (dim, dim)) for _ in range(3)])
+        self.wqkv = ps.add(f"{name}.wqkv", wqkv, shape=(dim, 3 * dim))
+        self.bqkv = ps.add(f"{name}.bqkv", shape=(3 * dim,))
         self.wo = ps.add(f"{name}.wo", _normal(rng, w_std, (dim, dim)), shape=(dim, dim))
         self.bo = ps.add(f"{name}.bo", shape=(dim,))
 

@@ -464,7 +464,14 @@ def transitions_matrix(trajs) -> np.ndarray:
     return np.concatenate(xs, axis=0)
 
 
+def _require(path, remedy: str):
+    if not os.path.exists(path):
+        raise PipelineError(f"{path} is missing; {remedy}")
+
+
 def cmd_train_disc(exp: ExperimentConfig, plain_ce: bool = False) -> DiscriminatorModel:
+    _require(exp.offline_path, "run gen-data first")
+    _require(exp.expert_path, "run gen-expert first")
     offline = load_jsonl(exp.offline_path)
     expert = load_jsonl(exp.expert_path)
     model, curve = train_discriminator(
@@ -703,6 +710,7 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
     ``exp`` raises ``PipelineError`` naming the fields that differ."""
     spec = METHODS[normalize_method(method)]
     path = exp.ckpt_path(spec.name)
+    _require(path, f"run `bagbid train --method {spec.name}` first")
     model = TrajectoryTransformer.load(path)
     stale = [f"{part}.{k} is {have[k]!r}, not {want[k]!r}"
              for part, have, want in [
@@ -766,8 +774,8 @@ def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
 
     A day's r* is the replay value gen-expert stored for the expert
     episode of the same campaign, seed and constraints."""
-    if not os.path.exists(exp.expert_path):
-        raise PipelineError(f"{exp.expert_path} is missing; run gen-expert first")
+    _require(exp.expert_path, "run gen-expert first")
+    _require(exp.offline_path, "run gen-data first")
     experts = {(t.campaign_id, t.seed): t for t in load_jsonl(exp.expert_path)}
     ratios = []
     for t in load_jsonl(exp.offline_path):
@@ -779,7 +787,11 @@ def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
             raise PipelineError(f"day {t.campaign_id} seed {t.seed} has {t.constraints} offline "
                                 f"but {expert.constraints} in {exp.expert_path}; "
                                 f"run gen-expert again")
-        rstar = expert.meta["replay_value"]
+        rstar = expert.meta.get("replay_value") if isinstance(expert.meta, dict) else None
+        # type(), not isinstance(): a bool is not a replay value
+        if not (type(rstar) is int or type(rstar) is float and math.isfinite(rstar)):
+            raise PipelineError(f"{exp.expert_path}: day {t.campaign_id} seed {t.seed} has no "
+                                f"finite replay_value in its meta; run gen-expert again")
         ratios.append(t.total_value / rstar if rstar > 0 else 0.0)
     ratios = np.asarray(ratios)
 

@@ -139,14 +139,14 @@ def split(grads):
 
 
 def layer_forward(attn, x):
-    """The functional forward on the layer's fused arena blocks."""
+    """The functional forward on the layer's fused parameters."""
     return nc.causal_attention_forward(x, attn.wqkv.value, attn.bqkv.value,
                                        attn.wo.value, attn.bo.value, attn.n_heads)
 
 
 def attn_views(ps, name):
     """The named parameters of attention layer ``name``, in checkpoint order."""
-    return [ps[f"{name}.{k}"] for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+    return [ps[f"{name}.{k}"] for k in ("wqkv", "bqkv", "wo", "bo")]
 
 
 class TestCausalAttention:
@@ -160,8 +160,9 @@ class TestCausalAttention:
         ps, attn, _ = self._setup(gen, length=1)
         x = gen.normal(size=(1, 1, 16))
         y = attn.forward(x)
-        # softmax over one element = 1: output = (x Wv + bv) Wo + bo
-        v = x @ ps["a.wv"].value + ps["a.bv"].value
+        # softmax over one element = 1: output = (x Wv + bv) Wo + bo, with
+        # Wv and bv the last third of the fused q|k|v columns
+        v = x @ ps["a.wqkv"].value[:, 32:] + ps["a.bqkv"].value[32:]
         expected = v @ ps["a.wo"].value + ps["a.bo"].value
         assert np.allclose(y, expected, atol=1e-12)
 
@@ -562,9 +563,7 @@ def _block_layout(i):
     b = f"block{i}"
     return [
         (f"{b}.ln1.gamma", (64,)), (f"{b}.ln1.beta", (64,)),
-        (f"{b}.attn.wq", (64, 64)), (f"{b}.attn.bq", (64,)),
-        (f"{b}.attn.wk", (64, 64)), (f"{b}.attn.bk", (64,)),
-        (f"{b}.attn.wv", (64, 64)), (f"{b}.attn.bv", (64,)),
+        (f"{b}.attn.wqkv", (64, 192)), (f"{b}.attn.bqkv", (192,)),
         (f"{b}.attn.wo", (64, 64)), (f"{b}.attn.bo", (64,)),
         (f"{b}.ln2.gamma", (64,)), (f"{b}.ln2.beta", (64,)),
         (f"{b}.mlp.fc1.w", (64, 256)), (f"{b}.mlp.fc1.b", (256,)),
@@ -635,12 +634,10 @@ class TestArena:
         attn = model.blocks[1]["attn"]
         d = model.config.d_model
         assert attn.wqkv.value.shape == (d, 3 * d) and attn.wqkv.value.flags.c_contiguous
-        for i, stem in enumerate("qkv"):
-            for kind, block in (("w", attn.wqkv), ("b", attn.bqkv)):
-                p = model.params[f"block1.attn.{kind}{stem}"]
-                part = block.value[..., i * d:(i + 1) * d]
-                assert np.shares_memory(p.value, part) and np.array_equal(p.value, part)
-                assert np.shares_memory(p.grad, block.grad[..., i * d:(i + 1) * d])
+        for kind, p in (("w", attn.wqkv), ("b", attn.bqkv)):
+            assert model.params[f"block1.attn.{kind}qkv"] is p
+            assert np.shares_memory(p.value, model.params.values)
+            assert np.shares_memory(p.grad, model.params.grads)
 
     def test_only_updated_in_place(self):
         ps = nc.ParameterSet()
@@ -685,9 +682,9 @@ class TestArena:
             fill()
             nc.adam_step(ps, lr=1e-3)
         fill()
-        ps["block1.attn.wk"].grad[3, 5] = np.inf
+        ps["block1.attn.wqkv"].grad[3, 69] = np.inf
         before = [a.copy() for a in (ps.values, ps.adam_m, ps.adam_v)]
-        with pytest.raises(nc.NonFiniteGradientError, match="block1.attn.wk"):
+        with pytest.raises(nc.NonFiniteGradientError, match="block1.attn.wqkv"):
             nc.adam_step(ps, lr=1e-3)
         assert ps.adam_t == 2
         for old, new in zip(before, (ps.values, ps.adam_m, ps.adam_v)):

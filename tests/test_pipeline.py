@@ -815,6 +815,76 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"bagbid: error: {exp.expert_path} is missing; run gen-expert first\n"
 
+    @pytest.mark.parametrize("meta", [{}, [1], {"replay_value": True},
+                                      {"replay_value": "2.5"}, {"replay_value": float("inf")}],
+                             ids=["empty", "not-object", "bool", "string", "infinite"])
+    def test_bad_replay_value_fails_without_traceback(self, tiny_experiment, tmp_path,
+                                                       capsys, meta):
+        """An expert record without a finite numeric r* in its meta is
+        refused by the ratio report, naming the file and the day."""
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
+                                        False)]).save(exp.metrics_path("bc"))
+        with open(exp.expert_path, "rb") as f:
+            raw = f.read()
+        end = raw.index(b"\n")
+        header = json.loads(raw[:end])
+        record = header["trajectories"][0]
+        record["meta"] = meta
+        with open(exp.expert_path, "wb") as f:
+            f.write(json.dumps(header).encode() + raw[end:])
+        config = tmp_path / "config.json"
+        exp.save(config)
+        assert main(["report", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"bagbid: error: {exp.expert_path}: day {record['campaign_id']} seed "
+                       f"{record['seed']} has no finite replay_value in its meta; "
+                       f"run gen-expert again\n")
+
+    @pytest.mark.parametrize("argv", [["train-disc"], ["train-disc", "--plain-ce"]],
+                             ids=["nnpu", "plain-ce"])
+    @pytest.mark.parametrize("has_offline", [False, True], ids=["none", "offline-only"])
+    def test_train_disc_without_datasets_says_which_step(self, tmp_path, capsys, argv,
+                                                          has_offline):
+        """Each missing dataset is named with the step that writes it,
+        before either file is read (so an empty offline file will do)."""
+        from bagbid.cli import main
+
+        exp = pl.default_config(output_dir=str(tmp_path))
+        if has_offline:
+            os.makedirs(os.path.dirname(exp.offline_path))
+            open(exp.offline_path, "wb").close()
+        path, step = ((exp.expert_path, "gen-expert") if has_offline
+                      else (exp.offline_path, "gen-data"))
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"bagbid: error: {path} is missing; run {step} first\n"
+
+    def test_report_without_offline_data_says_to_run_gen_data(self, tiny_experiment,
+                                                               tmp_path, capsys):
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        pl.cmd_gen_expert(exp)
+        pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
+                                        False)]).save(exp.metrics_path("bc"))
+        path = tmp_path / "config.json"
+        exp.save(path)
+        assert main(["report", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"bagbid: error: {exp.offline_path} is missing; run gen-data first\n"
+
+    def test_eval_without_checkpoint_says_to_train(self, tmp_path, capsys):
+        from bagbid.cli import main
+
+        path = pl.default_config(output_dir=str(tmp_path)).ckpt_path("dt")
+        assert main(["eval", "--method", "dt", "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"bagbid: error: {path} is missing; run `bagbid train --method dt` first\n")
+
     @pytest.mark.parametrize("change, message", [
         ("context", "model.context_steps is 24, not 48"),
         ("lr", "model.lr is 0.001, not 0.002"),
