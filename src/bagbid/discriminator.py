@@ -56,7 +56,6 @@ def softplus(x):
 
 @dataclass
 class DiscConfig:
-    hidden: int = 64
     class_prior: float = 0.01  # eta
     lr: float = 1e-3
     steps: int = 1500
@@ -64,9 +63,8 @@ class DiscConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("hidden", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.class_prior < 1.0:
             raise ValueError(f"class_prior must be in (0,1), got {self.class_prior}")
 
@@ -84,18 +82,17 @@ class DiscriminatorModel:
     """MLP logit head d(s, a): 9 -> hidden -> hidden -> 1, tanh throughout.
 
     The final layer is zero-initialized so an untrained model scores
-    sig(d) = 0.5 everywhere.
+    sig(d) = 0.5 everywhere.  A checkpoint's meta records ``hidden``; the
+    class prior belongs to the training loss (``DiscConfig.class_prior``),
+    not to the model.
     """
 
-    def __init__(self, hidden: int = 64, class_prior: float = 0.01, seed: int = 0):
-        self._build(hidden, class_prior, np.random.Generator(np.random.PCG64(seed)))
+    def __init__(self, hidden: int = 64, seed: int = 0):
+        self._build(hidden, np.random.Generator(np.random.PCG64(seed)))
 
-    def _build(self, hidden: int, class_prior: float, rng):
+    def _build(self, hidden: int, rng):
         """Lay out the layers; ``rng`` draws the initial weights, or None
         leaves them for a checkpoint to fill (``load``)."""
-        if not 0.0 < class_prior < 1.0:
-            raise ValueError("class_prior must be in (0,1)")
-        self.class_prior = class_prior
         self.hidden = hidden
         self.params = nc.ParameterSet()
         self.fc1 = nc.Affine(self.params, "fc1", DISC_INPUT_DIM, hidden, rng, w_std=0.3)
@@ -123,21 +120,14 @@ class DiscriminatorModel:
         return self.forward(x)
 
     def save(self, path):
-        self.params.save(
-            path,
-            meta={
-                "kind": "discriminator",
-                "hidden": self.hidden,
-                "class_prior": self.class_prior,
-            },
-        )
+        self.params.save(path, meta={"kind": "discriminator", "hidden": self.hidden})
 
     @classmethod
     def load(cls, path) -> "DiscriminatorModel":
         records, meta = nc.read_checkpoint(path, "discriminator")
         model = cls.__new__(cls)
         try:
-            model._build(int(meta["hidden"]), float(meta["class_prior"]), rng=None)
+            model._build(int(meta["hidden"]), rng=None)
         except (KeyError, TypeError, ValueError) as e:
             raise nc.CheckpointError(f"{path}: bad discriminator meta ({e!r})") from None
         model.params.load_records(records, path)
@@ -197,9 +187,7 @@ def train_discriminator(expert_set, offline_set, config: DiscConfig, plain_ce: b
     """
     expert_set = _check_matrix("expert_set", expert_set)
     offline_set = _check_matrix("offline_set", offline_set)
-    model = DiscriminatorModel(
-        hidden=config.hidden, class_prior=config.class_prior, seed=config.seed
-    )
+    model = DiscriminatorModel(seed=config.seed)
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     loss_curve = []
     for _ in range(config.steps):

@@ -67,7 +67,13 @@ from bagbid import nncore as nc
 from bagbid.shard_worker import ShardWorkers
 from bagbid.trajectory import STATE_DIM, Trajectory
 
-DEFAULT_RTG_SCALE = 30.0
+# Return tokens and return targets are R / RTG_SCALE.
+RTG_SCALE = 30.0
+# Learning-rate schedule: linear warmup over this share of the steps, then
+# cosine decay down to LR_FINAL_FRAC of the peak.
+LR_WARMUP_FRAC = 0.05
+LR_FINAL_FRAC = 0.005
+ADAM_BETA2 = 0.99
 
 # Seconds of in-process training that the steps after step 0 must be
 # worth, at step 0's pace, before ``train_model`` moves them to two worker
@@ -86,6 +92,12 @@ class ContextOverflowError(ValueError):
 
 @dataclass
 class ModelConfig:
+    """Shape and training settings of one transformer; a checkpoint's
+    header holds them.  The return scale, the learning-rate schedule's
+    shape and Adam's beta2 are the module constants ``RTG_SCALE``,
+    ``LR_WARMUP_FRAC``, ``LR_FINAL_FRAC`` and ``ADAM_BETA2``; the action
+    bound is the market's, passed to ``make_inference_policy``."""
+
     d_model: int = 64
     n_layers: int = 2
     n_heads: int = 4
@@ -96,11 +108,6 @@ class ModelConfig:
     batch_size: int = 8
     train_steps: int = 3000
     seed: int = 0
-    rtg_scale: float = DEFAULT_RTG_SCALE  # return tokens/targets are R / rtg_scale
-    a_max: float = 10.0
-    lr_warmup_frac: float = 0.05  # linear warmup, then cosine decay
-    lr_final_frac: float = 0.005
-    adam_beta2: float = 0.99
 
     def __post_init__(self):
         # n_layers: the last block is the one that cuts the rows to those read
@@ -119,8 +126,6 @@ class ModelConfig:
             )
         if self.k_levels < 2:
             raise ConfigError("k_levels must be >= 2")
-        if self.rtg_scale <= 0:
-            raise ConfigError("rtg_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -399,7 +404,7 @@ def loss_grads(rtg_pred, action_pred, rtg_target, action_target, batch_size=None
 class TrainingBatch:
     states: np.ndarray  # (N, T, 8)
     actions: np.ndarray  # (N, T)
-    rtgs: np.ndarray  # (N, T), already divided by rtg_scale
+    rtgs: np.ndarray  # (N, T), already divided by RTG_SCALE
     levels: np.ndarray  # (N, T) int
 
     def take(self, idx):
@@ -413,13 +418,15 @@ class TrainingBatch:
 
 
 def lr_at(config: ModelConfig, step: int) -> float:
-    """Linear warmup into cosine decay down to ``lr_final_frac``."""
-    warmup = max(1, int(config.lr_warmup_frac * config.train_steps))
+    """Learning rate of ``step``: linear warmup over ``LR_WARMUP_FRAC`` of
+    ``config.train_steps`` up to ``config.lr``, then cosine decay down to
+    ``LR_FINAL_FRAC * config.lr`` at the last step."""
+    warmup = max(1, int(LR_WARMUP_FRAC * config.train_steps))
     if step < warmup:
         return config.lr * (step + 1) / warmup
     span = max(1, config.train_steps - warmup)
     progress = (step - warmup) / span
-    floor = config.lr_final_frac
+    floor = LR_FINAL_FRAC
     return config.lr * (floor + (1.0 - floor) * 0.5 * (1.0 + math.cos(math.pi * progress)))
 
 
@@ -481,7 +488,7 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
             else:
                 sums = workers.step(model.params.values, shards)
                 np.add(*workers.grads, out=model.params.grads)
-            nc.adam_step(model.params, lr=lr_at(config, step), beta2=config.adam_beta2)
+            nc.adam_step(model.params, lr=lr_at(config, step), beta2=ADAM_BETA2)
             if log_rows is not None:
                 log_rows.append((step, (sums[0][0] + sums[1][0]) / b,
                                  (sums[0][1] + sums[1][1]) / b))
@@ -545,7 +552,8 @@ def _advance(model: TrajectoryTransformer, ep: _LiveEpisode, t: int, last: int) 
     return h[:, 0]
 
 
-def make_inference_policy(model: TrajectoryTransformer, manual_target: float | None = None):
+def make_inference_policy(model: TrajectoryTransformer, a_max: float,
+                          manual_target: float | None = None):
     """Lockstep market policy (see ``market.run_episodes``) around a
     trained model.
 
@@ -553,11 +561,12 @@ def make_inference_policy(model: TrajectoryTransformer, manual_target: float | N
     batched KV-cached forward; a call at step 0 starts a fresh batch sized
     by its input.  Full model: at each step the incoming transition's
     expert level is pinned to the top level, the return head predicts R_t
-    from the s_t token (clamped non-negative, in return-scale units), that
-    prediction becomes the R_t token, and the action head's output is
-    clamped to the market range.  Return-token models without the head
-    follow the classic conditioning protocol: the return token starts at
-    ``manual_target`` (scaled) and decrements by realized rewards, so
+    from the s_t token (clamped non-negative, in units of ``RTG_SCALE``),
+    that prediction becomes the R_t token, and the action head's output is
+    clamped to ``[0, a_max]``, the action range of the market the policy
+    bids in.  Return-token models without the head follow the classic
+    conditioning protocol: the return token starts at ``manual_target /
+    RTG_SCALE`` and decrements by realized rewards over ``RTG_SCALE``, so
     a_{t-1}, s_t and R_t are fed in one pass.  Behavior cloning ignores
     returns entirely.
     """
@@ -585,11 +594,11 @@ def make_inference_policy(model: TrajectoryTransformer, manual_target: float | N
             if arch.use_rtg_head:
                 rtg = model.rtg_head.forward(_advance(model, ep, t, 0))[:, 0]
             elif t == 0:
-                rtg = float(manual_target) / config.rtg_scale
+                rtg = float(manual_target) / RTG_SCALE
             else:
-                rtg = ep.rtgs[:, t - 1] - rewards[:, -1] / config.rtg_scale
+                rtg = ep.rtgs[:, t - 1] - rewards[:, -1] / RTG_SCALE
             ep.rtgs[:, t] = np.maximum(rtg, 0.0)
         h = _advance(model, ep, t, arch.action_token)
-        return np.clip(model.act_head.forward(h)[:, 0], 0.0, config.a_max)
+        return np.clip(model.act_head.forward(h)[:, 0], 0.0, a_max)
 
     return policy

@@ -293,15 +293,21 @@ class TestPersistence:
         loaded = dsc.DiscriminatorModel.load(path)
         x = rng.normal(size=(10, 9))
         assert np.array_equal(model.forward(x), loaded.forward(x))
-        assert loaded.class_prior == model.class_prior
         assert loaded.params._grads is None  # scoring allocates no gradients
 
-    @pytest.mark.parametrize("prior", [0.0, 1.5])
-    def test_load_rejects_bad_class_prior(self, tmp_path, checkpoint_parts, prior):
+    def test_loads_checkpoint_with_class_prior_in_meta(self, rng, tmp_path,
+                                                      checkpoint_parts):
+        """A checkpoint written when the model still stored the class prior
+        loads, and scores as the model that wrote it."""
         path = tmp_path / "disc.ckpt"
-        dsc.DiscriminatorModel(hidden=4).save(path)
+        model = dsc.DiscriminatorModel(hidden=4, seed=5)
+        model.params["fc3.w"].value[...] = rng.normal(size=(4, 1))
+        model.save(path)
         header, data = checkpoint_parts.split(path)
-        header["meta"]["class_prior"] = prior
+        assert "class_prior" not in header["meta"]
+        header["meta"]["class_prior"] = 0.01
         checkpoint_parts.join(path, header, data)
-        with pytest.raises(nc.CheckpointError, match="class_prior"):
-            dsc.DiscriminatorModel.load(path)
+        loaded = dsc.DiscriminatorModel.load(path)
+        assert not hasattr(loaded, "class_prior")
+        x = rng.normal(size=(6, 9))
+        assert np.array_equal(loaded.forward(x), model.forward(x))

@@ -15,6 +15,7 @@ from bagbid.discriminator import DiscriminatorModel, sigmoid
 from bagbid.expert import ROS_SLACK, solve_multipliers
 from bagbid.market import OpportunityStream, run_episodes
 from bagbid.trajectory import load_jsonl, save_jsonl
+from bagbid.transformer import RTG_SCALE
 
 
 def test_normalize_method_aliases():
@@ -25,6 +26,13 @@ def test_normalize_method_aliases():
     assert pl.normalize_method("ebaret¬BR") == "ebaret-nobr"
     with pytest.raises(Exception):
         pl.normalize_method("iql")
+
+
+def test_methods_differ_in_more_than_seed():
+    """No two methods share an architecture, a discriminator and a kind of
+    return label, so no method retrains another with a different seed."""
+    keys = [(s.arch, s.disc_plain_ce, s.redistributed_labels) for s in pl.METHODS.values()]
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.fixture
@@ -224,7 +232,7 @@ class TestTrainEval:
         trajs, labels = pl.cmd_prep(exp)
         batch = pl.build_training_batch(trajs, exp.model, spec, labels)
         t0 = trajs[0]
-        expected = rw.recompute_rtg(t0.rewards) / exp.model.rtg_scale
+        expected = rw.recompute_rtg(t0.rewards) / RTG_SCALE
         assert np.allclose(batch.rtgs[0], expected, atol=1e-12)
         assert np.array_equal(batch.levels, labels[0])
 
@@ -234,6 +242,18 @@ class TestTrainEval:
         pl.cmd_train(exp, "ebaret-noea")
         header, _ = checkpoint_parts.split(exp.ckpt_path("ebaret-noea"))
         assert not any("embed.level" in n for n in header["params"])
+
+    def test_noe_trains_on_offline_data_alone(self, ready, checkpoint_parts):
+        """ebaret-noe keeps EBaReT's return head and bag embedding, drops
+        the level table, and trains without a discriminator or expert data."""
+        exp = ready
+        pl.cmd_train(exp, "ebaret-noe")
+        header, _ = checkpoint_parts.split(exp.ckpt_path("ebaret-noe"))
+        names = header["params"].keys()
+        assert "head.rtg.w" in names and "embed.bag.table" in names
+        assert not any("embed.level" in n for n in names)
+        assert header["meta"]["n_train_trajectories"] == len(load_jsonl(exp.offline_path))
+        assert not os.path.exists(exp.disc_path(False))
 
     def test_ebaret_checkpoint_structure(self, ready, checkpoint_parts):
         exp = ready
@@ -580,14 +600,19 @@ class TestCli:
         ('{"disc": {"plain_ce": true}}', "unexpected keyword argument 'plain_ce'"),
         ('{"model": {"context_steps": 24}}', "model.context_steps=24 is shorter than "
                                              "market.steps_per_episode=48"),
-        ('{"model": {"a_max": 5.0}}', "model.a_max=5.0 differs from market.a_max=10.0"),
+        ('{"model": {"a_max": 5.0}}', "unexpected keyword argument 'a_max'"),
+        ('{"model": {"rtg_scale": 30.0}}', "unexpected keyword argument 'rtg_scale'"),
+        ('{"model": {"lr_warmup_frac": 0.05}}',
+         "unexpected keyword argument 'lr_warmup_frac'"),
+        ('{"model": {"lr_final_frac": 0.005}}', "unexpected keyword argument 'lr_final_frac'"),
+        ('{"model": {"adam_beta2": 0.99}}', "unexpected keyword argument 'adam_beta2'"),
         ("[1, 2]", "config must be a JSON object"),
         ('{"market": [1]}', "market must be a JSON object"),
         ('{"campaigns": [1]}', "campaigns must be a list of JSON objects"),
         ('{"campaigns": 3}', "campaigns must be a list of JSON objects"),
         ('{"model": 3}', "model must be a JSON object"),
         ('{"beta": 0}', "beta must be positive, got 0"),
-        ('{"dt_target_quantile": 1.5}', "dt_target_quantile must be in [0, 1], got 1.5"),
+        ('{"dt_target_quantile": 0.9}', "unexpected keyword argument 'dt_target_quantile'"),
         ('{"test_periods": 0}', "test_periods must be in [1, 500], got 0"),
         ('{"train_episodes_per_campaign": 0}',
          "train_episodes_per_campaign must be in [1, 50000), got 0"),
@@ -610,7 +635,7 @@ class TestCli:
         ('{"model": {"context_steps": 0}}', "context_steps must be >= 1, got 0"),
         ('{"model": {"bag_len": 0}}', "bag_len must be >= 1, got 0"),
         ('{"model": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
-        ('{"disc": {"hidden": 0}}', "hidden must be >= 1, got 0"),
+        ('{"disc": {"hidden": 64}}', "unexpected keyword argument 'hidden'"),
         ('{"disc": {"steps": 0}}', "disc.steps must be >= 1, got 0"),
         ('{"disc": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
         ('{"model": {"train_steps": 60.0}}', "model.train_steps must be an integer, got 60.0"),
@@ -626,13 +651,15 @@ class TestCli:
         ('{"model": {"lr": true}}', "model.lr must be a number, got True"),
         ('{"campaigns": [{"campaign_id": "c0", "budget": true, "ros_bound": 6.0}]}',
          "campaigns[0].budget must be a number, got True"),
-    ], ids=["not-json", "unknown-key", "removed-key", "short-context", "a-max-mismatch",
-            "top-level-list", "market-list", "campaign-number", "campaigns-number",
-            "model-number", "beta-zero", "quantile-above-one", "no-test-periods",
+    ], ids=["not-json", "unknown-key", "removed-key", "short-context", "removed-model-a-max",
+            "removed-rtg-scale", "removed-lr-warmup-frac", "removed-lr-final-frac",
+            "removed-adam-beta2", "top-level-list", "market-list", "campaign-number",
+            "campaigns-number", "model-number", "beta-zero", "removed-dt-target-quantile",
+            "no-test-periods",
             "no-train-episodes", "no-test-seeds", "beta-shape-zero", "no-opportunities", "nan-cvr-noise",
             "test-seeds-overlap-next-period", "test-periods-reach-next-campaign",
             "negative-budget", "duplicate-campaign", "no-layers", "no-model-dim", "no-heads",
-            "no-context", "no-bag", "no-model-batch", "no-disc-hidden", "no-disc-steps",
+            "no-context", "no-bag", "no-model-batch", "removed-disc-hidden", "no-disc-steps",
             "no-disc-batch", "float-train-steps", "float-model-dim", "bool-layers",
             "float-test-periods", "float-seed", "float-opportunities", "float-disc-steps",
             "empty-campaigns", "bool-beta", "bool-lr", "bool-budget"])
@@ -646,6 +673,31 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"bagbid: error: {path}: ") and message in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, seed, message", [
+        ("gen-data", {"seed": -1}, None, "seed must be >= 0, got -1"),
+        ("train --method ebaret", {"model": {"seed": -3}}, None,
+         "model.seed must be >= 0, got -3"),
+        ("train-disc", {"disc": {"seed": -2}}, None, "disc.seed must be >= 0, got -2"),
+        ("gen-data", {}, "-1", "seed must be >= 0, got -1"),
+    ], ids=["seed", "model-seed", "disc-seed", "seed-option"])
+    def test_negative_seed_fails_naming_it(self, command, config, seed, message, tmp_path,
+                                           capsys):
+        """A negative seed, from the config file or ``--seed``, is refused
+        by name before any work, not by numpy's generator mid-command."""
+        from bagbid.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        argv = command.split() + ["--config", str(path), "--output-dir", str(out)]
+        if seed is not None:
+            argv += ["--seed", seed]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bagbid: error: ") and err.endswith(f" {message}\n")
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -971,6 +1023,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("bagbid: error: ")
         assert "missing parameter 'head.action.b'" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_checkpoint_with_removed_setting_fails_without_traceback(self, tmp_path, capsys,
+                                                                     checkpoint_parts):
+        """A checkpoint whose header config still holds ``rtg_scale``, as
+        one written before the return scale became ``RTG_SCALE`` does,
+        fails eval with one line naming it."""
+        from bagbid.cli import main
+        from bagbid.transformer import TrajectoryTransformer
+
+        exp = pl.default_config(output_dir=str(tmp_path))
+        spec = pl.METHODS["bc"]
+        path = exp.ckpt_path("bc")
+        os.makedirs(os.path.dirname(path))
+        TrajectoryTransformer(pl.method_model_config(exp, spec), spec.arch).save(path)
+        header, data = checkpoint_parts.split(path)
+        header["meta"]["config"]["rtg_scale"] = RTG_SCALE
+        checkpoint_parts.join(path, header, data)
+        assert main(["eval", "--method", "bc", "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bagbid: error: {path}: bad model meta (TypeError(")
+        assert "unexpected keyword argument 'rtg_scale'" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @staticmethod

@@ -11,7 +11,7 @@ from bagbid import transformer as tf
 @pytest.fixture
 def tiny_cfg():
     return tf.ModelConfig(d_model=16, n_layers=1, n_heads=2, context_steps=8,
-                          bag_len=4, k_levels=2, seed=0, rtg_scale=1.0)
+                          bag_len=4, k_levels=2, seed=0)
 
 
 def random_steps(rng, batch, steps):
@@ -159,7 +159,7 @@ class TestForward:
 
     def test_grad_check_full_loss(self, tiny_cfg, rng, grad_check):
         cfg = tf.ModelConfig(d_model=16, n_layers=1, n_heads=2, context_steps=2,
-                             bag_len=2, seed=0, rtg_scale=1.0)
+                             bag_len=2, seed=0)
         model = tf.TrajectoryTransformer(cfg)
         s, r, a, lv = random_steps(rng, 1, 2)
         rt, at = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
@@ -182,7 +182,7 @@ class TestForward:
         """With two layers the last block, which computes only the rows the
         heads read, is not also the first."""
         cfg = tf.ModelConfig(d_model=8, n_layers=2, n_heads=2, context_steps=2,
-                             bag_len=2, seed=0, rtg_scale=1.0)
+                             bag_len=2, seed=0)
         model = perturbed(tf.TrajectoryTransformer(cfg, ROW_CUT_ARCHS[arch]))
         s, r, a, lv = random_steps(rng, 1, 2)
         rt, at = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
@@ -206,7 +206,7 @@ class TestRowCut:
         """Head outputs and gradients equal those of the forward that runs
         every token through every block, up to rounding."""
         cfg = tf.ModelConfig(d_model=16, n_layers=n_layers, n_heads=2, context_steps=32,
-                             bag_len=8, k_levels=2, seed=0, rtg_scale=1.0)
+                             bag_len=8, k_levels=2, seed=0)
         model = perturbed(tf.TrajectoryTransformer(cfg, ROW_CUT_ARCHS[arch]))
         s, r, a, lv = random_steps(rng, 3, 32)
         rt, at = rng.normal(size=(3, 32)), rng.normal(size=(3, 32))
@@ -395,8 +395,8 @@ class TestTraining:
         assert loaded.loaded_meta["method"] == "test"
 
     def test_save_load_keeps_full_config(self, tiny_cfg, tmp_path):
-        cfg = tf.ModelConfig(**{**tiny_cfg.__dict__, "lr_warmup_frac": 0.2,
-                                "lr_final_frac": 0.1, "adam_beta2": 0.95})
+        cfg = tf.ModelConfig(**{**tiny_cfg.__dict__, "lr": 3e-4, "batch_size": 3,
+                                "train_steps": 17})
         arch = tf.Arch(use_rtg_tokens=False, use_level_embedding=False)
         path = tmp_path / "m.ckpt"
         tf.TrajectoryTransformer(cfg, arch).save(path)
@@ -430,14 +430,14 @@ class TestInference:
 
         steps = small_config.steps_per_episode
         cfg = tf.ModelConfig(d_model=16, n_layers=2, n_heads=2, context_steps=steps,
-                             bag_len=8, k_levels=3, seed=0, rtg_scale=10.0)
+                             bag_len=8, k_levels=3, seed=0)
         model = perturbed(tf.TrajectoryTransformer(cfg, arch))
         # keep most predictions inside the clamps so the comparison bites
         model.act_head.b.value[...] = 3.0
         if arch.use_rtg_head:
             model.rtg_head.b.value[...] = 2.0
         manual = 20.0 if arch is tf.ARCH_DT else None
-        policy = tf.make_inference_policy(model, manual_target=manual)
+        policy = tf.make_inference_policy(model, small_config.a_max, manual_target=manual)
         unclamped = 0
 
         def checked_policy(states, actions, rewards):
@@ -451,10 +451,10 @@ class TestInference:
             if arch.use_rtg_head:
                 assert ep.rtgs[:, t] == pytest.approx(np.maximum(rtg_pred[:, t], 0.0),
                                                       abs=1e-9)
-            expected = np.clip(act_pred[:, t], 0.0, cfg.a_max)
+            expected = np.clip(act_pred[:, t], 0.0, small_config.a_max)
             assert action == pytest.approx(expected, abs=1e-9)
             nonlocal unclamped
-            unclamped += int(((0.0 < expected) & (expected < cfg.a_max)).sum())
+            unclamped += int(((0.0 < expected) & (expected < small_config.a_max)).sum())
             return action
 
         trajs = run_episodes(
@@ -471,7 +471,8 @@ class TestInference:
                              context_steps=small_config.steps_per_episode,
                              bag_len=8, seed=0)
         model = tf.TrajectoryTransformer(cfg)
-        traj = _roll(tf.make_inference_policy(model), small_config, constraints)
+        traj = _roll(tf.make_inference_policy(model, small_config.a_max), small_config,
+                     constraints)
         assert traj.num_steps == small_config.steps_per_episode
         assert traj.total_spend <= constraints.budget + 1e-9
         assert (traj.actions >= 0).all() and (traj.actions <= small_config.a_max).all()
@@ -481,7 +482,7 @@ class TestInference:
                              context_steps=small_config.steps_per_episode,
                              bag_len=8, k_levels=3, seed=0)
         model = tf.TrajectoryTransformer(cfg)
-        policy = tf.make_inference_policy(model)
+        policy = tf.make_inference_policy(model, small_config.a_max)
         _roll(policy, small_config, constraints)
         # context equals the episode length, so every step was visited and
         # pinned to level k-1
@@ -495,7 +496,7 @@ class TestInference:
         model = tf.TrajectoryTransformer(cfg)
         # force the rtg head to predict very negative values
         model.params["head.rtg.b"].value[...] = -100.0
-        policy = tf.make_inference_policy(model)
+        policy = tf.make_inference_policy(model, small_config.a_max)
         _roll(policy, small_config, constraints)
         ep = _live_episode(policy)
         assert (ep.rtgs >= 0).all()
@@ -503,19 +504,19 @@ class TestInference:
     def test_dt_requires_manual_target(self, tiny_cfg):
         model = tf.TrajectoryTransformer(tiny_cfg, tf.ARCH_DT)
         with pytest.raises(tf.ConfigError):
-            tf.make_inference_policy(model)
+            tf.make_inference_policy(model, 10.0)
 
     def test_dt_manual_target_decrements(self, small_config, constraints):
         cfg = tf.ModelConfig(d_model=16, n_layers=1, n_heads=2,
                              context_steps=small_config.steps_per_episode,
-                             bag_len=8, seed=0, rtg_scale=10.0)
+                             bag_len=8, seed=0)
         model = tf.TrajectoryTransformer(cfg, tf.ARCH_DT)
-        policy = tf.make_inference_policy(model, manual_target=20.0)
+        policy = tf.make_inference_policy(model, small_config.a_max, manual_target=20.0)
         traj = _roll(policy, small_config, constraints)
         ep = _live_episode(policy)
-        assert ep.rtgs[0, 0] == pytest.approx(2.0)  # 20 / rtg_scale
+        assert ep.rtgs[0, 0] == pytest.approx(20.0 / tf.RTG_SCALE)
         # decrement matches realized rewards
-        expected = max(2.0 - traj.rewards[0] / 10.0, 0.0)
+        expected = max((20.0 - traj.rewards[0]) / tf.RTG_SCALE, 0.0)
         assert ep.rtgs[0, 1] == pytest.approx(expected)
 
 
@@ -527,4 +528,17 @@ class TestLrSchedule:
         assert peak == pytest.approx(1e-3, rel=1e-6)
         assert lrs[0] < peak / 10
         assert lrs[-1] < peak / 2
-        assert lrs[-1] >= cfg.lr * cfg.lr_final_frac * 0.99
+        assert lrs[-1] >= cfg.lr * tf.LR_FINAL_FRAC * 0.99
+
+    def test_schedule_of_the_constants(self):
+        """Warmup over 5% of the steps, then cosine decay to 0.5% of the
+        peak, the schedule every training runs."""
+        assert (tf.LR_WARMUP_FRAC, tf.LR_FINAL_FRAC, tf.ADAM_BETA2) == (0.05, 0.005, 0.99)
+        cfg = tf.ModelConfig(train_steps=200, lr=2e-3)
+        # warmup = int(0.05 * 200) = 10 steps
+        assert [tf.lr_at(cfg, s) for s in (0, 4, 9)] == pytest.approx([2e-4, 1e-3, 2e-3])
+        assert tf.lr_at(cfg, 10) == pytest.approx(2e-3)
+        assert tf.lr_at(cfg, 105) == pytest.approx(2e-3 * (0.005 + 0.995 * 0.5))
+        end = 2e-3 * (0.005 + 0.995 * 0.5 * (1.0 + math.cos(math.pi * 189 / 190)))
+        assert tf.lr_at(cfg, 199) == pytest.approx(end)
+        assert tf.lr_at(cfg, 199) > 2e-3 * 0.005
