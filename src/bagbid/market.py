@@ -31,43 +31,37 @@ from bagbid.trajectory import STATE_DIM, Trajectory
 
 log = logging.getLogger(__name__)
 
-STATE_FEATURES = (
-    "step_frac",
-    "budget_frac",
-    "spend_pace_last_step",
-    "cumulative_win_rate",
-    "mean_cost_per_win",
-    "mean_value_last_step",
-    "cvr_multiplier",
-    "value_per_budget",
-)
-
 
 class MarketInputError(ValueError):
     """Invalid input to a market operation."""
 
 
-def sinusoid_cvr_profile(steps=48, amplitude=0.4, noise=0.05, phase=0.0, seed=0):
+VALUE_DISTRIBUTION_PARAMS = (1.3, 130.0)  # Beta shape (a, b) of predicted values
+COMPETITOR_BID_PARAMS = (-4.1, 1.0)  # mean, sigma of the competing bid's log
+CVR_AMPLITUDE = 0.4  # of the intraday CVR sinusoid
+CVR_NOISE = 0.05  # standard deviation of the CVR profile's per-step noise
+A_MAX = 10.0  # the default bid-scale bound
+
+
+def sinusoid_cvr_profile(steps=48, phase=0.0, seed=0):
     """Intraday conversion-rate multiplier: sinusoid plus noise in (0, 2]."""
     rng = np.random.Generator(np.random.PCG64(seed))
     t = np.arange(steps, dtype=np.float64)
-    profile = 1.0 + amplitude * np.sin(2.0 * np.pi * t / steps + phase)
-    profile = profile + noise * rng.standard_normal(steps)
+    profile = 1.0 + CVR_AMPLITUDE * np.sin(2.0 * np.pi * t / steps + phase)
+    profile = profile + CVR_NOISE * rng.standard_normal(steps)
     return np.clip(profile, 0.05, 2.0)
 
 
 @dataclass
 class MarketConfig:
-    """One campaign-day's market.  The defaults are the pipeline's market
-    (``pipeline.MarketSettings`` reads them from here)."""
+    """One campaign-day's market; the value and competing-bid distributions
+    are module constants.  ``pipeline.MarketSettings`` takes its shape from here."""
 
     steps_per_episode: int = 48
     opportunities_per_step: int = 100
-    value_distribution_params: tuple = (1.3, 130.0)  # Beta shape (a, b)
-    competitor_bid_params: tuple = (-4.1, 1.0)  # mean, sigma of log bid
     cvr_profile: np.ndarray = field(default_factory=sinusoid_cvr_profile)
     seed: int = 0
-    a_max: float = 10.0
+    a_max: float = A_MAX
 
     def __post_init__(self):
         self.cvr_profile = np.asarray(self.cvr_profile, dtype=np.float64)
@@ -76,12 +70,6 @@ class MarketConfig:
     def validate(self):
         if self.steps_per_episode <= 0 or self.opportunities_per_step <= 0:
             raise MarketInputError("episode and step sizes must be positive")
-        a, b = self.value_distribution_params
-        if a <= 0 or b <= 0:
-            raise MarketInputError("Beta shape parameters must be positive")
-        _, sigma = self.competitor_bid_params
-        if sigma <= 0:
-            raise MarketInputError("competitor bid log-sigma must be positive")
         if self.cvr_profile.shape != (self.steps_per_episode,):
             raise MarketInputError(
                 f"cvr_profile must have length {self.steps_per_episode}"
@@ -109,15 +97,13 @@ class OpportunityStream:
         t_steps = config.steps_per_episode
         n = config.opportunities_per_step
         rng = np.random.Generator(np.random.PCG64(config.seed))
-        a, b = config.value_distribution_params
-        mu, sigma = config.competitor_bid_params
         m = t_steps * n
-        values = rng.beta(a, b, size=m)
+        values = rng.beta(*VALUE_DISTRIBUTION_PARAMS, size=m)
         # Beta draws can hit 0.0 or 1.0 at float resolution; keep the open
         # interval contract.
         eps = np.finfo(np.float64).tiny
         self.values = np.clip(values, eps, 1.0 - 1e-12)
-        self.comp_bids = rng.lognormal(mean=mu, sigma=sigma, size=m)
+        self.comp_bids = rng.lognormal(*COMPETITOR_BID_PARAMS, size=m)
         self.conv_draws = rng.random(m)
         self.eff_values = np.minimum(self.values * np.repeat(config.cvr_profile, n), 1.0)
         self.step_mean_values = self.values.reshape(t_steps, n).mean(axis=1)

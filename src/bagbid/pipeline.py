@@ -50,11 +50,13 @@ from bagbid.discriminator import (
 )
 from bagbid.expert import ROS_SLACK, generate_expert_trajectories, solve_multipliers
 from bagbid.market import (
+    A_MAX,
     MarketConfig,
     OpportunityStream,
     run_episodes,
     sinusoid_cvr_profile,
 )
+from bagbid.nncore import NonFiniteGradientError
 from bagbid.shard_worker import ShardWorkerError
 from bagbid.trajectory import (
     CampaignConstraints,
@@ -84,6 +86,9 @@ CAMPAIGN_SEED_STRIDE = 100_000
 # quantile of the training episodes' returns that a return-conditioned
 # model without a return head starts each eval episode from
 DT_TARGET_QUANTILE = 0.9
+# the random logger's bid-scale range (it overbids) and the fixed logger's scale
+RANDOM_BID_SCALES = (1.0, 6.0)
+FIXED_BID_SCALE = 0.4
 
 
 class PipelineError(RuntimeError):
@@ -120,36 +125,34 @@ def default_campaigns() -> list:
 
 @dataclass
 class MarketSettings:
-    """Every campaign-day's ``MarketConfig``, with its defaults, and the
-    shape of the CVR profile ``market_config_for`` draws per campaign."""
+    """The shape of every campaign-day's market; ``market_config_for`` adds
+    its CVR profile and seed, and the rest are ``market`` constants."""
 
     steps_per_episode: int = MarketConfig.steps_per_episode
     opportunities_per_step: int = MarketConfig.opportunities_per_step
-    value_distribution_params: tuple = MarketConfig.value_distribution_params
-    competitor_bid_params: tuple = MarketConfig.competitor_bid_params
-    cvr_amplitude: float = 0.4
-    cvr_noise: float = 0.05
-    a_max: float = MarketConfig.a_max
 
 
 @dataclass
 class BehaviorSettings:
-    """Mixed-quality logging policies for the offline dataset.
-
-    The defaults put the mixture's mean bid scale well away from the
-    hindsight-optimal scale: the random logger overbids, the fixed logger
-    underbids, and the noisy-expert logger wanders around the optimum.
-    """
+    """Mixed-quality logging policies for the offline dataset: how often
+    each of the random, fixed and noisy-expert loggers runs a day, and the
+    noisy expert's log-normal noise around the hindsight-optimal scale.
+    The mixture's mean bid scale lies well away from that optimum."""
 
     mix: tuple = (0.3, 0.3, 0.4)  # random, fixed, noisy-expert
-    random_low: float = 1.0
-    random_high: float = 6.0
-    fixed_scale: float = 0.4
     noise_sigma: float = 0.45
 
     def __post_init__(self):
-        if len(self.mix) != 3 or abs(sum(self.mix) - 1.0) > 1e-9 or min(self.mix) < 0:
-            raise ConfigError(f"behavior mix must be 3 non-negative weights summing to 1, got {self.mix}")
+        self.mix = tuple(self.mix) if isinstance(self.mix, list) else self.mix  # from JSON
+        # type(), not isinstance(): a bool is not a weight; NaN fails 0 <= w
+        if not (isinstance(self.mix, tuple) and len(self.mix) == 3
+                and all(type(w) in (int, float) and 0 <= w < math.inf for w in self.mix)
+                and abs(sum(self.mix) - 1.0) <= 1e-9):
+            raise ConfigError(f"behavior.mix must be 3 finite non-negative weights summing "
+                              f"to 1, got {self.mix}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"behavior.noise_sigma must be finite and >= 0, "
+                              f"got {self.noise_sigma}")
 
 
 @dataclass
@@ -181,6 +184,9 @@ class ExperimentConfig:
                            ("disc.seed", self.disc.seed)):
             if seed < 0:
                 raise ConfigError(f"{name} must be >= 0, got {seed}")
+        for name, lr in (("model.lr", self.model.lr), ("disc.lr", self.disc.lr)):
+            if not 0 < lr < math.inf:  # NaN too
+                raise ConfigError(f"{name} must be positive and finite, got {lr}")
         try:
             market_config_for(self, 0, self.seed)  # MarketConfig's own checks
         except ValueError as e:
@@ -241,8 +247,7 @@ class ExperimentConfig:
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -258,7 +263,7 @@ class ExperimentConfig:
                 continue
             if not isinstance(d[name], dict):
                 raise ConfigError(f"{name} must be a JSON object")
-            d[name] = kind(**_tupled(_numbers_checked(kind, d[name], f"{name}.")))
+            d[name] = kind(**_numbers_checked(kind, d[name], f"{name}."))
         if "campaigns" in d:
             d["campaigns"] = [
                 CampaignSpec(**_numbers_checked(CampaignSpec, c, f"campaigns[{i}]."))
@@ -292,10 +297,6 @@ def _numbers_checked(cls, d: dict, section: str = "") -> dict:
         if f.type == "float" and type(value) not in (int, float):
             raise ConfigError(f"{section}{f.name} must be a number, got {value!r}")
     return d
-
-
-def _tupled(d: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 
 
 def default_config(output_dir="runs/default", seed=0) -> ExperimentConfig:
@@ -342,19 +343,14 @@ def market_config_for(exp: ExperimentConfig, campaign_idx: int, seed: int) -> Ma
     m = exp.market
     profile = sinusoid_cvr_profile(
         steps=m.steps_per_episode,
-        amplitude=m.cvr_amplitude,
-        noise=m.cvr_noise,
         phase=2.0 * math.pi * campaign_idx / max(1, len(exp.campaigns)),
         seed=exp.seed + 31 * campaign_idx,
     )
     return MarketConfig(
         steps_per_episode=m.steps_per_episode,
         opportunities_per_step=m.opportunities_per_step,
-        value_distribution_params=m.value_distribution_params,
-        competitor_bid_params=m.competitor_bid_params,
         cvr_profile=profile,
         seed=seed,
-        a_max=m.a_max,
     )
 
 
@@ -398,13 +394,13 @@ def gen_offline_data(exp: ExperimentConfig) -> list:
 
     def bid(rng, kind, expert_scale):
         if kind == "random":
-            return float(rng.uniform(b.random_low, b.random_high))
+            return float(rng.uniform(*RANDOM_BID_SCALES))
         if kind == "fixed":
-            return b.fixed_scale
+            return FIXED_BID_SCALE
         return float(expert_scale * rng.lognormal(0.0, b.noise_sigma))
 
     def policy(states, actions, rewards):
-        return [min(bid(*day), exp.market.a_max) for day in zip(rngs, kinds, scales)]
+        return [min(bid(*day), A_MAX) for day in zip(rngs, kinds, scales)]
 
     trajs = run_episodes(policy, streams, constraints, campaign_ids)
     for traj, kind in zip(trajs, kinds):
@@ -469,16 +465,33 @@ def _require(path, remedy: str):
         raise PipelineError(f"{path} is missing; {remedy}")
 
 
+def _load_datasets(exp: ExperimentConfig, *names) -> list:
+    """The trajectories of each named dataset, "offline" or "expert".  A
+    missing file (checked before any is read), or a trajectory with a
+    non-finite state, action or reward, raises ``PipelineError``."""
+    sources = [(exp.offline_path, "gen-data") if name == "offline"
+               else (exp.expert_path, "gen-expert") for name in names]
+    for path, command in sources:
+        _require(path, f"run {command} first")
+    datasets = [load_jsonl(path) for path, _ in sources]
+    for (path, command), trajs in zip(sources, datasets):
+        for t in trajs:
+            if not all(np.isfinite(a).all() for a in (t.states, t.actions, t.rewards)):
+                raise PipelineError(f"{path}: day {t.campaign_id} seed {t.seed} has a "
+                                    f"non-finite state, action or reward; run {command} again")
+    return datasets
+
+
 def cmd_train_disc(exp: ExperimentConfig, plain_ce: bool = False) -> DiscriminatorModel:
-    _require(exp.offline_path, "run gen-data first")
-    _require(exp.expert_path, "run gen-expert first")
-    offline = load_jsonl(exp.offline_path)
-    expert = load_jsonl(exp.expert_path)
-    model, curve = train_discriminator(
-        transitions_matrix(expert), transitions_matrix(offline), exp.disc, plain_ce=plain_ce
-    )
+    offline, expert = _load_datasets(exp, "offline", "expert")
+    kind = "ce" if plain_ce else "nnpu"
+    try:
+        model, curve = train_discriminator(transitions_matrix(expert),
+                                           transitions_matrix(offline), exp.disc, plain_ce)
+    except NonFiniteGradientError as e:
+        raise PipelineError(f"training the {kind} discriminator: {e}") from None
     model.save(exp.disc_path(plain_ce))
-    _write_csv(exp.path("logs", f"disc_{'ce' if plain_ce else 'nnpu'}.csv"), ["step", "loss"],
+    _write_csv(exp.path("logs", f"disc_{kind}.csv"), ["step", "loss"],
                ((i, f"{v:.8f}") for i, v in enumerate(curve)))
     return model
 
@@ -505,7 +518,8 @@ def cmd_prep(exp: ExperimentConfig, plain_ce: bool = False):
     """Offline then expert trajectories and their ``prep_labels`` under the
     discriminator ``train-disc`` saved; writes nothing."""
     disc = DiscriminatorModel.load(exp.disc_path(plain_ce))
-    trajs = load_jsonl(exp.offline_path) + load_jsonl(exp.expert_path)
+    offline, expert = _load_datasets(exp, "offline", "expert")
+    trajs = offline + expert
     return trajs, prep_labels(trajs, disc, exp.model.k_levels, exp.model.bag_len, exp.beta)
 
 
@@ -581,14 +595,14 @@ def cmd_train(exp: ExperimentConfig, method: str) -> TrajectoryTransformer:
                 f"({mean_exp:.3f} <= {mean_off:.3f}); dataset generation is off"
             )
     else:
-        trajs, labels = load_jsonl(exp.offline_path), None
+        (trajs,), labels = _load_datasets(exp, "offline"), None
 
     model_cfg = method_model_config(exp, spec)
     data = build_training_batch(trajs, model_cfg, spec, labels)
     rows: list = []
     try:
         model = train_model(data, model_cfg, spec.arch, log_rows=rows)
-    except ShardWorkerError as e:
+    except (ShardWorkerError, NonFiniteGradientError) as e:
         raise PipelineError(f"training {spec.name}: {e}") from None
 
     manual_target = float(
@@ -728,7 +742,7 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
     ]
     streams = [OpportunityStream(market_config_for(exp, ci, seed)) for ci, _, _, seed in days]
     trajs = run_episodes(
-        make_inference_policy(model, exp.market.a_max, manual_target=manual_target),
+        make_inference_policy(model, A_MAX, manual_target=manual_target),
         streams,
         [camp.constraints for _, camp, _, _ in days],
         [camp.campaign_id for _, camp, _, _ in days],
@@ -772,11 +786,10 @@ def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
 
     A day's r* is the replay value gen-expert stored for the expert
     episode of the same campaign, seed and constraints."""
-    _require(exp.expert_path, "run gen-expert first")
-    _require(exp.offline_path, "run gen-data first")
-    experts = {(t.campaign_id, t.seed): t for t in load_jsonl(exp.expert_path)}
+    expert_trajs, offline = _load_datasets(exp, "expert", "offline")
+    experts = {(t.campaign_id, t.seed): t for t in expert_trajs}
     ratios = []
-    for t in load_jsonl(exp.offline_path):
+    for t in offline:
         expert = experts.get((t.campaign_id, t.seed))
         if expert is None:
             raise PipelineError(f"{exp.expert_path} has no day {t.campaign_id} seed {t.seed} "

@@ -617,11 +617,11 @@ class TestCli:
         ('{"train_episodes_per_campaign": 0}',
          "train_episodes_per_campaign must be in [1, 50000), got 0"),
         ('{"test_seeds_per_period": 0}', "test_seeds_per_period must be in [1, 100], got 0"),
-        ('{"market": {"value_distribution_params": [0, 1]}}',
-         "market: Beta shape parameters must be positive"),
+        ('{"market": {"value_distribution_params": [1.3, 130.0]}}',
+         "unexpected keyword argument 'value_distribution_params'"),
         ('{"market": {"opportunities_per_step": 0}}',
          "market: episode and step sizes must be positive"),
-        ('{"market": {"cvr_noise": NaN}}', "market: cvr_profile values must lie in (0, 2]"),
+        ('{"market": {"cvr_noise": 0.05}}', "unexpected keyword argument 'cvr_noise'"),
         ('{"test_seeds_per_period": 101}', "test_seeds_per_period must be in [1, 100], got 101"),
         ('{"test_periods": 501}', "test_periods must be in [1, 500], got 501"),
         ('{"campaigns": [{"campaign_id": "c0", "budget": -1, "ros_bound": 6}]}',
@@ -651,18 +651,51 @@ class TestCli:
         ('{"model": {"lr": true}}', "model.lr must be a number, got True"),
         ('{"campaigns": [{"campaign_id": "c0", "budget": true, "ros_bound": 6.0}]}',
          "campaigns[0].budget must be a number, got True"),
+        ('{"market": {"competitor_bid_params": [-4.1, 1.0]}}',
+         "unexpected keyword argument 'competitor_bid_params'"),
+        ('{"market": {"cvr_amplitude": 0.4}}', "unexpected keyword argument 'cvr_amplitude'"),
+        ('{"market": {"a_max": 5.0}}', "unexpected keyword argument 'a_max'"),
+        ('{"behavior": {"random_low": 1.0}}', "unexpected keyword argument 'random_low'"),
+        ('{"behavior": {"random_high": 6.0}}', "unexpected keyword argument 'random_high'"),
+        ('{"behavior": {"fixed_scale": 0.4}}', "unexpected keyword argument 'fixed_scale'"),
+        ('{"behavior": {"mix": [0.3, 0.3, NaN]}}',
+         "behavior.mix must be 3 finite non-negative weights summing to 1, got (0.3, 0.3, nan)"),
+        ('{"behavior": {"mix": [0, 0, true]}}',
+         "behavior.mix must be 3 finite non-negative weights summing to 1, got (0, 0, True)"),
+        ('{"behavior": {"mix": [0.6, 0.6, -0.2]}}',
+         "behavior.mix must be 3 finite non-negative weights summing to 1, got (0.6, 0.6, -0.2)"),
+        ('{"behavior": {"mix": [0.5, 0.5]}}',
+         "behavior.mix must be 3 finite non-negative weights summing to 1, got (0.5, 0.5)"),
+        ('{"behavior": {"mix": 1}}',
+         "behavior.mix must be 3 finite non-negative weights summing to 1, got 1"),
+        ('{"behavior": {"mix": [0, 0, 1], "noise_sigma": -1}}',
+         "behavior.noise_sigma must be finite and >= 0, got -1"),
+        ('{"behavior": {"mix": [0, 0, 1], "noise_sigma": NaN}}',
+         "behavior.noise_sigma must be finite and >= 0, got nan"),
+        ('{"model": {"lr": NaN}}', "model.lr must be positive and finite, got nan"),
+        ('{"model": {"lr": -1.0}}', "model.lr must be positive and finite, got -1.0"),
+        ('{"model": {"lr": 0}}', "model.lr must be positive and finite, got 0"),
+        ('{"model": {"lr": Infinity}}', "model.lr must be positive and finite, got inf"),
+        ('{"disc": {"lr": NaN}}', "disc.lr must be positive and finite, got nan"),
+        ('{"disc": {"lr": 0.0}}', "disc.lr must be positive and finite, got 0.0"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "removed-model-a-max",
             "removed-rtg-scale", "removed-lr-warmup-frac", "removed-lr-final-frac",
             "removed-adam-beta2", "top-level-list", "market-list", "campaign-number",
             "campaigns-number", "model-number", "beta-zero", "removed-dt-target-quantile",
             "no-test-periods",
-            "no-train-episodes", "no-test-seeds", "beta-shape-zero", "no-opportunities", "nan-cvr-noise",
+            "no-train-episodes", "no-test-seeds", "removed-value-distribution",
+            "no-opportunities", "removed-cvr-noise",
             "test-seeds-overlap-next-period", "test-periods-reach-next-campaign",
             "negative-budget", "duplicate-campaign", "no-layers", "no-model-dim", "no-heads",
             "no-context", "no-bag", "no-model-batch", "removed-disc-hidden", "no-disc-steps",
             "no-disc-batch", "float-train-steps", "float-model-dim", "bool-layers",
             "float-test-periods", "float-seed", "float-opportunities", "float-disc-steps",
-            "empty-campaigns", "bool-beta", "bool-lr", "bool-budget"])
+            "empty-campaigns", "bool-beta", "bool-lr", "bool-budget",
+            "removed-competitor-bid-params", "removed-cvr-amplitude", "removed-market-a-max",
+            "removed-random-low", "removed-random-high", "removed-fixed-scale", "nan-mix",
+            "bool-mix", "negative-mix", "short-mix", "number-mix", "negative-noise-sigma",
+            "nan-noise-sigma", "nan-model-lr", "negative-model-lr", "zero-model-lr",
+            "infinite-model-lr", "nan-disc-lr", "zero-disc-lr"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         from bagbid.cli import main
 
@@ -717,6 +750,29 @@ class TestCli:
         assert main(["write-config", "--seed", "5"]) == 0
         seeded = json.loads(capsys.readouterr().out)
         assert (seeded["seed"], seeded["model"]["seed"], seeded["disc"]["seed"]) == (5, 5, 5)
+
+    def test_write_config_prints_the_settings(self, capsys):
+        """``write-config`` prints these 25 settings and the campaign list;
+        a setting added or removed has to be added or removed here too."""
+        from bagbid.cli import main
+
+        assert main(["write-config"]) == 0
+        config = json.loads(capsys.readouterr().out)
+        assert {tuple(c) for c in config.pop("campaigns")} == {
+            ("campaign_id", "budget", "ros_bound")}
+        keys = set()
+        for name, value in config.items():
+            keys |= {f"{name}.{k}" for k in value} if isinstance(value, dict) else {name}
+        assert keys == {
+            "seed", "output_dir", "train_episodes_per_campaign", "test_periods",
+            "test_seeds_per_period", "beta",
+            "market.steps_per_episode", "market.opportunities_per_step",
+            "behavior.mix", "behavior.noise_sigma",
+            "model.d_model", "model.n_layers", "model.n_heads", "model.context_steps",
+            "model.bag_len", "model.k_levels", "model.lr", "model.batch_size",
+            "model.train_steps", "model.seed",
+            "disc.class_prior", "disc.lr", "disc.steps", "disc.batch_size", "disc.seed",
+        }
 
     @pytest.mark.parametrize("command, dataset, garble, message", [
         ("train-disc", "offline", "unterminated", "ends inside its header line"),
@@ -816,6 +872,63 @@ class TestCli:
             f"longer reads; run gen-data and gen-expert again\n")
         assert main(["gen-data", "--config", str(config)]) == 0
         assert main(["train-disc", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("argv, dataset, array", [
+        (["train-disc"], "offline", "states"),
+        (["train-disc"], "expert", "rewards"),
+        (["train", "--method", "bc"], "offline", "states"),
+        (["train", "--method", "ebaret"], "expert", "actions"),
+        (["report"], "offline", "actions"),
+    ], ids=["train-disc-offline", "train-disc-expert", "train-bc", "train-ebaret", "report"])
+    def test_non_finite_dataset_fails_without_traceback(self, tiny_experiment, tmp_path,
+                                                        capsys, argv, dataset, array):
+        """A dataset file keeps a NaN or an infinity bitwise, so the stages
+        that read one refuse it by day, before any training."""
+        from bagbid.cli import main
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
+                                        False)]).save(exp.metrics_path("bc"))
+        path, step = ((exp.offline_path, "gen-data") if dataset == "offline"
+                      else (exp.expert_path, "gen-expert"))
+        trajs = load_jsonl(path)
+        day = trajs[1]
+        getattr(day, array).flat[3] = np.inf if array == "actions" else np.nan
+        save_jsonl(trajs, path)
+        config = tmp_path / "config.json"
+        exp.save(config)
+        assert main(argv + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"bagbid: error: {path}: day {day.campaign_id} seed {day.seed} has a non-finite "
+            f"state, action or reward; run {step} again\n")
+        assert not os.path.exists(exp.ckpt_path("bc"))
+
+    @pytest.mark.parametrize("argv, stage, message", [
+        (["train-disc"], "train_discriminator", "training the nnpu discriminator"),
+        (["train-disc", "--plain-ce"], "train_discriminator", "training the ce discriminator"),
+        (["train", "--method", "bc"], "train_model", "training bc"),
+    ], ids=["train-disc", "train-disc-plain-ce", "train-bc"])
+    def test_non_finite_gradient_fails_without_traceback(self, tiny_experiment, tmp_path,
+                                                         capsys, monkeypatch, argv, stage,
+                                                         message):
+        """A training that meets a non-finite gradient fails in one line
+        naming what was trained and the parameter."""
+        from bagbid.cli import main
+
+        def diverge(*args, **kwargs):
+            raise nc.NonFiniteGradientError("non-finite gradient for 'embed.state.w'")
+
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        monkeypatch.setattr(pl, stage, diverge)
+        config = tmp_path / "config.json"
+        exp.save(config)
+        assert main(argv + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"bagbid: error: {message}: non-finite gradient for 'embed.state.w'\n")
 
     @pytest.mark.parametrize("argv, dataset, empty", [
         (["train-disc"], "offline", "file"),
