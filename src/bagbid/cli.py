@@ -9,8 +9,8 @@ and ``disc.seed`` for the trainings), and ``--seed`` sets all three.
 first; the expert levels and return-to-go labels of a method with a
 discriminator are computed as it trains, so there is no separate prep
 step.  The ablations are methods: ``--method ebaret-noE`` (or
-``ebaret¬E``).  A config or artifact problem exits with status 1 and one
-``bagbid: error:`` line.
+``ebaret¬E``).  A config, artifact or file system problem exits with
+status 1 and one ``bagbid: error:`` line.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except (pl.PipelineError, pl.ConfigError, CheckpointError, TrajectoryFileError,
-            FileNotFoundError) as e:
+            OSError) as e:
         print(f"bagbid: error: {e}", file=sys.stderr)
         return 1
 

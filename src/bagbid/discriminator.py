@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bagbid import nncore as nc
+from bagbid.nncore import ConfigError
 from bagbid.trajectory import STATE_DIM
 
 DISC_INPUT_DIM = STATE_DIM + 1
@@ -64,9 +65,9 @@ class DiscConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.class_prior < 1.0:
-            raise ValueError(f"class_prior must be in (0,1), got {self.class_prior}")
+            raise ConfigError(f"class_prior must be in (0,1), got {self.class_prior}")
 
 
 class _Tanh:
@@ -227,9 +228,10 @@ def assign_levels(sigma_scores, k: int, expert_flags) -> np.ndarray:
     offline = ~flags
     off_scores = scores[offline]
     if off_scores.size:
-        if np.unique(off_scores).size < k:
+        distinct = np.unique(off_scores).size
+        if distinct < k:
             raise DegenerateBinningError(
-                f"need at least {k} distinct offline scores for {k} levels"
+                f"need at least {k} distinct offline scores for {k} levels, got {distinct}"
             )
         thresholds = np.quantile(off_scores, np.arange(1, k) / k)
         levels[offline] = np.searchsorted(thresholds, off_scores, side="right")

@@ -87,6 +87,10 @@ _CHECKPOINT = BinaryFormat(name=CHECKPOINT_FORMAT, version=CHECKPOINT_VERSION,
                            error=CheckpointError, retired=_retired_checkpoint)
 
 
+class ConfigError(ValueError):
+    """A model or training setting out of range."""
+
+
 class NonFiniteGradientError(RuntimeError):
     """A parameter gradient contained NaN or inf; the update was rejected."""
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from bagbid import rewards as rw
 from bagbid.discriminator import (
+    DegenerateBinningError,
     DiscConfig,
     DiscriminatorModel,
     assign_levels,
@@ -56,7 +57,7 @@ from bagbid.market import (
     run_episodes,
     sinusoid_cvr_profile,
 )
-from bagbid.nncore import NonFiniteGradientError
+from bagbid.nncore import ConfigError, NonFiniteGradientError
 from bagbid.shard_worker import ShardWorkerError
 from bagbid.trajectory import (
     CampaignConstraints,
@@ -72,7 +73,6 @@ from bagbid.transformer import (
     ARCH_NO_LEVEL,
     RTG_SCALE,
     Arch,
-    ConfigError,
     ModelConfig,
     TrainingBatch,
     TrajectoryTransformer,
@@ -148,11 +148,10 @@ class BehaviorSettings:
         if not (isinstance(self.mix, tuple) and len(self.mix) == 3
                 and all(type(w) in (int, float) and 0 <= w < math.inf for w in self.mix)
                 and abs(sum(self.mix) - 1.0) <= 1e-9):
-            raise ConfigError(f"behavior.mix must be 3 finite non-negative weights summing "
+            raise ConfigError(f"mix must be 3 finite non-negative weights summing "
                               f"to 1, got {self.mix}")
         if not 0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"behavior.noise_sigma must be finite and >= 0, "
-                              f"got {self.noise_sigma}")
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -263,7 +262,11 @@ class ExperimentConfig:
                 continue
             if not isinstance(d[name], dict):
                 raise ConfigError(f"{name} must be a JSON object")
-            d[name] = kind(**_numbers_checked(kind, d[name], f"{name}."))
+            checked = _numbers_checked(kind, d[name], f"{name}.")
+            try:
+                d[name] = kind(**checked)
+            except ValueError as e:  # a section's own checks name only the field
+                raise ConfigError(f"{name}.{e}") from None
         if "campaigns" in d:
             d["campaigns"] = [
                 CampaignSpec(**_numbers_checked(CampaignSpec, c, f"campaigns[{i}]."))
@@ -516,11 +519,17 @@ def prep_labels(trajs, disc: DiscriminatorModel, k_levels: int, bag_len: int,
 
 def cmd_prep(exp: ExperimentConfig, plain_ce: bool = False):
     """Offline then expert trajectories and their ``prep_labels`` under the
-    discriminator ``train-disc`` saved; writes nothing."""
+    discriminator ``train-disc`` saved; writes nothing.  More levels than
+    the discriminator gives distinct offline scores raise
+    ``PipelineError``."""
     disc = DiscriminatorModel.load(exp.disc_path(plain_ce))
     offline, expert = _load_datasets(exp, "offline", "expert")
     trajs = offline + expert
-    return trajs, prep_labels(trajs, disc, exp.model.k_levels, exp.model.bag_len, exp.beta)
+    try:
+        labels = prep_labels(trajs, disc, exp.model.k_levels, exp.model.bag_len, exp.beta)
+    except DegenerateBinningError as e:
+        raise PipelineError(f"model.k_levels={exp.model.k_levels} is too many: {e}") from None
+    return trajs, labels
 
 
 # ---------------------------------------------------------------------------

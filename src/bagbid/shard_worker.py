@@ -2,48 +2,50 @@
 
 ``transformer.train_model`` splits every step's batch into two fixed
 shards.  Once training is long enough to pay for them, ``ShardWorkers``
-starts two workers, one per shard, each with a model of its own, and
-each step:
+starts two workers, one per shard, and sends each, as one pickle on its
+stdin, what stays fixed for the training: the shared file's descriptor,
+its shard index, the model's config and architecture, the
+``TrainingBatch`` and the batch size.  A worker builds a model of its own
+from them.  Then each step the parent
 
-- writes the current values into the shared value buffer,
-- sends each worker its shard's row indices (one JSON line),
-- reads back each shard's squared-error sums (one JSON line each).
+- writes the current values into the shared file,
+- sends each worker its shard's row indices (one pickle),
+- reads back each shard's squared-error sums (one pickle each).
 
 For each request a worker zeroes its model's gradients, copies the
 shared values into its model's arena, runs ``transformer.shard_step`` on
-its model and copies the model's gradient into its own shared gradient
-buffer, for the parent to add to the other worker's and to take the Adam
+its model and copies the model's gradient into its own row of the shared
+file, for the parent to add to the other worker's and to take the Adam
 step with.  The parent's model and each worker's own arenas never alias
 the mapping, so the model that training returns does not depend on it.
 
-The values, the two gradient buffers and each ``TrainingBatch`` field
-live in one file mapping.  The file has no name: it is made unlinked, in
-``/dev/shm`` where it can be and in the temp directory otherwise, and
-reaches the workers as an inherited descriptor, which the first request
-names together with each field's shape and dtype.  The parent closes its
-descriptor once the workers have started and each worker once it has
-mapped the file, so no file outlives a training.
+The shared file holds only one (3, number of parameters) float64 array:
+the values, then the two shards' gradients.  It has no name: it is made
+unlinked, in ``/dev/shm`` where it can be and in the temp directory
+otherwise, and reaches each worker as a descriptor passed at its start.
+The parent closes its descriptor once both workers have started and each
+worker once it has mapped the file, so no file outlives a training.
 Each worker is ``python -m bagbid.shard_worker`` with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``), the ``bagbid`` this module was imported
 from first on its ``PYTHONPATH``, and its stdin and stdout as the request
 and reply pipes.  It ignores SIGINT (the parent handles an interrupt and
 stops it) and exits when its stdin closes.
 
-A worker that exits or raises makes the parent's next step raise
-``ShardWorkerError``; ``close`` stops the workers in every case.
+A worker that exits or raises, or whose reply is cut short or does not
+unpickle, makes the parent's next step raise ``ShardWorkerError`` (a
+worker that fails to start, at step 1 at the latest); ``close`` stops
+the workers in every case.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import mmap
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -83,56 +85,43 @@ def _create_mapping(nbytes: int) -> tuple:
     raise ShardWorkerError(f"cannot create the shared training file: {error}")
 
 
-def _shared_arrays(buf, size: int, batch: dict) -> tuple:
-    """The views of the shared file, in file order: the values and the two
-    gradient buffers of ``size`` parameters, then one array per ``batch``
-    entry (field name: (shape, dtype string)); returns (values, (grads0,
-    grads1), {field name: array})."""
-    arrays, offset = [], 0
-    for shape, dtype in [((size,), np.float64)] * 3 + list(batch.values()):
-        arrays.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
-        offset += arrays[-1].nbytes
-    values, g0, g1, *data = arrays
-    return values, (g0, g1), dict(zip(batch, data))
+def _shared_rows(buf) -> np.ndarray:
+    """The shared file as one (3, number of parameters) float64 array: the
+    values, then shard 0's and shard 1's gradients."""
+    return np.frombuffer(buf, np.float64).reshape(3, -1)
 
 
 class ShardWorkers:
     """Two running workers and the mapping they share (parent side).
 
     ``grads`` holds the two shards' gradients, filled by ``step``.  The
-    workers build models of ``model``'s config and architecture.
+    workers build models of ``model``'s config and architecture, and each
+    step's shards are rows of ``data`` from one batch of ``batch_size``.
     """
 
     def __init__(self, model, data, batch_size: int):
-        size = model.params.size
-        arrays = {f.name: getattr(data, f.name) for f in fields(data)}
-        batch = {name: (a.shape, a.dtype.str) for name, a in arrays.items()}
         self._procs: list[subprocess.Popen] = []
-        file, buf = _create_mapping(3 * model.params.values.nbytes
-                                    + sum(a.nbytes for a in arrays.values()))
+        file, buf = _create_mapping(3 * model.params.values.nbytes)
+        shared = _shared_rows(buf)
+        self.values, self.grads = shared[0], shared[1:]
+        fd = file.fileno()
+        path_env = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=_SRC + (os.pathsep + path_env if path_env else ""))
         try:
-            self.values, self.grads, shared = _shared_arrays(buf, size, batch)
-            for name, a in arrays.items():
-                shared[name][...] = a
-            setup = {"fd": file.fileno(), "size": size, "batch": batch,
-                     "batch_size": batch_size, "config": asdict(model.config),
-                     "arch": asdict(model.arch)}
-            path_env = os.environ.get("PYTHONPATH")
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                       PYTHONPATH=_SRC + (os.pathsep + path_env if path_env else ""))
+            with file:  # each worker gets its own copy of the descriptor
+                for _ in range(2):
+                    self._procs.append(subprocess.Popen(
+                        [sys.executable, "-m", "bagbid.shard_worker"],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+                        pass_fds=(fd,)))
             for shard in range(2):
-                self._procs.append(subprocess.Popen(
-                    [sys.executable, "-m", "bagbid.shard_worker"],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
-                    pass_fds=(file.fileno(),)))
-                self._send(shard, {**setup, "shard": shard})
-            for shard in range(2):
-                self._receive(shard)
+                self._send(shard, {"fd": fd, "shard": shard, "config": model.config,
+                                   "arch": model.arch, "data": data,
+                                   "batch_size": batch_size})
         except BaseException:
             self.close()
             raise
-        finally:
-            file.close()
 
     def step(self, values: np.ndarray, shards) -> list[tuple[float, float]]:
         """Run one train step's shards on the current ``values``; returns
@@ -140,26 +129,24 @@ class ShardWorkers:
         ``grads``."""
         self.values[...] = values
         for shard, rows in enumerate(shards):
-            self._send(shard, rows.tolist())
-        replies = [self._receive(shard) for shard in range(2)]
-        return [(reply["rtg"], reply["act"]) for reply in replies]
+            self._send(shard, rows)
+        return [self._receive(shard) for shard in range(2)]
 
     def _send(self, shard: int, message):
         proc = self._procs[shard]
         try:
-            proc.stdin.write(json.dumps(message).encode() + b"\n")
+            pickle.dump(message, proc.stdin, pickle.HIGHEST_PROTOCOL)
             proc.stdin.flush()
         except OSError:
             raise self._exited(shard) from None
 
-    def _receive(self, shard: int) -> dict:
-        line = self._procs[shard].stdout.readline()
+    def _receive(self, shard: int) -> tuple[float, float]:
         try:
-            reply = json.loads(line)
-        except ValueError:  # an empty line: the worker's stdout closed
+            reply = pickle.load(self._procs[shard].stdout)
+        except (EOFError, pickle.UnpicklingError):  # no reply, or a cut or garbled one
             raise self._exited(shard) from None
-        if "error" in reply:
-            raise ShardWorkerError(f"training worker {shard} failed: {reply['error']}")
+        if isinstance(reply, str):
+            raise ShardWorkerError(f"training worker {shard} failed: {reply}")
         return reply
 
     def _exited(self, shard: int) -> ShardWorkerError:
@@ -186,14 +173,14 @@ class ShardWorkers:
 
 
 def _reply(out, message):
-    out.write(json.dumps(message).encode() + b"\n")
+    pickle.dump(message, out)
     out.flush()
 
 
 def main() -> int:
-    """The worker loop: map the shared file whose descriptor the first
-    request names and build a model, then answer each request of row
-    indices with a ``shard_step`` on the shared values."""
+    """The worker loop: take the setup message, map the shared file and
+    build a model, then answer each request of row indices with a
+    ``shard_step`` on the shared values."""
     # replies go to a copy of stdout; anything else the process prints goes
     # to stderr instead of into the replies
     replies = os.fdopen(os.dup(1), "wb")
@@ -203,30 +190,29 @@ def main() -> int:
     try:
         from bagbid import transformer as tf  # here: transformer imports this module
 
-        setup = json.loads(requests.readline())
+        setup = pickle.load(requests)
         with open(setup["fd"], "r+b") as f:
             buf = mmap.mmap(f.fileno(), 0)
-        values, grads, arrays = _shared_arrays(buf, setup["size"], setup["batch"])
-        grads = grads[setup["shard"]]
+        shared = _shared_rows(buf)
+        values, grads = shared[0], shared[1 + setup["shard"]]
         # its initial weights are overwritten before every step
-        model = tf.TrajectoryTransformer(tf.ModelConfig(**setup["config"]),
-                                         tf.Arch(**setup["arch"]))
-        data = tf.TrainingBatch(**arrays)
-        _reply(replies, {"ready": True})
-        for line in requests:
-            rows = np.array(json.loads(line), dtype=np.int64)
+        model = tf.TrajectoryTransformer(setup["config"], setup["arch"])
+        while True:
+            try:
+                rows = pickle.load(requests)
+            except EOFError:  # the parent closed stdin: the training is over
+                return 0
             model.params.values[...] = values
             model.params.zero_grad()
-            rtg, act = tf.shard_step(model, data, rows, setup["batch_size"])
+            sums = tf.shard_step(model, setup["data"], rows, setup["batch_size"])
             grads[...] = model.params.grads
-            _reply(replies, {"rtg": rtg, "act": act})
+            _reply(replies, sums)
     except Exception as e:
         try:
-            _reply(replies, {"error": f"{type(e).__name__}: {e}"})
+            _reply(replies, f"{type(e).__name__}: {e}")
         except OSError:
             pass
         return 1
-    return 0
 
 
 if __name__ == "__main__":

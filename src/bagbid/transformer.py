@@ -64,6 +64,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from bagbid import nncore as nc
+from bagbid.nncore import ConfigError
 from bagbid.shard_worker import ShardWorkers
 from bagbid.trajectory import STATE_DIM, Trajectory
 
@@ -80,10 +81,6 @@ ADAM_BETA2 = 0.99
 # processes: starting the workers costs 0.2-0.3 s on a 2-vCPU x86 VM, so
 # short trainings (a handful of steps, or tiny models) stay in-process.
 WORKER_PAYBACK_S = 1.0
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class ContextOverflowError(ValueError):
@@ -465,11 +462,13 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
     and each shard's backward adds into them.  When it has at least two
     CPUs and the remaining steps, at step 0's pace, would take
     ``WORKER_PAYBACK_S`` or more, the other steps run each shard in a
-    worker process (``shard_worker.ShardWorkers``) while this process adds
-    the two gradients and takes the Adam step.  Every parameter gets one
-    ``+=`` per shard, so ``(0 + g0) + g1`` in process is ``g0 + g1`` from
-    the workers bit for bit, and checkpoints and logged losses are
-    byte-identical wherever the shards run.
+    worker process (``shard_worker.ShardWorkers``), which gets the batch
+    and the model's config once, at its start, and each step the current
+    values and its shard's rows; this process adds the two gradients and
+    takes the Adam step.  Every parameter gets one ``+=`` per shard, so
+    ``(0 + g0) + g1`` in process is ``g0 + g1`` from the workers bit for
+    bit, and checkpoints and logged losses are byte-identical wherever the
+    shards run.
 
     ``log_rows``, when given, collects (step, rtg_loss, action_loss).
     """

@@ -629,15 +629,15 @@ class TestCli:
         ('{"campaigns": [{"campaign_id": "c0", "budget": 5, "ros_bound": 6}, '
          '{"campaign_id": "c0", "budget": 7, "ros_bound": 6}]}',
          "campaigns[1]: duplicate campaign_id 'c0'"),
-        ('{"model": {"n_layers": 0}}', "n_layers must be >= 1, got 0"),
-        ('{"model": {"d_model": 0}}', "d_model must be >= 1, got 0"),
-        ('{"model": {"n_heads": 0}}', "n_heads must be >= 1, got 0"),
-        ('{"model": {"context_steps": 0}}', "context_steps must be >= 1, got 0"),
-        ('{"model": {"bag_len": 0}}', "bag_len must be >= 1, got 0"),
-        ('{"model": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
+        ('{"model": {"n_layers": 0}}', "model.n_layers must be >= 1, got 0"),
+        ('{"model": {"d_model": 0}}', "model.d_model must be >= 1, got 0"),
+        ('{"model": {"n_heads": 0}}', "model.n_heads must be >= 1, got 0"),
+        ('{"model": {"context_steps": 0}}', "model.context_steps must be >= 1, got 0"),
+        ('{"model": {"bag_len": 0}}', "model.bag_len must be >= 1, got 0"),
+        ('{"model": {"batch_size": 0}}', "model.batch_size must be >= 1, got 0"),
         ('{"disc": {"hidden": 64}}', "unexpected keyword argument 'hidden'"),
         ('{"disc": {"steps": 0}}', "disc.steps must be >= 1, got 0"),
-        ('{"disc": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
+        ('{"disc": {"batch_size": 0}}', "disc.batch_size must be >= 1, got 0"),
         ('{"model": {"train_steps": 60.0}}', "model.train_steps must be an integer, got 60.0"),
         ('{"model": {"d_model": 16.0}}', "model.d_model must be an integer, got 16.0"),
         ('{"model": {"n_layers": true}}', "model.n_layers must be an integer, got True"),
@@ -678,6 +678,8 @@ class TestCli:
         ('{"model": {"lr": Infinity}}', "model.lr must be positive and finite, got inf"),
         ('{"disc": {"lr": NaN}}', "disc.lr must be positive and finite, got nan"),
         ('{"disc": {"lr": 0.0}}', "disc.lr must be positive and finite, got 0.0"),
+        ('{"disc": {"class_prior": 1.0}}', "disc.class_prior must be in (0,1), got 1.0"),
+        ('{"model": {"k_levels": 1}}', "model.k_levels must be >= 2"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "removed-model-a-max",
             "removed-rtg-scale", "removed-lr-warmup-frac", "removed-lr-final-frac",
             "removed-adam-beta2", "top-level-list", "market-list", "campaign-number",
@@ -695,17 +697,22 @@ class TestCli:
             "removed-random-low", "removed-random-high", "removed-fixed-scale", "nan-mix",
             "bool-mix", "negative-mix", "short-mix", "number-mix", "negative-noise-sigma",
             "nan-noise-sigma", "nan-model-lr", "negative-model-lr", "zero-model-lr",
-            "infinite-model-lr", "nan-disc-lr", "zero-disc-lr"])
+            "infinite-model-lr", "nan-disc-lr", "zero-disc-lr", "disc-class-prior-one",
+            "one-level"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
+        """``write-config`` loads the config and stops, so a config that is
+        wrongly accepted fails this case at once.  A message names its
+        section once."""
         from bagbid.cli import main
 
         path = tmp_path / "config.json"
         path.write_text(text)
         out = tmp_path / "run"
-        argv = ["train", "--method", "bc", "--config", str(path), "--output-dir", str(out)]
+        argv = ["write-config", "--config", str(path), "--output-dir", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"bagbid: error: {path}: ") and message in err
+        assert f".{message}" not in err  # as in "behavior.behavior.mix"
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -733,6 +740,37 @@ class TestCli:
         assert err.startswith("bagbid: error: ") and err.endswith(f" {message}\n")
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_too_many_levels_fail_naming_k_levels(self, tiny_experiment, tmp_path, capsys):
+        """More expert levels than the discriminator gives distinct offline
+        scores fail in one line naming ``model.k_levels``."""
+        from bagbid.cli import main
+
+        exp = dataclasses.replace(
+            tiny_experiment, model=dataclasses.replace(tiny_experiment.model, k_levels=1000))
+        config = tmp_path / "config.json"
+        exp.save(config)
+        assert main(["train", "--method", "ebaret", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bagbid: error: model.k_levels=1000 is too many: need at least "
+                              "1000 distinct offline scores for 1000 levels, got ")
+        assert len(err.splitlines()) == 1
+        assert not os.path.exists(exp.ckpt_path("ebaret"))
+
+    def test_output_dir_under_a_file_fails_without_traceback(self, tiny_experiment, tmp_path,
+                                                            capsys):
+        """A file system error, here an output directory below a regular
+        file, fails in one line."""
+        from bagbid.cli import main
+
+        config = tmp_path / "config.json"
+        tiny_experiment.save(config)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "run"
+        assert main(["gen-data", "--config", str(config), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bagbid: error: ") and "Not a directory" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_write_config_loads_back(self, tmp_path, capsys):
         """``write-config`` prints the default config, which ``--config``

@@ -42,13 +42,13 @@ def cpus(monkeypatch):
 def workers(monkeypatch, tmp_path, cpus):
     """Two CPUs, workers from step 1 on, the shared file in a directory of
     the test's own; records the started processes, the directory's entries
-    as each one starts, and the files made."""
+    as each one starts, and the files made and their sizes."""
     cpus(2)
     monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
     shm = tmp_path / "shm"
     shm.mkdir()
     monkeypatch.setattr(sw, "_mapping_dirs", lambda: [str(shm)])
-    log = {"procs": [], "listings": [], "files": [], "dir": shm}
+    log = {"procs": [], "listings": [], "files": [], "sizes": [], "dir": shm}
     popen, create = sw.subprocess.Popen, sw._create_mapping
 
     def recording_popen(*args, **kwargs):
@@ -59,6 +59,7 @@ def workers(monkeypatch, tmp_path, cpus):
     def recording_create(nbytes):
         file, buf = create(nbytes)
         log["files"].append(file)
+        log["sizes"].append(len(buf))
         return file, buf
 
     monkeypatch.setattr(sw.subprocess, "Popen", recording_popen)
@@ -96,6 +97,25 @@ def kill_worker(shard):
     def action(pool):
         os.kill(pool._procs[shard].pid, signal.SIGKILL)
     return action
+
+
+# a worker whose replies go wrong: ``cut`` writes the first half of a
+# reply's pickle and kills itself, ``garbled`` writes bytes that are no
+# pickle and waits for the next request
+BAD_REPLY = """
+import os, pickle, signal, sys
+from bagbid import shard_worker
+
+def bad_reply(out, message):
+    data = pickle.dumps(message)
+    out.write(data[:len(data) // 2] if sys.argv[1] == "cut" else b"no pickle")
+    out.flush()
+    if sys.argv[1] == "cut":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+shard_worker._reply = bad_reply
+sys.exit(shard_worker.main())
+"""
 
 
 def trained(data, config, arch, tmp_path, name):
@@ -205,6 +225,18 @@ class TestFailures:
             tf.train_model(small_data(), small_config())
         assert_nothing_left(workers)
 
+    @pytest.mark.parametrize("reply", ["cut", "garbled"])
+    def test_unreadable_reply(self, reply, workers, monkeypatch):
+        """A reply that is cut off mid-pickle, or is no pickle, counts as
+        the worker's exit; the parent kills a worker still running."""
+        popen = sw.subprocess.Popen
+        monkeypatch.setattr(sw.subprocess, "Popen", lambda args, **kwargs: popen(
+            [args[0], "-c", BAD_REPLY, reply], **kwargs))
+        with pytest.raises(sw.ShardWorkerError,
+                           match="^training worker 0 exited with code -9$"):
+            tf.train_model(small_data(), small_config())
+        assert_nothing_left(workers)
+
     def test_interrupt_stops_the_workers(self, workers, monkeypatch):
         def interrupt(pool):
             raise KeyboardInterrupt
@@ -235,6 +267,17 @@ def test_no_file_name_while_workers_run(workers, monkeypatch):
     fail_at_step(monkeypatch, 1, lambda pool: during_steps.append(os.listdir(workers["dir"])))
     tf.train_model(small_data(), small_config())
     assert workers["listings"] == [[], []] and during_steps == [[]]
+    assert_nothing_left(workers)
+
+
+def test_shared_file_holds_only_values_and_gradients(workers):
+    """The mapping holds the values and the two shards' gradients, exactly
+    3 x the number of parameters float64 values; the batch goes to each
+    worker once, in its setup message."""
+    config = small_config()
+    size = tf.TrajectoryTransformer(config, tf.ARCH_FULL).params.size
+    tf.train_model(small_data(), config)
+    assert workers["sizes"] == [3 * size * np.dtype(np.float64).itemsize]
     assert_nothing_left(workers)
 
 
