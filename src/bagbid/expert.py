@@ -18,7 +18,9 @@ scale among those that win without forfeiting: a scale whose won prefix
 overruns the budget forfeits the wins it cannot pay for, and such scales
 are never chosen, although on some days one of them is worth slightly
 more.  ``generate_expert_trajectories`` solves every day's scale and
-rolls all the days in one lockstep batch, each at its own constant scale.  A day's ``OpportunityStream`` is built
+replays all the days in one ``replay_episodes`` batch, each day's scale
+repeated over its steps: the expert does not read the market state, so
+each day is one budgeted scan.  A day's ``OpportunityStream`` is built
 once and serves both its solve and its rollout.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bagbid import _kernels
-from bagbid.market import OpportunityStream, run_episodes
+from bagbid.market import OpportunityStream, replay_episodes
 from bagbid.trajectory import CampaignConstraints, Trajectory
 
 ROS_SLACK = 1e-6
@@ -124,14 +126,16 @@ def generate_expert_trajectories(streams, constraints, campaign_ids) -> list[Tra
     """Hindsight expert episodes, one per (stream, constraints, campaign id)
     campaign-day.
 
-    Solves each day's bid scale against its stream and rolls every day on
-    that same stream at exactly its scale, so each episode reproduces its
-    replay's won set.
+    Solves each day's bid scale against its stream and replays every day
+    on that same stream at exactly its scale at every step, in one
+    ``replay_episodes`` batch, so each episode reproduces its replay's won
+    set.
     """
     solutions = [solve_multipliers(s, k) for s, k in zip(streams, constraints, strict=True)]
-    scales = [sol.scale for sol in solutions]
-    trajectories = run_episodes(lambda states, actions, rewards: scales,
-                                streams, constraints, campaign_ids, source="expert")
+    schedule = [np.full(s.config.steps_per_episode, sol.scale)
+                for s, sol in zip(streams, solutions)]
+    trajectories = replay_episodes(schedule, streams, constraints, campaign_ids,
+                                   source="expert")
     for traj, sol in zip(trajectories, solutions):
         traj.meta = {
             "expert_scale": sol.scale,

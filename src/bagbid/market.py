@@ -10,12 +10,20 @@ probability ``value_j * cvr_profile[t]`` (clamped to 1), drawn from
 pre-seeded uniforms so episodes are fully reproducible.
 
 ``MarketEnv`` steps a batch of such episodes in lockstep, one row per
-campaign-day, and ``run_episodes`` is the one rollout: offline logging,
-hindsight expert episodes and evaluation each roll all of their days in
-one call.  Both take the days' ``OpportunityStream``s, which carry their
-configs, so a caller that also solves a day's hindsight optimum builds
-its stream once.  Every row is scanned on its own, in stream order, so a
-day's outcome does not depend on the other days in its batch.
+campaign-day.  There are two rollouts, each of all of a caller's days in
+one call:
+
+- ``run_episodes`` asks a policy for every step's bids after it has
+  seen the state; evaluation rolls its learned policies this way.
+- ``replay_episodes`` takes an open-loop schedule of every day's bids,
+  for policies that do not read the market state: the offline loggers
+  and the hindsight expert.  ``MarketEnv.replay`` runs each day in one
+  budgeted scan and gives, bit for bit, what stepping would.
+
+Both take the days' ``OpportunityStream``s, which carry their configs, so
+a caller that also solves a day's hindsight optimum builds its stream
+once.  Every row is scanned on its own, in stream order, so a day's
+outcome does not depend on the other days in its batch.
 """
 
 from __future__ import annotations
@@ -207,6 +215,97 @@ class MarketEnv:
         self.t += 1
         self._observe()
 
+    def replay(self, schedule):
+        """Run every row's whole day at the bid scales of ``schedule``.
+
+        ``schedule`` is (n, T): row i's bid scale at each step from step 0,
+        checked and clamped as ``step`` checks and clamps an action, with
+        one warning per clamped bid.  Each row is one budgeted scan of its
+        day at one scale per opportunity (``_kernels.accepted_wins``); the
+        per-step records and the T+1 observations are left folds along the
+        step axis, so every array is bitwise what T calls of ``step`` with
+        the schedule's columns give.  For policies that do not read the
+        market state.
+        """
+        n, t_steps = self.actions.shape
+        if self.t:
+            raise MarketInputError(f"replay starts at step 0, not at step {self.t}")
+        schedule = np.asarray(schedule, dtype=np.float64)
+        if schedule.ndim != 2 or schedule.shape[1] != t_steps:
+            raise MarketInputError(
+                f"schedule of shape {schedule.shape} for episodes of {t_steps} steps")
+        if len(schedule) != n:
+            raise MarketInputError(f"{len(schedule)} actions for {n} episodes")
+        finite = np.isfinite(schedule.T)
+        if not finite.all():  # name the bid that stepping would meet first
+            raise MarketInputError(f"action must be finite, got {float(schedule.T[~finite][0])}")
+        a_max = np.array(self.a_max)[:, None]
+        out = (schedule < 0.0) | (schedule > a_max)
+        for t, i in zip(*np.nonzero(out.T)):  # in the order stepping meets them
+            log.warning("action %.6g outside [0, %g]; clamping", schedule[i, t], self.a_max[i])
+        self.actions[...] = np.where(out, np.clip(schedule, 0.0, a_max), schedule)
+
+        step_wins = np.empty((n, t_steps))
+        remaining = np.empty((n, t_steps))
+        for i, stream in enumerate(self.streams):
+            per_step = stream.config.opportunities_per_step
+            won, accepted = _kernels.accepted_wins(
+                np.repeat(self.actions[i], per_step), stream.values, stream.comp_bids,
+                self.budgets[i])
+            paid = won[accepted]
+            # the day zero-padded to (T, N): a fold that adds or subtracts
+            # +0.0 for each opportunity not paid for gives the same float
+            pays = np.zeros(stream.size)
+            pays[paid] = stream.comp_bids[paid]
+            gains = np.zeros(stream.size)
+            gains[paid] = stream.eff_values[paid]
+            converted = np.zeros(stream.size, dtype=bool)
+            converted[paid] = stream.conv_draws[paid] < stream.eff_values[paid]
+            self.spends[i] = np.add.accumulate(pays.reshape(t_steps, per_step), axis=1)[:, -1]
+            self.values[i] = np.add.accumulate(gains.reshape(t_steps, per_step), axis=1)[:, -1]
+            self.rewards[i] = np.count_nonzero(converted.reshape(t_steps, per_step), axis=1)
+            step_wins[i] = np.bincount(paid // per_step, minlength=t_steps)
+            remaining[i] = np.subtract.accumulate(
+                np.concatenate(([self.budgets[i]], pays)))[per_step::per_step]
+
+        # the states after each step, as ``_observe`` fills them one by one
+        steps = np.arange(1, t_steps + 1)
+        wins = np.add.accumulate(step_wins, axis=1)
+        total_spend = np.add.accumulate(self.spends, axis=1)
+        total_value = np.add.accumulate(self.values, axis=1)
+        budgets = self.budgets[:, None]
+        s = self.states[:, 1:]
+        s[..., 0] = steps / t_steps
+        s[..., 1] = remaining / budgets
+        s[..., 2] = self.spends * t_steps / budgets
+        s[..., 3] = wins / (steps * self.opportunities[:, None])
+        s[..., 4] = total_spend / np.maximum(wins, 1.0)
+        s[..., 5] = self.step_means
+        s[:, :-1, 6] = self.cvr_profiles[:, 1:]
+        s[:, -1, 6] = 0.0
+        s[..., 7] = total_value / budgets
+        self.remaining, self.wins = remaining[:, -1], wins[:, -1]
+        self.total_spend, self.total_value = total_spend[:, -1], total_value[:, -1]
+        self.t = t_steps
+
+
+def _episodes(streams, constraints, campaign_ids) -> MarketEnv:
+    if len(campaign_ids) != len(streams):
+        raise MarketInputError(f"{len(campaign_ids)} campaign ids for {len(streams)} episodes")
+    return MarketEnv(streams, constraints)
+
+
+def _trajectories(env, constraints, campaign_ids, source) -> list[Trajectory]:
+    """One trajectory per row of a finished batch."""
+    t_steps = env.actions.shape[1]
+    return [
+        Trajectory(campaign_id=cid, seed=stream.config.seed, constraints=k,
+                   states=env.states[i, :t_steps], actions=env.actions[i],
+                   rewards=env.rewards[i], spends=env.spends[i], values=env.values[i],
+                   source=source)
+        for i, (stream, k, cid) in enumerate(zip(env.streams, constraints, campaign_ids))
+    ]
+
 
 def run_episodes(policy, streams, constraints, campaign_ids,
                  source="policy") -> list[Trajectory]:
@@ -219,16 +318,22 @@ def run_episodes(policy, streams, constraints, campaign_ids,
     of the completed steps; it returns n bid scales.  Each trajectory is
     one row of the batch.
     """
-    if len(campaign_ids) != len(streams):
-        raise MarketInputError(f"{len(campaign_ids)} campaign ids for {len(streams)} episodes")
-    env = MarketEnv(streams, constraints)
-    t_steps = env.actions.shape[1]
-    for t in range(t_steps):
+    env = _episodes(streams, constraints, campaign_ids)
+    for t in range(env.actions.shape[1]):
         env.step(policy(env.states[:, :t + 1], env.actions[:, :t], env.rewards[:, :t]))
-    return [
-        Trajectory(campaign_id=cid, seed=stream.config.seed, constraints=k,
-                   states=env.states[i, :t_steps], actions=env.actions[i],
-                   rewards=env.rewards[i], spends=env.spends[i], values=env.values[i],
-                   source=source)
-        for i, (stream, k, cid) in enumerate(zip(streams, constraints, campaign_ids))
-    ]
+    return _trajectories(env, constraints, campaign_ids, source)
+
+
+def replay_episodes(schedule, streams, constraints, campaign_ids,
+                    source="policy") -> list[Trajectory]:
+    """Roll one open-loop episode per (stream, constraints, campaign id):
+    row i of the (n, T) ``schedule`` holds its bid scales from step 0.
+
+    The trajectories equal, field for field and bitwise, those of
+    ``run_episodes`` with a policy that returns the schedule's column t at
+    step t; ``MarketEnv.replay`` runs each day in one budgeted scan
+    instead of T steps.
+    """
+    env = _episodes(streams, constraints, campaign_ids)
+    env.replay(schedule)
+    return _trajectories(env, constraints, campaign_ids, source)

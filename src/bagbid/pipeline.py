@@ -54,6 +54,7 @@ from bagbid.market import (
     A_MAX,
     MarketConfig,
     OpportunityStream,
+    replay_episodes,
     run_episodes,
     sinusoid_cvr_profile,
 )
@@ -380,32 +381,32 @@ def _train_days(exp: ExperimentConfig):
 
 def gen_offline_data(exp: ExperimentConfig) -> list:
     """Mixed-policy behavior episodes for every campaign and train seed,
-    all rolled in one ``run_episodes`` batch.
+    all replayed in one ``replay_episodes`` batch.
 
     Each day has its own generator, seeded by (seed, 11, campaign index,
     episode index).  It draws the day's logger (random, fixed or
-    noisy-expert) and then, step by step, the day's bids, so no day's
-    episode depends on the other days.
+    noisy-expert) and then the day's T bids in one call, which consumes it
+    as T one-bid draws would.  No logger reads the market state, and no
+    day's episode depends on the other days.
     """
     b = exp.behavior
+    t_steps = exp.market.steps_per_episode
     keys, streams, constraints, campaign_ids = _train_days(exp)
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((exp.seed, 11, ci, ei))))
             for ci, ei in keys]
     kinds = [_BEHAVIOR_KINDS[rng.choice(3, p=b.mix)] for rng in rngs]
-    scales = [solve_multipliers(stream, k).scale if kind == "noisy_expert" else 0.0
-              for stream, k, kind in zip(streams, constraints, kinds)]
 
-    def bid(rng, kind, expert_scale):
+    def bids(rng, kind, stream, k):
         if kind == "random":
-            return float(rng.uniform(*RANDOM_BID_SCALES))
+            return rng.uniform(*RANDOM_BID_SCALES, size=t_steps)
         if kind == "fixed":
-            return FIXED_BID_SCALE
-        return float(expert_scale * rng.lognormal(0.0, b.noise_sigma))
+            return np.full(t_steps, FIXED_BID_SCALE)
+        return solve_multipliers(stream, k).scale * rng.lognormal(0.0, b.noise_sigma,
+                                                                  size=t_steps)
 
-    def policy(states, actions, rewards):
-        return [min(bid(*day), A_MAX) for day in zip(rngs, kinds, scales)]
-
-    trajs = run_episodes(policy, streams, constraints, campaign_ids)
+    schedule = np.minimum([bids(*day) for day in zip(rngs, kinds, streams, constraints)],
+                          A_MAX)
+    trajs = replay_episodes(schedule, streams, constraints, campaign_ids)
     for traj, kind in zip(trajs, kinds):
         traj.source = kind
     return trajs
@@ -413,7 +414,7 @@ def gen_offline_data(exp: ExperimentConfig) -> list:
 
 def gen_expert_data(exp: ExperimentConfig) -> list:
     """Hindsight expert episodes on the same campaign/seed grid, all
-    rolled in one ``run_episodes`` batch."""
+    replayed in one ``replay_episodes`` batch."""
     _, *days = _train_days(exp)
     return generate_expert_trajectories(*days)
 

@@ -34,7 +34,8 @@ stops it) and exits when its stdin closes.
 A worker that exits or raises, or whose reply is cut short or does not
 unpickle, makes the parent's next step raise ``ShardWorkerError`` (a
 worker that fails to start, at step 1 at the latest); ``close`` stops
-the workers in every case.
+the workers in every case.  The error names the worker's exception when
+it replied one, also when it exited before reading all of a request.
 """
 
 from __future__ import annotations
@@ -137,8 +138,15 @@ class ShardWorkers:
         try:
             pickle.dump(message, proc.stdin, pickle.HIGHEST_PROTOCOL)
             proc.stdin.flush()
+            return
         except OSError:
-            raise self._exited(shard) from None
+            pass
+        # the worker stopped reading: once it is gone, its pipe holds the
+        # error it replied before it exited, if it replied one
+        proc.kill()
+        proc.wait()
+        self._receive(shard)
+        raise self._exited(shard)
 
     def _receive(self, shard: int) -> tuple[float, float]:
         try:

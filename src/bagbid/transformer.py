@@ -109,7 +109,7 @@ class ModelConfig:
     def __post_init__(self):
         # n_layers: the last block is the one that cuts the rows to those read
         for name in ("d_model", "n_layers", "n_heads", "context_steps", "bag_len",
-                     "batch_size"):
+                     "batch_size", "train_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.context_steps % self.bag_len != 0:

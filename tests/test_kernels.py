@@ -155,6 +155,66 @@ class TestReplayMatchesSequentialScan:
         assert_replay_bitwise(scale, values, comps, eff, budget)
 
 
+def sequential_wins(scales, values, comp_bids, budget):
+    """``accepted_wins`` one opportunity at a time, at one bid scale per
+    opportunity: the won positions and, for each, whether it was paid."""
+    remaining = float(budget)
+    won, paid = [], []
+    for j, (s, v, c) in enumerate(zip(np.asarray(scales, dtype=np.float64).tolist(),
+                                      np.asarray(values, dtype=np.float64).tolist(),
+                                      np.asarray(comp_bids, dtype=np.float64).tolist())):
+        if s * v > c:
+            won.append(j)
+            paid.append(c <= remaining)
+            if c <= remaining:
+                remaining -= c
+    return won, paid
+
+
+class TestAcceptedWinsPerOpportunity:
+    """``accepted_wins`` at one scale per opportunity, as ``MarketEnv.replay``
+    calls it with each step's scale repeated, equals the sequential scan."""
+
+    def check(self, scales, values, comps, budget):
+        won, accepted = _kernels.accepted_wins(scales, values, comps, budget)
+        assert (won.tolist(), accepted.tolist()) == sequential_wins(scales, values, comps,
+                                                                    budget)
+        return won, accepted
+
+    def test_one_scale_equals_a_repeated_scale(self):
+        values, comps, _ = _stream(4, 1000)
+        for budget in (0.5, 1e9):
+            one = _kernels.accepted_wins(3.0, values, comps, budget)
+            each = self.check(np.full(values.size, 3.0), values, comps, budget)
+            assert [a.tolist() for a in one] == [a.tolist() for a in each]
+
+    def test_per_step_scales_on_market_days(self):
+        """Default-shape days at a scale per step, forfeit-heavy budgets."""
+        rng = np.random.Generator(np.random.PCG64(13))
+        forfeits = 0
+        for seed in range(20):
+            stream = OpportunityStream(MarketConfig(seed=seed))
+            scales = np.repeat(rng.uniform(0.0, 8.0, size=48), 100)
+            budget = float(rng.choice([1e-12, 0.3, 2.0, 8.0]))
+            won, accepted = self.check(scales, stream.values, stream.comp_bids, budget)
+            forfeits += won.size - np.count_nonzero(accepted)
+        assert forfeits > 1000
+
+    # dyadic grids make ties and payments that land exactly on the budget
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+                                st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+                                st.sampled_from([0.0625, 0.125, 0.25, 0.5, 1.0])),
+                      max_size=60),
+        budget=st.one_of(st.sampled_from([0.0, 0.25, 0.375, 1.0, 2.5]),
+                         st.floats(0.0, 8.0)),
+    )
+    def test_random_dyadic_streams(self, rows, budget):
+        scales, values, comps = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+        self.check(scales, values, comps, budget)
+
+
 def _step_rows(seed, n_steps, per_step):
     """The per-step slices of a market stream: values, competitor bids,
     effective values and conversion draws."""

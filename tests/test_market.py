@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bagbid import _kernels
 from bagbid.market import (
@@ -11,6 +13,7 @@ from bagbid.market import (
     MarketEnv,
     MarketInputError,
     OpportunityStream,
+    replay_episodes,
     run_episodes,
     sinusoid_cvr_profile,
 )
@@ -300,6 +303,132 @@ class TestRunEpisodes:
         for (stream, k, cid), traj in zip(days, batch):
             (alone,) = run_episodes(policy, [stream], [k], [cid], source="mixed")
             assert_same_trajectory(traj, alone)
+
+
+def schedule_policy(schedule):
+    """The closed-loop form of an open-loop schedule: bid its column t at
+    step t."""
+    return lambda states, actions, rewards: schedule[:, actions.shape[1]]
+
+
+def day_bids(kind, steps, seed):
+    """One day's bids: the random logger's overbids (forfeit-heavy under a
+    binding budget), a constant scale, or bids outside [0, a_max] on both
+    sides, which are clamped."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "random":
+        return rng.uniform(1.0, 6.0, size=steps)
+    if kind == "constant":
+        return np.full(steps, rng.uniform(0.0, 3.0))
+    return rng.uniform(-3.0, 14.0, size=steps)
+
+
+class TestReplay:
+    """``MarketEnv.replay`` runs an open-loop schedule as T ``step`` calls
+    with its columns would, bit for bit."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(days=st.lists(st.tuples(
+        st.integers(0, 2**31),                     # the stream's seed
+        st.sampled_from([0.0, 1.0, 2.5]),          # its CVR profile's phase
+        st.sampled_from([2.0, 10.0]),              # a_max
+        st.sampled_from([5e-324, 1e-12, 0.05, 0.5, 3.0, 8.0, 1e3]),  # budget
+        st.sampled_from(["random", "constant", "wild"]),
+        st.integers(0, 2**31),                     # the bids' seed
+    ), min_size=1, max_size=4))
+    def test_equals_stepping(self, days, small_config, assert_same_trajectory):
+        """A batch of days with mixed CVR profiles, zero-like, tiny and
+        binding budgets, forfeit-heavy random-logger scales and clamped
+        bids: every trajectory equals its stepped one, field for field."""
+        steps = small_config.steps_per_episode
+        streams = [OpportunityStream(dataclasses.replace(
+            small_config, seed=seed, a_max=a_max,
+            cvr_profile=sinusoid_cvr_profile(steps, phase=phase, seed=seed % 97)))
+            for seed, phase, a_max, *_ in days]
+        constraints = [CampaignConstraints(budget=budget, ros_bound=6.0)
+                       for *_, budget, _, _ in days]
+        schedule = np.array([day_bids(kind, steps, seed) for *_, kind, seed in days])
+        ids = [f"c{i}" for i in range(len(days))]
+        stepped = run_episodes(schedule_policy(schedule), streams, constraints, ids)
+        replayed = replay_episodes(schedule, streams, constraints, ids)
+        for a, b in zip(stepped, replayed, strict=True):
+            assert_same_trajectory(a, b)
+
+    def test_batch_forfeits_clamps_and_ends_as_stepping_does(self, small_config, caplog):
+        """A fixed batch that forfeits and clamps: the replayed batch ends
+        in the stepped batch's state, counters included, and logs the same
+        warnings in the same order."""
+        steps = small_config.steps_per_episode
+        other = sinusoid_cvr_profile(steps, phase=1.0, seed=9)
+        streams = [OpportunityStream(small_config),
+                   OpportunityStream(dataclasses.replace(small_config, seed=43,
+                                                         cvr_profile=other)),
+                   OpportunityStream(dataclasses.replace(small_config, seed=44, a_max=2.0))]
+        constraints = [CampaignConstraints(budget=b, ros_bound=6.0) for b in (8.0, 0.3, 2.0)]
+        schedule = np.array([day_bids(kind, steps, i)
+                             for i, kind in enumerate(["constant", "random", "wild"])])
+        stepped, replayed = MarketEnv(streams, constraints), MarketEnv(streams, constraints)
+        messages = []
+        for run in (lambda: [stepped.step(column) for column in schedule.T],
+                    lambda: replayed.replay(schedule)):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                run()
+            messages.append([r.getMessage() for r in caplog.records])
+        assert messages[0] == messages[1] and len(messages[0]) > 0
+        for name in ("states", "actions", "rewards", "spends", "values", "remaining", "wins",
+                     "total_spend", "total_value"):
+            assert getattr(stepped, name).tobytes() == getattr(replayed, name).tobytes(), name
+        assert replayed.t == steps
+        won, accepted = _kernels.accepted_wins(np.repeat(replayed.actions[1], 20),
+                                               streams[1].values, streams[1].comp_bids, 0.3)
+        assert not accepted.all()  # the random logger's day forfeits
+
+    def test_one_warning_per_clamped_bid(self, small_config, constraints, caplog):
+        env = MarketEnv([OpportunityStream(small_config)] * 2, [constraints] * 2)
+        schedule = np.ones((2, small_config.steps_per_episode))
+        schedule[0, 3] = -0.5
+        schedule[1, 3] = small_config.a_max + 1.0
+        schedule[1, 7] = 1e9
+        with caplog.at_level("WARNING"):
+            env.replay(schedule)
+        assert [r.getMessage() for r in caplog.records] == [
+            "action -0.5 outside [0, 10]; clamping", "action 11 outside [0, 10]; clamping",
+            "action 1e+09 outside [0, 10]; clamping"]
+        assert (env.actions[0, 3], env.actions[1, 3], env.actions[1, 7]) == (0.0, 10.0, 10.0)
+
+    def test_bad_schedules_rejected_as_step_rejects_them(self, small_config, constraints):
+        """Row counts and non-finite bids fail with ``step``'s messages, a
+        schedule of another length with its shape; the batch stays at step
+        0."""
+        steps = small_config.steps_per_episode
+
+        def env():
+            return MarketEnv([OpportunityStream(small_config)] * 2, [constraints] * 2)
+
+        def error(call):
+            with pytest.raises(MarketInputError) as info:
+                call()
+            return str(info.value)
+
+        nan, inf = np.ones((2, steps)), np.ones((2, steps))
+        nan[1, 0], inf[0, 0] = np.nan, -np.inf
+        nan[0, 1] = inf[1, 0] = np.inf  # stepping meets these later
+        for schedule in (np.ones((1, steps)), np.ones((3, steps)), nan, inf):
+            bad = env()
+            assert error(lambda: bad.replay(schedule)) == error(
+                lambda: env().step(schedule[:, 0]))
+            assert bad.t == 0
+        for schedule in (np.ones((2, steps - 1)), np.ones((2, steps + 1)), np.ones(2)):
+            assert error(lambda: env().replay(schedule)) == (
+                f"schedule of shape {schedule.shape} for episodes of {steps} steps")
+
+    def test_replay_starts_at_step_0(self, small_config, constraints):
+        env = MarketEnv([OpportunityStream(small_config)], [constraints])
+        env.step([1.0])
+        with pytest.raises(MarketInputError, match="replay starts at step 0, not at step 1"):
+            env.replay(np.ones((1, small_config.steps_per_episode)))
 
 
 class TestInvariants:

@@ -100,10 +100,12 @@ class TestGenData:
 
     def test_datasets_equal_those_of_the_reference_kernels(self, tiny_experiment, scan_refs,
                                                             monkeypatch, tmp_path):
-        """Both datasets are byte-identical to those generated with the
-        all-opportunity step loop and the always-stable ratio sort."""
+        """Both datasets are byte-identical to those generated by stepping
+        each day's schedule through ``MarketEnv.step`` with the
+        all-opportunity step loop, and with the always-stable ratio sort."""
         from bagbid import _kernels
         from bagbid import expert as ex
+        from bagbid.market import MarketEnv
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
@@ -120,6 +122,11 @@ class TestGenData:
                 return ref(*args)
             return call
 
+        def stepped_replay(env, schedule):
+            for column in np.asarray(schedule, dtype=np.float64).T:
+                env.step(column)
+
+        monkeypatch.setattr(MarketEnv, "replay", stepped_replay)
         monkeypatch.setattr(_kernels, "step_scan", counted("step_scan"))
         solve = counted("solve_multipliers")
         monkeypatch.setattr(ex, "solve_multipliers", solve)
@@ -680,6 +687,8 @@ class TestCli:
         ('{"disc": {"lr": 0.0}}', "disc.lr must be positive and finite, got 0.0"),
         ('{"disc": {"class_prior": 1.0}}', "disc.class_prior must be in (0,1), got 1.0"),
         ('{"model": {"k_levels": 1}}', "model.k_levels must be >= 2"),
+        ('{"model": {"train_steps": 0}}', "model.train_steps must be >= 1, got 0"),
+        ('{"model": {"train_steps": -5}}', "model.train_steps must be >= 1, got -5"),
     ], ids=["not-json", "unknown-key", "removed-key", "short-context", "removed-model-a-max",
             "removed-rtg-scale", "removed-lr-warmup-frac", "removed-lr-final-frac",
             "removed-adam-beta2", "top-level-list", "market-list", "campaign-number",
@@ -698,7 +707,7 @@ class TestCli:
             "bool-mix", "negative-mix", "short-mix", "number-mix", "negative-noise-sigma",
             "nan-noise-sigma", "nan-model-lr", "negative-model-lr", "zero-model-lr",
             "infinite-model-lr", "nan-disc-lr", "zero-disc-lr", "disc-class-prior-one",
-            "one-level"])
+            "one-level", "zero-train-steps", "negative-train-steps"])
     def test_bad_config_fails_without_traceback(self, text, message, tmp_path, capsys):
         """``write-config`` loads the config and stops, so a config that is
         wrongly accepted fails this case at once.  A message names its

@@ -117,6 +117,20 @@ shard_worker._reply = bad_reply
 sys.exit(shard_worker.main())
 """
 
+# a worker that raises after it has read 10 bytes of its setup message,
+# replies the error and exits
+SETUP_FAILS = """
+import sys
+from bagbid import shard_worker
+
+def failing_load(stream):
+    stream.read(10)
+    raise ValueError("setup read failed")
+
+shard_worker.pickle.load = failing_load
+sys.exit(shard_worker.main())
+"""
+
 
 def trained(data, config, arch, tmp_path, name):
     rows = []
@@ -235,6 +249,20 @@ class TestFailures:
         with pytest.raises(sw.ShardWorkerError,
                            match="^training worker 0 exited with code -9$"):
             tf.train_model(small_data(), small_config())
+        assert_nothing_left(workers)
+
+    @pytest.mark.parametrize("rows, shard", [(6, "[01]"), (200, "0")])
+    def test_error_while_reading_the_setup(self, rows, shard, workers, monkeypatch):
+        """A worker that raises while it reads its setup names its error,
+        whether the setup fits the pipe (6 rows, 8.4 KB) or the worker
+        exits before the parent has written all of it (200 rows, 282 KB:
+        the parent's write fails, and it reads the reply left behind)."""
+        popen = sw.subprocess.Popen
+        monkeypatch.setattr(sw.subprocess, "Popen", lambda args, **kwargs: popen(
+            [args[0], "-c", SETUP_FAILS], **kwargs))
+        with pytest.raises(sw.ShardWorkerError, match=f"^training worker {shard} failed: "
+                                                      "ValueError: setup read failed$"):
+            tf.train_model(small_data(n=rows), small_config())
         assert_nothing_left(workers)
 
     def test_interrupt_stops_the_workers(self, workers, monkeypatch):
