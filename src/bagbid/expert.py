@@ -17,11 +17,13 @@ them once and replays the chosen scale, so its r* is the best constant
 scale among those that win without forfeiting: a scale whose won prefix
 overruns the budget forfeits the wins it cannot pay for, and such scales
 are never chosen, although on some days one of them is worth slightly
-more.  ``generate_expert_trajectories`` solves every day's scale and
-replays all the days in one ``replay_episodes`` batch, each day's scale
-repeated over its steps: the expert does not read the market state, so
-each day is one budgeted scan.  A day's ``OpportunityStream`` is built
-once and serves both its solve and its rollout.
+more.  ``generate_expert_trajectories`` replays all the days in one
+``replay_episodes`` batch, each day's solved scale repeated over its
+steps: the expert does not read the market state, so each day is one
+budgeted scan.  A day's ``OpportunityStream`` serves both its solve and
+its rollout, and a caller that already solved a day (the pipeline's
+noisy-expert logger solves the same days on the same streams) hands the
+solution in instead of solving it again.
 """
 
 from __future__ import annotations
@@ -122,18 +124,21 @@ def solve_multipliers(stream: OpportunityStream,
     return MultiplierSolution(scale=scale, feasible=False, summary=summary)
 
 
-def generate_expert_trajectories(streams, constraints, campaign_ids) -> list[Trajectory]:
+def generate_expert_trajectories(streams, constraints, campaign_ids,
+                                 solutions=None) -> list[Trajectory]:
     """Hindsight expert episodes, one per (stream, constraints, campaign id)
     campaign-day.
 
-    Solves each day's bid scale against its stream and replays every day
-    on that same stream at exactly its scale at every step, in one
-    ``replay_episodes`` batch, so each episode reproduces its replay's won
-    set.
+    Replays every day on its stream at exactly its solved scale at every
+    step, in one ``replay_episodes`` batch, so each episode reproduces its
+    replay's won set.  ``solutions`` holds each day's
+    ``solve_multipliers`` result on that stream and those constraints
+    when the caller already has them; without it each day is solved here.
     """
-    solutions = [solve_multipliers(s, k) for s, k in zip(streams, constraints, strict=True)]
+    if solutions is None:
+        solutions = [solve_multipliers(s, k) for s, k in zip(streams, constraints, strict=True)]
     schedule = [np.full(s.config.steps_per_episode, sol.scale)
-                for s, sol in zip(streams, solutions)]
+                for s, sol in zip(streams, solutions, strict=True)]
     trajectories = replay_episodes(schedule, streams, constraints, campaign_ids,
                                    source="expert")
     for traj, sol in zip(trajectories, solutions):

@@ -97,7 +97,8 @@ class OpportunityStream:
     1), which serve both as conversion probabilities and as the expected
     value accounted to a win; plus the mean predicted value of each step,
     a state feature (the row mean sums in the same order as the mean of
-    the step's slice, so it is the same float).
+    the step's slice, so it is the same float).  The arrays are
+    read-only: the pipeline's two dataset stages share a day's stream.
     """
 
     def __init__(self, config: MarketConfig):
@@ -115,6 +116,9 @@ class OpportunityStream:
         self.conv_draws = rng.random(m)
         self.eff_values = np.minimum(self.values * np.repeat(config.cvr_profile, n), 1.0)
         self.step_mean_values = self.values.reshape(t_steps, n).mean(axis=1)
+        for a in (self.values, self.comp_bids, self.conv_draws, self.eff_values,
+                  self.step_mean_values):
+            a.flags.writeable = False
 
     @property
     def size(self) -> int:

@@ -15,6 +15,10 @@ Stages, each a pure function of the experiment config and seed:
                suboptimality-ratio histogram against the r* that
                gen-expert stored for each training day
 
+gen-data and gen-expert in one process build and solve each training day
+once: the stage that runs second takes the days' opportunity streams and
+hindsight solutions that the first left for it (see ``_train_days``).
+
 Outputs are ``.trajs`` datasets (see ``trajectory``) and ``.ckpt``
 checkpoints (see ``nncore``), each a JSON header line and raw float64
 data, and CSV metrics under the config's output directory.  Prep labels
@@ -49,7 +53,12 @@ from bagbid.discriminator import (
     sigmoid,
     train_discriminator,
 )
-from bagbid.expert import ROS_SLACK, generate_expert_trajectories, solve_multipliers
+from bagbid.expert import (
+    ROS_SLACK,
+    MultiplierSolution,
+    generate_expert_trajectories,
+    solve_multipliers,
+)
 from bagbid.market import (
     A_MAX,
     MarketConfig,
@@ -366,17 +375,83 @@ def market_config_for(exp: ExperimentConfig, campaign_idx: int, seed: int) -> Ma
 _BEHAVIOR_KINDS = ("random", "fixed", "noisy_expert")
 
 
-def _train_days(exp: ExperimentConfig):
-    """Every training day, campaign-major: its (campaign index, episode
-    index), and the opportunity streams, constraints and campaign ids that
-    ``run_episodes`` takes.  Each day's stream is built here once."""
-    keys = [(ci, ei) for ci in range(len(exp.campaigns))
+@dataclass
+class _Days:
+    """Every training day of one config, campaign-major: its opportunity
+    stream, constraints and campaign id, and its hindsight solution once
+    a stage has solved it (else None).  ``key`` is ``_days_key`` of the
+    config and ``taker`` the dataset stage that may take the days."""
+
+    key: str
+    streams: list
+    constraints: list
+    campaign_ids: list
+    solutions: list
+    taker: str = ""
+
+
+# the days one dataset stage built, left for the other stage of the
+# process; module state, since a stage takes only the config (as the CLI,
+# ensure_training_inputs and callers of cmd_gen_data/cmd_gen_expert pass it)
+_held: _Days | None = None
+
+
+def _days_key(exp: ExperimentConfig) -> str:
+    """The config values that determine the training days, as JSON, so
+    that a budget of 6 and one of 6.0, which a dataset writes differently,
+    do not share days."""
+    return json.dumps([exp.seed, asdict(exp.market), [asdict(c) for c in exp.campaigns],
+                       exp.train_episodes_per_campaign])
+
+
+def release_days():
+    """Drop the training days a dataset stage left for the other one."""
+    global _held
+    _held = None
+
+
+def _day_indices(exp: ExperimentConfig) -> list:
+    """Every training day's (campaign index, episode index), campaign-major."""
+    return [(ci, ei) for ci in range(len(exp.campaigns))
             for ei in range(exp.train_episodes_per_campaign)]
-    return (keys,
-            [OpportunityStream(market_config_for(exp, ci, train_seed(exp, ci, ei)))
-             for ci, ei in keys],
-            [exp.campaigns[ci].constraints for ci, _ in keys],
-            [exp.campaigns[ci].campaign_id for ci, _ in keys])
+
+
+def _train_days(exp: ExperimentConfig, stage: str) -> tuple[_Days, bool]:
+    """The training days for dataset stage ``stage`` ("offline" or
+    "expert"), and whether they were taken.
+
+    The days the other stage of this process left are taken when their
+    key is this config's; otherwise each day's stream is built here.
+    Either way nothing stays held: at most one set of days is alive."""
+    global _held
+    held, _held = _held, None
+    key = _days_key(exp)
+    if held is not None and held.taker == stage and held.key == key:
+        return held, True
+    days = _day_indices(exp)
+    return _Days(
+        key=key,
+        streams=[OpportunityStream(market_config_for(exp, ci, train_seed(exp, ci, ei)))
+                 for ci, ei in days],
+        constraints=[exp.campaigns[ci].constraints for ci, _ in days],
+        campaign_ids=[exp.campaigns[ci].campaign_id for ci, _ in days],
+        solutions=[None] * len(days),
+    ), False
+
+
+def _leave_days(days: _Days, taker: str):
+    """Hold days a stage built, with every solution it found, for dataset
+    stage ``taker``."""
+    global _held
+    days.taker = taker
+    _held = days
+
+
+def _solution(days: _Days, i: int) -> MultiplierSolution:
+    """Day i's hindsight solution, solved now unless a stage already has."""
+    if days.solutions[i] is None:
+        days.solutions[i] = solve_multipliers(days.streams[i], days.constraints[i])
+    return days.solutions[i]
 
 
 def gen_offline_data(exp: ExperimentConfig) -> list:
@@ -387,36 +462,49 @@ def gen_offline_data(exp: ExperimentConfig) -> list:
     episode index).  It draws the day's logger (random, fixed or
     noisy-expert) and then the day's T bids in one call, which consumes it
     as T one-bid draws would.  No logger reads the market state, and no
-    day's episode depends on the other days.
+    day's episode depends on the other days.  A noisy-expert day is solved
+    on the stream it is replayed on.  The days come from gen-expert when
+    it ran last in this process for the same days (see ``_train_days``),
+    so its solutions are reused; days built here are left, with their
+    solutions, for gen-expert.
     """
     b = exp.behavior
     t_steps = exp.market.steps_per_episode
-    keys, streams, constraints, campaign_ids = _train_days(exp)
+    days, taken = _train_days(exp, "offline")
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((exp.seed, 11, ci, ei))))
-            for ci, ei in keys]
+            for ci, ei in _day_indices(exp)]
     kinds = [_BEHAVIOR_KINDS[rng.choice(3, p=b.mix)] for rng in rngs]
 
-    def bids(rng, kind, stream, k):
+    def bids(i, rng, kind):
         if kind == "random":
             return rng.uniform(*RANDOM_BID_SCALES, size=t_steps)
         if kind == "fixed":
             return np.full(t_steps, FIXED_BID_SCALE)
-        return solve_multipliers(stream, k).scale * rng.lognormal(0.0, b.noise_sigma,
-                                                                  size=t_steps)
+        return _solution(days, i).scale * rng.lognormal(0.0, b.noise_sigma, size=t_steps)
 
-    schedule = np.minimum([bids(*day) for day in zip(rngs, kinds, streams, constraints)],
+    schedule = np.minimum([bids(i, rng, kind) for i, (rng, kind) in enumerate(zip(rngs, kinds))],
                           A_MAX)
-    trajs = replay_episodes(schedule, streams, constraints, campaign_ids)
+    trajs = replay_episodes(schedule, days.streams, days.constraints, days.campaign_ids)
     for traj, kind in zip(trajs, kinds):
         traj.source = kind
+    if not taken:
+        _leave_days(days, "expert")
     return trajs
 
 
 def gen_expert_data(exp: ExperimentConfig) -> list:
     """Hindsight expert episodes on the same campaign/seed grid, all
-    replayed in one ``replay_episodes`` batch."""
-    _, *days = _train_days(exp)
-    return generate_expert_trajectories(*days)
+    replayed in one ``replay_episodes`` batch.  The days come from
+    gen-data when it ran last in this process for the same days, and only
+    the days it did not solve are solved here; days built here are left,
+    all solved, for gen-data."""
+    days, taken = _train_days(exp, "expert")
+    solutions = [_solution(days, i) for i in range(len(days.streams))]
+    trajs = generate_expert_trajectories(days.streams, days.constraints, days.campaign_ids,
+                                         solutions)
+    if not taken:
+        _leave_days(days, "offline")
+    return trajs
 
 
 def write_manifest(exp: ExperimentConfig):
@@ -852,10 +940,13 @@ def cmd_report(exp: ExperimentConfig) -> dict:
 
 def ensure_training_inputs(exp: ExperimentConfig, spec: MethodSpec):
     """Generate missing datasets and train the method's discriminator if
-    it has none."""
+    it has none.  Generating both datasets builds and solves each day once
+    (see ``_train_days``); days one stage left untaken are released before
+    training."""
     if not os.path.exists(exp.offline_path):
         cmd_gen_data(exp)
     if not os.path.exists(exp.expert_path):
         cmd_gen_expert(exp)
+    release_days()
     if spec.use_expert_data and not os.path.exists(exp.disc_path(spec.disc_plain_ce)):
         cmd_train_disc(exp, plain_ce=spec.disc_plain_ce)

@@ -478,6 +478,20 @@ class TestInvariants:
         assert (traj.states[:, 0] >= 0).all() and (traj.states[:, 0] <= 1).all()
         assert (traj.states[:, 1] >= 0).all() and (traj.states[:, 1] <= 1).all()
 
+    @pytest.mark.parametrize("name", ["values", "comp_bids", "conv_draws", "eff_values",
+                                      "step_mean_values"])
+    def test_stream_arrays_read_only(self, small_config, name):
+        """Two dataset stages share a day's stream, so a write into it
+        raises instead of changing the other stage's day."""
+        stream = OpportunityStream(small_config)
+        array = getattr(stream, name)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+        assert np.array_equal(array, before)
+
 
 class TestConfigValidation:
     def test_profile_length(self):

@@ -94,9 +94,16 @@ class TestGenData:
         assert stream_seeds == pl.train_seeds(exp)
 
     def test_expert_days_build_one_stream_each(self, tiny_experiment, stream_seeds):
+        """Alone, gen-expert builds each day's stream once; after gen-data
+        in the same process it takes gen-data's streams and builds none."""
         exp = tiny_experiment
         pl.gen_expert_data(exp)
         assert stream_seeds == pl.train_seeds(exp)
+        pl.release_days()
+        pl.gen_offline_data(exp)
+        del stream_seeds[:]
+        pl.gen_expert_data(exp)
+        assert stream_seeds == []
 
     def test_datasets_equal_those_of_the_reference_kernels(self, tiny_experiment, scan_refs,
                                                             monkeypatch, tmp_path):
@@ -144,6 +151,129 @@ class TestGenData:
         assert all(t.source == "expert" for t in experts)
         for t in experts:
             assert t.total_spend <= t.constraints.budget + 1e-9
+
+
+@pytest.fixture
+def solved_seeds(monkeypatch):
+    """The market seed of every day ``solve_multipliers`` solves from here
+    on."""
+    from bagbid import expert as ex
+
+    seeds = []
+
+    def counted(stream, constraints):
+        seeds.append(stream.config.seed)
+        return solve_multipliers(stream, constraints)
+
+    monkeypatch.setattr(ex, "solve_multipliers", counted)
+    monkeypatch.setattr(pl, "solve_multipliers", counted)
+    return seeds
+
+
+_STAGES = {"gen-data": pl.cmd_gen_data, "gen-expert": pl.cmd_gen_expert}
+_BOTH_ORDERS = pytest.mark.parametrize(
+    "order", [("gen-data", "gen-expert"), ("gen-expert", "gen-data")],
+    ids=["data-first", "expert-first"])
+
+
+def _dataset_bytes(exp):
+    return [open(path, "rb").read() for path in (exp.offline_path, exp.expert_path)]
+
+
+class TestDayHandOff:
+    """gen-data and gen-expert in one process build and solve each
+    training day once: the second stage takes the first stage's days."""
+
+    @_BOTH_ORDERS
+    def test_datasets_equal_those_made_apart(self, tiny_experiment, tmp_path, order):
+        exp = tiny_experiment
+        for stage in order:
+            _STAGES[stage](exp)
+        shared = _dataset_bytes(exp)
+        exp.output_dir = str(tmp_path / "apart")
+        for stage in order:
+            pl.release_days()
+            _STAGES[stage](exp)
+        assert shared == _dataset_bytes(exp)
+
+    def test_expert_solves_only_days_gen_data_did_not(self, tiny_experiment, stream_seeds,
+                                                      solved_seeds):
+        exp = tiny_experiment
+        trajs = pl.gen_offline_data(exp)
+        noisy = [t.seed for t in trajs if t.source == "noisy_expert"]
+        assert 0 < len(noisy) < len(trajs)  # the default mix solves some days
+        assert (stream_seeds, solved_seeds) == (pl.train_seeds(exp), noisy)
+        del stream_seeds[:], solved_seeds[:]
+        pl.gen_expert_data(exp)
+        assert stream_seeds == []
+        assert solved_seeds == [s for s in pl.train_seeds(exp) if s not in noisy]
+
+    def test_gen_data_after_expert_solves_nothing(self, tiny_experiment, stream_seeds,
+                                                  solved_seeds):
+        exp = tiny_experiment
+        exp.behavior.mix = (0.0, 0.0, 1.0)
+        pl.gen_expert_data(exp)
+        assert stream_seeds == solved_seeds == pl.train_seeds(exp)
+        del stream_seeds[:], solved_seeds[:]
+        trajs = pl.gen_offline_data(exp)
+        assert {t.source for t in trajs} == {"noisy_expert"}
+        assert stream_seeds == solved_seeds == []
+
+    @pytest.mark.parametrize("change", ["seed", "budget", "int-budget", "ros_bound",
+                                        "market", "episodes"])
+    def test_other_days_are_not_reused(self, tiny_experiment, tmp_path, stream_seeds, change):
+        """A config that differs in what makes the days builds its own,
+        and writes what it writes with nothing held.  A budget of 6 makes
+        the same days as one of 6.0, but a dataset writes the two
+        differently, so those days are not reused either."""
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        other = dataclasses.replace(exp, output_dir=str(tmp_path / "other"),
+                                    campaigns=[dataclasses.replace(c) for c in exp.campaigns])
+        if change == "seed":
+            other.seed += 1
+        elif change == "budget":
+            other.campaigns[1].budget += 1.0
+        elif change == "int-budget":
+            other.campaigns[0].budget = int(other.campaigns[0].budget)
+        elif change == "ros_bound":
+            other.campaigns[0].ros_bound = 5.0
+        elif change == "market":
+            other.market = pl.MarketSettings(steps_per_episode=24, opportunities_per_step=21)
+        else:
+            other.train_episodes_per_campaign += 1
+        del stream_seeds[:]
+        pl.cmd_gen_expert(other)
+        assert stream_seeds == pl.train_seeds(other)
+        handed = open(other.expert_path, "rb").read()
+        pl.release_days()
+        pl.cmd_gen_expert(other)
+        assert handed == open(other.expert_path, "rb").read()
+
+    @pytest.mark.parametrize("stage", ["gen-data", "gen-expert"])
+    def test_rerun_stage_rebuilds_its_days(self, tiny_experiment, stream_seeds, stage):
+        exp = tiny_experiment
+        _STAGES[stage](exp)
+        _STAGES[stage](exp)
+        assert stream_seeds == 2 * pl.train_seeds(exp)
+
+    @_BOTH_ORDERS
+    def test_nothing_held_after_both_stages(self, tiny_experiment, order):
+        exp = tiny_experiment
+        first, second = order
+        _STAGES[first](exp)
+        assert pl._held is not None
+        _STAGES[second](exp)
+        assert pl._held is None
+
+    def test_nothing_held_after_ensure_training_inputs(self, tiny_experiment):
+        """Training inputs that needed one dataset stage leave no days."""
+        exp = tiny_experiment
+        pl.cmd_gen_data(exp)
+        pl.cmd_gen_expert(exp)
+        os.remove(exp.offline_path)
+        pl.ensure_training_inputs(exp, pl.METHODS["bc"])
+        assert os.path.exists(exp.offline_path) and pl._held is None
 
 
 class TestPrep:
