@@ -80,7 +80,7 @@ class _Tanh:
 
 
 class DiscriminatorModel:
-    """MLP logit head d(s, a): 9 -> hidden -> hidden -> 1, tanh throughout.
+    """MLP logit head d(s, a): DISC_INPUT_DIM -> hidden -> hidden -> 1, tanh throughout.
 
     The final layer is zero-initialized so an untrained model scores
     sig(d) = 0.5 everywhere.  A checkpoint's meta records ``hidden``; the

@@ -29,7 +29,6 @@ outcome does not depend on the other days in its batch.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +136,19 @@ class MarketEnv:
     step and after the last one; ``actions`` (as applied, after clamping),
     ``rewards`` (conversions), ``spends`` and ``values`` (expected value
     won) are (n, T).  ``t`` is the next step to auction.
+
+    The features before acting at step t, and after the last step at
+    t = T; N is the opportunities per step and wins count accepted auctions:
+
+    i  meaning                     formula                     at step 0   after T
+    0  time elapsed                t / T                       0.0         1.0
+    1  budget left                 remaining / budget          1.0         the day's
+    2  last step's spend pace      spends[t-1] * T / budget    0.0         step T-1's
+    3  win rate so far             wins / (t * N)              0.0         the day's
+    4  mean price of a win         total spend / max(wins, 1)  0.0         the day's
+    5  last step's mean value      mean of step t-1's values   0.0         step T-1's
+    6  next step's CVR multiplier  cvr_profile[t]              profile[0]  0.0
+    7  value won per budget        total value / budget        0.0         the day's
     """
 
     def __init__(self, streams, constraints):
@@ -151,36 +163,57 @@ class MarketEnv:
         for c in configs:
             c.validate()
         self.streams = list(streams)
-        self.a_max = [float(c.a_max) for c in configs]
+        self.a_max = np.array([[c.a_max] for c in configs], dtype=np.float64)
         self.budgets = np.array([k.budget for k in constraints], dtype=np.float64)
-        self.opportunities = np.array([c.opportunities_per_step for c in configs],
-                                      dtype=np.float64)
-        self.cvr_profiles = np.stack([c.cvr_profile for c in configs])
-        self.step_means = np.stack([s.step_mean_values for s in self.streams])
+        self.opportunities = np.array([[c.opportunities_per_step] for c in configs], dtype=float)
+        # at each step 0..T, the step before's spend and mean value and the
+        # next step's CVR, 0.0 where there is no such step
+        self.last_spends, self.last_means, self.next_cvrs = np.zeros((3, n, t_steps + 1))
+        self.last_means[:, 1:] = [s.step_mean_values for s in self.streams]
+        self.next_cvrs[:, :-1] = [c.cvr_profile for c in configs]
         self.states = np.empty((n, t_steps + 1, STATE_DIM))
-        self.actions = np.empty((n, t_steps))
-        self.rewards = np.empty((n, t_steps))
-        self.spends = np.empty((n, t_steps))
-        self.values = np.empty((n, t_steps))
+        self.actions, self.rewards, self.values = np.empty((3, n, t_steps))
+        self.spends = self.last_spends[:, 1:]
         self.remaining = self.budgets.copy()
-        self.wins = np.zeros(n)  # counts, exact in float64
-        self.total_spend = np.zeros(n)
-        self.total_value = np.zeros(n)
+        # wins are counts, exact in float64
+        self.wins, self.total_spend, self.total_value = np.zeros((3, n))
         self.t = 0
-        self._observe()
+        self._observe(0, self.remaining[:, None], self.wins[:, None], self.total_spend[:, None],
+                      self.total_value[:, None])
 
-    def _observe(self):
-        """Fill ``states[:, t]``, the features seen before acting at step t."""
-        t, t_steps = self.t, self.actions.shape[1]
-        s = self.states[:, t]
-        s[:, 0] = t / t_steps
-        s[:, 1] = self.remaining / self.budgets
-        s[:, 2] = (self.spends[:, t - 1] if t else 0.0) * t_steps / self.budgets
-        s[:, 3] = self.wins / (t * self.opportunities) if t else 0.0
-        s[:, 4] = self.total_spend / np.maximum(self.wins, 1.0)  # no wins, no spend
-        s[:, 5] = self.step_means[:, t - 1] if t else 0.0
-        s[:, 6] = self.cvr_profiles[:, t] if t < t_steps else 0.0
-        s[:, 7] = self.total_value / self.budgets
+    def _observe(self, first, remaining, wins, total_spend, total_value):
+        """Fill the states before acting at the k steps from step ``first``
+        from the counters (n, k) after the steps before each: remaining
+        budget, wins, total spend and total value."""
+        t_steps = self.actions.shape[1]
+        steps = slice(first, first + remaining.shape[1])
+        t = np.arange(steps.start, steps.stop, dtype=np.float64)
+        s = self.states[:, steps]
+        budgets = self.budgets[:, None]
+        s[..., 0] = t / t_steps
+        s[..., 1] = remaining / budgets
+        s[..., 2] = self.last_spends[:, steps] * t_steps / budgets
+        s[..., 3] = wins / (np.maximum(t, 1) * self.opportunities)  # 0 wins at t = 0
+        s[..., 4] = total_spend / np.maximum(wins, 1.0)  # no wins, no spend
+        s[..., 5] = self.last_means[:, steps]
+        s[..., 6] = self.next_cvrs[:, steps]
+        s[..., 7] = total_value / budgets
+
+    def _applied(self, schedule):
+        """The (n, k) bids ``schedule`` clamped to ``[0, a_max]``, one warning
+        per clamped bid in stepping order; a wrong row count or a non-finite
+        bid (the first in stepping order) raises before any warning."""
+        if len(schedule) != len(self.streams):
+            raise MarketInputError(f"{len(schedule)} actions for {len(self.streams)} episodes")
+        out = ~((schedule >= 0.0) & (schedule <= self.a_max))  # NaN too
+        if not out.any():
+            return schedule
+        finite = np.isfinite(schedule.T)
+        if not finite.all():
+            raise MarketInputError(f"action must be finite, got {float(schedule.T[~finite][0])}")
+        for t, i in zip(*np.nonzero(out.T)):
+            log.warning("action %.6g outside [0, %g]; clamping", schedule[i, t], self.a_max[i, 0])
+        return np.where(out, np.clip(schedule, 0.0, self.a_max), schedule)
 
     def step(self, actions):
         """Auction step t's opportunities of every row at its bid scale.
@@ -192,19 +225,8 @@ class MarketEnv:
         t = self.t
         if t == self.actions.shape[1]:
             raise MarketInputError("episode already finished")
-        if len(actions) != len(self.streams):
-            raise MarketInputError(f"{len(actions)} actions for {len(self.streams)} episodes")
-        applied = []
-        for action, a_max in zip(map(float, actions), self.a_max):
-            if not math.isfinite(action):
-                raise MarketInputError(f"action must be finite, got {action}")
-            if action < 0.0 or action > a_max:
-                log.warning("action %.6g outside [0, %g]; clamping", action, a_max)
-                action = min(max(action, 0.0), a_max)
-            applied.append(action)
-        self.actions[:, t] = applied
-
-        for i, (stream, action) in enumerate(zip(self.streams, applied)):
+        self.actions[:, t] = applied = self._applied(np.asarray(actions, float)[:, None])[:, 0]
+        for i, (stream, action) in enumerate(zip(self.streams, applied.tolist())):
             sl = stream.step_slice(t)
             # the kernel decrements the budget win by win, which keeps the
             # budget path bit-identical to a whole-stream replay at one scale
@@ -217,19 +239,19 @@ class MarketEnv:
         self.total_spend += self.spends[:, t]
         self.total_value += self.values[:, t]
         self.t += 1
-        self._observe()
+        self._observe(self.t, self.remaining[:, None], self.wins[:, None],
+                      self.total_spend[:, None], self.total_value[:, None])
 
     def replay(self, schedule):
         """Run every row's whole day at the bid scales of ``schedule``.
 
         ``schedule`` is (n, T): row i's bid scale at each step from step 0,
-        checked and clamped as ``step`` checks and clamps an action, with
-        one warning per clamped bid.  Each row is one budgeted scan of its
-        day at one scale per opportunity (``_kernels.accepted_wins``); the
-        per-step records and the T+1 observations are left folds along the
-        step axis, so every array is bitwise what T calls of ``step`` with
-        the schedule's columns give.  For policies that do not read the
-        market state.
+        checked and clamped as ``step`` checks and clamps an action.  Each
+        row is one budgeted scan of its day at one scale per opportunity
+        (``_kernels.accepted_wins``); the per-step records and the counters
+        after each step are left folds along the step axis, so every array
+        is bitwise what T calls of ``step`` with the schedule's columns
+        give.  For policies that do not read the market state.
         """
         n, t_steps = self.actions.shape
         if self.t:
@@ -238,16 +260,7 @@ class MarketEnv:
         if schedule.ndim != 2 or schedule.shape[1] != t_steps:
             raise MarketInputError(
                 f"schedule of shape {schedule.shape} for episodes of {t_steps} steps")
-        if len(schedule) != n:
-            raise MarketInputError(f"{len(schedule)} actions for {n} episodes")
-        finite = np.isfinite(schedule.T)
-        if not finite.all():  # name the bid that stepping would meet first
-            raise MarketInputError(f"action must be finite, got {float(schedule.T[~finite][0])}")
-        a_max = np.array(self.a_max)[:, None]
-        out = (schedule < 0.0) | (schedule > a_max)
-        for t, i in zip(*np.nonzero(out.T)):  # in the order stepping meets them
-            log.warning("action %.6g outside [0, %g]; clamping", schedule[i, t], self.a_max[i])
-        self.actions[...] = np.where(out, np.clip(schedule, 0.0, a_max), schedule)
+        self.actions[...] = self._applied(schedule)
 
         step_wins = np.empty((n, t_steps))
         remaining = np.empty((n, t_steps))
@@ -272,24 +285,10 @@ class MarketEnv:
             remaining[i] = np.subtract.accumulate(
                 np.concatenate(([self.budgets[i]], pays)))[per_step::per_step]
 
-        # the states after each step, as ``_observe`` fills them one by one
-        steps = np.arange(1, t_steps + 1)
-        wins = np.add.accumulate(step_wins, axis=1)
-        total_spend = np.add.accumulate(self.spends, axis=1)
-        total_value = np.add.accumulate(self.values, axis=1)
-        budgets = self.budgets[:, None]
-        s = self.states[:, 1:]
-        s[..., 0] = steps / t_steps
-        s[..., 1] = remaining / budgets
-        s[..., 2] = self.spends * t_steps / budgets
-        s[..., 3] = wins / (steps * self.opportunities[:, None])
-        s[..., 4] = total_spend / np.maximum(wins, 1.0)
-        s[..., 5] = self.step_means
-        s[:, :-1, 6] = self.cvr_profiles[:, 1:]
-        s[:, -1, 6] = 0.0
-        s[..., 7] = total_value / budgets
+        wins, spend, value = np.add.accumulate([step_wins, self.spends, self.values], axis=2)
+        self._observe(1, remaining, wins, spend, value)
         self.remaining, self.wins = remaining[:, -1], wins[:, -1]
-        self.total_spend, self.total_value = total_spend[:, -1], total_value[:, -1]
+        self.total_spend, self.total_value = spend[:, -1], value[:, -1]
         self.t = t_steps
 
 

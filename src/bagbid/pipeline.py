@@ -335,21 +335,24 @@ def test_seed(exp: ExperimentConfig, campaign_idx: int, period: int, k: int) -> 
     )
 
 
+def _day_indices(exp: ExperimentConfig) -> list:
+    """Every training day's (campaign index, episode index), campaign-major."""
+    return [(ci, ei) for ci in range(len(exp.campaigns))
+            for ei in range(exp.train_episodes_per_campaign)]
+
+
 def train_seeds(exp: ExperimentConfig):
-    return [
-        train_seed(exp, ci, ei)
-        for ci in range(len(exp.campaigns))
-        for ei in range(exp.train_episodes_per_campaign)
-    ]
+    return [train_seed(exp, ci, ei) for ci, ei in _day_indices(exp)]
+
+
+def _test_days(exp: ExperimentConfig) -> list:
+    """Every test day's (campaign index, period, seed), campaign-major."""
+    return [(ci, p, test_seed(exp, ci, p, k)) for ci in range(len(exp.campaigns))
+            for p in range(exp.test_periods) for k in range(exp.test_seeds_per_period)]
 
 
 def test_seeds(exp: ExperimentConfig):
-    return [
-        test_seed(exp, ci, p, k)
-        for ci in range(len(exp.campaigns))
-        for p in range(exp.test_periods)
-        for k in range(exp.test_seeds_per_period)
-    ]
+    return [seed for _, _, seed in _test_days(exp)]
 
 
 def market_config_for(exp: ExperimentConfig, campaign_idx: int, seed: int) -> MarketConfig:
@@ -408,12 +411,6 @@ def release_days():
     """Drop the training days a dataset stage left for the other one."""
     global _held
     _held = None
-
-
-def _day_indices(exp: ExperimentConfig) -> list:
-    """Every training day's (campaign index, episode index), campaign-major."""
-    return [(ci, ei) for ci in range(len(exp.campaigns))
-            for ei in range(exp.train_episodes_per_campaign)]
 
 
 def _train_days(exp: ExperimentConfig, stage: str) -> tuple[_Days, bool]:
@@ -547,7 +544,7 @@ def cmd_gen_expert(exp: ExperimentConfig) -> list:
 
 
 def transitions_matrix(trajs) -> np.ndarray:
-    """(N*T, 9) matrix of concatenated state vectors and actions."""
+    """(N*T, DISC_INPUT_DIM) matrix of concatenated state vectors and actions."""
     xs = [np.concatenate([t.states, t.actions[:, None]], axis=1) for t in trajs]
     return np.concatenate(xs, axis=0)
 
@@ -832,22 +829,18 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
                             f"run `bagbid train --method {spec.name}` again")
     manual_target = model.loaded_meta.get("manual_target")
     cache = rstar_cache if rstar_cache is not None else {}
-    days = [
-        (ci, camp, period, test_seed(exp, ci, period, k))
-        for ci, camp in enumerate(exp.campaigns)
-        for period in range(exp.test_periods)
-        for k in range(exp.test_seeds_per_period)
-    ]
-    streams = [OpportunityStream(market_config_for(exp, ci, seed)) for ci, _, _, seed in days]
+    days = _test_days(exp)
+    camps = [exp.campaigns[ci] for ci, _, _ in days]
+    streams = [OpportunityStream(market_config_for(exp, ci, seed)) for ci, _, seed in days]
     trajs = run_episodes(
         make_inference_policy(model, A_MAX, manual_target=manual_target),
         streams,
-        [camp.constraints for _, camp, _, _ in days],
-        [camp.campaign_id for _, camp, _, _ in days],
+        [camp.constraints for camp in camps],
+        [camp.campaign_id for camp in camps],
         source=spec.name,
     )
     rows = []
-    for (ci, camp, period, seed), stream, traj in zip(days, streams, trajs):
+    for (ci, period, seed), camp, stream, traj in zip(days, camps, streams, trajs):
         if (ci, seed) not in cache:
             cache[ci, seed] = solve_multipliers(stream, camp.constraints).summary.total_value
         rstar = cache[ci, seed]

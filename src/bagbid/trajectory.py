@@ -10,13 +10,14 @@ header line, then ``\n``, then raw little-endian float64 data.  The
 header holds ``format``, ``version`` and ``trajectories``: one record per
 trajectory, in order, with its ``campaign_id``, ``seed``, ``constraints``
 (``budget``, ``ros_bound``), ``source``, ``meta`` and ``steps`` T.  The
-data hold each trajectory in turn: its ``states`` (T, 8) in C order, then
-its ``actions``, ``rewards``, ``spends`` and ``values``, T values each.
-Spaces before the ``\n`` pad the header line to a multiple of 8 bytes, so
-every array starts aligned.  The bytes round-trip every value bitwise
-(signed zeros, subnormals, infinities and NaN included), and saving the
-same trajectories twice writes the same file.  ``load_jsonl`` reads the
-file once and gives each trajectory writable views into that one buffer.
+data hold each trajectory in turn: its ``states`` (T, STATE_DIM) in C
+order, then its ``actions``, ``rewards``, ``spends`` and ``values``, T
+values each.  Spaces before the ``\n`` pad the header line to a multiple
+of 8 bytes, so every array starts aligned.  The bytes round-trip every
+value bitwise (signed zeros, subnormals, infinities and NaN included),
+and saving the same trajectories twice writes the same file.
+``load_jsonl`` reads the file once and gives each trajectory writable
+views into that one buffer.
 
 Every dataset it cannot read raises ``TrajectoryFileError`` naming its
 path: an empty file or one with no trajectories, a JSONL dataset written

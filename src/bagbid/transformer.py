@@ -212,7 +212,7 @@ class TrajectoryTransformer:
     def _step_embeddings(self, states, rtgs, actions, levels, first_step=0):
         """Per-modality token embeddings for full steps.
 
-        states (B,T,8), rtgs (B,T) scaled, actions (B,T), levels (B,T)
+        states (B,T,STATE_DIM), rtgs (B,T) scaled, actions (B,T), levels (B,T)
         ints, holding steps ``first_step .. first_step+T-1``.  Returns
         (B, tokens_per_step*T, d) interleaved in token order.
         """
@@ -399,7 +399,7 @@ def loss_grads(rtg_pred, action_pred, rtg_target, action_target, batch_size=None
 
 @dataclass
 class TrainingBatch:
-    states: np.ndarray  # (N, T, 8)
+    states: np.ndarray  # (N, T, STATE_DIM)
     actions: np.ndarray  # (N, T)
     rtgs: np.ndarray  # (N, T), already divided by RTG_SCALE
     levels: np.ndarray  # (N, T) int

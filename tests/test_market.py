@@ -17,7 +17,7 @@ from bagbid.market import (
     run_episodes,
     sinusoid_cvr_profile,
 )
-from bagbid.trajectory import CampaignConstraints, Trajectory
+from bagbid.trajectory import STATE_DIM, CampaignConstraints, Trajectory
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,18 @@ class TestStep:
                 env.step(actions)
         assert env.t == 0
 
+    def test_rejected_step_logs_no_clamp_warning(self, small_config, constraints, caplog):
+        """A step that refuses a non-finite action applies no action, so
+        it warns of no clamp, not even for an out-of-range action before
+        the refused one."""
+        env = MarketEnv([OpportunityStream(small_config)] * 2, [constraints] * 2)
+        actions = env.actions.tobytes()
+        with caplog.at_level("WARNING"), pytest.raises(MarketInputError) as info:
+            env.step([small_config.a_max + 1.0, float("nan")])
+        assert str(info.value) == "action must be finite, got nan"
+        assert not caplog.records
+        assert env.t == 0 and env.actions.tobytes() == actions
+
 
 class TestRunEpisode:
     def test_zero_policy(self, small_config, constraints):
@@ -207,7 +219,7 @@ class TestRunEpisode:
     def test_episode_shape(self, small_config, constraints):
         traj = roll(1.0, small_config, constraints)
         t = small_config.steps_per_episode
-        assert traj.states.shape == (t, 8)
+        assert traj.states.shape == (t, STATE_DIM)
         for arr in (traj.actions, traj.rewards, traj.spends, traj.values):
             assert arr.shape == (t,)
 
@@ -222,8 +234,8 @@ class TestRunEpisode:
                      ["c0", "c1"])
         t = small_config.steps_per_episode
         assert len(seen) == t
-        assert seen[0] == ((2, 1, 8), (2, 0), (2, 0))
-        assert seen[-1] == ((2, t, 8), (2, t - 1), (2, t - 1))
+        assert seen[0] == ((2, 1, STATE_DIM), (2, 0), (2, 0))
+        assert seen[-1] == ((2, t, STATE_DIM), (2, t - 1), (2, t - 1))
 
 
 class TestRunEpisodes:
@@ -429,6 +441,62 @@ class TestReplay:
         env.step([1.0])
         with pytest.raises(MarketInputError, match="replay starts at step 0, not at step 1"):
             env.replay(np.ones((1, small_config.steps_per_episode)))
+
+
+def features_from_record(stream, budget, actions, spends, values, t):
+    """The state before acting at step t of a day (t = T: after its last
+    step), recomputed from the day's stream, budget and per-step record; a
+    scalar scan of the stream at the recorded bids counts the wins and
+    follows the remaining budget."""
+    cfg = stream.config
+    t_steps, per_step = cfg.steps_per_episode, cfg.opportunities_per_step
+    remaining, wins = budget, 0
+    for j in range(t * per_step):
+        pay = stream.comp_bids[j]
+        if actions[j // per_step] * stream.values[j] > pay and pay <= remaining:
+            remaining -= pay
+            wins += 1
+    return [
+        t / t_steps,                                                     # time elapsed
+        remaining / budget,                                              # budget left
+        spends[t - 1] * t_steps / budget if t else 0.0,                  # last step's pace
+        wins / (t * per_step) if t else 0.0,                             # win rate
+        sum(spends[:t]) / wins if wins else 0.0,                         # mean price of a win
+        stream.values[(t - 1) * per_step:t * per_step].mean() if t else 0.0,  # last mean value
+        cfg.cvr_profile[t] if t < t_steps else 0.0,                      # next step's CVR
+        sum(values[:t]) / budget,                                        # value per budget
+    ]
+
+
+class TestStateFeatures:
+    def test_features_equal_their_recomputation(self, small_config):
+        """Each feature at step 0, at a middle step and after the last step
+        of three days (one ample, one that forfeits, one that wins
+        nothing) equals its value recomputed from the day's record, both
+        when the days are stepped and when they are replayed."""
+        steps, per_step = small_config.steps_per_episode, small_config.opportunities_per_step
+        streams = [OpportunityStream(dataclasses.replace(
+            small_config, seed=seed, cvr_profile=sinusoid_cvr_profile(steps, phase, seed)))
+            for seed, phase in ((42, 0.0), (43, 1.0), (44, 2.5))]
+        budgets = (8.0, 0.3, 5.0)
+        constraints = [CampaignConstraints(budget=b, ros_bound=6.0) for b in budgets]
+        schedule = np.array([day_bids("constant", steps, 0), day_bids("random", steps, 1),
+                             np.zeros(steps)])
+        stepped, replayed = MarketEnv(streams, constraints), MarketEnv(streams, constraints)
+        for column in schedule.T:
+            stepped.step(column)
+        replayed.replay(schedule)
+
+        outbid = np.count_nonzero(np.repeat(schedule[1], per_step) * streams[1].values
+                                  > streams[1].comp_bids)
+        assert stepped.wins[0] > 0 and outbid > stepped.wins[1] > 0 and stepped.wins[2] == 0
+        for env in (stepped, replayed):
+            for i, (stream, budget) in enumerate(zip(streams, budgets)):
+                for t in (0, steps // 2, steps):
+                    expected = features_from_record(stream, budget, env.actions[i],
+                                                    env.spends[i], env.values[i], t)
+                    np.testing.assert_allclose(env.states[i, t], expected, rtol=1e-12, atol=0,
+                                               err_msg=f"day {i}, step {t}")
 
 
 class TestInvariants:
