@@ -2,55 +2,45 @@
 
 ``transformer.train_model`` splits every step's batch into two fixed
 shards.  Once training is long enough to pay for them, ``ShardWorkers``
-starts two workers, one per shard, and sends each, as one pickle on its
-stdin, what stays fixed for the training: the shared file's descriptor,
-its shard index, the model's config and architecture, the
-``TrainingBatch`` and the batch size.  A worker builds a model of its own
-from them.  Then each step the parent
+forks the training process twice, one worker per shard; a worker has the
+model and the batch from the fork.  Each step the parent writes the
+current values into the shared mapping, sends each worker its shard's
+row indices and reads back its squared-error sums (one pickle each way),
+and adds the two gradients, which each worker leaves in its row of the
+mapping: one anonymous shared (3, number of parameters) float64 array,
+made before the fork, that no file backs and no model aliases.
 
-- writes the current values into the shared file,
-- sends each worker its shard's row indices (one pickle),
-- reads back each shard's squared-error sums (one pickle each).
+Each worker runs one BLAS thread: two workers that kept the parent's
+thread pool ran 3x slower on a 2-CPU machine.  The parent sets the loaded
+OpenBLAS's thread count to one before it forks and back once the workers
+stop; set in a worker, the count would restart the pool that OpenBLAS
+stops at a fork, and its idle thread slowed the first steps.  Without
+such an OpenBLAS, ``blas_threads`` is None and training stays in
+process.  Python 3.12 and later warn when a process whose BLAS pool has
+threads forks.
 
-For each request a worker zeroes its model's gradients, copies the
-shared values into its model's arena, runs ``transformer.shard_step`` on
-its model and copies the model's gradient into its own row of the shared
-file, for the parent to add to the other worker's and to take the Adam
-step with.  The parent's model and each worker's own arenas never alias
-the mapping, so the model that training returns does not depend on it.
-
-The shared file holds only one (3, number of parameters) float64 array:
-the values, then the two shards' gradients.  It has no name: it is made
-unlinked, in ``/dev/shm`` where it can be and in the temp directory
-otherwise, and reaches each worker as a descriptor passed at its start.
-The parent closes its descriptor once both workers have started and each
-worker once it has mapped the file, so no file outlives a training.
-Each worker is ``python -m bagbid.shard_worker`` with one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``), the ``bagbid`` this module was imported
-from first on its ``PYTHONPATH``, and its stdin and stdout as the request
-and reply pipes.  It ignores SIGINT (the parent handles an interrupt and
-stops it) and exits when its stdin closes.
-
-A worker that exits or raises, or whose reply is cut short or does not
-unpickle, makes the parent's next step raise ``ShardWorkerError`` (a
-worker that fails to start, at step 1 at the latest); ``close`` stops
-the workers in every case.  The error names the worker's exception when
-it replied one, also when it exited before reading all of a request.
+A worker ignores SIGINT (the parent handles an interrupt and stops it),
+closes the other worker's pipe ends, exits through ``os._exit`` when its
+request pipe closes, and replies its exception when it raises.  A fork
+that fails, a worker that exits or raises, or a reply cut short or
+garbled makes the parent raise ``ShardWorkerError``; ``close`` stops the
+workers in every case.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import math
 import mmap
 import os
 import pickle
 import signal
-import subprocess
-import sys
-import tempfile
+import time
 
 import numpy as np
 
-_SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _STOP_TIMEOUT_S = 5.0
 
 
@@ -58,99 +48,153 @@ class ShardWorkerError(RuntimeError):
     """A training worker exited or failed."""
 
 
-def _mapping_dirs() -> list[str]:
-    """Where the shared file may go, in order of preference."""
-    return ["/dev/shm", tempfile.gettempdir()]
+def openblas_function(name: str):
+    """The function ``name`` (such as ``"openblas_get_num_threads"``) of the
+    OpenBLAS this process has loaded, under the symbol prefix and suffix
+    of its build; None where none is loaded or it has no such function."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split(None, 5)[5].strip() for line in f if "openblas" in line}
+    except OSError:
+        return None
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for symbol in (p + name + s for p in ("", "scipy_") for s in ("", "64_", "_64")):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
 
 
-def _create_mapping(nbytes: int) -> tuple:
-    """A new unnamed file of ``nbytes`` (its space reserved, so a full file
-    system fails here and not as a bus error on first touch), as an open
-    file object, and its mapping."""
-    error = None
-    for d in _mapping_dirs():
-        try:
-            f = tempfile.TemporaryFile(prefix="bagbid-train-", dir=d)
-        except OSError as e:
-            error = e
-            continue
-        try:
-            if hasattr(os, "posix_fallocate"):
-                os.posix_fallocate(f.fileno(), 0, nbytes)
+@functools.cache
+def blas_threads():
+    """``(get, set)`` of the loaded OpenBLAS's thread count, or None."""
+    get = openblas_function("openblas_get_num_threads")
+    put = openblas_function("openblas_set_num_threads")
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+class _Worker:
+    """A forked worker, parent side: its pid, its request and reply pipes,
+    and its exit code once reaped (minus the signal's number if killed)."""
+
+    def __init__(self, pid: int, requests, replies):
+        self.pid, self.requests, self.replies = pid, requests, replies
+        self.code = None
+
+    def wait(self, timeout: float = math.inf) -> int | None:
+        """Reap the worker; returns its exit code, or None if it is still
+        running after ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while self.code is None and time.monotonic() <= deadline:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.code = os.waitstatus_to_exitcode(status)
             else:
-                os.ftruncate(f.fileno(), nbytes)
-            return f, mmap.mmap(f.fileno(), nbytes)
-        except OSError as e:
-            f.close()
-            error = e
-    raise ShardWorkerError(f"cannot create the shared training file: {error}")
+                time.sleep(0.001)
+        return self.code
 
-
-def _shared_rows(buf) -> np.ndarray:
-    """The shared file as one (3, number of parameters) float64 array: the
-    values, then shard 0's and shard 1's gradients."""
-    return np.frombuffer(buf, np.float64).reshape(3, -1)
+    def kill(self):
+        if self.code is None:  # a reaped pid may belong to another process
+            os.kill(self.pid, signal.SIGKILL)
 
 
 class ShardWorkers:
     """Two running workers and the mapping they share (parent side).
 
-    ``grads`` holds the two shards' gradients, filled by ``step``.  The
-    workers build models of ``model``'s config and architecture, and each
-    step's shards are rows of ``data`` from one batch of ``batch_size``.
+    ``step(rows)`` adds the gradient of the rows ``rows`` into
+    ``params.grads`` and returns their squared-error sums; each worker
+    runs it on its own copy of ``params``.
     """
 
-    def __init__(self, model, data, batch_size: int):
-        self._procs: list[subprocess.Popen] = []
-        file, buf = _create_mapping(3 * model.params.values.nbytes)
-        shared = _shared_rows(buf)
-        self.values, self.grads = shared[0], shared[1:]
-        fd = file.fileno()
-        path_env = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=_SRC + (os.pathsep + path_env if path_env else ""))
+    def __init__(self, params, step):
+        self._params = params
+        shared = np.frombuffer(mmap.mmap(-1, 3 * params.values.nbytes)).reshape(3, -1)
+        self._values, self._grads = shared[0], shared[1:]
+        self._workers: list[_Worker] = []
+        get_threads, self._set_threads = blas_threads()
+        self._threads = get_threads()
+        self._set_threads(1)  # for the workers, which inherit it
         try:
-            with file:  # each worker gets its own copy of the descriptor
-                for _ in range(2):
-                    self._procs.append(subprocess.Popen(
-                        [sys.executable, "-m", "bagbid.shard_worker"],
-                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
-                        pass_fds=(fd,)))
             for shard in range(2):
-                self._send(shard, {"fd": fd, "shard": shard, "config": model.config,
-                                   "arch": model.arch, "data": data,
-                                   "batch_size": batch_size})
+                self._workers.append(self._fork(shard, step))
         except BaseException:
             self.close()
             raise
 
-    def step(self, values: np.ndarray, shards) -> list[tuple[float, float]]:
-        """Run one train step's shards on the current ``values``; returns
-        each shard's squared-error sums, and leaves its gradient in
-        ``grads``."""
-        self.values[...] = values
+    def _fork(self, shard: int, step) -> _Worker:
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError as e:
+            for fd in fds:
+                os.close(fd)
+            raise ShardWorkerError(f"cannot start training worker {shard}: {e}") from None
+        requests_in, requests_out, replies_in, replies_out = fds
+        if pid == 0:
+            os.close(requests_out)
+            os.close(replies_in)
+            self._serve(shard, step, open(requests_in, "rb"), open(replies_out, "wb"))
+        os.close(requests_in)
+        os.close(replies_out)
+        return _Worker(pid, open(requests_out, "wb"), open(replies_in, "rb"))
+
+    def _serve(self, shard: int, step, requests, replies):
+        """The worker: answer each request of row indices with ``step`` on
+        the shared values until the request pipe closes, then exit."""
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for other in self._workers:  # else the other worker never sees EOF
+                other.requests.close()
+                other.replies.close()
+            params, grads = self._params, self._grads[shard]
+            while True:
+                try:
+                    rows = pickle.load(requests)
+                except EOFError:  # the training is over
+                    break
+                params.values[...] = self._values
+                params.zero_grad()
+                sums = step(rows)
+                grads[...] = params.grads
+                _reply(replies, sums)
+            code = 0
+        except Exception as e:
+            _reply(replies, f"{type(e).__name__}: {e}")
+        finally:
+            os._exit(code)
+
+    def step(self, shards) -> list[tuple[float, float]]:
+        """Run one train step's shards on the current values; returns each
+        shard's squared-error sums and leaves the step's gradient, the
+        first shard's plus the second's, in ``params.grads``."""
+        self._values[...] = self._params.values
         for shard, rows in enumerate(shards):
             self._send(shard, rows)
-        return [self._receive(shard) for shard in range(2)]
+        sums = [self._receive(shard) for shard in range(2)]
+        np.add(*self._grads, out=self._params.grads)
+        return sums
 
     def _send(self, shard: int, message):
-        proc = self._procs[shard]
-        try:
-            pickle.dump(message, proc.stdin, pickle.HIGHEST_PROTOCOL)
-            proc.stdin.flush()
+        worker = self._workers[shard]
+        with contextlib.suppress(OSError):
+            pickle.dump(message, worker.requests, pickle.HIGHEST_PROTOCOL)
+            worker.requests.flush()
             return
-        except OSError:
-            pass
         # the worker stopped reading: once it is gone, its pipe holds the
         # error it replied before it exited, if it replied one
-        proc.kill()
-        proc.wait()
+        error = self._exited(shard)
         self._receive(shard)
-        raise self._exited(shard)
+        raise error
 
     def _receive(self, shard: int) -> tuple[float, float]:
         try:
-            reply = pickle.load(self._procs[shard].stdout)
+            reply = pickle.load(self._workers[shard].replies)
         except (EOFError, pickle.UnpicklingError):  # no reply, or a cut or garbled one
             raise self._exited(shard) from None
         if isinstance(reply, str):
@@ -158,70 +202,25 @@ class ShardWorkers:
         return reply
 
     def _exited(self, shard: int) -> ShardWorkerError:
-        proc = self._procs[shard]
-        proc.kill()  # it may have closed its pipes without exiting
-        return ShardWorkerError(f"training worker {shard} exited with code {proc.wait()}")
+        worker = self._workers[shard]
+        worker.kill()  # it may have closed its pipes without exiting
+        return ShardWorkerError(f"training worker {shard} exited with code {worker.wait()}")
 
     def close(self):
-        """Stop the workers: close their stdin, then wait for them to exit,
-        killing one that does not within ``_STOP_TIMEOUT_S``."""
-        for proc in self._procs:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=_STOP_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-        self._procs = []
+        """Stop the workers: close their request pipes, then wait for them
+        to exit, killing one that does not within ``_STOP_TIMEOUT_S``."""
+        for worker in self._workers:
+            with contextlib.suppress(OSError):
+                worker.requests.close()
+        for worker in self._workers:
+            if worker.wait(_STOP_TIMEOUT_S) is None:
+                worker.kill()
+                worker.wait()
+            worker.replies.close()
+        self._workers = []
+        self._set_threads(self._threads)
 
 
 def _reply(out, message):
     pickle.dump(message, out)
     out.flush()
-
-
-def main() -> int:
-    """The worker loop: take the setup message, map the shared file and
-    build a model, then answer each request of row indices with a
-    ``shard_step`` on the shared values."""
-    # replies go to a copy of stdout; anything else the process prints goes
-    # to stderr instead of into the replies
-    replies = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    requests = sys.stdin.buffer
-    try:
-        from bagbid import transformer as tf  # here: transformer imports this module
-
-        setup = pickle.load(requests)
-        with open(setup["fd"], "r+b") as f:
-            buf = mmap.mmap(f.fileno(), 0)
-        shared = _shared_rows(buf)
-        values, grads = shared[0], shared[1 + setup["shard"]]
-        # its initial weights are overwritten before every step
-        model = tf.TrajectoryTransformer(setup["config"], setup["arch"])
-        while True:
-            try:
-                rows = pickle.load(requests)
-            except EOFError:  # the parent closed stdin: the training is over
-                return 0
-            model.params.values[...] = values
-            model.params.zero_grad()
-            sums = tf.shard_step(model, setup["data"], rows, setup["batch_size"])
-            grads[...] = model.params.grads
-            _reply(replies, sums)
-    except Exception as e:
-        try:
-            _reply(replies, f"{type(e).__name__}: {e}")
-        except OSError:
-            pass
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,13 +21,15 @@ A train step (``train_model``) splits its sampled batch into two fixed
 shards and adds the first shard's gradient of the whole batch's loss to
 the second's.  Each process holds one model: in process, both shards'
 backwards add into the trained model's one gradient arena; on the
-workers, each worker's own model takes a copy of the current values and
-hands back a copy of its gradient.  Step 0 runs both shards in process;
-a training whose remaining steps would take ``WORKER_PAYBACK_S`` or more
-at step 0's pace, on a machine with at least two CPUs, runs the other
-steps' shards on two worker processes (``shard_worker``).  Either way the
-arithmetic is the same, so a run's bytes do not depend on where its
-shards run.
+workers, each worker's copy of the model takes the current values and
+hands back its gradient.  Step 0 runs both shards in process; a training
+whose remaining steps would take ``WORKER_PAYBACK_S`` or more at step 0's
+pace, on a machine with at least two CPUs, runs the other steps' shards
+on two worker processes (``shard_worker``): forked copies of this
+process, each with one BLAS thread and no shared file.  Where the loaded
+BLAS's thread count cannot be set, training stays in process.  Either
+way the arithmetic is the same, so a run's bytes do not depend on where
+its shards run.
 
 Architecture switches cover the baselines and ablations: a plain
 return-conditioned transformer drops the return head and bag/level
@@ -65,7 +67,7 @@ import numpy as np
 
 from bagbid import nncore as nc
 from bagbid.nncore import ConfigError
-from bagbid.shard_worker import ShardWorkers
+from bagbid.shard_worker import ShardWorkers, blas_threads
 from bagbid.trajectory import STATE_DIM, Trajectory
 
 # Return tokens and return targets are R / RTG_SCALE.
@@ -78,8 +80,10 @@ ADAM_BETA2 = 0.99
 
 # Seconds of in-process training that the steps after step 0 must be
 # worth, at step 0's pace, before ``train_model`` moves them to two worker
-# processes: starting the workers costs 0.2-0.3 s on a 2-vCPU x86 VM, so
-# short trainings (a handful of steps, or tiny models) stay in-process.
+# processes: on a 2-vCPU x86 VM, forking the workers takes 3-7 ms and
+# their first step of a default model 60-85 ms (against 35-40 ms for
+# later steps), so short trainings (a handful of steps, or tiny models)
+# stay in-process.
 WORKER_PAYBACK_S = 1.0
 
 
@@ -460,15 +464,15 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
     error sums added and divided by the batch size.  Step 0 runs both
     shards in this process on the one model: it zeroes the gradients once
     and each shard's backward adds into them.  When it has at least two
-    CPUs and the remaining steps, at step 0's pace, would take
-    ``WORKER_PAYBACK_S`` or more, the other steps run each shard in a
-    worker process (``shard_worker.ShardWorkers``), which gets the batch
-    and the model's config once, at its start, and each step the current
-    values and its shard's rows; this process adds the two gradients and
-    takes the Adam step.  Every parameter gets one ``+=`` per shard, so
-    ``(0 + g0) + g1`` in process is ``g0 + g1`` from the workers bit for
-    bit, and checkpoints and logged losses are byte-identical wherever the
-    shards run.
+    CPUs, a BLAS whose thread count it can set, and the remaining steps,
+    at step 0's pace, would take ``WORKER_PAYBACK_S`` or more, the other
+    steps run each shard in a forked worker process
+    (``shard_worker.ShardWorkers``), which has the model and the batch
+    from the fork and gets each step the current values and its shard's
+    rows; this process adds the two gradients and takes the Adam step.
+    Every parameter gets one ``+=`` per shard, so ``(0 + g0) + g1`` in
+    process is ``g0 + g1`` from the workers bit for bit, and checkpoints
+    and logged losses are byte-identical wherever the shards run.
 
     ``log_rows``, when given, collects (step, rtg_loss, action_loss).
     """
@@ -485,16 +489,16 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
                 model.params.zero_grad()
                 sums = [shard_step(model, data, rows, b) for rows in shards]
             else:
-                sums = workers.step(model.params.values, shards)
-                np.add(*workers.grads, out=model.params.grads)
+                sums = workers.step(shards)
             nc.adam_step(model.params, lr=lr_at(config, step), beta2=ADAM_BETA2)
             if log_rows is not None:
                 log_rows.append((step, (sums[0][0] + sums[1][0]) / b,
                                  (sums[0][1] + sums[1][1]) / b))
             if (step == 0 and config.train_steps > 1 and _cpu_count() >= 2
                     and (config.train_steps - 1) * (time.perf_counter() - t0)
-                    >= WORKER_PAYBACK_S):
-                workers = ShardWorkers(model, data, b)
+                    >= WORKER_PAYBACK_S and blas_threads() is not None):
+                workers = ShardWorkers(model.params,
+                                       lambda rows: shard_step(model, data, rows, b))
     finally:
         if workers is not None:
             workers.close()

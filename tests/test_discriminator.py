@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from bagbid import discriminator as dsc
 from bagbid import nncore as nc
+from bagbid.discriminator import DISC_INPUT_DIM
+from bagbid.trajectory import STATE_DIM
 
 
 def toy_sets(rng, n=500, separable=True):
     """Expert actions in a narrow band; offline actions uniform.  With
     ``separable`` the offline draw excludes the expert band entirely."""
-    se = rng.normal(0.5, 0.2, size=(n, 8))
-    so = rng.normal(0.5, 0.2, size=(n, 8))
+    se = rng.normal(0.5, 0.2, size=(n, STATE_DIM))
+    so = rng.normal(0.5, 0.2, size=(n, STATE_DIM))
     ae = rng.uniform(2.2, 2.8, size=(n, 1))
     if separable:
         lo = rng.uniform(0.0, 2.0, size=(n, 1))
@@ -34,7 +36,7 @@ def pairwise_auc(pos_scores, neg_scores):
 class TestScore:
     def test_zero_initialized_final_layer(self):
         model = dsc.DiscriminatorModel(seed=0)
-        x = np.concatenate([np.linspace(0, 1, 8), [1.5]])[None, :]
+        x = np.concatenate([np.linspace(0, 1, STATE_DIM), [1.5]])[None, :]
         (logit,) = model.forward(x)
         assert logit == 0.0
         assert dsc.sigmoid(np.array(logit)) == 0.5
@@ -42,13 +44,13 @@ class TestScore:
     def test_deterministic(self, rng):
         model = dsc.DiscriminatorModel(seed=1)
         model.params["fc3.w"].value[...] = 0.3
-        x = np.concatenate([rng.normal(size=8), [2.0]])[None, :]
+        x = np.concatenate([rng.normal(size=STATE_DIM), [2.0]])[None, :]
         assert model.forward(x)[0] == model.forward(x)[0]
 
     def test_dimension_mismatch(self):
         model = dsc.DiscriminatorModel(seed=0)
         with pytest.raises(dsc.DatasetSchemaError):
-            model.forward(np.zeros((1, 8)))  # a 7-dim state and its action
+            model.forward(np.zeros((1, STATE_DIM)))  # a state without its action
         with pytest.raises(dsc.DatasetSchemaError):
             model.forward(np.zeros((3, 5)))
 
@@ -110,15 +112,15 @@ class TestNnpuLoss:
     def test_grad_check_both_branches(self, rng, grad_check):
         model = dsc.DiscriminatorModel(hidden=8, seed=3)
         model.params["fc3.w"].value[...] = rng.normal(0, 0.5, (8, 1))
-        eb = rng.normal(size=(6, 9))
-        ob = rng.normal(size=(7, 9))
+        eb = rng.normal(size=(6, DISC_INPUT_DIM))
+        ob = rng.normal(size=(7, DISC_INPUT_DIM))
 
         cases = []
         # unclamped: typical logits
         cases.append((eb, ob, 0.1))
         # clamped: pick inputs the model already scores low for the offline
         # batch and high for the expert batch, with a large prior
-        pool = rng.normal(size=(400, 9))
+        pool = rng.normal(size=(400, DISC_INPUT_DIM))
         logits = model.forward(pool)
         order = np.argsort(logits)
         ob_neg = pool[order[:7]]
@@ -192,7 +194,8 @@ class TestTraining:
 
     def test_schema_mismatch(self, rng):
         with pytest.raises(dsc.DatasetSchemaError):
-            dsc.train_discriminator(rng.normal(size=(4, 8)), rng.normal(size=(4, 9)),
+            dsc.train_discriminator(rng.normal(size=(4, STATE_DIM)),
+                                    rng.normal(size=(4, DISC_INPUT_DIM)),
                                     dsc.DiscConfig(steps=1))
 
 
@@ -291,7 +294,7 @@ class TestPersistence:
         path = tmp_path / "disc.ckpt"
         model.save(path)
         loaded = dsc.DiscriminatorModel.load(path)
-        x = rng.normal(size=(10, 9))
+        x = rng.normal(size=(10, DISC_INPUT_DIM))
         assert np.array_equal(model.forward(x), loaded.forward(x))
         assert loaded.params._grads is None  # scoring allocates no gradients
 
@@ -309,5 +312,5 @@ class TestPersistence:
         checkpoint_parts.join(path, header, data)
         loaded = dsc.DiscriminatorModel.load(path)
         assert not hasattr(loaded, "class_prior")
-        x = rng.normal(size=(6, 9))
+        x = rng.normal(size=(6, DISC_INPUT_DIM))
         assert np.array_equal(loaded.forward(x), model.forward(x))

@@ -1,10 +1,12 @@
-"""The two-shard train step on worker processes: the same bytes as in
-process, no worker on one CPU or for a short training, and nothing left
-behind when a training fails."""
+"""The two-shard train step on forked worker processes: the same bytes as
+in process, one BLAS thread in each worker, no worker on one CPU or for a
+short training, and nothing left behind when a training fails."""
 
+import json
 import os
-import shutil
+import pickle
 import signal
+import subprocess
 import sys
 
 import numpy as np
@@ -20,7 +22,7 @@ ARCHS = {"full": tf.ARCH_FULL, "no-level": tf.ARCH_NO_LEVEL, "dt": tf.ARCH_DT,
 
 def small_data(seed=5, n=6, t=16):
     gen = np.random.Generator(np.random.PCG64(seed))
-    return tf.TrainingBatch(gen.normal(size=(n, t, 8)), gen.uniform(0, 5, (n, t)),
+    return tf.TrainingBatch(gen.normal(size=(n, t, tf.STATE_DIM)), gen.uniform(0, 5, (n, t)),
                             gen.normal(size=(n, t)), gen.integers(0, 2, (n, t)))
 
 
@@ -28,6 +30,14 @@ def small_config(**kw):
     return tf.ModelConfig(**{"d_model": 16, "n_layers": 2, "n_heads": 2, "context_steps": 16,
                              "bag_len": 8, "train_steps": 6, "batch_size": 4, "seed": 3,
                              **kw})
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps every process it forked."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -39,44 +49,37 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
-def workers(monkeypatch, tmp_path, cpus):
-    """Two CPUs, workers from step 1 on, the shared file in a directory of
-    the test's own; records the started processes, the directory's entries
-    as each one starts, and the files made and their sizes."""
+def workers(monkeypatch, cpus):
+    """Two CPUs and workers from step 1 on; records the workers started and
+    the sizes of the mappings made."""
     cpus(2)
     monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
-    shm = tmp_path / "shm"
-    shm.mkdir()
-    monkeypatch.setattr(sw, "_mapping_dirs", lambda: [str(shm)])
-    log = {"procs": [], "listings": [], "files": [], "sizes": [], "dir": shm}
-    popen, create = sw.subprocess.Popen, sw._create_mapping
+    log = {"workers": [], "sizes": []}
+    fork, new_mapping = sw.ShardWorkers._fork, sw.mmap.mmap
 
-    def recording_popen(*args, **kwargs):
-        log["procs"].append(popen(*args, **kwargs))
-        log["listings"].append(os.listdir(shm))
-        return log["procs"][-1]
+    def recording_fork(self, shard, step):
+        log["workers"].append(fork(self, shard, step))
+        return log["workers"][-1]
 
-    def recording_create(nbytes):
-        file, buf = create(nbytes)
-        log["files"].append(file)
-        log["sizes"].append(len(buf))
-        return file, buf
+    def recording_mapping(fileno, length):
+        log["sizes"].append(length)
+        return new_mapping(fileno, length)
 
-    monkeypatch.setattr(sw.subprocess, "Popen", recording_popen)
-    monkeypatch.setattr(sw, "_create_mapping", recording_create)
+    monkeypatch.setattr(sw.ShardWorkers, "_fork", recording_fork)
+    monkeypatch.setattr(sw.mmap, "mmap", recording_mapping)
     return log
 
 
 def assert_nothing_left(log, started=2):
-    """Every worker has exited and been reaped, the test process has no
-    child, the shared file is closed and its directory is empty."""
-    assert len(log["procs"]) == started and len(log["files"]) == 1
-    for proc in log["procs"]:
-        assert proc.returncode is not None
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert log["files"][0].closed
-    assert os.listdir(log["dir"]) == []
+    """Every worker started has been reaped and its pipes are closed."""
+    assert len(log["workers"]) == started
+    for worker in log["workers"]:
+        assert worker.code is not None
+        assert worker.requests.closed and worker.replies.closed
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def fail_at_step(monkeypatch, step, action):
@@ -84,52 +87,32 @@ def fail_at_step(monkeypatch, step, action):
     original = sw.ShardWorkers.step
     calls = []
 
-    def step_hook(self, values, shards):
+    def step_hook(self, shards):
         calls.append(1)
         if len(calls) == step:
             action(self)
-        return original(self, values, shards)
+        return original(self, shards)
 
     monkeypatch.setattr(sw.ShardWorkers, "step", step_hook)
 
 
 def kill_worker(shard):
     def action(pool):
-        os.kill(pool._procs[shard].pid, signal.SIGKILL)
+        os.kill(pool._workers[shard].pid, signal.SIGKILL)
     return action
 
 
-# a worker whose replies go wrong: ``cut`` writes the first half of a
-# reply's pickle and kills itself, ``garbled`` writes bytes that are no
-# pickle and waits for the next request
-BAD_REPLY = """
-import os, pickle, signal, sys
-from bagbid import shard_worker
-
-def bad_reply(out, message):
-    data = pickle.dumps(message)
-    out.write(data[:len(data) // 2] if sys.argv[1] == "cut" else b"no pickle")
-    out.flush()
-    if sys.argv[1] == "cut":
-        os.kill(os.getpid(), signal.SIGKILL)
-
-shard_worker._reply = bad_reply
-sys.exit(shard_worker.main())
-"""
-
-# a worker that raises after it has read 10 bytes of its setup message,
-# replies the error and exits
-SETUP_FAILS = """
-import sys
-from bagbid import shard_worker
-
-def failing_load(stream):
-    stream.read(10)
-    raise ValueError("setup read failed")
-
-shard_worker.pickle.load = failing_load
-sys.exit(shard_worker.main())
-"""
+def bad_reply(kind):
+    """A worker reply that goes wrong: ``cut`` writes the first half of the
+    reply's pickle and kills its worker, ``garbled`` writes bytes that are
+    no pickle and lets the worker wait for the next request."""
+    def reply(out, message):
+        data = pickle.dumps(message)
+        out.write(data[:len(data) // 2] if kind == "cut" else b"no pickle")
+        out.flush()
+        if kind == "cut":
+            os.kill(os.getpid(), signal.SIGKILL)
+    return reply
 
 
 def trained(data, config, arch, tmp_path, name):
@@ -137,6 +120,64 @@ def trained(data, config, arch, tmp_path, name):
     path = tmp_path / f"{name}.ckpt"
     tf.train_model(data, config, arch, log_rows=rows).save(path)
     return path.read_bytes(), rows
+
+
+# trains a default-size model on the workers and in process, in a process
+# whose OpenBLAS runs two threads; prints the parent's BLAS thread count
+# before and after, each worker step's BLAS thread count and its number of
+# OS threads, and whether both checkpoints and logged losses are the same
+# bytes
+TWO_BLAS_THREADS = """
+import json, os, sys
+import numpy as np
+from bagbid import shard_worker as sw, transformer as tf
+
+threads = sw.openblas_function("openblas_get_num_threads")
+os.sched_getaffinity = lambda pid: {0, 1}
+parent = os.getpid()
+report_in, report_out = os.pipe()
+shard_step = tf.shard_step
+
+def reporting_step(*args):
+    if os.getpid() != parent:
+        os.write(report_out, bytes([threads(), len(os.listdir("/proc/self/task"))]))
+    return shard_step(*args)
+
+tf.shard_step = reporting_step
+gen = np.random.Generator(np.random.PCG64(5))
+n, t = 8, 48
+data = tf.TrainingBatch(gen.normal(size=(n, t, tf.STATE_DIM)), gen.uniform(0, 5, (n, t)),
+                        gen.normal(size=(n, t)), gen.integers(0, 2, (n, t)))
+parent_threads = threads()
+runs = []
+for payback in (0.0, float("inf")):
+    tf.WORKER_PAYBACK_S = payback
+    rows = []
+    path = os.path.join(sys.argv[1], f"{payback}.ckpt")
+    tf.train_model(data, tf.ModelConfig(train_steps=4), log_rows=rows).save(path)
+    with open(path, "rb") as f:
+        runs.append((f.read(), rows))
+os.close(report_out)
+with os.fdopen(report_in, "rb") as f:
+    report = f.read()
+print(json.dumps({"parent_threads": [parent_threads, threads()],
+                  "worker_threads": list(report[::2]), "worker_tasks": list(report[1::2]),
+                  "same_bytes": runs[0] == runs[1]}))
+"""
+
+
+@pytest.fixture(scope="module")
+def two_blas_threads(tmp_path_factory):
+    if sw.blas_threads() is None:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tf.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", TWO_BLAS_THREADS,
+                          str(tmp_path_factory.mktemp("two-blas-threads"))],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(out.stdout)
+    assert result["parent_threads"] == [2, 2]
+    return result
 
 
 class TestSameBytes:
@@ -147,16 +188,16 @@ class TestSameBytes:
         lost at the switch."""
         data, config = small_data(), small_config()
         on_workers = trained(data, config, ARCHS[arch], tmp_path, "workers")
-        assert len(workers["procs"]) == 2
         assert_nothing_left(workers)
         monkeypatch.setattr(tf, "WORKER_PAYBACK_S", float("inf"))
         in_process = trained(data, config, ARCHS[arch], tmp_path, "in-process")
-        assert len(workers["procs"]) == 2
+        assert len(workers["workers"]) == 2
         assert on_workers == in_process
 
     def test_default_model(self, workers, tmp_path, monkeypatch):
         """The same at the default model size, whose GEMMs are large enough
-        for a multi-threaded BLAS in this process to split them."""
+        for a multi-threaded BLAS to split them (as it does in
+        ``test_two_blas_threads_in_the_parent``)."""
         data, config = small_data(n=8, t=48), tf.ModelConfig(train_steps=4)
         on_workers = trained(data, config, tf.ARCH_FULL, tmp_path, "workers")
         monkeypatch.setattr(tf, "WORKER_PAYBACK_S", float("inf"))
@@ -173,24 +214,44 @@ class TestSameBytes:
         assert on_workers == trained(data, config, tf.ARCH_FULL, tmp_path, "in-process")
         assert_nothing_left(workers)
 
+    def test_two_blas_threads_in_the_parent(self, two_blas_threads):
+        """The same at the default model size in a process whose OpenBLAS
+        runs two threads, its workers one each."""
+        assert two_blas_threads["same_bytes"]
+
+
+def test_worker_runs_one_blas_thread(two_blas_threads):
+    """Each worker step runs one BLAS thread, and no idle pool thread
+    beside it, while the parent runs two before and after the training."""
+    assert two_blas_threads["worker_threads"] == [1] * 6  # 2 workers, steps 1-3
+    assert two_blas_threads["worker_tasks"] == [1] * 6
+
 
 class TestWhenWorkersStart:
     @pytest.fixture
-    def no_popen(self, monkeypatch):
-        def popen(*args, **kwargs):
+    def no_fork(self, monkeypatch):
+        def fork():
             raise AssertionError("a worker was started")
-        monkeypatch.setattr(sw.subprocess, "Popen", popen)
+        monkeypatch.setattr(os, "fork", fork)
 
-    def test_one_cpu_starts_no_worker(self, cpus, monkeypatch, no_popen):
+    def test_one_cpu_starts_no_worker(self, cpus, monkeypatch, no_fork):
         cpus(1)
         monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
         tf.train_model(small_data(), small_config())
 
-    def test_short_training_stays_in_process(self, cpus, no_popen):
+    def test_no_blas_thread_count_starts_no_worker(self, cpus, monkeypatch, no_fork):
+        """Where this process's BLAS thread count cannot be set, training
+        stays in process."""
+        cpus(2)
+        monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
+        monkeypatch.setattr(tf, "blas_threads", lambda: None)
+        tf.train_model(small_data(), small_config())
+
+    def test_short_training_stays_in_process(self, cpus, no_fork):
         cpus(2)
         tf.train_model(small_data(), small_config(train_steps=5))
 
-    def test_single_step_starts_no_worker(self, cpus, monkeypatch, no_popen):
+    def test_single_step_starts_no_worker(self, cpus, monkeypatch, no_fork):
         cpus(2)
         monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
         tf.train_model(small_data(), small_config(train_steps=1))
@@ -207,7 +268,7 @@ class TestFailures:
 
     def test_nan_data_on_the_worker_path(self, workers):
         """A NaN row first sampled after step 0 makes the parent reject the
-        summed gradient; both workers stop and the file is closed."""
+        summed gradient; both workers stop and their pipes are closed."""
         config, data = small_config(), small_data()
         data.states[self.row_after_step_0(data, config), 3, 2] = np.nan
         with pytest.raises(nc.NonFiniteGradientError):
@@ -225,13 +286,26 @@ class TestFailures:
         assert_nothing_left(workers)
 
     def test_worker_that_fails_to_start(self, workers, monkeypatch):
-        """A worker that exits before it maps the shared file: the file is
-        closed all the same."""
-        monkeypatch.setattr(sys, "executable", shutil.which("false"))
-        with pytest.raises(sw.ShardWorkerError, match="training worker [01] exited with code 1"):
-            tf.train_model(small_data(), small_config())
-        assert_nothing_left(workers, started=len(workers["procs"]))
-        assert len(workers["procs"]) in (1, 2)
+        """A failing fork, of the first worker or of the second, stops the
+        worker already started and leaves no pipe open."""
+        fork = os.fork
+        for failing in range(2):
+            forks = []
+
+            def failing_fork():
+                forks.append(1)
+                if len(forks) == failing + 1:
+                    raise BlockingIOError(11, "Resource temporarily unavailable")
+                return fork()
+
+            monkeypatch.setattr(os, "fork", failing_fork)
+            fds = open_fds()
+            with pytest.raises(sw.ShardWorkerError,
+                               match=f"^cannot start training worker {failing}: "
+                                     ".*Resource temporarily unavailable$"):
+                tf.train_model(small_data(), small_config())
+            assert open_fds() == fds
+        assert_nothing_left(workers, started=1)
 
     def test_killed_worker(self, workers, monkeypatch):
         fail_at_step(monkeypatch, 2, kill_worker(1))
@@ -243,26 +317,10 @@ class TestFailures:
     def test_unreadable_reply(self, reply, workers, monkeypatch):
         """A reply that is cut off mid-pickle, or is no pickle, counts as
         the worker's exit; the parent kills a worker still running."""
-        popen = sw.subprocess.Popen
-        monkeypatch.setattr(sw.subprocess, "Popen", lambda args, **kwargs: popen(
-            [args[0], "-c", BAD_REPLY, reply], **kwargs))
+        monkeypatch.setattr(sw, "_reply", bad_reply(reply))
         with pytest.raises(sw.ShardWorkerError,
                            match="^training worker 0 exited with code -9$"):
             tf.train_model(small_data(), small_config())
-        assert_nothing_left(workers)
-
-    @pytest.mark.parametrize("rows, shard", [(6, "[01]"), (200, "0")])
-    def test_error_while_reading_the_setup(self, rows, shard, workers, monkeypatch):
-        """A worker that raises while it reads its setup names its error,
-        whether the setup fits the pipe (6 rows, 8.4 KB) or the worker
-        exits before the parent has written all of it (200 rows, 282 KB:
-        the parent's write fails, and it reads the reply left behind)."""
-        popen = sw.subprocess.Popen
-        monkeypatch.setattr(sw.subprocess, "Popen", lambda args, **kwargs: popen(
-            [args[0], "-c", SETUP_FAILS], **kwargs))
-        with pytest.raises(sw.ShardWorkerError, match=f"^training worker {shard} failed: "
-                                                      "ValueError: setup read failed$"):
-            tf.train_model(small_data(n=rows), small_config())
         assert_nothing_left(workers)
 
     def test_interrupt_stops_the_workers(self, workers, monkeypatch):
@@ -288,32 +346,11 @@ class TestFailures:
         assert_nothing_left(workers)
 
 
-def test_no_file_name_while_workers_run(workers, monkeypatch):
-    """The shared file has no entry in its directory from the start of the
-    first worker on, so a parent killed at any point leaves none behind."""
-    during_steps = []
-    fail_at_step(monkeypatch, 1, lambda pool: during_steps.append(os.listdir(workers["dir"])))
-    tf.train_model(small_data(), small_config())
-    assert workers["listings"] == [[], []] and during_steps == [[]]
-    assert_nothing_left(workers)
-
-
 def test_shared_file_holds_only_values_and_gradients(workers):
-    """The mapping holds the values and the two shards' gradients, exactly
-    3 x the number of parameters float64 values; the batch goes to each
-    worker once, in its setup message."""
+    """The shared mapping holds the values and the two shards' gradients,
+    exactly 3 x the number of parameters float64 values."""
     config = small_config()
     size = tf.TrajectoryTransformer(config, tf.ARCH_FULL).params.size
     tf.train_model(small_data(), config)
     assert workers["sizes"] == [3 * size * np.dtype(np.float64).itemsize]
     assert_nothing_left(workers)
-
-
-def test_shared_file_falls_back_to_the_next_directory(tmp_path, monkeypatch):
-    monkeypatch.setattr(sw, "_mapping_dirs", lambda: [str(tmp_path / "missing"),
-                                                      str(tmp_path)])
-    file, buf = sw._create_mapping(64)
-    with file, buf:
-        stat = os.fstat(file.fileno())
-        assert stat.st_dev == os.stat(tmp_path).st_dev and stat.st_nlink == 0
-        assert stat.st_size == len(buf) == 64
