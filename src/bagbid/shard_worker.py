@@ -1,9 +1,10 @@
 """Worker processes for the two shards of a train step.
 
 ``transformer.train_model`` splits every step's batch into two fixed
-shards.  Once training is long enough to pay for them, ``ShardWorkers``
-forks the training process twice, one worker per shard; a worker has the
-model and the batch from the fork.  Each step the parent writes the
+shards.  For a training of more than one step on at least two CPUs,
+``ShardWorkers`` forks the training process twice before step 0, one
+worker per shard; a worker has the model and the batch from the fork,
+and runs its shard of every step.  Each step the parent writes the
 current values into the shared mapping, sends each worker its shard's
 row indices and reads back its squared-error sums (one pickle each way),
 and adds the two gradients, which each worker leaves in its row of the

@@ -22,14 +22,13 @@ shards and adds the first shard's gradient of the whole batch's loss to
 the second's.  Each process holds one model: in process, both shards'
 backwards add into the trained model's one gradient arena; on the
 workers, each worker's copy of the model takes the current values and
-hands back its gradient.  Step 0 runs both shards in process; a training
-whose remaining steps would take ``WORKER_PAYBACK_S`` or more at step 0's
-pace, on a machine with at least two CPUs, runs the other steps' shards
-on two worker processes (``shard_worker``): forked copies of this
-process, each with one BLAS thread and no shared file.  Where the loaded
-BLAS's thread count cannot be set, training stays in process.  Either
-way the arithmetic is the same, so a run's bytes do not depend on where
-its shards run.
+hands back its gradient.  A training of more than one step, on a
+machine with at least two CPUs, runs every step's shards on two worker
+processes (``shard_worker``): copies of this process forked before step
+0, each with one BLAS thread and no shared file.  A single step, one CPU,
+or a loaded BLAS whose thread count cannot be set keeps training in
+process.  Either way the arithmetic is the same, so a run's bytes do not
+depend on where its shards run.
 
 Architecture switches cover the baselines and ablations: a plain
 return-conditioned transformer drops the return head and bag/level
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,14 +75,6 @@ RTG_SCALE = 30.0
 LR_WARMUP_FRAC = 0.05
 LR_FINAL_FRAC = 0.005
 ADAM_BETA2 = 0.99
-
-# Seconds of in-process training that the steps after step 0 must be
-# worth, at step 0's pace, before ``train_model`` moves them to two worker
-# processes: on a 2-vCPU x86 VM, forking the workers takes 3-7 ms and
-# their first step of a default model 60-85 ms (against 35-40 ms for
-# later steps), so short trainings (a handful of steps, or tiny models)
-# stay in-process.
-WORKER_PAYBACK_S = 1.0
 
 
 class ContextOverflowError(ValueError):
@@ -461,18 +451,18 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
     two fixed shards (``np.array_split(idx, 2)``).  The step's gradient is
     the first shard's gradient of the whole batch's loss (``shard_step``)
     plus the second's, and its logged losses are the two shards' squared-
-    error sums added and divided by the batch size.  Step 0 runs both
-    shards in this process on the one model: it zeroes the gradients once
-    and each shard's backward adds into them.  When it has at least two
-    CPUs, a BLAS whose thread count it can set, and the remaining steps,
-    at step 0's pace, would take ``WORKER_PAYBACK_S`` or more, the other
-    steps run each shard in a forked worker process
-    (``shard_worker.ShardWorkers``), which has the model and the batch
-    from the fork and gets each step the current values and its shard's
-    rows; this process adds the two gradients and takes the Adam step.
-    Every parameter gets one ``+=`` per shard, so ``(0 + g0) + g1`` in
-    process is ``g0 + g1`` from the workers bit for bit, and checkpoints
-    and logged losses are byte-identical wherever the shards run.
+    error sums added and divided by the batch size.  A training of more
+    than one step, with at least two CPUs and a BLAS whose thread count
+    it can set, forks two worker processes (``shard_worker.ShardWorkers``)
+    before step 0 and runs each step's shards on them: a worker has the
+    model and the batch from the fork and gets each step the current
+    values and its shard's rows; this process adds the two gradients and
+    takes the Adam step.  Otherwise both shards run in this process on
+    the one model: each step zeroes the gradients once and each shard's
+    backward adds into them.  Every parameter gets one ``+=`` per shard,
+    so ``(0 + g0) + g1`` in process is ``g0 + g1`` from the workers bit
+    for bit, and checkpoints and logged losses are byte-identical
+    wherever the shards run.
 
     ``log_rows``, when given, collects (step, rtg_loss, action_loss).
     """
@@ -482,8 +472,10 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
     b = min(config.batch_size, n)
     workers = None
     try:
+        if config.train_steps > 1 and _cpu_count() >= 2 and blas_threads() is not None:
+            workers = ShardWorkers(model.params,
+                                   lambda rows: shard_step(model, data, rows, b))
         for step in range(config.train_steps):
-            t0 = time.perf_counter()
             shards = np.array_split(rng.integers(0, n, size=b), 2)
             if workers is None:
                 model.params.zero_grad()
@@ -494,11 +486,6 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
             if log_rows is not None:
                 log_rows.append((step, (sums[0][0] + sums[1][0]) / b,
                                  (sums[0][1] + sums[1][1]) / b))
-            if (step == 0 and config.train_steps > 1 and _cpu_count() >= 2
-                    and (config.train_steps - 1) * (time.perf_counter() - t0)
-                    >= WORKER_PAYBACK_S and blas_threads() is not None):
-                workers = ShardWorkers(model.params,
-                                       lambda rows: shard_step(model, data, rows, b))
     finally:
         if workers is not None:
             workers.close()

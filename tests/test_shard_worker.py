@@ -1,6 +1,7 @@
-"""The two-shard train step on forked worker processes: the same bytes as
-in process, one BLAS thread in each worker, no worker on one CPU or for a
-short training, and nothing left behind when a training fails."""
+"""The two-shard train step on forked worker processes: every step of a
+training runs on them, with the same bytes as in process and one BLAS
+thread in each worker; no worker on one CPU or for a single step, and
+nothing left behind when a training fails."""
 
 import json
 import os
@@ -50,10 +51,9 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def workers(monkeypatch, cpus):
-    """Two CPUs and workers from step 1 on; records the workers started and
-    the sizes of the mappings made."""
+    """Two CPUs, so a training runs on workers; records the workers started
+    and the sizes of the mappings made."""
     cpus(2)
-    monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
     log = {"workers": [], "sizes": []}
     fork, new_mapping = sw.ShardWorkers._fork, sw.mmap.mmap
 
@@ -122,18 +122,17 @@ def trained(data, config, arch, tmp_path, name):
     return path.read_bytes(), rows
 
 
-# trains a default-size model on the workers and in process, in a process
-# whose OpenBLAS runs two threads; prints the parent's BLAS thread count
-# before and after, each worker step's BLAS thread count and its number of
-# OS threads, and whether both checkpoints and logged losses are the same
-# bytes
+# trains a default-size model on the workers (two CPUs) and in process (one
+# CPU), in a process whose OpenBLAS runs two threads; prints the parent's
+# BLAS thread count before and after, each worker step's BLAS thread count
+# and its number of OS threads, and whether both checkpoints and logged
+# losses are the same bytes
 TWO_BLAS_THREADS = """
 import json, os, sys
 import numpy as np
 from bagbid import shard_worker as sw, transformer as tf
 
 threads = sw.openblas_function("openblas_get_num_threads")
-os.sched_getaffinity = lambda pid: {0, 1}
 parent = os.getpid()
 report_in, report_out = os.pipe()
 shard_step = tf.shard_step
@@ -150,10 +149,10 @@ data = tf.TrainingBatch(gen.normal(size=(n, t, tf.STATE_DIM)), gen.uniform(0, 5,
                         gen.normal(size=(n, t)), gen.integers(0, 2, (n, t)))
 parent_threads = threads()
 runs = []
-for payback in (0.0, float("inf")):
-    tf.WORKER_PAYBACK_S = payback
+for cpus in ({0, 1}, {0}):
+    os.sched_getaffinity = lambda pid, cpus=cpus: cpus
     rows = []
-    path = os.path.join(sys.argv[1], f"{payback}.ckpt")
+    path = os.path.join(sys.argv[1], f"{len(cpus)}-cpus.ckpt")
     tf.train_model(data, tf.ModelConfig(train_steps=4), log_rows=rows).save(path)
     with open(path, "rb") as f:
         runs.append((f.read(), rows))
@@ -182,35 +181,34 @@ def two_blas_threads(tmp_path_factory):
 
 class TestSameBytes:
     @pytest.mark.parametrize("arch", ARCHS)
-    def test_worker_path_matches_in_process_path(self, arch, workers, tmp_path, monkeypatch):
-        """Checkpoint and logged losses are byte-identical whether steps
-        1.. run on the workers or in process; this catches Adam moments
-        lost at the switch."""
+    def test_worker_path_matches_in_process_path(self, arch, workers, cpus, tmp_path):
+        """Checkpoint and logged losses are byte-identical whether the
+        steps run on the workers (two CPUs) or in process (one CPU)."""
         data, config = small_data(), small_config()
         on_workers = trained(data, config, ARCHS[arch], tmp_path, "workers")
         assert_nothing_left(workers)
-        monkeypatch.setattr(tf, "WORKER_PAYBACK_S", float("inf"))
+        cpus(1)
         in_process = trained(data, config, ARCHS[arch], tmp_path, "in-process")
         assert len(workers["workers"]) == 2
         assert on_workers == in_process
 
-    def test_default_model(self, workers, tmp_path, monkeypatch):
+    def test_default_model(self, workers, cpus, tmp_path):
         """The same at the default model size, whose GEMMs are large enough
         for a multi-threaded BLAS to split them (as it does in
         ``test_two_blas_threads_in_the_parent``)."""
         data, config = small_data(n=8, t=48), tf.ModelConfig(train_steps=4)
         on_workers = trained(data, config, tf.ARCH_FULL, tmp_path, "workers")
-        monkeypatch.setattr(tf, "WORKER_PAYBACK_S", float("inf"))
+        cpus(1)
         assert on_workers == trained(data, config, tf.ARCH_FULL, tmp_path, "in-process")
         assert_nothing_left(workers)
 
     @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_uneven_and_empty_shards(self, batch_size, workers, tmp_path, monkeypatch):
+    def test_uneven_and_empty_shards(self, batch_size, workers, cpus, tmp_path):
         """A batch of 3 splits into shards of 2 and 1; a batch of 1 leaves
         the second shard empty, with a zero gradient."""
         data, config = small_data(), small_config(batch_size=batch_size)
         on_workers = trained(data, config, tf.ARCH_FULL, tmp_path, "workers")
-        monkeypatch.setattr(tf, "WORKER_PAYBACK_S", float("inf"))
+        cpus(1)
         assert on_workers == trained(data, config, tf.ARCH_FULL, tmp_path, "in-process")
         assert_nothing_left(workers)
 
@@ -223,8 +221,8 @@ class TestSameBytes:
 def test_worker_runs_one_blas_thread(two_blas_threads):
     """Each worker step runs one BLAS thread, and no idle pool thread
     beside it, while the parent runs two before and after the training."""
-    assert two_blas_threads["worker_threads"] == [1] * 6  # 2 workers, steps 1-3
-    assert two_blas_threads["worker_tasks"] == [1] * 6
+    assert two_blas_threads["worker_threads"] == [1] * 8  # 2 workers, steps 0-3
+    assert two_blas_threads["worker_tasks"] == [1] * 8
 
 
 class TestWhenWorkersStart:
@@ -234,43 +232,56 @@ class TestWhenWorkersStart:
             raise AssertionError("a worker was started")
         monkeypatch.setattr(os, "fork", fork)
 
-    def test_one_cpu_starts_no_worker(self, cpus, monkeypatch, no_fork):
+    def test_every_step_runs_on_the_workers(self, workers, monkeypatch):
+        """With two CPUs, a 2-step training forks both workers before its
+        first Adam step, and this process runs no shard of any step."""
+        forked_at_adam = []
+        adam_step, shard_step = nc.adam_step, tf.shard_step
+        report_in, report_out = os.pipe()
+
+        def recording_adam_step(*args, **kwargs):
+            forked_at_adam.append(len(workers["workers"]))
+            return adam_step(*args, **kwargs)
+
+        def reporting_step(*args):
+            os.write(report_out, b"%d\n" % os.getpid())
+            return shard_step(*args)
+
+        monkeypatch.setattr(nc, "adam_step", recording_adam_step)
+        monkeypatch.setattr(tf, "shard_step", reporting_step)
+        try:
+            tf.train_model(small_data(), small_config(train_steps=2))
+        finally:
+            os.close(report_out)
+        with os.fdopen(report_in, "rb") as f:
+            pids = [int(pid) for pid in f.read().split()]
+        assert forked_at_adam == [2, 2]
+        assert sorted(pids) == sorted(2 * [worker.pid for worker in workers["workers"]])
+        assert os.getpid() not in pids
+        assert_nothing_left(workers)
+
+    def test_one_cpu_starts_no_worker(self, cpus, no_fork):
         cpus(1)
-        monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
         tf.train_model(small_data(), small_config())
 
     def test_no_blas_thread_count_starts_no_worker(self, cpus, monkeypatch, no_fork):
         """Where this process's BLAS thread count cannot be set, training
         stays in process."""
         cpus(2)
-        monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
         monkeypatch.setattr(tf, "blas_threads", lambda: None)
         tf.train_model(small_data(), small_config())
 
-    def test_short_training_stays_in_process(self, cpus, no_fork):
+    def test_single_step_starts_no_worker(self, cpus, no_fork):
         cpus(2)
-        tf.train_model(small_data(), small_config(train_steps=5))
-
-    def test_single_step_starts_no_worker(self, cpus, monkeypatch, no_fork):
-        cpus(2)
-        monkeypatch.setattr(tf, "WORKER_PAYBACK_S", 0.0)
         tf.train_model(small_data(), small_config(train_steps=1))
 
 
 class TestFailures:
-    @staticmethod
-    def row_after_step_0(data, config):
-        """A row that step 1 samples and step 0 does not."""
-        gen = np.random.Generator(np.random.PCG64(config.seed + 7919))
-        first = set(gen.integers(0, data.size, size=config.batch_size).tolist())
-        later = set(gen.integers(0, data.size, size=config.batch_size).tolist())
-        return min(later - first)
-
     def test_nan_data_on_the_worker_path(self, workers):
-        """A NaN row first sampled after step 0 makes the parent reject the
-        summed gradient; both workers stop and their pipes are closed."""
+        """A NaN in the data makes the parent reject the summed gradient;
+        both workers stop and their pipes are closed."""
         config, data = small_config(), small_data()
-        data.states[self.row_after_step_0(data, config), 3, 2] = np.nan
+        data.states[:, 3, 2] = np.nan
         with pytest.raises(nc.NonFiniteGradientError):
             tf.train_model(data, config)
         assert_nothing_left(workers)
@@ -279,7 +290,7 @@ class TestFailures:
         """An expert level out of range raises in the worker that reads it;
         the parent raises its message."""
         config, data = small_config(), small_data()
-        data.levels[self.row_after_step_0(data, config), 5] = config.k_levels
+        data.levels[:, 5] = config.k_levels
         with pytest.raises(sw.ShardWorkerError, match="training worker [01] failed: "
                                                       "ShapeError: embedding index out of range"):
             tf.train_model(data, config)
