@@ -7,16 +7,19 @@ caches what its backward needs and training is bitwise deterministic for
 a fixed seed.
 
 A ``ParameterSet`` keeps every parameter in one arena: one flat float64
-buffer of values and one of gradients, each allocated by the set at its
-final size on its first use (so a loaded model that only runs has no
-gradients), with each ``Parameter.value`` and ``.grad`` a view into them.
-So copying a model's values or gradients in or out, ``zero_grad`` and the
-finiteness check are one call each, and ``adam_step`` runs a few ufuncs
-over fixed-size slices of the arena into one slice of preallocated
-scratch, which gives bitwise the per-parameter update.  Parameters are
-only updated in place; binding another array to one raises.  The Adam
-moments are allocated at the first step, so a loaded model does not carry
-them.
+buffer of values and one of gradients, each allocated at its final size
+on its first use (so a loaded model that only runs has no gradients),
+with each ``Parameter.value`` and ``.grad`` a view into them.  So copying
+a model's values or gradients in or out, ``zero_grad`` and the finiteness
+check are one call each, and ``adam_step`` runs a few ufuncs over
+fixed-size slices of the arena into one slice of preallocated scratch,
+which gives bitwise the per-parameter update.  Parameters are only
+updated in place; binding another array to one raises.  The Adam moments
+are allocated at the first step, so a loaded model does not carry them.
+Parameters refer to the buffers and not to their set, and the buffers
+refer to no parameter, so no model holds a reference cycle: a model and
+its arena are freed as soon as the last reference to the model goes,
+with no cyclic garbage collection involved.
 
 The ops are written to make few passes over memory.  Affine ops run one
 2-D GEMM over the flattened leading dims.  Causal attention keeps
@@ -99,22 +102,54 @@ class ShapeError(ValueError):
     pass
 
 
+class _Buffers:
+    """The value and gradient buffers of one ``ParameterSet``: their size,
+    the initial values by offset until the value buffer exists, and each
+    buffer once it does.  It refers to no ``Parameter``, so the parameters
+    that refer to it make no reference cycle."""
+
+    __slots__ = ("size", "init", "values", "grads")
+
+    def __init__(self):
+        self.size = 0
+        self.init: dict[int, np.ndarray] = {}
+        self.values = self.grads = None
+
+    def value_buffer(self) -> np.ndarray:
+        if self.values is None:
+            self.values = np.zeros(self.size)
+            for offset, value in self.init.items():
+                self.values[offset:offset + value.size] = value.reshape(-1)
+            self.init = None
+        return self.values
+
+    def grad_buffer(self) -> np.ndarray:
+        if self.grads is None:
+            self.grads = np.zeros(self.size)
+        return self.grads
+
+
 class Parameter:
-    """A value and its gradient, both views into the arenas of the
-    ``ParameterSet`` that made it.  A parameter is only ever updated in
-    place: ``p.value[...] = x`` and ``p.grad += g`` work, while binding
-    another array to ``value`` or ``grad`` raises ``AttributeError``."""
+    """A value and its gradient, both views into the buffers of the
+    ``ParameterSet`` that made it, each taken on its first use.  A
+    parameter refers to those buffers and not to its set, so a layer whose
+    set is gone still runs.  A parameter is only ever updated in place:
+    ``p.value[...] = x`` and ``p.grad += g`` work, while binding another
+    array to ``value`` or ``grad`` raises ``AttributeError``."""
 
-    __slots__ = ("_owner", "_value", "_grad")
+    __slots__ = ("_buffers", "_offset", "_shape", "_value", "_grad")
 
-    def __init__(self, owner: "ParameterSet"):
-        self._owner = owner
+    def __init__(self, buffers: _Buffers, offset: int, shape: tuple):
+        self._buffers, self._offset, self._shape = buffers, offset, shape
         self._value = self._grad = None
+
+    def _view(self, buf: np.ndarray) -> np.ndarray:
+        return buf[self._offset:self._offset + math.prod(self._shape)].reshape(self._shape)
 
     @property
     def value(self) -> np.ndarray:
         if self._value is None:
-            self._owner._allocate_values()
+            self._value = self._view(self._buffers.value_buffer())
         return self._value
 
     @value.setter
@@ -126,7 +161,7 @@ class Parameter:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._owner._allocate_grads()
+            self._grad = self._view(self._buffers.grad_buffer())
         return self._grad
 
     @grad.setter
@@ -148,19 +183,17 @@ class ParameterSet:
     values when a value or ``values`` is, the gradients when a gradient
     or ``grads`` is), and no parameter can be added after that.  So a
     model that is only loaded and run never allocates gradients.  The set
-    owns both buffers; a caller that shares values or gradients with
-    another set copies them into or out of ``values`` and ``grads``.  The
-    two Adam moments are allocated at the first ``adam_step``.
+    keeps the names and the Adam state; the buffers are held by a holder
+    that the set and each parameter refer to and that refers to neither,
+    so a model is freed as soon as its last reference goes, without the
+    cyclic garbage collector.  A caller that shares values or gradients
+    with another set copies them into or out of ``values`` and ``grads``.
+    The two Adam moments are allocated at the first ``adam_step``.
     """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
-        # (offset, shape) of every parameter
-        self._layout: dict[Parameter, tuple] = {}
-        # initial values, until the value buffer exists
-        self._init: dict[Parameter, np.ndarray] = {}
-        self._size = 0
-        self._values = self._grads = None
+        self._buffers = _Buffers()
         self.adam_m = self.adam_v = None
         self._adam_scratch = None
         self.adam_t = 0
@@ -168,36 +201,19 @@ class ParameterSet:
     def add(self, name: str, value=None, *, shape=None) -> Parameter:
         """Name a new region holding a copy of ``value``, or zeros of
         ``shape``."""
-        if self._values is not None or self._grads is not None:
+        buffers = self._buffers
+        if buffers.values is not None or buffers.grads is not None:
             raise ValueError("parameters cannot be added once the arena is in use")
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         if value is not None:
             value = np.array(value, dtype=np.float64)
             shape = value.shape
+            buffers.init[buffers.size] = value
         shape = tuple(shape)
-        p = self._params[name] = Parameter(self)
-        self._layout[p] = (self._size, shape)
-        self._size += math.prod(shape)
-        if value is not None:
-            self._init[p] = value
+        p = self._params[name] = Parameter(buffers, buffers.size, shape)
+        buffers.size += math.prod(shape)
         return p
-
-    def _lay_out(self, buf: np.ndarray, slot: str) -> np.ndarray:
-        for p, (offset, shape) in self._layout.items():
-            setattr(p, slot, buf[offset:offset + math.prod(shape)].reshape(shape))
-            if p._value is not None and p._grad is not None:
-                p._owner = None  # nothing left to allocate: no reference cycle
-        return buf
-
-    def _allocate_values(self):
-        self._values = self._lay_out(np.zeros(self._size), "_value")
-        for p, value in self._init.items():
-            p._value[...] = value
-        self._init = {}
-
-    def _allocate_grads(self):
-        self._grads = self._lay_out(np.zeros(self._size), "_grad")
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -210,22 +226,18 @@ class ParameterSet:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._allocate_values()
-        return self._values
+        return self._buffers.value_buffer()
 
     @property
     def grads(self) -> np.ndarray:
-        if self._grads is None:
-            self._allocate_grads()
-        return self._grads
+        return self._buffers.grad_buffer()
 
     def zero_grad(self):
         self.grads.fill(0.0)
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._buffers.size
 
     def load_records(self, records: dict, path):
         """Copy the parameter arrays of a checkpoint (``read_checkpoint``)

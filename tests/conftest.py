@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -267,6 +268,19 @@ def grad_check():
 @pytest.fixture
 def assert_in_arena():
     return _assert_in_arena
+
+
+@pytest.fixture
+def without_gc():
+    """The cyclic garbage collector stays off for the test, so whatever the
+    test sees freed was freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

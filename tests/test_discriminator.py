@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -296,7 +297,18 @@ class TestPersistence:
         loaded = dsc.DiscriminatorModel.load(path)
         x = rng.normal(size=(10, DISC_INPUT_DIM))
         assert np.array_equal(model.forward(x), loaded.forward(x))
-        assert loaded.params._grads is None  # scoring allocates no gradients
+        assert loaded.params._buffers.grads is None  # scoring allocates no gradients
+
+    def test_loaded_model_freed_by_refcount(self, rng, tmp_path, without_gc):
+        """A loaded model that has scored goes with its last reference, with
+        the cyclic garbage collector off."""
+        path = tmp_path / "disc.ckpt"
+        dsc.DiscriminatorModel(hidden=8, seed=1).save(path)
+        loaded = dsc.DiscriminatorModel.load(path)
+        values = weakref.ref(loaded.params.values)
+        loaded.forward(rng.normal(size=(10, DISC_INPUT_DIM)))
+        del loaded
+        assert values() is None
 
     def test_loads_checkpoint_with_class_prior_in_meta(self, rng, tmp_path,
                                                       checkpoint_parts):

@@ -623,7 +623,7 @@ class TestArena:
         states, rtgs = r.normal(0.5, 0.3, (2, t, 8)), r.uniform(0.0, 1.0, (2, t))
         actions, levels = r.uniform(0.0, 5.0, (2, t)), r.integers(0, 2, (2, t))
         rtg_pred, act_pred = loaded.forward(states, rtgs, actions, levels)
-        assert loaded.params._grads is None
+        assert loaded.params._buffers.grads is None
         assert all(p._grad is None for _, p in loaded.params.items())
         loaded.backward(*tf.loss_grads(rtg_pred, act_pred, rtgs, actions))
         assert_in_arena(loaded.params)
@@ -653,6 +653,17 @@ class TestArena:
             p.grad = np.zeros(3)
         with pytest.raises(ValueError, match="in use"):
             ps.add("late", np.ones(1))
+
+    def test_layer_outlives_its_set(self, gen):
+        """A layer whose set is gone keeps its parameters and their buffers,
+        and runs forward and backward."""
+        layer = nc.Affine(nc.ParameterSet(), "fc", 2, 3, gen)
+        x = gen.normal(size=(4, 2))
+        y = layer.forward(x)
+        assert np.array_equal(y, x @ layer.w.value + layer.b.value)
+        dy = gen.normal(size=y.shape)
+        assert np.allclose(layer.backward(dy), dy @ layer.w.value.T)
+        assert np.allclose(layer.w.grad, x.T @ dy) and np.allclose(layer.b.grad, dy.sum(axis=0))
 
     def test_adam_matches_per_parameter_reference(self, adam_matches_reference):
         model = tf.TrajectoryTransformer(tf.ModelConfig())

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -16,6 +17,16 @@ from bagbid.expert import ROS_SLACK, solve_multipliers
 from bagbid.market import OpportunityStream, run_episodes
 from bagbid.trajectory import load_jsonl, save_jsonl
 from bagbid.transformer import RTG_SCALE
+
+
+def _read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _manifest(exp):
+    with open(exp.manifest_path) as f:
+        return json.load(f)
 
 
 def test_normalize_method_aliases():
@@ -67,7 +78,7 @@ class TestGenData:
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
         pl.cmd_gen_expert(exp)
-        manifest = json.load(open(exp.manifest_path))
+        manifest = _manifest(exp)
         assert manifest["counts"]["offline"] == len(load_jsonl(exp.offline_path))
         assert manifest["counts"]["expert"] == len(load_jsonl(exp.expert_path))
         assert manifest["counts"]["offline"] == (
@@ -77,9 +88,9 @@ class TestGenData:
     def test_regeneration_identical_files(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        h1 = json.load(open(exp.manifest_path))["sha256"]["offline"]
+        h1 = _manifest(exp)["sha256"]["offline"]
         pl.cmd_gen_data(exp)
-        h2 = json.load(open(exp.manifest_path))["sha256"]["offline"]
+        h2 = _manifest(exp)["sha256"]["offline"]
         assert h1 == h2
 
     @pytest.mark.parametrize("mix", [(0.0, 0.0, 1.0), (0.3, 0.3, 0.4)],
@@ -117,7 +128,7 @@ class TestGenData:
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
         pl.cmd_gen_expert(exp)
-        fast = [open(path, "rb").read() for path in (exp.offline_path, exp.expert_path)]
+        fast = _dataset_bytes(exp)
 
         calls = {"step_scan": 0, "solve_multipliers": 0}
 
@@ -142,7 +153,7 @@ class TestGenData:
         pl.cmd_gen_data(exp)
         pl.cmd_gen_expert(exp)
         assert calls["step_scan"] > 0 and calls["solve_multipliers"] > 0
-        assert fast == [open(path, "rb").read() for path in (exp.offline_path, exp.expert_path)]
+        assert fast == _dataset_bytes(exp)
 
     def test_expert_flagged_and_feasible(self, tiny_experiment):
         exp = tiny_experiment
@@ -177,7 +188,7 @@ _BOTH_ORDERS = pytest.mark.parametrize(
 
 
 def _dataset_bytes(exp):
-    return [open(path, "rb").read() for path in (exp.offline_path, exp.expert_path)]
+    return [_read_bytes(path) for path in (exp.offline_path, exp.expert_path)]
 
 
 class TestDayHandOff:
@@ -245,10 +256,10 @@ class TestDayHandOff:
         del stream_seeds[:]
         pl.cmd_gen_expert(other)
         assert stream_seeds == pl.train_seeds(other)
-        handed = open(other.expert_path, "rb").read()
+        handed = _read_bytes(other.expert_path)
         pl.release_days()
         pl.cmd_gen_expert(other)
-        assert handed == open(other.expert_path, "rb").read()
+        assert handed == _read_bytes(other.expert_path)
 
     @pytest.mark.parametrize("stage", ["gen-data", "gen-expert"])
     def test_rerun_stage_rebuilds_its_days(self, tiny_experiment, stream_seeds, stage):
@@ -412,6 +423,27 @@ class TestTrainEval:
         pl.cmd_train(exp, "ebaret")
         with open(exp.ckpt_path("ebaret"), "rb") as f:
             assert f.read() == first
+
+    def test_eval_and_prep_leave_no_model_garbage(self, ready):
+        """The models that eval and prep load are freed by reference
+        counting: of every object the cyclic collector finds while they
+        run, or just after, none is a parameter or a parameter set."""
+        exp = ready
+        pl.cmd_train_disc(exp)
+        pl.cmd_train(exp, "ebaret")
+        gc.collect()
+        debug = gc.get_debug()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        try:
+            pl.cmd_eval(exp, "ebaret")
+            pl.cmd_prep(exp)
+            gc.collect()
+            models = [type(o).__name__ for o in gc.garbage
+                      if isinstance(o, (nc.Parameter, nc.ParameterSet))]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+        assert models == []
 
     def test_eval_report_and_metrics(self, ready):
         exp = ready

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -519,6 +520,28 @@ class TestInference:
         expected = max((20.0 - traj.rewards[0]) / tf.RTG_SCALE, 0.0)
         assert ep.rtgs[0, 1] == pytest.approx(expected)
 
+
+
+class TestFreedByRefcount:
+    """A model's value arena goes with the model's last reference, with the
+    cyclic garbage collector off."""
+
+    def test_loaded_model_after_rollout(self, tmp_path, small_config, constraints,
+                                        without_gc):
+        cfg = tf.ModelConfig(d_model=16, n_layers=1, n_heads=2,
+                             context_steps=small_config.steps_per_episode, bag_len=8, seed=0)
+        tf.TrajectoryTransformer(cfg).save(tmp_path / "m.ckpt")
+        model = tf.TrajectoryTransformer.load(tmp_path / "m.ckpt")
+        values = weakref.ref(model.params.values)
+        _roll(tf.make_inference_policy(model, small_config.a_max), small_config, constraints)
+        del model
+        assert values() is None
+
+    def test_model_never_run(self, tiny_cfg, without_gc):
+        model = tf.TrajectoryTransformer(tiny_cfg)
+        values = weakref.ref(model.params.values)
+        del model
+        assert values() is None
 
 class TestLrSchedule:
     def test_warmup_and_decay(self):
