@@ -11,11 +11,17 @@ buffer of values and one of gradients, each allocated at its final size
 on its first use (so a loaded model that only runs has no gradients),
 with each ``Parameter.value`` and ``.grad`` a view into them.  So copying
 a model's values or gradients in or out, ``zero_grad`` and the finiteness
-check are one call each, and ``adam_step`` runs a few ufuncs over
-fixed-size slices of the arena into one slice of preallocated scratch,
-which gives bitwise the per-parameter update.  Parameters are only
-updated in place; binding another array to one raises.  The Adam moments
-are allocated at the first step, so a loaded model does not carry them.
+check are one call each.  ``ParameterSet.place`` moves either buffer into
+an array the caller gives, such as a row of a mapping shared with other
+processes, and the parameters take their views of it again.  Adam is one
+region function, ``adam_region``: it updates the elements ``[lo, hi)``
+of the arena with a few ufuncs over fixed-size slices, into one slice of
+preallocated scratch, which gives bitwise the per-parameter update
+however the arena is cut.  ``adam_step`` runs it over the whole arena;
+the training workers (``shard_worker``) run it over one half each.
+Parameters are only updated in place; binding another array to one
+raises.  The Adam state is allocated at the first step, so a loaded
+model does not carry it.
 Parameters refer to the buffers and not to their set, and the buffers
 refer to no parameter, so no model holds a reference cycle: a model and
 its arena are freed as soon as the last reference to the model goes,
@@ -117,16 +123,28 @@ class _Buffers:
 
     def value_buffer(self) -> np.ndarray:
         if self.values is None:
-            self.values = np.zeros(self.size)
-            for offset, value in self.init.items():
-                self.values[offset:offset + value.size] = value.reshape(-1)
-            self.init = None
+            self.place("values", np.zeros(self.size))
         return self.values
 
     def grad_buffer(self) -> np.ndarray:
         if self.grads is None:
             self.grads = np.zeros(self.size)
         return self.grads
+
+    def place(self, kind: str, buf: np.ndarray):
+        """Make ``buf`` the ``"values"`` or ``"grads"`` buffer, holding
+        what that buffer holds: its contents once it exists; before, the
+        initial values, or zero gradients."""
+        current = getattr(self, kind)
+        if current is not None:
+            buf[...] = current
+        else:
+            buf.fill(0.0)
+            if kind == "values":
+                for offset, value in self.init.items():
+                    buf[offset:offset + value.size] = value.reshape(-1)
+                self.init = None
+        setattr(self, kind, buf)
 
 
 class Parameter:
@@ -187,16 +205,16 @@ class ParameterSet:
     that the set and each parameter refer to and that refers to neither,
     so a model is freed as soon as its last reference goes, without the
     cyclic garbage collector.  A caller that shares values or gradients
-    with another set copies them into or out of ``values`` and ``grads``.
-    The two Adam moments are allocated at the first ``adam_step``.
+    with another process places the buffer in memory it gives (``place``);
+    one that shares them with another set copies them into or out of
+    ``values`` and ``grads``.  The Adam state (``adam``) is allocated at
+    the first ``adam_step``.
     """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
         self._buffers = _Buffers()
-        self.adam_m = self.adam_v = None
-        self._adam_scratch = None
-        self.adam_t = 0
+        self.adam: AdamState | None = None
 
     def add(self, name: str, value=None, *, shape=None) -> Parameter:
         """Name a new region holding a copy of ``value``, or zeros of
@@ -234,6 +252,28 @@ class ParameterSet:
 
     def zero_grad(self):
         self.grads.fill(0.0)
+
+    def place(self, kind: str, buf: np.ndarray):
+        """Move the ``"values"`` or ``"grads"`` buffer into ``buf``, a
+        float64 array of ``size`` elements that the caller gives (a row of
+        a shared mapping, say).  ``buf`` takes the buffer's contents (the
+        initial values, or zero gradients, if it was never used) and each
+        parameter takes its views of it again."""
+        self._buffers.place(kind, buf)
+        view = "_value" if kind == "values" else "_grad"
+        for p in self._params.values():
+            setattr(p, view, None)
+
+    def check_finite(self, grads: np.ndarray, lo: int = 0):
+        """Raise ``NonFiniteGradientError``, naming the parameter of the
+        first non-finite element, if ``grads``, the gradient of the
+        elements from ``lo`` on, holds a NaN or an infinity."""
+        finite = np.isfinite(grads)
+        if not finite.all():
+            first = lo + int(np.argmin(finite))
+            name = next(n for n, p in self._params.items()
+                        if first < p._offset + math.prod(p._shape))
+            raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
 
     @property
     def size(self) -> int:
@@ -288,33 +328,54 @@ def read_checkpoint(path, kind: str | None = None) -> tuple[dict, dict]:
 ADAM_CHUNK = 16384
 
 
+class AdamState:
+    """Adam's state for the elements ``[lo, hi)`` of an arena: the two
+    moments, the step count and the two scratch buffers of one slice."""
+
+    __slots__ = ("lo", "hi", "m", "v", "t", "scratch")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+        self.m, self.v = np.zeros(hi - lo), np.zeros(hi - lo)
+        self.t = 0
+        n = min(hi - lo, ADAM_CHUNK)
+        self.scratch = np.empty(n), np.empty(n)
+
+
 def adam_step(params: ParameterSet, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update over the whole arena.
 
     Rejects the whole step (raises, no state mutated) when any gradient is
-    non-finite.  The arena is updated in slices of ``ADAM_CHUNK``
-    elements.  Each line of the loop is one elementwise op on a slice,
-    written into preallocated scratch, in the order of the per-parameter
-    formula ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+    non-finite."""
+    grads = params.grads
+    params.check_finite(grads)
+    if params.adam is None:
+        params.adam = AdamState(0, params.size)
+    adam_region(params.values, grads, params.adam, lr, beta1, beta2, eps)
+
+
+def adam_region(values: np.ndarray, grads: np.ndarray, state: AdamState, lr,
+                beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step of the region ``[state.lo, state.hi)`` of the arena
+    ``values``, from ``grads``, that region's finite gradient.
+
+    The region is updated in slices of ``ADAM_CHUNK`` elements.  Each line
+    of the loop is one elementwise op on a slice, written into the
+    state's scratch, in the order of the per-parameter formula
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
     ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is
-    bitwise that of updating each parameter on its own.
+    bitwise that of updating each parameter on its own, however the arena
+    is cut into regions.
     """
-    g_all = params.grads
-    if not np.isfinite(g_all).all():
-        name = next(n for n, p in params.items() if not np.isfinite(p.grad).all())
-        raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
-    if params.adam_m is None:
-        params.adam_m, params.adam_v = np.zeros(g_all.size), np.zeros(g_all.size)
-        n = min(g_all.size, ADAM_CHUNK)
-        params._adam_scratch = np.empty(n), np.empty(n)
-    params.adam_t += 1
-    t = params.adam_t
+    state.t += 1
+    t = state.t
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for lo in range(0, g_all.size, ADAM_CHUNK):
+    w_all = values[state.lo:state.hi]
+    for lo in range(0, grads.size, ADAM_CHUNK):
         part = slice(lo, lo + ADAM_CHUNK)
-        g, m, v, w = g_all[part], params.adam_m[part], params.adam_v[part], params.values[part]
-        s, u = (buf[:g.size] for buf in params._adam_scratch)
+        g, m, v, w = grads[part], state.m[part], state.v[part], w_all[part]
+        s, u = (buf[:g.size] for buf in state.scratch)
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=s)
         m += s

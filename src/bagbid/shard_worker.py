@@ -4,12 +4,31 @@
 shards.  For a training of more than one step on at least two CPUs,
 ``ShardWorkers`` forks the training process twice before step 0, one
 worker per shard; a worker has the model and the batch from the fork,
-and runs its shard of every step.  Each step the parent writes the
-current values into the shared mapping, sends each worker its shard's
-row indices and reads back its squared-error sums (one pickle each way),
-and adds the two gradients, which each worker leaves in its row of the
-mapping: one anonymous shared (3, number of parameters) float64 array,
-made before the fork, that no file backs and no model aliases.
+and runs its shard and half of the Adam update of every step.
+
+The parent and the workers share one anonymous mapping, made before the
+fork, that no file backs: a (3, number of parameters) float64 array.
+Row 0 is the model's value buffer, which ``ShardWorkers`` moves there
+before it forks (``ParameterSet.place``), so the parent and both workers
+read one arena.  Rows 1 and 2 are the two workers' gradient buffers,
+each placed in its worker after the fork.  So the parent allocates no
+gradients and no Adam state, and the trained values stay in the
+mapping.  A step is two messages to each worker, one pickle each way:
+
+1. the shard's row indices: the worker zeroes its gradient row, runs
+   its shard into it and replies its squared-error sums;
+2. the step's learning rate: the worker adds the two gradient rows over
+   its half of the arena (worker 0 the first ``size // 2`` elements,
+   worker 1 the rest) into a buffer of its own, checks the sum, and runs
+   ``nncore.adam_region`` on that half of the values with the Adam
+   moments of that half, which live in the worker; it replies None.
+
+The parent waits for both replies to each message, so no worker writes
+values while the other reads them.  Each element gets the additions and
+the Adam ops of the in-process step, so the bytes do not depend on where
+the step runs.  A non-finite sum makes the worker reply the
+``NonFiniteGradientError`` of the in-process ``adam_step``, naming the
+first non-finite parameter; the parent raises it, worker 0's first.
 
 Each worker runs one BLAS thread: two workers that kept the parent's
 thread pool ran 3x slower on a 2-CPU machine.  The parent sets the loaded
@@ -33,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -41,6 +61,8 @@ import signal
 import time
 
 import numpy as np
+
+from bagbid import nncore as nc
 
 _STOP_TIMEOUT_S = 5.0
 
@@ -105,15 +127,20 @@ class _Worker:
 class ShardWorkers:
     """Two running workers and the mapping they share (parent side).
 
-    ``step(rows)`` adds the gradient of the rows ``rows`` into
-    ``params.grads`` and returns their squared-error sums; each worker
-    runs it on its own copy of ``params``.
+    The constructor's ``step(rows)`` adds the gradient of the rows
+    ``rows`` into ``params.grads`` and returns their squared-error sums;
+    each worker runs it on its own copy of ``params``, whose values are
+    the parent's.  A train step is ``step(shards)``, then ``adam_step``.
     """
 
     def __init__(self, params, step):
         self._params = params
-        shared = np.frombuffer(mmap.mmap(-1, 3 * params.values.nbytes)).reshape(3, -1)
-        self._values, self._grads = shared[0], shared[1:]
+        shared = np.frombuffer(mmap.mmap(-1, 3 * params.size * np.dtype(np.float64).itemsize))
+        shared = shared.reshape(3, -1)
+        params.place("values", shared[0])
+        self._grads = shared[1:]
+        half = params.size // 2
+        self._regions = (0, half), (half, params.size)
         self._workers: list[_Worker] = []
         get_threads, self._set_threads = blas_threads()
         self._threads = get_threads()
@@ -145,41 +172,59 @@ class ShardWorkers:
         return _Worker(pid, open(requests_out, "wb"), open(replies_in, "rb"))
 
     def _serve(self, shard: int, step, requests, replies):
-        """The worker: answer each request of row indices with ``step`` on
-        the shared values until the request pipe closes, then exit."""
+        """The worker: answer the requests, row indices and learning rates
+        in turn, until the request pipe closes, then exit."""
         code = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             for other in self._workers:  # else the other worker never sees EOF
                 other.requests.close()
                 other.replies.close()
-            params, grads = self._params, self._grads[shard]
-            while True:
+            params, grads = self._params, self._grads
+            params.place("grads", grads[shard])
+            adam = nc.AdamState(*self._regions[shard])
+            summed = np.empty(adam.hi - adam.lo)
+
+            def run_shard(rows):
+                params.zero_grad()
+                return step(rows)
+
+            def update(settings):
+                np.add(*grads[:, adam.lo:adam.hi], out=summed)
+                params.check_finite(summed, adam.lo)
+                nc.adam_region(params.values, summed, adam, **settings)
+
+            for serve in itertools.cycle((run_shard, update)):
                 try:
-                    rows = pickle.load(requests)
+                    message = pickle.load(requests)
                 except EOFError:  # the training is over
                     break
-                params.values[...] = self._values
-                params.zero_grad()
-                sums = step(rows)
-                grads[...] = params.grads
-                _reply(replies, sums)
+                _reply(replies, serve(message))
             code = 0
         except Exception as e:
-            _reply(replies, f"{type(e).__name__}: {e}")
+            _reply(replies, e if isinstance(e, nc.NonFiniteGradientError)
+                   else f"{type(e).__name__}: {e}")
         finally:
             os._exit(code)
 
     def step(self, shards) -> list[tuple[float, float]]:
         """Run one train step's shards on the current values; returns each
-        shard's squared-error sums and leaves the step's gradient, the
-        first shard's plus the second's, in ``params.grads``."""
-        self._values[...] = self._params.values
+        shard's squared-error sums and leaves each shard's gradient in its
+        worker's row of the mapping."""
         for shard, rows in enumerate(shards):
             self._send(shard, rows)
-        sums = [self._receive(shard) for shard in range(2)]
-        np.add(*self._grads, out=self._params.grads)
-        return sums
+        return [self._receive(shard) for shard in range(2)]
+
+    def adam_step(self, lr, **settings):
+        """Update the values by one Adam step (``nncore.adam_region``, with
+        ``lr`` and ``settings``) from the sum of the gradients that
+        ``step`` left, each worker on its half; raises the
+        ``NonFiniteGradientError`` of ``nncore.adam_step`` if the sum is
+        not finite."""
+        for shard in range(2):
+            self._send(shard, {"lr": lr, **settings})
+        for shard in range(2):
+            self._receive(shard)
 
     def _send(self, shard: int, message):
         worker = self._workers[shard]
@@ -193,11 +238,13 @@ class ShardWorkers:
         self._receive(shard)
         raise error
 
-    def _receive(self, shard: int) -> tuple[float, float]:
+    def _receive(self, shard: int):
         try:
             reply = pickle.load(self._workers[shard].replies)
         except (EOFError, pickle.UnpicklingError):  # no reply, or a cut or garbled one
             raise self._exited(shard) from None
+        if isinstance(reply, nc.NonFiniteGradientError):
+            raise reply
         if isinstance(reply, str):
             raise ShardWorkerError(f"training worker {shard} failed: {reply}")
         return reply

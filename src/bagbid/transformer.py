@@ -19,13 +19,15 @@ for behavior cloning.
 
 A train step (``train_model``) splits its sampled batch into two fixed
 shards and adds the first shard's gradient of the whole batch's loss to
-the second's.  Each process holds one model: in process, both shards'
-backwards add into the trained model's one gradient arena; on the
-workers, each worker's copy of the model takes the current values and
-hands back its gradient.  A training of more than one step, on a
-machine with at least two CPUs, runs every step's shards on two worker
-processes (``shard_worker``): copies of this process forked before step
-0, each with one BLAS thread and no shared file.  A single step, one CPU,
+the second's.  In process, both shards' backwards add into the trained
+model's one gradient arena and one Adam step updates it.  A training of
+more than one step, on a machine with at least two CPUs, runs every step
+on two worker processes (``shard_worker``): copies of this process
+forked before step 0, each with one BLAS thread and no shared file.
+The three processes read one value arena in a shared mapping; each
+worker runs its shard into its own gradient row, then adds the two rows
+over its half of the arena and takes that half's Adam step, so this
+process holds no gradients and no Adam state.  A single step, one CPU,
 or a loaded BLAS whose thread count cannot be set keeps training in
 process.  Either way the arithmetic is the same, so a run's bytes do not
 depend on where its shards run.
@@ -454,14 +456,18 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
     error sums added and divided by the batch size.  A training of more
     than one step, with at least two CPUs and a BLAS whose thread count
     it can set, forks two worker processes (``shard_worker.ShardWorkers``)
-    before step 0 and runs each step's shards on them: a worker has the
-    model and the batch from the fork and gets each step the current
-    values and its shard's rows; this process adds the two gradients and
-    takes the Adam step.  Otherwise both shards run in this process on
-    the one model: each step zeroes the gradients once and each shard's
-    backward adds into them.  Every parameter gets one ``+=`` per shard,
-    so ``(0 + g0) + g1`` in process is ``g0 + g1`` from the workers bit
-    for bit, and checkpoints and logged losses are byte-identical
+    before step 0 and runs each whole step on them: a worker has the
+    model and the batch from the fork, reads the values from the one
+    arena the three processes share, runs its shard's rows into its own
+    gradient row, and then adds the two gradient rows over its half of
+    the arena and takes the Adam step of that half (``nncore.adam_region``)
+    with the moments it holds.  This process then holds no gradients and
+    no Adam state.  Otherwise both shards run in this process on the one
+    model: each step zeroes the gradients once, each shard's backward
+    adds into them, and ``nncore.adam_step`` updates the whole arena.
+    Every parameter gets one ``+=`` per shard, so ``(0 + g0) + g1`` in
+    process is ``g0 + g1`` from the workers bit for bit, Adam is
+    elementwise, and checkpoints and logged losses are byte-identical
     wherever the shards run.
 
     ``log_rows``, when given, collects (step, rtg_loss, action_loss).
@@ -477,12 +483,14 @@ def train_model(data: TrainingBatch, config: ModelConfig, arch: Arch = ARCH_FULL
                                    lambda rows: shard_step(model, data, rows, b))
         for step in range(config.train_steps):
             shards = np.array_split(rng.integers(0, n, size=b), 2)
+            lr = lr_at(config, step)
             if workers is None:
                 model.params.zero_grad()
                 sums = [shard_step(model, data, rows, b) for rows in shards]
+                nc.adam_step(model.params, lr=lr, beta2=ADAM_BETA2)
             else:
                 sums = workers.step(shards)
-            nc.adam_step(model.params, lr=lr_at(config, step), beta2=ADAM_BETA2)
+                workers.adam_step(lr=lr, beta2=ADAM_BETA2)
             if log_rows is not None:
                 log_rows.append((step, (sums[0][0] + sums[1][0]) / b,
                                  (sums[0][1] + sums[1][1]) / b))

@@ -314,7 +314,7 @@ class TestAdam:
         p.grad[...] = np.nan
         with pytest.raises(nc.NonFiniteGradientError):
             nc.adam_step(ps, lr=0.1)
-        assert p.value[0] == 1.0 and ps.adam_t == 0
+        assert p.value[0] == 1.0 and ps.adam is None
 
     def test_determinism(self, gen):
         def run():
@@ -610,7 +610,7 @@ class TestArena:
         loaded = tf.TrajectoryTransformer.load(tmp_path / "c.ckpt")
         assert_in_arena(loaded.params)
         assert loaded.params.values.tobytes() == ps.values.tobytes()
-        assert loaded.params.adam_m is None and loaded.params.adam_v is None
+        assert loaded.params.adam is None
 
     def test_loaded_model_has_no_gradient_arena(self, tmp_path, assert_in_arena):
         """Loading and running a model allocates no gradients; its first
@@ -654,6 +654,24 @@ class TestArena:
         with pytest.raises(ValueError, match="in use"):
             ps.add("late", np.ones(1))
 
+    def test_place_moves_a_buffer(self, assert_in_arena, gen):
+        """``place`` moves a buffer into an array the caller gives: it takes
+        the buffer's contents, zero gradients if none were used, and every
+        parameter, one viewed before too, views the new array."""
+        ps = nc.ParameterSet()
+        a, b = ps.add("a", gen.normal(size=(2, 3))), ps.add("b", gen.normal(size=4))
+        before = a.value.copy(), b.value.copy()
+        rows = np.full((3, ps.size), np.nan)
+        ps.place("values", rows[0])
+        ps.place("grads", rows[1])
+        assert_in_arena(ps)
+        assert np.shares_memory(a.value, rows[0]) and np.shares_memory(b.grad, rows[1])
+        assert np.array_equal(rows[0], np.concatenate([v.ravel() for v in before]))
+        assert not rows[1].any()
+        b.grad += 1.0
+        ps.place("grads", rows[2])
+        assert np.shares_memory(b.grad, rows[2]) and np.array_equal(rows[2], rows[1])
+
     def test_layer_outlives_its_set(self, gen):
         """A layer whose set is gone keeps its parameters and their buffers,
         and runs forward and backward."""
@@ -683,7 +701,7 @@ class TestArena:
             ps.grads[...] = gen.normal(size=ps.size)
 
         adam_matches_reference(ps, fill)
-        assert [buf.size for buf in ps._adam_scratch] == [4, 4]
+        assert [buf.size for buf in ps.adam.scratch] == [4, 4]
 
     def test_nonfinite_gradient_leaves_state_untouched(self):
         model = tf.TrajectoryTransformer(tf.ModelConfig())
@@ -694,11 +712,11 @@ class TestArena:
             nc.adam_step(ps, lr=1e-3)
         fill()
         ps["block1.attn.wqkv"].grad[3, 69] = np.inf
-        before = [a.copy() for a in (ps.values, ps.adam_m, ps.adam_v)]
+        before = [a.copy() for a in (ps.values, ps.adam.m, ps.adam.v)]
         with pytest.raises(nc.NonFiniteGradientError, match="block1.attn.wqkv"):
             nc.adam_step(ps, lr=1e-3)
-        assert ps.adam_t == 2
-        for old, new in zip(before, (ps.values, ps.adam_m, ps.adam_v)):
+        assert ps.adam.t == 2
+        for old, new in zip(before, (ps.values, ps.adam.m, ps.adam.v)):
             assert old.tobytes() == new.tobytes()
 
     @pytest.mark.parametrize("arch", ARCHS)

@@ -70,6 +70,40 @@ def workers(monkeypatch, cpus):
     return log
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """``calls(module, name, record)`` wraps ``module.name`` so that each
+    call, in this process or a worker forked after, writes the caller's
+    pid and the ints ``record(*args)`` through a pipe; it returns a
+    function that closes the pipe and returns those tuples, call by
+    call."""
+    fds = []
+
+    def watch(module, name, record=lambda *args: ()):
+        function = getattr(module, name)
+        report_in, report_out = os.pipe()
+        fds.extend((report_in, report_out))
+
+        def reporting(*args, **kwargs):
+            os.write(report_out, b"%s\n" % b" ".join(
+                b"%d" % k for k in (os.getpid(), *record(*args))))
+            return function(*args, **kwargs)
+
+        def records():
+            os.close(report_out)
+            fds.remove(report_out)
+            with os.fdopen(report_in, "rb") as f:
+                fds.remove(report_in)
+                return [tuple(map(int, line.split())) for line in f.read().splitlines()]
+
+        monkeypatch.setattr(module, name, reporting)
+        return records
+
+    yield watch
+    for fd in fds:
+        os.close(fd)
+
+
 def assert_nothing_left(log, started=2):
     """Every worker started has been reaped and its pipes are closed."""
     assert len(log["workers"]) == started
@@ -82,18 +116,19 @@ def open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
 
-def fail_at_step(monkeypatch, step, action):
-    """Run ``action(workers)`` before the ``step``-th worker step (1-based)."""
-    original = sw.ShardWorkers.step
+def fail_at_step(monkeypatch, step, action, method="step"):
+    """Run ``action(workers)`` before the ``step``-th worker step (1-based),
+    or before its Adam update if ``method`` is ``"adam_step"``."""
+    original = getattr(sw.ShardWorkers, method)
     calls = []
 
-    def step_hook(self, shards):
+    def step_hook(self, *args, **kwargs):
         calls.append(1)
         if len(calls) == step:
             action(self)
-        return original(self, shards)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(sw.ShardWorkers, "step", step_hook)
+    monkeypatch.setattr(sw.ShardWorkers, method, step_hook)
 
 
 def kill_worker(shard):
@@ -102,11 +137,16 @@ def kill_worker(shard):
     return action
 
 
-def bad_reply(kind):
+def bad_reply(kind, update=False):
     """A worker reply that goes wrong: ``cut`` writes the first half of the
     reply's pickle and kills its worker, ``garbled`` writes bytes that are
-    no pickle and lets the worker wait for the next request."""
+    no pickle and lets the worker wait for the next request.  With
+    ``update``, only the replies to Adam updates (None) go wrong."""
+    good_reply = sw._reply
+
     def reply(out, message):
+        if update and message is not None:
+            return good_reply(out, message)
         data = pickle.dumps(message)
         out.write(data[:len(data) // 2] if kind == "cut" else b"no pickle")
         out.flush()
@@ -203,11 +243,21 @@ class TestSameBytes:
         assert_nothing_left(workers)
 
     @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_uneven_and_empty_shards(self, batch_size, workers, cpus, tmp_path):
+    def test_uneven_and_empty_shards(self, batch_size, workers, cpus, monkeypatch,
+                                     tmp_path):
         """A batch of 3 splits into shards of 2 and 1; a batch of 1 leaves
-        the second shard empty, with a zero gradient."""
+        the second shard empty, whose gradient row reads zero after both
+        messages of every step."""
+        second_row_nonzero = []
+        for method in ("step", "adam_step"):
+            def reading(self, *args, original=getattr(sw.ShardWorkers, method), **kwargs):
+                result = original(self, *args, **kwargs)
+                second_row_nonzero.append(bool(self._grads[1].any()))
+                return result
+            monkeypatch.setattr(sw.ShardWorkers, method, reading)
         data, config = small_data(), small_config(batch_size=batch_size)
         on_workers = trained(data, config, tf.ARCH_FULL, tmp_path, "workers")
+        assert second_row_nonzero == [batch_size > 1] * 2 * config.train_steps
         cpus(1)
         assert on_workers == trained(data, config, tf.ARCH_FULL, tmp_path, "in-process")
         assert_nothing_left(workers)
@@ -232,32 +282,15 @@ class TestWhenWorkersStart:
             raise AssertionError("a worker was started")
         monkeypatch.setattr(os, "fork", fork)
 
-    def test_every_step_runs_on_the_workers(self, workers, monkeypatch):
-        """With two CPUs, a 2-step training forks both workers before its
-        first Adam step, and this process runs no shard of any step."""
-        forked_at_adam = []
-        adam_step, shard_step = nc.adam_step, tf.shard_step
-        report_in, report_out = os.pipe()
-
-        def recording_adam_step(*args, **kwargs):
-            forked_at_adam.append(len(workers["workers"]))
-            return adam_step(*args, **kwargs)
-
-        def reporting_step(*args):
-            os.write(report_out, b"%d\n" % os.getpid())
-            return shard_step(*args)
-
-        monkeypatch.setattr(nc, "adam_step", recording_adam_step)
-        monkeypatch.setattr(tf, "shard_step", reporting_step)
-        try:
-            tf.train_model(small_data(), small_config(train_steps=2))
-        finally:
-            os.close(report_out)
-        with os.fdopen(report_in, "rb") as f:
-            pids = [int(pid) for pid in f.read().split()]
-        assert forked_at_adam == [2, 2]
-        assert sorted(pids) == sorted(2 * [worker.pid for worker in workers["workers"]])
-        assert os.getpid() not in pids
+    def test_every_step_runs_on_the_workers(self, workers, calls):
+        """With two CPUs, a 2-step training forks both workers, and each
+        runs one shard and one Adam update of every step; this process
+        runs none."""
+        shards, updates = calls(tf, "shard_step"), calls(nc, "adam_region")
+        tf.train_model(small_data(), small_config(train_steps=2))
+        pids = sorted(2 * [(worker.pid,) for worker in workers["workers"]])
+        assert sorted(shards()) == pids
+        assert sorted(updates()) == pids
         assert_nothing_left(workers)
 
     def test_one_cpu_starts_no_worker(self, cpus, no_fork):
@@ -276,6 +309,48 @@ class TestWhenWorkersStart:
         tf.train_model(small_data(), small_config(train_steps=1))
 
 
+class TestWorkersOwnTheStep:
+    def test_trainer_holds_no_gradients_or_adam_state(self, workers):
+        """A training on the workers returns a model that never allocated a
+        gradient buffer and holds no Adam moments."""
+        model = tf.train_model(small_data(), small_config(train_steps=3))
+        assert model.params._buffers.grads is None
+        assert model.params.adam is None
+        assert_nothing_left(workers)
+
+    def test_adam_halves_tile_the_arena(self, workers, calls):
+        """At every step each worker updates one region, and the two
+        regions tile the arena with no overlap."""
+        config = small_config(train_steps=3)
+        size = tf.TrajectoryTransformer(config).params.size
+        updates = calls(nc, "adam_region",
+                        lambda values, grads, state, *args: (state.t, state.lo, state.hi))
+        tf.train_model(small_data(), config)
+        regions = {}
+        for pid, t, lo, hi in updates():
+            regions.setdefault(t, []).append((lo, hi, pid))
+        assert sorted(regions) == [0, 1, 2]  # the steps taken before each update
+        pids = {worker.pid for worker in workers["workers"]}
+        for (lo0, hi0, pid0), (lo1, hi1, pid1) in map(sorted, regions.values()):
+            assert {pid0, pid1} == pids
+            assert 0 == lo0 < hi0 == lo1 < hi1 == size
+        assert_nothing_left(workers)
+
+
+def nan_gradient(monkeypatch, names):
+    """Make every shard step leave a NaN in the last gradient element of
+    each parameter of ``names``."""
+    shard_step = tf.shard_step
+
+    def poisoning_step(model, *args):
+        sums = shard_step(model, *args)
+        for name in names:
+            model.params[name].grad.flat[-1] = np.nan
+        return sums
+
+    monkeypatch.setattr(tf, "shard_step", poisoning_step)
+
+
 class TestFailures:
     def test_nan_data_on_the_worker_path(self, workers):
         """A NaN in the data makes the parent reject the summed gradient;
@@ -284,6 +359,28 @@ class TestFailures:
         data.states[:, 3, 2] = np.nan
         with pytest.raises(nc.NonFiniteGradientError):
             tf.train_model(data, config)
+        assert_nothing_left(workers)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "last,middle"])
+    def test_nan_gradient_names_the_first_parameter(self, where, workers, cpus,
+                                                    monkeypatch):
+        """Both paths raise the same error, naming the first parameter in
+        arena order whose gradient is not finite: the first, the last, or
+        the one that holds the middle of the arena, whose NaN element
+        falls in the second worker's half."""
+        config = small_config()
+        params = tf.TrajectoryTransformer(config).params
+        ends = np.cumsum([p.value.size for _, p in params.items()])
+        middle = params.names()[int(np.searchsorted(ends, params.size // 2, side="right"))]
+        names = {"first": params.names()[0], "middle": middle, "last": params.names()[-1]}
+        where = where.split(",")
+        nan_gradient(monkeypatch, [names[w] for w in where])
+        expected = f"non-finite gradient for {names[min(where, key=list(names).index)]!r}"
+        for k in (2, 1):
+            cpus(k)
+            with pytest.raises(nc.NonFiniteGradientError) as e:
+                tf.train_model(small_data(), config)
+            assert str(e.value) == expected
         assert_nothing_left(workers)
 
     def test_worker_exception(self, workers):
@@ -329,6 +426,30 @@ class TestFailures:
         """A reply that is cut off mid-pickle, or is no pickle, counts as
         the worker's exit; the parent kills a worker still running."""
         monkeypatch.setattr(sw, "_reply", bad_reply(reply))
+        with pytest.raises(sw.ShardWorkerError,
+                           match="^training worker 0 exited with code -9$"):
+            tf.train_model(small_data(), small_config())
+        assert_nothing_left(workers)
+
+    def test_worker_exception_in_the_update(self, workers, monkeypatch):
+        def failing_region(*args, **kwargs):
+            raise ValueError("no update")
+        monkeypatch.setattr(nc, "adam_region", failing_region)
+        with pytest.raises(sw.ShardWorkerError,
+                           match="^training worker 0 failed: ValueError: no update$"):
+            tf.train_model(small_data(), small_config())
+        assert_nothing_left(workers)
+
+    def test_killed_worker_in_the_update(self, workers, monkeypatch):
+        """A worker killed between the two messages of a step."""
+        fail_at_step(monkeypatch, 2, kill_worker(1), method="adam_step")
+        with pytest.raises(sw.ShardWorkerError, match="training worker 1 exited with code -9"):
+            tf.train_model(small_data(), small_config())
+        assert_nothing_left(workers)
+
+    @pytest.mark.parametrize("reply", ["cut", "garbled"])
+    def test_unreadable_update_reply(self, reply, workers, monkeypatch):
+        monkeypatch.setattr(sw, "_reply", bad_reply(reply, update=True))
         with pytest.raises(sw.ShardWorkerError,
                            match="^training worker 0 exited with code -9$"):
             tf.train_model(small_data(), small_config())
