@@ -5,12 +5,14 @@ otherwise), ``--output-dir``, and ``--seed``; every source of randomness
 derives from the config's three seeds (``seed`` for the data, ``model.seed``
 and ``disc.seed`` for the trainings), and ``--seed`` sets all three.
 
-``train`` generates missing datasets and trains a missing discriminator
-first; the expert levels and return-to-go labels of a method with a
-discriminator are computed as it trains, so there is no separate prep
-step.  The ablations are methods: ``--method ebaret-noE`` (or
-``ebaret¬E``).  A config, artifact or file system problem exits with
-status 1 and one ``bagbid: error:`` line.
+``gen-data`` writes both datasets: the offline episodes of the logging
+policies and the hindsight expert's episodes of the same days.  ``train``
+generates missing datasets and trains a missing discriminator first; the
+expert levels and return-to-go labels of a method with a discriminator
+are computed as it trains, so there is no separate prep step.  The
+ablations are methods: ``--method ebaret-noE`` (or ``ebaret¬E``).  A
+config, artifact or file system problem exits with status 1 and one
+``bagbid: error:`` line.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, desc in [
-        ("gen-data", "generate the mixed-quality offline dataset"),
-        ("gen-expert", "generate hindsight expert trajectories"),
+        ("gen-data", "generate the mixed-quality offline dataset and the hindsight "
+                     "expert dataset of the same days"),
         ("eval", "evaluate a trained method on test periods"),
         ("report", "cross-method summary, and the offline data's ratio histogram "
-                   "against the r* in gen-expert's data"),
+                   "against the r* in gen-data's expert data"),
         ("train-disc", "train the expert-transition discriminator"),
         ("train", "train a bidding model"),
         ("write-config", "write the default config JSON to stdout"),
@@ -88,11 +90,8 @@ def _run(args) -> int:
         return 0
     if args.command == "gen-data":
         trajs = pl.cmd_gen_data(exp)
-        print(f"wrote {len(trajs)} offline trajectories to {exp.offline_path}")
-        return 0
-    if args.command == "gen-expert":
-        trajs = pl.cmd_gen_expert(exp)
-        print(f"wrote {len(trajs)} expert trajectories to {exp.expert_path}")
+        print(f"wrote {len(trajs)} offline trajectories to {exp.offline_path} and their "
+              f"hindsight expert trajectories to {exp.expert_path}")
         return 0
     if args.command == "train-disc":
         pl.cmd_train_disc(exp, plain_ce=args.plain_ce)

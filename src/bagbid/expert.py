@@ -21,8 +21,8 @@ more.  ``generate_expert_trajectories`` replays all the days in one
 ``replay_episodes`` batch, each day's solved scale repeated over its
 steps: the expert does not read the market state, so each day is one
 budgeted scan.  A day's ``OpportunityStream`` serves both its solve and
-its rollout, and a caller that already solved a day (the pipeline's
-noisy-expert logger solves the same days on the same streams) hands the
+its rollout, and a caller that already solved a day (the pipeline solves
+each day once for its noisy-expert logger and its expert alike) hands the
 solution in instead of solving it again.
 """
 

@@ -3,7 +3,7 @@
 Stages, each a pure function of the experiment config and seed:
 
   gen-data     mixed-quality behavior episodes per campaign (offline set)
-  gen-expert   hindsight expert episodes on the matched seeds
+               and hindsight expert episodes of the same days (expert set)
   train-disc   expert-vs-unlabeled discriminator (PU or plain CE)
   train        fit one method (bc / dt / ebaret and its ablations); for
                a method with a discriminator, prep first scores every
@@ -13,11 +13,11 @@ Stages, each a pure function of the experiment config and seed:
   eval         roll trained policies over held-out test periods
   report       cross-method tables, and the offline corpus's
                suboptimality-ratio histogram against the r* that
-               gen-expert stored for each training day
+               gen-data stored for each training day
 
-gen-data and gen-expert in one process build and solve each training day
-once: the stage that runs second takes the days' opportunity streams and
-hindsight solutions that the first left for it (see ``_train_days``).
+The expert episodes replay the logged days in hindsight, so gen-data
+builds each training day's opportunity stream once and solves it once
+for both datasets (see ``gen_datasets``).
 
 Outputs are ``.trajs`` datasets (see ``trajectory``) and ``.ckpt``
 checkpoints (see ``nncore``), each a JSON header line and raw float64
@@ -53,12 +53,7 @@ from bagbid.discriminator import (
     sigmoid,
     train_discriminator,
 )
-from bagbid.expert import (
-    ROS_SLACK,
-    MultiplierSolution,
-    generate_expert_trajectories,
-    solve_multipliers,
-)
+from bagbid.expert import ROS_SLACK, generate_expert_trajectories, solve_multipliers
 from bagbid.market import (
     A_MAX,
     MarketConfig,
@@ -72,7 +67,6 @@ from bagbid.shard_worker import ShardWorkerError
 from bagbid.trajectory import (
     CampaignConstraints,
     atomic_write_text,
-    dataset_records,
     load_jsonl,
     save_jsonl,
 )
@@ -99,6 +93,8 @@ DT_TARGET_QUANTILE = 0.9
 # the random logger's bid-scale range (it overbids) and the fixed logger's scale
 RANDOM_BID_SCALES = (1.0, 6.0)
 FIXED_BID_SCALE = 0.4
+# bins of the ratio report's histogram of the offline corpus over [0, 1]
+RATIO_BINS = 20
 
 
 class PipelineError(RuntimeError):
@@ -378,145 +374,58 @@ def market_config_for(exp: ExperimentConfig, campaign_idx: int, seed: int) -> Ma
 _BEHAVIOR_KINDS = ("random", "fixed", "noisy_expert")
 
 
-@dataclass
-class _Days:
-    """Every training day of one config, campaign-major: its opportunity
-    stream, constraints and campaign id, and its hindsight solution once
-    a stage has solved it (else None).  ``key`` is ``_days_key`` of the
-    config and ``taker`` the dataset stage that may take the days."""
+def gen_datasets(exp: ExperimentConfig) -> tuple[list, list]:
+    """The offline and the expert episodes of every training day, each
+    set replayed in one ``replay_episodes`` batch.
 
-    key: str
-    streams: list
-    constraints: list
-    campaign_ids: list
-    solutions: list
-    taker: str = ""
-
-
-# the days one dataset stage built, left for the other stage of the
-# process; module state, since a stage takes only the config (as the CLI,
-# ensure_training_inputs and callers of cmd_gen_data/cmd_gen_expert pass it)
-_held: _Days | None = None
-
-
-def _days_key(exp: ExperimentConfig) -> str:
-    """The config values that determine the training days, as JSON, so
-    that a budget of 6 and one of 6.0, which a dataset writes differently,
-    do not share days."""
-    return json.dumps([exp.seed, asdict(exp.market), [asdict(c) for c in exp.campaigns],
-                       exp.train_episodes_per_campaign])
-
-
-def release_days():
-    """Drop the training days a dataset stage left for the other one."""
-    global _held
-    _held = None
-
-
-def _train_days(exp: ExperimentConfig, stage: str) -> tuple[_Days, bool]:
-    """The training days for dataset stage ``stage`` ("offline" or
-    "expert"), and whether they were taken.
-
-    The days the other stage of this process left are taken when their
-    key is this config's; otherwise each day's stream is built here.
-    Either way nothing stays held: at most one set of days is alive."""
-    global _held
-    held, _held = _held, None
-    key = _days_key(exp)
-    if held is not None and held.taker == stage and held.key == key:
-        return held, True
-    days = _day_indices(exp)
-    return _Days(
-        key=key,
-        streams=[OpportunityStream(market_config_for(exp, ci, train_seed(exp, ci, ei)))
-                 for ci, ei in days],
-        constraints=[exp.campaigns[ci].constraints for ci, _ in days],
-        campaign_ids=[exp.campaigns[ci].campaign_id for ci, _ in days],
-        solutions=[None] * len(days),
-    ), False
-
-
-def _leave_days(days: _Days, taker: str):
-    """Hold days a stage built, with every solution it found, for dataset
-    stage ``taker``."""
-    global _held
-    days.taker = taker
-    _held = days
-
-
-def _solution(days: _Days, i: int) -> MultiplierSolution:
-    """Day i's hindsight solution, solved now unless a stage already has."""
-    if days.solutions[i] is None:
-        days.solutions[i] = solve_multipliers(days.streams[i], days.constraints[i])
-    return days.solutions[i]
-
-
-def gen_offline_data(exp: ExperimentConfig) -> list:
-    """Mixed-policy behavior episodes for every campaign and train seed,
-    all replayed in one ``replay_episodes`` batch.
-
-    Each day has its own generator, seeded by (seed, 11, campaign index,
-    episode index).  It draws the day's logger (random, fixed or
-    noisy-expert) and then the day's T bids in one call, which consumes it
-    as T one-bid draws would.  No logger reads the market state, and no
-    day's episode depends on the other days.  A noisy-expert day is solved
-    on the stream it is replayed on.  The days come from gen-expert when
-    it ran last in this process for the same days (see ``_train_days``),
-    so its solutions are reused; days built here are left, with their
-    solutions, for gen-expert.
+    Each day's opportunity stream is built once and solved once; the
+    noisy-expert logger and the hindsight expert both bid from that
+    solution, on that stream.  Each day also has its own generator, seeded
+    by (seed, 11, campaign index, episode index).  It draws the day's
+    logger (random, fixed or noisy-expert) and then the day's T bids in
+    one call, which consumes it as T one-bid draws would.  No logger reads
+    the market state, and no day's episode depends on the other days.
     """
     b = exp.behavior
     t_steps = exp.market.steps_per_episode
-    days, taken = _train_days(exp, "offline")
+    days = _day_indices(exp)
+    streams = [OpportunityStream(market_config_for(exp, ci, train_seed(exp, ci, ei)))
+               for ci, ei in days]
+    constraints = [exp.campaigns[ci].constraints for ci, _ in days]
+    campaign_ids = [exp.campaigns[ci].campaign_id for ci, _ in days]
+    solutions = [solve_multipliers(s, c) for s, c in zip(streams, constraints)]
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((exp.seed, 11, ci, ei))))
-            for ci, ei in _day_indices(exp)]
+            for ci, ei in days]
     kinds = [_BEHAVIOR_KINDS[rng.choice(3, p=b.mix)] for rng in rngs]
 
-    def bids(i, rng, kind):
+    def bids(rng, kind, solution):
         if kind == "random":
             return rng.uniform(*RANDOM_BID_SCALES, size=t_steps)
         if kind == "fixed":
             return np.full(t_steps, FIXED_BID_SCALE)
-        return _solution(days, i).scale * rng.lognormal(0.0, b.noise_sigma, size=t_steps)
+        return solution.scale * rng.lognormal(0.0, b.noise_sigma, size=t_steps)
 
-    schedule = np.minimum([bids(i, rng, kind) for i, (rng, kind) in enumerate(zip(rngs, kinds))],
-                          A_MAX)
-    trajs = replay_episodes(schedule, days.streams, days.constraints, days.campaign_ids)
-    for traj, kind in zip(trajs, kinds):
+    schedule = np.minimum([bids(rng, kind, solution)
+                           for rng, kind, solution in zip(rngs, kinds, solutions)], A_MAX)
+    offline = replay_episodes(schedule, streams, constraints, campaign_ids)
+    for traj, kind in zip(offline, kinds):
         traj.source = kind
-    if not taken:
-        _leave_days(days, "expert")
-    return trajs
+    expert = generate_expert_trajectories(streams, constraints, campaign_ids, solutions)
+    return offline, expert
 
 
-def gen_expert_data(exp: ExperimentConfig) -> list:
-    """Hindsight expert episodes on the same campaign/seed grid, all
-    replayed in one ``replay_episodes`` batch.  The days come from
-    gen-data when it ran last in this process for the same days, and only
-    the days it did not solve are solved here; days built here are left,
-    all solved, for gen-data."""
-    days, taken = _train_days(exp, "expert")
-    solutions = [_solution(days, i) for i in range(len(days.streams))]
-    trajs = generate_expert_trajectories(days.streams, days.constraints, days.campaign_ids,
-                                         solutions)
-    if not taken:
-        _leave_days(days, "offline")
-    return trajs
-
-
-def write_manifest(exp: ExperimentConfig):
-    files = {}
-    counts = {}
+def write_manifest(exp: ExperimentConfig, offline: list, expert: list):
+    """The manifest of the ``offline`` and ``expert`` trajectories just
+    written to their files: their counts, the files' sha256 and the seed
+    layout."""
+    sha256 = {}
     for name, path in (("offline", exp.offline_path), ("expert", exp.expert_path)):
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                raw = f.read()
-            files[name] = hashlib.sha256(raw).hexdigest()
-            counts[name] = len(dataset_records(raw, path)[0])
+        with open(path, "rb") as f:
+            sha256[name] = hashlib.sha256(f.read()).hexdigest()
     manifest = {
         "seed": exp.seed,
-        "counts": counts,
-        "sha256": files,
+        "counts": {"offline": len(offline), "expert": len(expert)},
+        "sha256": sha256,
         "train_seeds": train_seeds(exp),
         "test_seeds": test_seeds(exp),
     }
@@ -525,17 +434,21 @@ def write_manifest(exp: ExperimentConfig):
 
 
 def cmd_gen_data(exp: ExperimentConfig) -> list:
-    trajs = gen_offline_data(exp)
-    save_jsonl(trajs, exp.offline_path)
-    write_manifest(exp)
-    return trajs
+    """Write both datasets of ``gen_datasets`` and then the manifest;
+    returns the offline trajectories."""
+    offline, expert = gen_datasets(exp)
+    save_jsonl(offline, exp.offline_path)
+    save_jsonl(expert, exp.expert_path)
+    write_manifest(exp, offline, expert)
+    return offline
 
 
 def cmd_gen_expert(exp: ExperimentConfig) -> list:
-    trajs = gen_expert_data(exp)
-    save_jsonl(trajs, exp.expert_path)
-    write_manifest(exp)
-    return trajs
+    """The expert trajectories ``cmd_gen_data`` wrote.  Kept only for the
+    benchmark's ``datagen`` workload, which still calls it after gen-data;
+    it goes with the next change to the benchmark."""
+    (expert,) = _load_datasets(exp, "expert")
+    return expert
 
 
 # ---------------------------------------------------------------------------
@@ -558,16 +471,15 @@ def _load_datasets(exp: ExperimentConfig, *names) -> list:
     """The trajectories of each named dataset, "offline" or "expert".  A
     missing file (checked before any is read), or a trajectory with a
     non-finite state, action or reward, raises ``PipelineError``."""
-    sources = [(exp.offline_path, "gen-data") if name == "offline"
-               else (exp.expert_path, "gen-expert") for name in names]
-    for path, command in sources:
-        _require(path, f"run {command} first")
-    datasets = [load_jsonl(path) for path, _ in sources]
-    for (path, command), trajs in zip(sources, datasets):
+    paths = [exp.offline_path if name == "offline" else exp.expert_path for name in names]
+    for path in paths:
+        _require(path, "run gen-data first")
+    datasets = [load_jsonl(path) for path in paths]
+    for path, trajs in zip(paths, datasets):
         for t in trajs:
             if not all(np.isfinite(a).all() for a in (t.states, t.actions, t.rewards)):
                 raise PipelineError(f"{path}: day {t.campaign_id} seed {t.seed} has a "
-                                    f"non-finite state, action or reward; run {command} again")
+                                    f"non-finite state, action or reward; run gen-data again")
     return datasets
 
 
@@ -871,12 +783,13 @@ def cmd_eval(exp: ExperimentConfig, method: str, rstar_cache: dict | None = None
 # ---------------------------------------------------------------------------
 
 
-def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
+def cmd_ratio_report(exp: ExperimentConfig) -> dict:
     """Suboptimality of the offline corpus: achieved / hindsight-optimal
-    expected conversions per episode, with a histogram over [0, 1].
+    expected conversions per episode, with a ``RATIO_BINS``-bin histogram
+    over [0, 1].
 
-    A day's r* is the replay value gen-expert stored for the expert
-    episode of the same campaign, seed and constraints."""
+    A day's r* is the replay value gen-data stored for the expert episode
+    of the same campaign, seed and constraints."""
     expert_trajs, offline = _load_datasets(exp, "expert", "offline")
     experts = {(t.campaign_id, t.seed): t for t in expert_trajs}
     ratios = []
@@ -884,24 +797,24 @@ def cmd_ratio_report(exp: ExperimentConfig, bins: int = 20) -> dict:
         expert = experts.get((t.campaign_id, t.seed))
         if expert is None:
             raise PipelineError(f"{exp.expert_path} has no day {t.campaign_id} seed {t.seed} "
-                                f"of the offline data; run gen-expert again")
+                                f"of the offline data; run gen-data again")
         if expert.constraints != t.constraints:
             raise PipelineError(f"day {t.campaign_id} seed {t.seed} has {t.constraints} offline "
                                 f"but {expert.constraints} in {exp.expert_path}; "
-                                f"run gen-expert again")
+                                f"run gen-data again")
         rstar = expert.meta.get("replay_value") if isinstance(expert.meta, dict) else None
         # type(), not isinstance(): a bool is not a replay value
         if not (type(rstar) is int or type(rstar) is float and math.isfinite(rstar)):
             raise PipelineError(f"{exp.expert_path}: day {t.campaign_id} seed {t.seed} has no "
-                                f"finite replay_value in its meta; run gen-expert again")
+                                f"finite replay_value in its meta; run gen-data again")
         ratios.append(t.total_value / rstar if rstar > 0 else 0.0)
     ratios = np.asarray(ratios)
 
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, RATIO_BINS + 1)
     counts, _ = np.histogram(np.clip(ratios, 0.0, 1.0), bins=edges)
     _write_csv(exp.path("reports", "ratio_hist.csv"), ["bin_low", "bin_high", "count"],
                ([f"{edges[i]:.4f}", f"{edges[i + 1]:.4f}", int(counts[i])]
-                for i in range(bins)))
+                for i in range(RATIO_BINS)))
 
     summary = {
         "n": int(ratios.size),
@@ -932,14 +845,9 @@ def cmd_report(exp: ExperimentConfig) -> dict:
 
 
 def ensure_training_inputs(exp: ExperimentConfig, spec: MethodSpec):
-    """Generate missing datasets and train the method's discriminator if
-    it has none.  Generating both datasets builds and solves each day once
-    (see ``_train_days``); days one stage left untaken are released before
-    training."""
-    if not os.path.exists(exp.offline_path):
+    """Generate the datasets if either is missing, and train the method's
+    discriminator if it has none."""
+    if not (os.path.exists(exp.offline_path) and os.path.exists(exp.expert_path)):
         cmd_gen_data(exp)
-    if not os.path.exists(exp.expert_path):
-        cmd_gen_expert(exp)
-    release_days()
     if spec.use_expert_data and not os.path.exists(exp.disc_path(spec.disc_plain_ce)):
         cmd_train_disc(exp, plain_ce=spec.disc_plain_ce)

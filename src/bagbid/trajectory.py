@@ -205,8 +205,7 @@ class TrajectoryFileError(ValueError):
 def _retired_dataset(header: dict) -> str | None:
     # every line of a JSONL dataset was one trajectory's record
     if "format" not in header and "campaign_id" in header:
-        return ("is a JSONL dataset, which this version no longer reads; "
-                "run gen-data and gen-expert again")
+        return "is a JSONL dataset, which this version no longer reads; run gen-data again"
     return None
 
 

@@ -11,16 +11,6 @@ from bagbid.market import MarketConfig
 from bagbid.trajectory import CampaignConstraints, Trajectory
 
 
-@pytest.fixture(autouse=True)
-def no_held_days():
-    """Start every test with no training days held: a dataset stage leaves
-    its days for the other one, and a test that counts stream builds or
-    patches a kernel must not take another test's days."""
-    from bagbid import pipeline
-
-    pipeline.release_days()
-
-
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(1234))

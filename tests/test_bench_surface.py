@@ -55,11 +55,11 @@ def test_workload_runs_traced(workload, monkeypatch):
 def test_traced_datagen_scans_and_streams(monkeypatch):
     """Through the benchmark's own tracer: each hindsight solve runs one
     replay scan; gen-data builds one opportunity stream and solves once per
-    day (every logger is the noisy expert), gen-expert takes gen-data's
-    days and solutions and does neither, and the ratio report, which reads
-    r* from the expert data, does neither (``_kernels.replay_scan``/
-    ``step_scan`` and ``OpportunityStream`` keep the names and positional
-    arguments the tracer wraps)."""
+    day for both datasets, gen-expert reads the expert data back and does
+    neither, and the ratio report, which reads r* from the expert data,
+    does neither (``_kernels.replay_scan``/``step_scan`` and
+    ``OpportunityStream`` keep the names and positional arguments the
+    tracer wraps)."""
     monkeypatch.syspath_prepend(PERFBENCH)
     import run
     import workloads

@@ -1,7 +1,7 @@
 """The committed fingerprint of the pipeline's datasets.
 
-``fingerprint.json`` holds the sha256 of the files that ``gen-data`` and
-``gen-expert`` write for the tiny config that CI runs through the CLI.
+``fingerprint.json`` holds the sha256 of the files that ``gen-data``
+writes for the tiny config that CI runs through the CLI.
 These bytes come from the market, the behaviour loggers and the hindsight
 expert alone, and have been the same under every BLAS kernel and numpy
 SIMD level tried, so they are checked on any machine.  The file is
@@ -35,13 +35,12 @@ CI_TINY_CONFIG = {
 
 
 def test_datasets_match_the_committed_fingerprint(tmp_path):
-    """gen-data and gen-expert of CI's tiny config write the datasets and
-    manifest whose sha256 ``fingerprint.json`` records."""
+    """gen-data of CI's tiny config writes the datasets and manifest whose
+    sha256 ``fingerprint.json`` records."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CI_TINY_CONFIG))
     out = tmp_path / "run"
-    for stage in ("gen-data", "gen-expert"):
-        assert main([stage, "--config", str(config), "--output-dir", str(out)]) == 0
+    assert main(["gen-data", "--config", str(config), "--output-dir", str(out)]) == 0
     expected = json.loads(FINGERPRINT.read_text())["sha256"]
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in expected} == expected

@@ -71,13 +71,12 @@ class TestGenData:
     def test_pure_random_mix(self, tiny_experiment):
         exp = tiny_experiment
         exp.behavior.mix = (1.0, 0.0, 0.0)
-        trajs = pl.gen_offline_data(exp)
+        trajs, _ = pl.gen_datasets(exp)
         assert all(t.source == "random" for t in trajs)
 
     def test_manifest_counts_match_lines(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         manifest = _manifest(exp)
         assert manifest["counts"]["offline"] == len(load_jsonl(exp.offline_path))
         assert manifest["counts"]["expert"] == len(load_jsonl(exp.expert_path))
@@ -99,22 +98,35 @@ class TestGenData:
         """A noisy-expert day is solved and rolled on the same stream."""
         exp = tiny_experiment
         exp.behavior.mix = mix
-        trajs = pl.gen_offline_data(exp)
+        trajs, _ = pl.gen_datasets(exp)
         if mix[2] == 1.0:
             assert {t.source for t in trajs} == {"noisy_expert"}
         assert stream_seeds == pl.train_seeds(exp)
 
-    def test_expert_days_build_one_stream_each(self, tiny_experiment, stream_seeds):
-        """Alone, gen-expert builds each day's stream once; after gen-data
-        in the same process it takes gen-data's streams and builds none."""
+    def test_gen_data_builds_and_solves_each_day_once(self, tiny_experiment, stream_seeds,
+                                                       solved_seeds):
+        """At the default mix only some days have the noisy-expert logger,
+        yet every day is built and solved exactly once, for both
+        datasets."""
         exp = tiny_experiment
-        pl.gen_expert_data(exp)
-        assert stream_seeds == pl.train_seeds(exp)
-        pl.release_days()
-        pl.gen_offline_data(exp)
-        del stream_seeds[:]
-        pl.gen_expert_data(exp)
-        assert stream_seeds == []
+        offline = pl.cmd_gen_data(exp)
+        assert 0 < sum(t.source == "noisy_expert" for t in offline) < len(offline)
+        assert stream_seeds == solved_seeds == pl.train_seeds(exp)
+
+    def test_gen_expert_returns_the_expert_file(self, tiny_experiment,
+                                                assert_same_trajectory):
+        """``cmd_gen_expert`` reads back the expert data gen-data wrote,
+        and without it fails in one error naming gen-data."""
+        exp = tiny_experiment
+        with pytest.raises(pl.PipelineError) as missing:
+            pl.cmd_gen_expert(exp)
+        assert str(missing.value) == f"{exp.expert_path} is missing; run gen-data first"
+        pl.cmd_gen_data(exp)
+        got = pl.cmd_gen_expert(exp)
+        want = load_jsonl(exp.expert_path)
+        assert len(got) == len(want) == len(pl.train_seeds(exp))
+        for a, b in zip(got, want):
+            assert_same_trajectory(a, b)
 
     def test_datasets_equal_those_of_the_reference_kernels(self, tiny_experiment, scan_refs,
                                                             monkeypatch, tmp_path):
@@ -127,7 +139,6 @@ class TestGenData:
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         fast = _dataset_bytes(exp)
 
         calls = {"step_scan": 0, "solve_multipliers": 0}
@@ -151,13 +162,12 @@ class TestGenData:
         monkeypatch.setattr(pl, "solve_multipliers", solve)
         exp.output_dir = str(tmp_path / "reference")
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         assert calls["step_scan"] > 0 and calls["solve_multipliers"] > 0
         assert fast == _dataset_bytes(exp)
 
     def test_expert_flagged_and_feasible(self, tiny_experiment):
         exp = tiny_experiment
-        pl.cmd_gen_expert(exp)
+        pl.cmd_gen_data(exp)
         experts = load_jsonl(exp.expert_path)
         assert all(t.source == "expert" for t in experts)
         for t in experts:
@@ -181,110 +191,8 @@ def solved_seeds(monkeypatch):
     return seeds
 
 
-_STAGES = {"gen-data": pl.cmd_gen_data, "gen-expert": pl.cmd_gen_expert}
-_BOTH_ORDERS = pytest.mark.parametrize(
-    "order", [("gen-data", "gen-expert"), ("gen-expert", "gen-data")],
-    ids=["data-first", "expert-first"])
-
-
 def _dataset_bytes(exp):
     return [_read_bytes(path) for path in (exp.offline_path, exp.expert_path)]
-
-
-class TestDayHandOff:
-    """gen-data and gen-expert in one process build and solve each
-    training day once: the second stage takes the first stage's days."""
-
-    @_BOTH_ORDERS
-    def test_datasets_equal_those_made_apart(self, tiny_experiment, tmp_path, order):
-        exp = tiny_experiment
-        for stage in order:
-            _STAGES[stage](exp)
-        shared = _dataset_bytes(exp)
-        exp.output_dir = str(tmp_path / "apart")
-        for stage in order:
-            pl.release_days()
-            _STAGES[stage](exp)
-        assert shared == _dataset_bytes(exp)
-
-    def test_expert_solves_only_days_gen_data_did_not(self, tiny_experiment, stream_seeds,
-                                                      solved_seeds):
-        exp = tiny_experiment
-        trajs = pl.gen_offline_data(exp)
-        noisy = [t.seed for t in trajs if t.source == "noisy_expert"]
-        assert 0 < len(noisy) < len(trajs)  # the default mix solves some days
-        assert (stream_seeds, solved_seeds) == (pl.train_seeds(exp), noisy)
-        del stream_seeds[:], solved_seeds[:]
-        pl.gen_expert_data(exp)
-        assert stream_seeds == []
-        assert solved_seeds == [s for s in pl.train_seeds(exp) if s not in noisy]
-
-    def test_gen_data_after_expert_solves_nothing(self, tiny_experiment, stream_seeds,
-                                                  solved_seeds):
-        exp = tiny_experiment
-        exp.behavior.mix = (0.0, 0.0, 1.0)
-        pl.gen_expert_data(exp)
-        assert stream_seeds == solved_seeds == pl.train_seeds(exp)
-        del stream_seeds[:], solved_seeds[:]
-        trajs = pl.gen_offline_data(exp)
-        assert {t.source for t in trajs} == {"noisy_expert"}
-        assert stream_seeds == solved_seeds == []
-
-    @pytest.mark.parametrize("change", ["seed", "budget", "int-budget", "ros_bound",
-                                        "market", "episodes"])
-    def test_other_days_are_not_reused(self, tiny_experiment, tmp_path, stream_seeds, change):
-        """A config that differs in what makes the days builds its own,
-        and writes what it writes with nothing held.  A budget of 6 makes
-        the same days as one of 6.0, but a dataset writes the two
-        differently, so those days are not reused either."""
-        exp = tiny_experiment
-        pl.cmd_gen_data(exp)
-        other = dataclasses.replace(exp, output_dir=str(tmp_path / "other"),
-                                    campaigns=[dataclasses.replace(c) for c in exp.campaigns])
-        if change == "seed":
-            other.seed += 1
-        elif change == "budget":
-            other.campaigns[1].budget += 1.0
-        elif change == "int-budget":
-            other.campaigns[0].budget = int(other.campaigns[0].budget)
-        elif change == "ros_bound":
-            other.campaigns[0].ros_bound = 5.0
-        elif change == "market":
-            other.market = pl.MarketSettings(steps_per_episode=24, opportunities_per_step=21)
-        else:
-            other.train_episodes_per_campaign += 1
-        del stream_seeds[:]
-        pl.cmd_gen_expert(other)
-        assert stream_seeds == pl.train_seeds(other)
-        handed = _read_bytes(other.expert_path)
-        pl.release_days()
-        pl.cmd_gen_expert(other)
-        assert handed == _read_bytes(other.expert_path)
-
-    @pytest.mark.parametrize("stage", ["gen-data", "gen-expert"])
-    def test_rerun_stage_rebuilds_its_days(self, tiny_experiment, stream_seeds, stage):
-        exp = tiny_experiment
-        _STAGES[stage](exp)
-        _STAGES[stage](exp)
-        assert stream_seeds == 2 * pl.train_seeds(exp)
-
-    @_BOTH_ORDERS
-    def test_nothing_held_after_both_stages(self, tiny_experiment, order):
-        exp = tiny_experiment
-        first, second = order
-        _STAGES[first](exp)
-        assert pl._held is not None
-        _STAGES[second](exp)
-        assert pl._held is None
-
-    def test_nothing_held_after_ensure_training_inputs(self, tiny_experiment):
-        """Training inputs that needed one dataset stage leave no days."""
-        exp = tiny_experiment
-        pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
-        os.remove(exp.offline_path)
-        pl.ensure_training_inputs(exp, pl.METHODS["bc"])
-        assert os.path.exists(exp.offline_path) and pl._held is None
 
 
 class TestPrep:
@@ -292,7 +200,6 @@ class TestPrep:
     def prepped(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         pl.cmd_train_disc(exp)
         return exp, *pl.cmd_prep(exp)
 
@@ -335,7 +242,6 @@ class TestPrep:
         trajectory alone and labelling it bag by bag and step by step."""
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         pl.cmd_train_disc(exp, plain_ce=plain_ce)
         trajs, labels = pl.cmd_prep(exp, plain_ce)
         disc = DiscriminatorModel.load(exp.disc_path(plain_ce))
@@ -363,7 +269,6 @@ class TestTrainEval:
     def ready(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         return exp
 
     def test_bc_checkpoint_has_no_rtg_head(self, ready, checkpoint_parts):
@@ -640,10 +545,11 @@ def resolved_rstar(exp, campaign_id, seed):
     return solve_multipliers(stream, exp.campaigns[ci].constraints).summary.total_value
 
 
-def resolved_ratio_files(exp, bins=20):
+def resolved_ratio_files(exp):
     """The text of ``ratio_hist.csv`` and ``ratio_summary.json`` for the
     offline data, each day's r* solved again rather than read from the
     expert data."""
+    bins = pl.RATIO_BINS
     ratios = []
     for t in load_jsonl(exp.offline_path):
         rstar = resolved_rstar(exp, t.campaign_id, t.seed)
@@ -670,7 +576,7 @@ def resolved_ratio_files(exp, bins=20):
 class TestRatioReport:
     def test_expert_matches_hindsight_exactly(self, tiny_experiment):
         exp = tiny_experiment
-        pl.cmd_gen_expert(exp)
+        pl.cmd_gen_data(exp)
         for t in load_jsonl(exp.expert_path):
             rstar = resolved_rstar(exp, t.campaign_id, t.seed)
             assert t.meta["replay_value"] == rstar
@@ -682,7 +588,6 @@ class TestRatioReport:
         every offline day again."""
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         pl.cmd_ratio_report(exp)
         written = []
         for name in ("ratio_hist.csv", "ratio_summary.json"):
@@ -694,7 +599,6 @@ class TestRatioReport:
     def test_mismatched_expert_data_rejected(self, tiny_experiment, change):
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         experts = load_jsonl(exp.expert_path)
         day = experts[3]
         if change == "missing-day":
@@ -710,7 +614,6 @@ class TestRatioReport:
     def test_offline_corpus_summary(self, tiny_experiment):
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         summary = pl.cmd_ratio_report(exp)
         assert summary["n"] == len(exp.campaigns) * exp.train_episodes_per_campaign
         assert summary["max"] <= 1.0 + 1e-9
@@ -1017,7 +920,6 @@ class TestCli:
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         path = exp.offline_path if dataset == "offline" else exp.expert_path
         with open(path, "rb") as f:
             raw = f.read()
@@ -1064,7 +966,6 @@ class TestCli:
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         lines = [json.dumps({
             "campaign_id": t.campaign_id, "seed": t.seed,
             "constraints": dataclasses.asdict(t.constraints), "states": t.states.tolist(),
@@ -1078,7 +979,7 @@ class TestCli:
         assert main(["train-disc", "--config", str(config)]) == 1
         assert capsys.readouterr().err == (
             f"bagbid: error: {exp.offline_path} is a JSONL dataset, which this version no "
-            f"longer reads; run gen-data and gen-expert again\n")
+            f"longer reads; run gen-data again\n")
         assert main(["gen-data", "--config", str(config)]) == 0
         assert main(["train-disc", "--config", str(config)]) == 0
 
@@ -1097,11 +998,9 @@ class TestCli:
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
                                         False)]).save(exp.metrics_path("bc"))
-        path, step = ((exp.offline_path, "gen-data") if dataset == "offline"
-                      else (exp.expert_path, "gen-expert"))
+        path = exp.offline_path if dataset == "offline" else exp.expert_path
         trajs = load_jsonl(path)
         day = trajs[1]
         getattr(day, array).flat[3] = np.inf if array == "actions" else np.nan
@@ -1111,7 +1010,7 @@ class TestCli:
         assert main(argv + ["--config", str(config)]) == 1
         assert capsys.readouterr().err == (
             f"bagbid: error: {path}: day {day.campaign_id} seed {day.seed} has a non-finite "
-            f"state, action or reward; run {step} again\n")
+            f"state, action or reward; run gen-data again\n")
         assert not os.path.exists(exp.ckpt_path("bc"))
 
     @pytest.mark.parametrize("argv, stage, message", [
@@ -1131,7 +1030,6 @@ class TestCli:
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         monkeypatch.setattr(pl, stage, diverge)
         config = tmp_path / "config.json"
         exp.save(config)
@@ -1159,7 +1057,6 @@ class TestCli:
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
                                         False)]).save(exp.metrics_path("bc"))
         path = exp.offline_path if dataset == "offline" else exp.expert_path
@@ -1175,19 +1072,20 @@ class TestCli:
 
     def test_report_without_expert_data_fails_without_traceback(self, tiny_experiment,
                                                                  tmp_path, capsys):
-        """The ratio report reads r* from gen-expert's data, so it refuses
-        to run without it."""
+        """The ratio report reads r* from gen-data's expert data, so it
+        refuses to run without it."""
         from bagbid.cli import main
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
+        os.remove(exp.expert_path)
         pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
                                         False)]).save(exp.metrics_path("bc"))
         path = tmp_path / "config.json"
         exp.save(path)
         assert main(["report", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == f"bagbid: error: {exp.expert_path} is missing; run gen-expert first\n"
+        assert err == f"bagbid: error: {exp.expert_path} is missing; run gen-data first\n"
 
     @pytest.mark.parametrize("meta", [{}, [1], {"replay_value": True},
                                       {"replay_value": "2.5"}, {"replay_value": float("inf")}],
@@ -1200,7 +1098,6 @@ class TestCli:
 
         exp = tiny_experiment
         pl.cmd_gen_data(exp)
-        pl.cmd_gen_expert(exp)
         pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
                                         False)]).save(exp.metrics_path("bc"))
         with open(exp.expert_path, "rb") as f:
@@ -1217,14 +1114,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (f"bagbid: error: {exp.expert_path}: day {record['campaign_id']} seed "
                        f"{record['seed']} has no finite replay_value in its meta; "
-                       f"run gen-expert again\n")
+                       f"run gen-data again\n")
 
     @pytest.mark.parametrize("argv", [["train-disc"], ["train-disc", "--plain-ce"]],
                              ids=["nnpu", "plain-ce"])
     @pytest.mark.parametrize("has_offline", [False, True], ids=["none", "offline-only"])
     def test_train_disc_without_datasets_says_which_step(self, tmp_path, capsys, argv,
                                                           has_offline):
-        """Each missing dataset is named with the step that writes it,
+        """Each missing dataset is named, with gen-data, which writes both,
         before either file is read (so an empty offline file will do)."""
         from bagbid.cli import main
 
@@ -1232,17 +1129,17 @@ class TestCli:
         if has_offline:
             os.makedirs(os.path.dirname(exp.offline_path))
             open(exp.offline_path, "wb").close()
-        path, step = ((exp.expert_path, "gen-expert") if has_offline
-                      else (exp.offline_path, "gen-data"))
+        path = exp.expert_path if has_offline else exp.offline_path
         assert main(argv + ["--output-dir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"bagbid: error: {path} is missing; run {step} first\n"
+        assert capsys.readouterr().err == f"bagbid: error: {path} is missing; run gen-data first\n"
 
     def test_report_without_offline_data_says_to_run_gen_data(self, tiny_experiment,
                                                                tmp_path, capsys):
         from bagbid.cli import main
 
         exp = tiny_experiment
-        pl.cmd_gen_expert(exp)
+        pl.cmd_gen_data(exp)
+        os.remove(exp.offline_path)
         pl.EvalReport("bc", [pl.EvalRow("bc", 0, 1, "c0", 1.0, 1.0, 2.0, 0.5, 0.25, 2.0,
                                         False)]).save(exp.metrics_path("bc"))
         path = tmp_path / "config.json"
